@@ -8,8 +8,6 @@ from .consistency import (
     UnlabeledBatch,
     anneal_weight,
     combined_training_step,
-    consistency_distribution,
-    unlabeled_prototypes,
     unsupervised_loss,
 )
 from .data import ClassSplit, Dataset, Episode, load_dataset, restrict_low_profile, sample_episode, split_classes
@@ -34,6 +32,8 @@ from .encoder import (
     Vocabulary,
     encode,
     encode_backward,
+    encode_batch,
+    encode_batch_backward,
     load_checkpoint,
     optimizer_step,
     save_checkpoint,
@@ -52,14 +52,11 @@ from .experiment import (
 from .metrics import DiversityReport, bleu, distinct_2, diversity_report, mean_pairwise_similarity
 from .numerics import (
     GradCheckReport,
-    cosine_distance,
-    cross_entropy,
     finite_difference_gradient,
     gradient_check,
     softmax_over_neg_distances,
-    squared_euclidean,
 )
-from .protonet import EvalResult, Prototypes, classify, compute_prototypes, evaluate, supervised_episode_loss
+from .protonet import EvalResult, Prototypes, classify, evaluate, supervised_episode_loss
 from .synth import default_synonym_table, generate_synthetic_dataset
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -239,7 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--query-per-class", type=int, default=5)
     p_eval.add_argument("--episodes", type=int, default=600)
     p_eval.add_argument("--split-seed", type=int, default=0)
-    p_eval.add_argument("--ratios", default="0.5,0.2,0.3")
+    split_ratios = next(f.default for f in fields(RunConfig) if f.name == "split_ratios")
+    p_eval.add_argument("--ratios", default=",".join(repr(r) for r in split_ratios),
+                        help="train,valid,test class ratios; the default is training's")
     p_eval.add_argument("--group-by-domain", action="store_true")
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--distance", choices=numerics.DISTANCE_KINDS, default="sqeuclidean")

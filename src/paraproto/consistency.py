@@ -17,12 +17,12 @@ from .encoder import (
     EncoderGradients,
     EncoderParams,
     Vocabulary,
-    encode,
-    encode_backward,
+    encode_batch,
+    encode_batch_backward,
     optimizer_step,
     tokenize,
 )
-from .protonet import Prototypes, softmax_cross_entropy_episode, supervised_episode_loss
+from .protonet import softmax_cross_entropy_episode, supervised_episode_loss
 
 
 @dataclass
@@ -81,26 +81,6 @@ def anneal_weight(step: int, schedule: AnnealSchedule) -> float:
     return t**schedule.alpha
 
 
-def unlabeled_prototypes(paraphrase_embeddings: np.ndarray) -> Prototypes:
-    """Mean paraphrase embedding per unlabeled sentence; input is (U, M, d)."""
-    embs = np.asarray(paraphrase_embeddings, dtype=np.float64)
-    if embs.ndim != 3:
-        raise ValueError(f"expected rectangular U x M x d embeddings, got shape {embs.shape}")
-    means = embs.mean(axis=1)
-    return Prototypes(vectors=means, labels=[str(u) for u in range(means.shape[0])])
-
-
-def consistency_distribution(
-    unlabeled_embedding: np.ndarray,
-    prototypes: Prototypes,
-    distance: str = numerics.SQUARED_EUCLIDEAN,
-) -> np.ndarray:
-    """Probability of assigning one unlabeled sentence to each paraphrase mean."""
-    from .protonet import classify
-
-    return classify(unlabeled_embedding, prototypes, distance)
-
-
 def unsupervised_loss(
     batch: UnlabeledBatch,
     params: EncoderParams,
@@ -112,26 +92,15 @@ def unsupervised_loss(
     Gradients flow through the sentence embeddings and through every
     paraphrase embedding; there is no stop-gradient on either side.
     """
-    sent_tokens = [tokenize(s) for s in batch.sentences]
-    para_tokens = [[tokenize(p) for p in row] for row in batch.paraphrases]
+    u, m = batch.n_sentences, batch.n_paraphrases
+    tokens = [tokenize(s) for s in batch.sentences]
+    tokens += [tokenize(p) for row in batch.paraphrases for p in row]
+    embs = encode_batch(params, tokens, vocab)
+    protos = embs[u:].reshape(u, m, -1).mean(axis=1)
 
-    sent_embs = np.array([encode(params, toks, vocab) for toks in sent_tokens])
-    para_embs = np.array(
-        [[encode(params, toks, vocab) for toks in row] for row in para_tokens]
-    )
-    protos = para_embs.mean(axis=1)
-    targets = np.arange(batch.n_sentences)
-
-    loss, d_sent, d_proto = softmax_cross_entropy_episode(sent_embs, protos, targets, distance)
-
-    grads = EncoderGradients.zeros_like(params)
-    for toks, g in zip(sent_tokens, d_sent):
-        encode_backward(params, toks, vocab, g, into=grads)
-    m = batch.n_paraphrases
-    for row, g_proto in zip(para_tokens, d_proto):
-        for toks in row:
-            encode_backward(params, toks, vocab, g_proto / m, into=grads)
-    return loss, grads
+    loss, d_sent, d_proto = softmax_cross_entropy_episode(embs[:u], protos, np.arange(u), distance)
+    upstream = np.concatenate([d_sent, np.repeat(d_proto / m, m, axis=0)])
+    return loss, encode_batch_backward(params, tokens, vocab, upstream)
 
 
 def combined_training_step(

@@ -130,7 +130,7 @@ def _part_sizes(n_classes: int, ratios: tuple[float, float, float]) -> tuple[int
 
 def split_classes(
     dataset: Dataset,
-    ratios: tuple[float, float, float] = (0.5, 0.2, 0.3),
+    ratios: tuple[float, float, float],
     seed: int = 0,
     group_by_domain: bool = False,
 ) -> ClassSplit:

@@ -73,13 +73,9 @@ class DecodeConfig:
     diversity_penalty: float = 0.5
     p_mask: float = 0.7
     curve: str = "flat"
-    strategy: str = "dbs_unigram"
     max_len: int = 0  # 0 -> 2 * source length + 5
-    seed: int = 0
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
         if self.curve not in CURVES:
             raise ValueError(f"unknown curve {self.curve!r}, expected one of {CURVES}")
         if not 0.0 <= self.p_mask <= 1.0:
@@ -98,9 +94,7 @@ class DecodeConfig:
                 "diversity_penalty": self.diversity_penalty,
                 "p_mask": self.p_mask,
                 "curve": self.curve,
-                "strategy": self.strategy,
                 "max_len": self.max_len,
-                "seed": self.seed,
             }
         )
 
@@ -108,14 +102,14 @@ class DecodeConfig:
     def from_text(cls, text: str) -> "DecodeConfig":
         raw = parse_kv_text(text)
         cfg = cls()
-        ints = {"num_beams", "num_groups", "max_len", "seed"}
+        ints = {"num_beams", "num_groups", "max_len"}
         floats = {"diversity_penalty", "p_mask"}
         for key, value in raw.items():
             if key in ints:
                 cfg = replace(cfg, **{key: int(value)})
             elif key in floats:
                 cfg = replace(cfg, **{key: float(value)})
-            elif key in ("curve", "strategy"):
+            elif key == "curve":
                 cfg = replace(cfg, **{key: value})
             else:
                 raise ValueError(f"unknown decode config key: {key!r}")

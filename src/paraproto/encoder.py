@@ -149,11 +149,57 @@ class EncoderGradients:
         self.bias += scale * other.bias
 
 
+def _forward(
+    params: EncoderParams, token_lists: Sequence[Sequence[str]], vocab: Vocabulary
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The batch in CSR form (all rows' vocabulary ids in one array, tokens
+    per row), then per-row mean embeddings (n, d_emb) and outputs (n, d)."""
+    if not token_lists:
+        raise ValueError("cannot encode an empty batch")
+    rows = [vocab.indices(tokens) for tokens in token_lists]
+    ids, counts = np.concatenate(rows), np.array([len(r) for r in rows])
+    starts = np.cumsum(counts) - counts
+    means = np.add.reduceat(params.embedding[ids], starts, axis=0) / counts[:, None]
+    return ids, counts, means, np.tanh(means @ params.projection.T + params.bias)
+
+
+def encode_batch(
+    params: EncoderParams, token_lists: Sequence[Sequence[str]], vocab: Vocabulary
+) -> np.ndarray:
+    """tanh(W . mean(embedding rows) + b) for every token list, as an (n, d)
+    array from one gather and one matmul. Empty token lists encode as UNK."""
+    return _forward(params, token_lists, vocab)[3]
+
+
+def encode_batch_backward(
+    params: EncoderParams,
+    token_lists: Sequence[Sequence[str]],
+    vocab: Vocabulary,
+    upstream: np.ndarray,
+) -> EncoderGradients:
+    """Exact gradients of sum(upstream * encode_batch(...)) w.r.t. all
+    parameters; upstream is (n, d), one row per token list.
+
+    Recomputes the forward pass internally; rows of tokens absent from the
+    batch receive zero gradient.
+    """
+    upstream = np.asarray(upstream, dtype=np.float64)
+    expected = (len(token_lists), params.output_dim)
+    if upstream.shape != expected:
+        raise ValueError(f"upstream gradient has shape {upstream.shape}, expected {expected}")
+    grads = EncoderGradients.zeros_like(params)
+    ids, counts, means, out = _forward(params, token_lists, vocab)
+    d_pre = upstream * (1.0 - out * out)
+    grads.bias += d_pre.sum(axis=0)
+    grads.projection += d_pre.T @ means
+    d_means = (d_pre @ params.projection) / counts[:, None]
+    np.add.at(grads.embedding, ids, np.repeat(d_means, counts, axis=0))
+    return grads
+
+
 def encode(params: EncoderParams, tokens: Sequence[str], vocab: Vocabulary) -> np.ndarray:
-    """tanh(W . mean(embedding rows) + b). Empty token lists encode as UNK."""
-    ids = vocab.indices(tokens)
-    mean_emb = params.embedding[ids].mean(axis=0)
-    return np.tanh(params.projection @ mean_emb + params.bias)
+    """encode_batch for a single token list: a (d,) vector."""
+    return encode_batch(params, [tokens], vocab)[0]
 
 
 def encode_backward(
@@ -161,28 +207,9 @@ def encode_backward(
     tokens: Sequence[str],
     vocab: Vocabulary,
     upstream: np.ndarray,
-    into: EncoderGradients | None = None,
 ) -> EncoderGradients:
-    """Exact gradients of encode w.r.t. all touched parameters.
-
-    Recomputes the forward pass internally; rows of tokens absent from the
-    sentence receive zero gradient. Accumulates into `into` when given.
-    """
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != params.bias.shape:
-        raise ValueError(
-            f"upstream gradient has shape {upstream.shape}, expected {params.bias.shape}"
-        )
-    grads = into if into is not None else EncoderGradients.zeros_like(params)
-    ids = vocab.indices(tokens)
-    mean_emb = params.embedding[ids].mean(axis=0)
-    out = np.tanh(params.projection @ mean_emb + params.bias)
-    d_pre = upstream * (1.0 - out * out)
-    grads.bias += d_pre
-    grads.projection += np.outer(d_pre, mean_emb)
-    d_mean = params.projection.T @ d_pre
-    np.add.at(grads.embedding, ids, d_mean / len(ids))
-    return grads
+    """encode_batch_backward for a single token list and a (d,) upstream."""
+    return encode_batch_backward(params, [tokens], vocab, np.asarray(upstream)[None])
 
 
 @dataclass
@@ -227,18 +254,21 @@ def optimizer_step(
 
 
 def save_checkpoint(path: str | Path, params: EncoderParams, vocab: Vocabulary) -> None:
-    """Write all matrices (shapes carried in the container) plus the vocabulary."""
+    """Write all matrices (shapes carried in the container) plus the
+    vocabulary as a unicode array."""
     np.savez(
         path,
         embedding=params.embedding,
         projection=params.projection,
         bias=params.bias,
-        vocab=np.array(vocab.tokens, dtype=object),
+        vocab=np.array(vocab.tokens, dtype=str),
     )
 
 
 def load_checkpoint(path: str | Path) -> tuple[EncoderParams, Vocabulary]:
-    with np.load(path if str(path).endswith(".npz") else f"{path}.npz", allow_pickle=True) as data:
+    """Read a save_checkpoint file; object arrays are refused, so loading
+    never unpickles."""
+    with np.load(path if str(path).endswith(".npz") else f"{path}.npz", allow_pickle=False) as data:
         params = EncoderParams(
             embedding=data["embedding"],
             projection=data["projection"],

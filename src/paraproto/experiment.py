@@ -68,6 +68,19 @@ class RunConfig:
             raise ValueError(f"profile must be one of {PROFILES}")
         if self.strategy not in METHODS:
             raise ValueError(f"strategy must be one of {METHODS}")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
+        if self.n_eval_episodes < 1:
+            raise ValueError("n_eval_episodes must be >= 1")
+        if self.query_per_class < 1:
+            raise ValueError("query_per_class must be >= 1")
+        if self.strategy != "none" and (self.n_unlabeled < 1 or self.n_paraphrases < 1):
+            raise ValueError("paraphrase strategies need n_unlabeled >= 1 and n_paraphrases >= 1")
+        if self.strategy not in ("none", "stub_bt") and self.n_paraphrases != self.decode.num_groups:
+            raise ValueError(
+                f"DBS strategies need n_paraphrases == decode.num_groups, "
+                f"got {self.n_paraphrases} != {self.decode.num_groups}"
+            )
         if self.n_way < 2:
             raise ValueError("n_way must be >= 2")
         if self.k_shot < 1:
@@ -414,7 +427,7 @@ def run_pmask_sweep(config: RunConfig) -> RunReport:
         cfg = replace(
             config,
             strategy="dbs_unigram",
-            decode=replace(config.decode, p_mask=p_mask, strategy="dbs_unigram"),
+            decode=replace(config.decode, p_mask=p_mask),
         )
         report = run_experiment(cfg)
         series.append((p_mask, report.mean_accuracy, report.std_accuracy))

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoder import EncoderParams, Vocabulary, encode, tokenize
+from .encoder import EncoderParams, Vocabulary, encode_batch, tokenize
 
 
 @dataclass
@@ -123,7 +123,7 @@ def diversity_report(
     token_lists = [tokenize(s) for s in sentences]
     source_tokens = token_lists[0]
     bleus = [bleu(toks, [source_tokens], smooth=True) for toks in token_lists[1:]]
-    embeddings = [encode(encoder_params, toks, vocab) for toks in token_lists]
+    embeddings = encode_batch(encoder_params, token_lists, vocab)
     return DiversityReport(
         dist2=distinct_2(token_lists),
         bleu_vs_source=float(np.mean(bleus)),

@@ -1,5 +1,7 @@
-"""Dense vector math: distances, softmax, cross-entropy, and a finite-difference
-gradient oracle used to check every analytic backward pass in the package.
+"""Dense vector math: distance kinds, a stabilized softmax, and a
+finite-difference gradient oracle used to check every analytic backward pass
+in the package. The batched distances and the episode cross-entropy live in
+`protonet`.
 
 All arithmetic is float64. Inputs are small (dimensions in the tens), so plain
 numpy summation order is used throughout.
@@ -27,37 +29,6 @@ class GradCheckReport:
     per_parameter_errors: np.ndarray
 
 
-def squared_euclidean(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of squared per-coordinate differences."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
-    return float(np.dot(diff, diff))
-
-
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cos(a, b), in [0, 2]. Zero-norm inputs are rejected."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine distance undefined for zero-norm vectors")
-    return 1.0 - float(np.dot(a, b)) / (na * nb)
-
-
-def distance(a: np.ndarray, b: np.ndarray, kind: str = SQUARED_EUCLIDEAN) -> float:
-    if kind == SQUARED_EUCLIDEAN:
-        return squared_euclidean(a, b)
-    if kind == COSINE:
-        return cosine_distance(a, b)
-    raise ValueError(f"unknown distance kind: {kind!r}")
-
-
 def softmax_over_neg_distances(dists: Sequence[float]) -> np.ndarray:
     """softmax(-dists), stabilized by max-subtraction on the logits."""
     d = np.asarray(dists, dtype=np.float64)
@@ -69,14 +40,6 @@ def softmax_over_neg_distances(dists: Sequence[float]) -> np.ndarray:
     logits = logits - logits.max()
     exps = np.exp(logits)
     return exps / exps.sum()
-
-
-def cross_entropy(probs: Sequence[float], target: int) -> float:
-    """-log(probs[target]), with probabilities clamped at PROB_EPS before log."""
-    p = np.asarray(probs, dtype=np.float64)
-    if not 0 <= target < p.size:
-        raise ValueError(f"target {target} out of range for {p.size} classes")
-    return float(-np.log(max(float(p[target]), PROB_EPS)))
 
 
 def finite_difference_gradient(

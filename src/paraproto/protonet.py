@@ -7,13 +7,12 @@ both query and support embeddings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import numerics
 from .data import Dataset, ClassSplit, Episode, sample_episode
-from .encoder import EncoderGradients, EncoderParams, Vocabulary, encode, encode_backward, tokenize
+from .encoder import EncoderGradients, EncoderParams, Vocabulary, encode_batch, encode_batch_backward, tokenize
 
 
 @dataclass
@@ -37,16 +36,30 @@ class EvalResult:
     episode_count: int
 
 
-def compute_prototypes(support_embeddings: Mapping[str, Sequence[np.ndarray]]) -> Prototypes:
-    """Per-class mean of embedded support points."""
-    labels = list(support_embeddings)
-    vectors = []
-    for label in labels:
-        embs = support_embeddings[label]
-        if len(embs) == 0:
-            raise ValueError(f"class {label!r} has no support embeddings")
-        vectors.append(np.mean(np.asarray(embs, dtype=np.float64), axis=0))
-    return Prototypes(vectors=np.array(vectors), labels=labels)
+def encode_episode(
+    episode: Episode, params: EncoderParams, vocab: Vocabulary
+) -> tuple[list[list[str]], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Embed support then query in one encoder call and build the prototypes.
+
+    Returns (token lists, class index per row, embeddings (n, d), prototypes
+    (C, d) as per-class support means in episode class order, shots per class).
+    """
+    class_order = {label: i for i, label in enumerate(episode.episode_classes)}
+    rows = episode.support + episode.query
+    tokens = [tokenize(text) for text, _ in rows]
+    classes = np.array([class_order[label] for _, label in rows])
+    embs = encode_batch(params, tokens, vocab)
+
+    n_support = len(episode.support)
+    support_class = classes[:n_support]
+    shots = np.bincount(support_class, minlength=len(class_order))
+    if np.any(shots == 0):
+        missing = episode.episode_classes[int(np.argmin(shots))]
+        raise ValueError(f"episode class {missing!r} has no support examples")
+    protos = np.zeros((len(shots), embs.shape[1]))
+    np.add.at(protos, support_class, embs[:n_support])
+    protos /= shots[:, None]
+    return tokens, classes, embs, protos, shots
 
 
 def _pairwise_distances(queries: np.ndarray, protos: np.ndarray, kind: str) -> np.ndarray:
@@ -127,33 +140,15 @@ def supervised_episode_loss(
     distance: str = numerics.SQUARED_EUCLIDEAN,
 ) -> tuple[float, EncoderGradients]:
     """Episode loss and full parameter gradients (through support and query)."""
-    class_order = {label: i for i, label in enumerate(episode.episode_classes)}
-    n_way = len(episode.episode_classes)
+    tokens, classes, embs, protos, shots = encode_episode(episode, params, vocab)
+    n_support = len(episode.support)
+    support_class = classes[:n_support]
 
-    support_tokens: list[list[str]] = [tokenize(text) for text, _ in episode.support]
-    support_class = np.array([class_order[label] for _, label in episode.support])
-    query_tokens: list[list[str]] = [tokenize(text) for text, _ in episode.query]
-    targets = np.array([class_order[label] for _, label in episode.query])
-
-    support_embs = np.array([encode(params, toks, vocab) for toks in support_tokens])
-    query_embs = np.array([encode(params, toks, vocab) for toks in query_tokens])
-
-    shots = np.bincount(support_class, minlength=n_way)
-    if np.any(shots == 0):
-        missing = episode.episode_classes[int(np.argmin(shots))]
-        raise ValueError(f"episode class {missing!r} has no support examples")
-    protos = np.zeros((n_way, support_embs.shape[1]))
-    np.add.at(protos, support_class, support_embs)
-    protos /= shots[:, None]
-
-    loss, d_query, d_proto = softmax_cross_entropy_episode(query_embs, protos, targets, distance)
-
-    grads = EncoderGradients.zeros_like(params)
-    for toks, g in zip(query_tokens, d_query):
-        encode_backward(params, toks, vocab, g, into=grads)
+    loss, d_query, d_proto = softmax_cross_entropy_episode(
+        embs[n_support:], protos, classes[n_support:], distance
+    )
     d_support = d_proto[support_class] / shots[support_class][:, None]
-    for toks, g in zip(support_tokens, d_support):
-        encode_backward(params, toks, vocab, g, into=grads)
+    grads = encode_batch_backward(params, tokens, vocab, np.concatenate([d_support, d_query]))
     return loss, grads
 
 
@@ -170,22 +165,21 @@ def evaluate(
     rng: np.random.Generator,
     distance: str = numerics.SQUARED_EUCLIDEAN,
 ) -> EvalResult:
-    """Mean query accuracy over freshly sampled episodes; never updates params."""
+    """Mean query accuracy over freshly sampled episodes; never updates params.
+
+    Each query is assigned the class of its nearest prototype.
+    """
     accuracies = []
     for _ in range(n_episodes):
         episode = sample_episode(
             dataset, split, part, n_way, k_shot, query_per_class, n_unlabeled=0, rng=rng
         )
-        class_order = {label: i for i, label in enumerate(episode.episode_classes)}
-        by_class: dict[str, list[np.ndarray]] = {label: [] for label in episode.episode_classes}
-        for text, label in episode.support:
-            by_class[label].append(encode(params, tokenize(text), vocab))
-        protos = compute_prototypes(by_class)
-        correct = 0
-        for text, label in episode.query:
-            probs = classify(encode(params, tokenize(text), vocab), protos, distance)
-            if int(np.argmax(probs)) == class_order[label]:
-                correct += 1
+        _, classes, embs, protos, _ = encode_episode(episode, params, vocab)
+        n_support = len(episode.support)
+        dists = _pairwise_distances(embs[n_support:], protos, distance)
+        if not np.all(np.isfinite(dists)):
+            raise ValueError("non-finite distance between a query and a prototype")
+        correct = np.count_nonzero(np.argmin(dists, axis=1) == classes[n_support:])
         accuracies.append(correct / len(episode.query))
     return EvalResult(
         mean_accuracy=float(np.mean(accuracies)),

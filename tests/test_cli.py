@@ -80,6 +80,29 @@ class TestEvaluate:
         assert "test accuracy over 10 episodes" in capsys.readouterr().out
 
 
+    def test_default_ratios_are_training_split(self, corpus_path, tmp_path, monkeypatch):
+        import paraproto.cli as cli
+        from paraproto.data import load_dataset, split_classes
+        from paraproto.encoder import EncoderParams, Vocabulary, save_checkpoint
+        from paraproto.experiment import RunConfig
+        from paraproto.protonet import EvalResult
+
+        dataset = load_dataset(corpus_path)
+        vocab = Vocabulary.from_texts(dataset.texts())
+        save_checkpoint(tmp_path / "ckpt.npz", EncoderParams.init(len(vocab), 4, 4), vocab)
+        seen = []
+
+        def fake_evaluate(params, vocab, ds, split, *args):
+            seen.append(split)
+            return EvalResult(mean_accuracy=0.0, per_episode_accuracies=[], episode_count=0)
+
+        monkeypatch.setattr(cli, "evaluate", fake_evaluate)
+        assert cli.main(["evaluate", "--checkpoint", str(tmp_path / "ckpt.npz"),
+                         "--dataset", corpus_path]) == 0
+        trained = RunConfig(dataset_path=corpus_path).split_ratios
+        assert seen == [split_classes(dataset, trained, seed=0)]
+
+
 class TestParaphrase:
     def test_jsonl_output(self, corpus_path, tmp_path):
         sentences = tmp_path / "sents.txt"

@@ -9,14 +9,17 @@ from paraproto.consistency import (
     UnlabeledBatch,
     anneal_weight,
     combined_training_step,
-    consistency_distribution,
-    unlabeled_prototypes,
     unsupervised_loss,
 )
 from paraproto.data import Episode
-from paraproto.encoder import AdamState, EncoderParams, Vocabulary, optimizer_step
-from paraproto.numerics import finite_difference_gradient, gradient_check
-from paraproto.protonet import supervised_episode_loss
+from paraproto.encoder import AdamState, EncoderParams, Vocabulary, encode, optimizer_step, tokenize
+from paraproto.numerics import (
+    SQUARED_EUCLIDEAN,
+    finite_difference_gradient,
+    gradient_check,
+    softmax_over_neg_distances,
+)
+from paraproto.protonet import softmax_cross_entropy_episode, supervised_episode_loss
 
 
 class TestUnlabeledBatch:
@@ -30,35 +33,76 @@ class TestUnlabeledBatch:
         assert batch.n_paraphrases == 2
 
 
+def _oracle_unsupervised_loss(batch, params, vocab):
+    """The consistency loss written per sentence: each sentence against the
+    mean embedding of each sentence's paraphrases."""
+    protos = np.array(
+        [np.mean([encode(params, tokenize(p), vocab) for p in row], axis=0)
+         for row in batch.paraphrases]
+    )
+    losses = []
+    for u, sentence in enumerate(batch.sentences):
+        emb = encode(params, tokenize(sentence), vocab)
+        probs = softmax_over_neg_distances(((protos - emb) ** 2).sum(axis=1))
+        losses.append(-math.log(probs[u]))
+    return float(np.mean(losses))
+
+
 class TestUnlabeledPrototypes:
+    """unsupervised_loss takes each sentence's prototype as the mean of its
+    paraphrase embeddings."""
+
+    def _params(self, batch, seed):
+        texts = batch.sentences + [p for row in batch.paraphrases for p in row]
+        vocab = Vocabulary.from_texts(texts)
+        return EncoderParams.init(len(vocab), 5, 4, np.random.default_rng(seed)), vocab
+
     def test_single_paraphrase_identity(self):
-        embs = np.array([[[0.4, -0.2]]])
-        protos = unlabeled_prototypes(embs)
-        np.testing.assert_array_equal(protos.vectors[0], [0.4, -0.2])
+        batch = UnlabeledBatch(sentences=["a b", "c", "d a"], paraphrases=[["b"], ["c d"], ["a"]])
+        params, vocab = self._params(batch, 0)
+        loss, _ = unsupervised_loss(batch, params, vocab)
+        assert loss == pytest.approx(_oracle_unsupervised_loss(batch, params, vocab), rel=1e-12)
 
     def test_mean(self):
-        embs = np.array([[[2.0, 0.0], [0.0, 2.0]]])
-        protos = unlabeled_prototypes(embs)
-        np.testing.assert_allclose(protos.vectors[0], [1.0, 1.0])
+        batch, _ = _batch_and_vocab()
+        params, vocab = self._params(batch, 1)
+        loss, _ = unsupervised_loss(batch, params, vocab)
+        assert loss == pytest.approx(_oracle_unsupervised_loss(batch, params, vocab), rel=1e-12)
 
     def test_paraphrase_order_invariant(self):
-        rng = np.random.default_rng(0)
-        embs = rng.normal(size=(3, 4, 5))
-        a = unlabeled_prototypes(embs)
-        b = unlabeled_prototypes(embs[:, ::-1, :])
-        np.testing.assert_allclose(a.vectors, b.vectors)
+        batch, _ = _batch_and_vocab()
+        params, vocab = self._params(batch, 2)
+        reversed_batch = UnlabeledBatch(
+            sentences=batch.sentences, paraphrases=[row[::-1] for row in batch.paraphrases]
+        )
+        a, grads_a = unsupervised_loss(batch, params, vocab)
+        b, grads_b = unsupervised_loss(reversed_batch, params, vocab)
+        assert a == pytest.approx(b, rel=1e-12)
+        np.testing.assert_allclose(grads_a.flat(), grads_b.flat(), atol=1e-14)
 
     def test_ragged_shape_rejected(self):
-        with pytest.raises(ValueError):
-            unlabeled_prototypes(np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="M >= 1"):
+            UnlabeledBatch(sentences=["a", "b"], paraphrases=[[], []])
+
+
+def _consistency_probs(query, paraphrase_embs):
+    """The distribution the consistency loss scores for one sentence: softmax
+    over negative squared distances to the mean embedding of each sentence's
+    paraphrases, read back from the per-target cross-entropy."""
+    protos = np.asarray(paraphrase_embs, dtype=np.float64).mean(axis=1)
+    queries = np.asarray(query, dtype=np.float64)[None, :]
+    return np.array([
+        math.exp(-softmax_cross_entropy_episode(
+            queries, protos, np.array([c]), SQUARED_EUCLIDEAN)[0])
+        for c in range(len(protos))
+    ])
 
 
 class TestConsistencyDistribution:
     def test_self_assignment(self):
-        protos = unlabeled_prototypes(
-            np.array([[[0.0, 0.0]], [[10.0, 10.0]], [[-10.0, 10.0]]])
+        probs = _consistency_probs(
+            [0.1, 0.0], [[[0.0, 0.0]], [[10.0, 10.0]], [[-10.0, 10.0]]]
         )
-        probs = consistency_distribution(np.array([0.1, 0.0]), protos)
         assert np.argmax(probs) == 0
         assert probs[0] > 0.99
 
@@ -66,15 +110,11 @@ class TestConsistencyDistribution:
         vectors = np.array([[[1.0, 0.0]], [[-1.0, 0.0]], [[0.0, 1.0]], [[0.0, -1.0]],
                             [[0.0, 0.0]]])
         # place the query at the common center of the first four prototypes
-        protos = unlabeled_prototypes(vectors[:4])
-        probs = consistency_distribution(np.zeros(2), protos)
+        probs = _consistency_probs(np.zeros(2), vectors[:4])
         np.testing.assert_allclose(probs, [0.25] * 4)
 
     def test_hand_computed_two_prototypes(self):
-        protos = unlabeled_prototypes(
-            np.array([[[0.0]], [[math.sqrt(math.log(2.0))]]])
-        )
-        probs = consistency_distribution(np.array([0.0]), protos)
+        probs = _consistency_probs([0.0], [[[0.0]], [[math.sqrt(math.log(2.0))]]])
         np.testing.assert_allclose(probs, [2 / 3, 1 / 3], rtol=1e-12)
 
 

@@ -393,8 +393,7 @@ class TestConstraintSoundnessFuzz:
 class TestDecodeConfig:
     def test_round_trip_text(self):
         cfg = DecodeConfig(num_beams=9, num_groups=3, diversity_penalty=0.25,
-                           p_mask=0.4, curve="down", strategy="dbs_bigram",
-                           max_len=12, seed=4)
+                           p_mask=0.4, curve="down", max_len=12)
         assert DecodeConfig.from_text(cfg.to_text()) == cfg
 
     def test_default_max_len_follows_source(self):
@@ -403,8 +402,6 @@ class TestDecodeConfig:
         assert DecodeConfig(max_len=9).resolved_max_len(6) == 9
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DecodeConfig(strategy="bogus")
         with pytest.raises(ValueError):
             DecodeConfig(p_mask=1.5)
         with pytest.raises(ValueError):

@@ -9,6 +9,8 @@ from paraproto.encoder import (
     Vocabulary,
     encode,
     encode_backward,
+    encode_batch,
+    encode_batch_backward,
     load_checkpoint,
     optimizer_step,
     save_checkpoint,
@@ -128,6 +130,46 @@ class TestEncodeBackward:
         assert report.max_relative_error < 1e-4
 
 
+RAGGED = [["alpha", "beta", "beta"], [], ["gamma"], ["zeta", "alpha"], ["beta", "gamma", "alpha", "gamma"]]
+
+
+class TestEncodeBatch:
+    def test_ragged_batch_matches_per_row_formula(self):
+        vocab, params = _small_setup(seed=15)
+        out = encode_batch(params, RAGGED, vocab)
+        assert out.shape == (len(RAGGED), 4)
+        for row, tokens in zip(out, RAGGED):
+            # an empty row is a lone UNK; unknown tokens ("zeta") map to UNK
+            ids = [vocab.index(t) for t in tokens] or [vocab.unk_index]
+            mean = sum(params.embedding[i] for i in ids) / len(ids)
+            manual = np.tanh(
+                np.array([np.dot(w, mean) for w in params.projection]) + params.bias
+            )
+            np.testing.assert_allclose(row, manual, rtol=1e-12, atol=1e-15)
+
+    def test_empty_batch_rejected(self):
+        vocab, params = _small_setup()
+        with pytest.raises(ValueError):
+            encode_batch(params, [], vocab)
+
+    def test_backward_matches_finite_differences(self):
+        vocab, params = _small_setup(seed=17)
+        upstream = np.random.default_rng(19).normal(size=(len(RAGGED), 4))
+
+        def loss_fn(flat):
+            return float(np.sum(upstream * encode_batch(params.with_flat(flat), RAGGED, vocab)))
+
+        grads = encode_batch_backward(params, RAGGED, vocab, upstream)
+        numeric = finite_difference_gradient(loss_fn, params.flat())
+        report = gradient_check(grads.flat(), numeric)
+        assert report.max_relative_error < 1e-4
+
+    def test_backward_upstream_shape_checked(self):
+        vocab, params = _small_setup()
+        with pytest.raises(ValueError):
+            encode_batch_backward(params, RAGGED, vocab, np.zeros((len(RAGGED) - 1, 4)))
+
+
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         vocab, params = _small_setup()
@@ -189,6 +231,15 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded_params.projection, params.projection)
         np.testing.assert_array_equal(loaded_params.bias, params.bias)
         assert loaded_vocab.tokens == vocab.tokens
+
+    def test_object_array_vocab_refused(self, tmp_path):
+        # an object array can only be read by unpickling, which loading never does
+        vocab, params = _small_setup()
+        path = tmp_path / "pickled.npz"
+        np.savez(path, embedding=params.embedding, projection=params.projection,
+                 bias=params.bias, vocab=np.array(vocab.tokens, dtype=object))
+        with pytest.raises(ValueError, match="allow_pickle"):
+            load_checkpoint(path)
 
     def test_path_without_suffix(self, tmp_path):
         vocab, params = _small_setup()

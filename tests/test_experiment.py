@@ -54,6 +54,7 @@ class TestRunConfig:
             strategy="dbs_unigram",
             profile="low",
             seeds=(3, 4),
+            n_paraphrases=3,
             decode=DecodeConfig(num_beams=6, num_groups=3, p_mask=0.4),
             paraphrase_cache=True,
         )
@@ -80,6 +81,24 @@ class TestRunConfig:
             quick_config(corpus_path, seeds=())
         with pytest.raises(ValueError):
             RunConfig.from_mapping({"unknown_key": "1", "dataset_path": corpus_path})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(eval_every=0),
+            dict(n_eval_episodes=0),
+            dict(query_per_class=0),
+            dict(strategy="stub_bt", n_unlabeled=0),
+            dict(strategy="stub_bt", n_paraphrases=0),
+            dict(strategy="dbs_unigram", n_paraphrases=5, decode=DecodeConfig(num_beams=6, num_groups=3)),
+            dict(strategy="dbs", n_paraphrases=3),
+        ],
+        ids=["eval_every", "n_eval_episodes", "query_per_class", "n_unlabeled",
+             "n_paraphrases", "dbs_unigram_groups", "dbs_groups"],
+    )
+    def test_invalid_config_fails_when_built(self, corpus_path, overrides):
+        with pytest.raises(ValueError):
+            quick_config(corpus_path, **overrides)
 
     def test_dataset_path_required(self):
         with pytest.raises(ValueError, match="dataset_path"):

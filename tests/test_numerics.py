@@ -2,20 +2,29 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from paraproto.numerics import (
-    cosine_distance,
-    cross_entropy,
+    COSINE,
+    SQUARED_EUCLIDEAN,
     finite_difference_gradient,
     gradient_check,
     softmax_over_neg_distances,
-    squared_euclidean,
 )
+from paraproto.protonet import _pairwise_distances, softmax_cross_entropy_episode
 
 finite_vectors = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=16
 )
+
+
+def squared_euclidean(a, b):
+    """One-pair view of the batched distance."""
+    return _pairwise_distances(np.atleast_2d(a), np.atleast_2d(b), SQUARED_EUCLIDEAN)[0, 0]
+
+
+def cosine_distance(a, b):
+    return _pairwise_distances(np.atleast_2d(a), np.atleast_2d(b), COSINE)[0, 0]
 
 
 class TestSquaredEuclidean:
@@ -27,9 +36,13 @@ class TestSquaredEuclidean:
 
     def test_matches_per_coordinate_sum(self):
         rng = np.random.default_rng(42)
-        a, b = rng.normal(size=8), rng.normal(size=8)
-        oracle = sum((x - y) ** 2 for x, y in zip(a, b))
-        assert squared_euclidean(a, b) == pytest.approx(oracle, rel=1e-12)
+        queries, protos = rng.normal(size=(3, 8)), rng.normal(size=(4, 8))
+        dists = _pairwise_distances(queries, protos, SQUARED_EUCLIDEAN)
+        assert dists.shape == (3, 4)
+        for j, q in enumerate(queries):
+            for c, p in enumerate(protos):
+                oracle = sum((x - y) ** 2 for x, y in zip(q, p))
+                assert dists[j, c] == pytest.approx(oracle, rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -59,6 +72,21 @@ class TestCosineDistance:
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError):
             cosine_distance([0.0, 0.0], [1.0, 0.0])
+        with pytest.raises(ValueError):
+            cosine_distance([1.0, 0.0], [0.0, 0.0])
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            cosine_distance([1.0], [1.0, 2.0])
+
+    @given(finite_vectors)
+    def test_symmetric(self, values):
+        assume(np.linalg.norm(values) > 1e-100)  # smaller norms underflow to zero
+        other = np.random.default_rng(7).normal(size=len(values))
+        assert cosine_distance(values, other) == pytest.approx(
+            cosine_distance(other, values), abs=1e-12
+        )
+        assert -1e-12 <= cosine_distance(values, other) <= 2.0 + 1e-12
 
 
 class TestSoftmaxOverNegDistances:
@@ -97,27 +125,33 @@ class TestSoftmaxOverNegDistances:
         np.testing.assert_allclose(base, shifted, atol=1e-9)
 
 
+def episode_cross_entropy(dists, target):
+    """Loss of softmax_cross_entropy_episode for one query at the given
+    squared distances from 1-d prototypes."""
+    protos = np.sqrt(np.asarray(dists, dtype=np.float64))[:, None]
+    return softmax_cross_entropy_episode(
+        np.zeros((1, 1)), protos, np.array([target]), SQUARED_EUCLIDEAN
+    )[0]
+
+
 class TestCrossEntropy:
     def test_certain_prediction(self):
-        assert cross_entropy([1.0, 0.0], 0) == pytest.approx(0.0)
+        assert episode_cross_entropy([0.0, 1000.0], 0) == pytest.approx(0.0)
 
     def test_uniform_binary(self):
-        assert cross_entropy([0.5, 0.5], 1) == pytest.approx(math.log(2.0))
+        assert episode_cross_entropy([3.0, 3.0], 1) == pytest.approx(math.log(2.0))
 
     def test_hand_computed_third(self):
-        assert cross_entropy([2 / 3, 1 / 3], 1) == pytest.approx(math.log(3.0))
-
-    def test_target_out_of_range(self):
-        with pytest.raises(ValueError):
-            cross_entropy([0.5, 0.5], 2)
+        # softmax(-[0, ln 2]) = [2/3, 1/3]
+        assert episode_cross_entropy([0.0, math.log(2.0)], 1) == pytest.approx(math.log(3.0))
 
     def test_zero_probability_clamped(self):
-        value = cross_entropy([1.0, 0.0], 1)
+        value = episode_cross_entropy([0.0, 1000.0], 1)
         assert value == pytest.approx(-math.log(1e-12))
 
     def test_minimized_iff_certain(self):
-        assert cross_entropy([1.0, 0.0], 0) == 0.0
-        assert cross_entropy([0.999, 0.001], 0) > 0.0
+        assert episode_cross_entropy([0.0, 1000.0], 0) == 0.0
+        assert episode_cross_entropy([0.0, 7.0], 0) > 0.0
 
 
 class TestFiniteDifferenceGradient:

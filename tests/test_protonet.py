@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from paraproto.data import Dataset, Episode, split_classes
-from paraproto.encoder import EncoderParams, Vocabulary, encode, tokenize
+from paraproto.encoder import EncoderParams, Vocabulary, encode_batch, tokenize
 from paraproto.numerics import COSINE, SQUARED_EUCLIDEAN, finite_difference_gradient, gradient_check
 from paraproto.protonet import (
     Prototypes,
     classify,
-    compute_prototypes,
+    encode_episode,
     evaluate,
     supervised_episode_loss,
 )
@@ -17,25 +17,50 @@ from paraproto.synth import generate_synthetic_dataset
 from paraproto.data import load_dataset
 
 
+def _episode_setup(texts_by_class, k_shot, seed=0):
+    episode = _episode_from(texts_by_class, k_shot)
+    vocab = Vocabulary.from_texts([t for t, _ in episode.support + episode.query])
+    params = EncoderParams.init(len(vocab), 5, 4, np.random.default_rng(seed))
+    return episode, vocab, params
+
+
 class TestComputePrototypes:
+    """Prototypes built by encode_episode: per-class support means."""
+
     def test_single_shot_identity(self):
-        emb = np.array([0.1, 0.9, -0.4])
-        protos = compute_prototypes({"a": [emb]})
-        np.testing.assert_array_equal(protos.vectors[0], emb)
+        episode, vocab, params = _episode_setup({"a": ["x y", "y"], "b": ["z", "x"]}, 1)
+        _, _, embs, protos, shots = encode_episode(episode, params, vocab)
+        np.testing.assert_array_equal(protos, embs[:2])
+        np.testing.assert_array_equal(shots, [1, 1])
 
     def test_arithmetic_mean(self):
-        protos = compute_prototypes({"a": [np.array([1.0, 0.0]), np.array([0.0, 1.0])]})
-        np.testing.assert_allclose(protos.vectors[0], [0.5, 0.5])
+        episode, vocab, params = _episode_setup(
+            {"a": ["x y", "y", "x"], "b": ["z", "x z", "y"]}, 2
+        )
+        tokens, classes, embs, protos, _ = encode_episode(episode, params, vocab)
+        support = encode_batch(params, [tokenize(t) for t, _ in episode.support], vocab)
+        np.testing.assert_allclose(protos[0], support[:2].mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(protos[1], support[2:].mean(axis=0), rtol=1e-12)
+        np.testing.assert_array_equal(classes, [0, 0, 1, 1, 0, 1])
+        assert len(tokens) == len(embs) == 6
 
     def test_order_invariant(self):
-        embs = [np.array([1.0, 2.0]), np.array([-1.0, 0.5]), np.array([0.0, 0.0])]
-        a = compute_prototypes({"x": embs})
-        b = compute_prototypes({"x": embs[::-1]})
-        np.testing.assert_allclose(a.vectors, b.vectors)
+        episode, vocab, params = _episode_setup(
+            {"a": ["x y", "y", "x"], "b": ["z", "x z", "y"]}, 2
+        )
+        reordered = Episode(
+            support=episode.support[::-1], query=episode.query,
+            unlabeled=[], episode_classes=episode.episode_classes,
+        )
+        a = encode_episode(episode, params, vocab)[3]
+        b = encode_episode(reordered, params, vocab)[3]
+        np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_empty_class_rejected(self):
-        with pytest.raises(ValueError):
-            compute_prototypes({"a": []})
+        episode, vocab, params = _episode_setup({"a": ["x y", "y"], "b": ["z", "x"]}, 1)
+        episode.support = episode.support[:1]
+        with pytest.raises(ValueError, match="no support"):
+            encode_episode(episode, params, vocab)
 
 
 class TestClassify:
@@ -178,6 +203,14 @@ class TestEvaluate:
         np.testing.assert_array_equal(params.embedding, before.embedding)
         np.testing.assert_array_equal(params.projection, before.projection)
         np.testing.assert_array_equal(params.bias, before.bias)
+
+    def test_non_finite_distance_rejected(self, corpus):
+        split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
+        vocab = Vocabulary.from_texts(corpus.texts())
+        params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(7))
+        params.bias[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate(params, vocab, corpus, split, "test", 5, 1, 5, 2, np.random.default_rng(8))
 
     def test_mean_matches_per_episode_values(self, corpus):
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
