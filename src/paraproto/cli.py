@@ -9,17 +9,19 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import numerics
+from .configio import dataclass_from_kv
 from .data import PARTS, load_dataset, split_classes
 from .decoding import CURVES, STRATEGIES, DecodeConfig, SynonymBigramLM, generate_paraphrases
 from .encoder import load_checkpoint
 from .experiment import (
     METHODS,
+    PROFILES,
     RunConfig,
     RunReport,
     diversity_by_strategy,
@@ -52,47 +54,20 @@ def _add_decode_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-len", type=int, default=None)
 
 
-def _decode_overrides(args: argparse.Namespace) -> dict[str, str]:
-    mapping = {
-        "num_beams": args.num_beams,
-        "num_groups": args.num_groups,
-        "diversity_penalty": args.diversity_penalty,
-        "p_mask": args.p_mask,
-        "curve": args.curve,
-        "max_len": args.max_len,
-    }
-    return {f"decode.{k}": str(v) for k, v in mapping.items() if v is not None}
+def _overrides(args: argparse.Namespace, cls, prefix: str = "") -> dict[str, str]:
+    """The flags set on the command line whose dest is a field of `cls`, as
+    `prefix + field` string pairs."""
+    values = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    return {prefix + name: str(v) for name, v in values.items() if v is not None}
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    overrides: dict[str, str] = dict(_decode_overrides(args))
-    plain = {
-        "dataset_path": resolve_data_path(args.dataset) if args.dataset else None,
-        "strategy": args.strategy,
-        "profile": args.profile,
-        "n_way": args.n_way,
-        "k_shot": args.k_shot,
-        "query_per_class": args.query_per_class,
-        "n_unlabeled": args.unlabeled,
-        "n_paraphrases": args.paraphrases,
-        "anneal_alpha": args.alpha,
-        "max_episodes": args.max_episodes,
-        "eval_every": args.eval_every,
-        "patience": args.patience,
-        "n_eval_episodes": args.eval_episodes,
-        "seeds": args.seeds,
-        "distance": args.distance,
-        "learning_rate": args.learning_rate,
-        "group_by_domain": args.group_by_domain,
-        "paraphrase_cache": args.cache,
-    }
-    overrides.update({k: str(v) for k, v in plain.items() if v is not None})
-
+    overrides = {**_overrides(args, RunConfig), **_overrides(args, DecodeConfig, "decode.")}
+    base = None
     if args.config:
         base = RunConfig.from_text(Path(args.config).read_text(encoding="utf-8"))
-        config = RunConfig.from_mapping(overrides, base=base) if overrides else base
-    else:
-        config = RunConfig.from_mapping(overrides)
+    config = RunConfig.from_mapping(overrides, base=base)
+    config = replace(config, dataset_path=resolve_data_path(config.dataset_path))
 
     out_dir = Path(args.out)
     if args.pmask_sweep:
@@ -129,9 +104,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_paraphrase(args: argparse.Namespace) -> int:
     corpus = load_dataset(resolve_data_path(args.corpus))
     lm = SynonymBigramLM(corpus.texts(), default_synonym_table())
-    decode = DecodeConfig.from_text(
-        "".join(f"{k[len('decode.') :]}={v}\n" for k, v in _decode_overrides(args).items())
-    )
+    decode = dataclass_from_kv(DecodeConfig, _overrides(args, DecodeConfig))
     if args.sentences == "-":
         lines = [line.strip() for line in sys.stdin if line.strip()]
     else:
@@ -144,10 +117,8 @@ def cmd_paraphrase(args: argparse.Namespace) -> int:
     out = open(args.out, "w", encoding="utf-8") if args.out != "-" else sys.stdout
     try:
         for sentence in lines:
-            paraphrases = generate_paraphrases(
-                lm, sentence, decode.num_groups if args.strategy != "stub_bt" else args.paraphrases,
-                args.strategy, decode, rng,
-            )
+            n = decode.num_groups if args.strategy != "stub_bt" else args.n_paraphrases
+            paraphrases = generate_paraphrases(lm, sentence, n, args.strategy, decode, rng)
             out.write(json.dumps({"source": sentence, "paraphrases": paraphrases}) + "\n")
     finally:
         if out is not sys.stdout:
@@ -156,12 +127,9 @@ def cmd_paraphrase(args: argparse.Namespace) -> int:
 
 
 def cmd_diversity(args: argparse.Namespace) -> int:
-    dataset = load_dataset(resolve_data_path(args.dataset))
+    dataset = load_dataset(resolve_data_path(args.dataset_path))
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
-    decode_raw = _decode_overrides(args)
-    decode = DecodeConfig.from_text(
-        "".join(f"{k[len('decode.') :]}={v}\n" for k, v in decode_raw.items())
-    )
+    decode = dataclass_from_kv(DecodeConfig, _overrides(args, DecodeConfig))
     summary = diversity_by_strategy(
         dataset, strategies, n_sentences=args.n_sentences, decode=decode, seed=args.seed
     )
@@ -203,27 +171,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="run a multi-seed training experiment")
-    p_train.add_argument("--dataset", default=None)
+    p_train.add_argument("--dataset", dest="dataset_path", default=None)
     p_train.add_argument("--config", default=None, help="key=value config file")
     p_train.add_argument("--strategy", choices=METHODS, default=None)
-    p_train.add_argument("--profile", choices=("full", "low"), default=None)
+    p_train.add_argument("--profile", choices=PROFILES, default=None)
     p_train.add_argument("--n-way", type=int, default=None)
     p_train.add_argument("--k-shot", type=int, default=None)
     p_train.add_argument("--query-per-class", type=int, default=None)
-    p_train.add_argument("--unlabeled", type=int, default=None)
-    p_train.add_argument("--paraphrases", type=int, default=None)
-    p_train.add_argument("--alpha", type=float, default=None)
+    p_train.add_argument("--unlabeled", dest="n_unlabeled", type=int, default=None)
+    p_train.add_argument("--paraphrases", dest="n_paraphrases", type=int, default=None)
+    p_train.add_argument("--alpha", dest="anneal_alpha", type=float, default=None)
     p_train.add_argument("--max-episodes", type=int, default=None)
     p_train.add_argument("--eval-every", type=int, default=None)
     p_train.add_argument("--patience", type=int, default=None)
-    p_train.add_argument("--eval-episodes", type=int, default=None)
+    p_train.add_argument("--eval-episodes", dest="n_eval_episodes", type=int, default=None)
     p_train.add_argument("--seeds", default=None, help="comma-separated seed list")
     p_train.add_argument("--distance", choices=numerics.DISTANCE_KINDS, default=None)
     p_train.add_argument("--learning-rate", type=float, default=None)
     p_train.add_argument("--group-by-domain", action="store_const", const=True, default=None,
                          help="keep each domain's classes within one split part")
-    p_train.add_argument("--cache", action="store_const", const=True, default=None,
-                         help="cache paraphrases per sentence within a run")
+    p_train.add_argument("--cache", dest="paraphrase_cache", action="store_const", const=True,
+                         default=None, help="cache paraphrases per sentence within a run")
     p_train.add_argument("--pmask-sweep", action="store_true",
                          help="sweep p_mask over 0.0..1.0 instead of a single run")
     p_train.add_argument("--save-checkpoints", action="store_true")
@@ -235,17 +203,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--dataset", required=True)
     p_eval.add_argument("--part", choices=PARTS, default="test")
-    p_eval.add_argument("--n-way", type=int, default=5)
-    p_eval.add_argument("--k-shot", type=int, default=1)
-    p_eval.add_argument("--query-per-class", type=int, default=5)
-    p_eval.add_argument("--episodes", type=int, default=600)
+    run_defaults = {f.name: f.default for f in fields(RunConfig)}
+    p_eval.add_argument("--n-way", type=int, default=run_defaults["n_way"])
+    p_eval.add_argument("--k-shot", type=int, default=run_defaults["k_shot"])
+    p_eval.add_argument("--query-per-class", type=int, default=run_defaults["query_per_class"])
+    p_eval.add_argument("--episodes", type=int, default=run_defaults["n_eval_episodes"])
     p_eval.add_argument("--split-seed", type=int, default=0)
-    split_ratios = next(f.default for f in fields(RunConfig) if f.name == "split_ratios")
-    p_eval.add_argument("--ratios", default=",".join(repr(r) for r in split_ratios),
+    p_eval.add_argument("--ratios",
+                        default=",".join(repr(r) for r in run_defaults["split_ratios"]),
                         help="train,valid,test class ratios; the default is training's")
     p_eval.add_argument("--group-by-domain", action="store_true")
     p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--distance", choices=numerics.DISTANCE_KINDS, default="sqeuclidean")
+    p_eval.add_argument("--distance", choices=numerics.DISTANCE_KINDS,
+                        default=run_defaults["distance"])
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_para = sub.add_parser("paraphrase", help="batch-paraphrase sentences to JSONL")
@@ -253,13 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_para.add_argument("--sentences", default="-", help="file of sentences, one per line (- for stdin)")
     p_para.add_argument("--out", default="-")
     p_para.add_argument("--strategy", choices=STRATEGIES, default="dbs_unigram")
-    p_para.add_argument("--paraphrases", type=int, default=5)
+    p_para.add_argument("--paraphrases", dest="n_paraphrases", type=int, default=5)
     p_para.add_argument("--seed", type=int, default=0)
     _add_decode_args(p_para)
     p_para.set_defaults(func=cmd_paraphrase)
 
     p_div = sub.add_parser("diversity", help="per-strategy paraphrase diversity summary")
-    p_div.add_argument("--dataset", required=True)
+    p_div.add_argument("--dataset", dest="dataset_path", required=True)
     p_div.add_argument("--strategies", default=",".join(STRATEGIES))
     p_div.add_argument("--n-sentences", type=int, default=200)
     p_div.add_argument("--seed", type=int, default=0)

@@ -1,7 +1,14 @@
 """Flat key=value config text: the interchange format for decode and run
-configurations. Lines starting with # and blank lines are ignored."""
+configurations. Lines starting with # and blank lines are ignored.
+
+The dataclass fields are the schema: `dataclass_to_kv` and
+`dataclass_from_kv` derive the keys and value types from them, so a new
+field needs no serializer edit."""
 
 from __future__ import annotations
+
+from dataclasses import MISSING, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -28,3 +35,58 @@ def parse_bool(value: str) -> bool:
     if lowered in ("false", "0", "no"):
         return False
     raise ValueError(f"expected a boolean, got {value!r}")
+
+
+def dataclass_to_kv(obj) -> dict[str, str]:
+    """Flat string pairs in field order. Tuples are comma-joined reprs; a
+    nested dataclass field `f` becomes `f.*` keys after the plain ones."""
+    plain: dict[str, str] = {}
+    nested: dict[str, str] = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            nested.update({f"{f.name}.{k}": v for k, v in dataclass_to_kv(value).items()})
+        elif isinstance(value, tuple):
+            plain[f.name] = ",".join(repr(v) for v in value)
+        else:
+            plain[f.name] = str(value)
+    return {**plain, **nested}
+
+
+def _parse_value(name: str, hint, value: str):
+    if hint is bool:
+        return parse_bool(value)
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        items = [s for s in value.split(",") if s.strip()]
+        if args[-1] is Ellipsis:
+            return tuple(args[0](s) for s in items)
+        if len(items) != len(args):
+            raise ValueError(f"{name} needs {len(args)} comma-separated values")
+        return tuple(t(s) for t, s in zip(args, items))
+    return hint(value)
+
+
+def dataclass_from_kv(cls, raw: dict[str, str]):
+    """Build `cls` from string pairs as written by `dataclass_to_kv`, typing
+    each value from the field annotations. Unknown keys and missing required
+    fields raise ValueError."""
+    hints = get_type_hints(cls)
+    names = {f.name for f in fields(cls)}
+    kwargs: dict = {}
+    nested: dict[str, dict[str, str]] = {}
+    for key, value in raw.items():
+        name, dot, rest = key.partition(".")
+        hint = hints.get(name)
+        if name not in names or bool(dot) != is_dataclass(hint):
+            raise ValueError(f"unknown {cls.__name__} key: {key!r}")
+        if dot:
+            nested.setdefault(name, {})[rest] = value
+        else:
+            kwargs[name] = _parse_value(name, hint, value)
+    for name, sub in nested.items():
+        kwargs[name] = dataclass_from_kv(hints[name], sub)
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in kwargs:
+            raise ValueError(f"{f.name} is required")
+    return cls(**kwargs)

@@ -7,12 +7,12 @@ scale, and per-group output selection by lowest BLEU against the source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from .configio import format_kv, parse_kv_text
+from .configio import dataclass_from_kv, dataclass_to_kv, format_kv, parse_kv_text
 from .encoder import tokenize
 from .metrics import bleu
 
@@ -82,38 +82,23 @@ class DecodeConfig:
             raise ValueError("p_mask must be in [0, 1]")
         if self.diversity_penalty < 0:
             raise ValueError("diversity_penalty must be >= 0")
+        if self.num_groups < 1 or self.num_beams < 1 or self.num_beams % self.num_groups != 0:
+            raise ValueError(
+                f"num_beams={self.num_beams} must be a positive multiple of "
+                f"num_groups={self.num_groups} >= 1"
+            )
+        if self.max_len < 0:
+            raise ValueError("max_len must be >= 0 (0 means 2 * source length + 5)")
 
     def resolved_max_len(self, source_len: int) -> int:
         return self.max_len if self.max_len > 0 else 2 * source_len + 5
 
     def to_text(self) -> str:
-        return format_kv(
-            {
-                "num_beams": self.num_beams,
-                "num_groups": self.num_groups,
-                "diversity_penalty": self.diversity_penalty,
-                "p_mask": self.p_mask,
-                "curve": self.curve,
-                "max_len": self.max_len,
-            }
-        )
+        return format_kv(dataclass_to_kv(self))
 
     @classmethod
     def from_text(cls, text: str) -> "DecodeConfig":
-        raw = parse_kv_text(text)
-        cfg = cls()
-        ints = {"num_beams", "num_groups", "max_len"}
-        floats = {"diversity_penalty", "p_mask"}
-        for key, value in raw.items():
-            if key in ints:
-                cfg = replace(cfg, **{key: int(value)})
-            elif key in floats:
-                cfg = replace(cfg, **{key: float(value)})
-            elif key == "curve":
-                cfg = replace(cfg, **{key: value})
-            else:
-                raise ValueError(f"unknown decode config key: {key!r}")
-        return cfg
+        return dataclass_from_kv(cls, parse_kv_text(text))
 
 
 def mask_probabilities(n_tokens: int, p_mask: float, curve: str) -> np.ndarray:

@@ -7,13 +7,14 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import numerics
-from .configio import format_kv, parse_bool, parse_kv_text
+from .configio import dataclass_from_kv, dataclass_to_kv, format_kv, parse_kv_text
 from .consistency import (
     AnnealSchedule,
     StepLosses,
@@ -93,89 +94,35 @@ class RunConfig:
             raise ValueError("need at least one seed")
         if self.distance not in numerics.DISTANCE_KINDS:
             raise ValueError(f"distance must be one of {numerics.DISTANCE_KINDS}")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError("learning_rate must be positive and finite")
+        if not self.anneal_alpha > 0:
+            raise ValueError("anneal_alpha must be > 0")
+        if min(self.embed_dim, self.output_dim, self.low_profile_n) < 1:
+            raise ValueError("embed_dim, output_dim and low_profile_n must be >= 1")
+        if (
+            len(self.split_ratios) != 3
+            or min(self.split_ratios) <= 0
+            or abs(sum(self.split_ratios) - 1.0) > 1e-9
+        ):
+            raise ValueError(
+                f"split_ratios must be 3 positive values summing to 1, got {self.split_ratios}"
+            )
 
     def to_text(self) -> str:
-        pairs = {
-            "dataset_path": self.dataset_path,
-            "profile": self.profile,
-            "n_way": self.n_way,
-            "k_shot": self.k_shot,
-            "query_per_class": self.query_per_class,
-            "n_unlabeled": self.n_unlabeled,
-            "n_paraphrases": self.n_paraphrases,
-            "strategy": self.strategy,
-            "anneal_alpha": self.anneal_alpha,
-            "max_episodes": self.max_episodes,
-            "eval_every": self.eval_every,
-            "patience": self.patience,
-            "n_eval_episodes": self.n_eval_episodes,
-            "seeds": ",".join(str(s) for s in self.seeds),
-            "distance": self.distance,
-            "split_ratios": ",".join(repr(r) for r in self.split_ratios),
-            "group_by_domain": self.group_by_domain,
-            "low_profile_n": self.low_profile_n,
-            "embed_dim": self.embed_dim,
-            "output_dim": self.output_dim,
-            "learning_rate": self.learning_rate,
-            "paraphrase_cache": self.paraphrase_cache,
-        }
-        decode_pairs = {
-            f"decode.{k}": v for k, v in parse_kv_text(self.decode.to_text()).items()
-        }
-        return format_kv({**pairs, **decode_pairs})
+        return format_kv(dataclass_to_kv(self))
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        raw = parse_kv_text(text)
-        return cls.from_mapping(raw)
+        return cls.from_mapping(parse_kv_text(text))
 
     @classmethod
     def from_mapping(cls, raw: dict[str, str], base: "RunConfig | None" = None) -> "RunConfig":
         """Build a config from string key/value pairs, optionally overriding a
         base config (command-line overrides on top of a config file)."""
-        ints = {
-            "n_way", "k_shot", "query_per_class", "n_unlabeled", "n_paraphrases",
-            "max_episodes", "eval_every", "patience", "n_eval_episodes",
-            "low_profile_n", "embed_dim", "output_dim",
-        }
-        floats = {"anneal_alpha", "learning_rate"}
-        strings = {"dataset_path", "profile", "strategy", "distance"}
-        bools = {"group_by_domain", "paraphrase_cache"}
-
-        kwargs: dict = {}
-        decode_raw: dict[str, str] = {}
-        for key, value in raw.items():
-            if key.startswith("decode."):
-                decode_raw[key[len("decode.") :]] = value
-            elif key in ints:
-                kwargs[key] = int(value)
-            elif key in floats:
-                kwargs[key] = float(value)
-            elif key in strings:
-                kwargs[key] = value
-            elif key in bools:
-                kwargs[key] = parse_bool(value)
-            elif key == "seeds":
-                kwargs[key] = tuple(int(s) for s in value.split(",") if s.strip())
-            elif key == "split_ratios":
-                parts = tuple(float(s) for s in value.split(","))
-                if len(parts) != 3:
-                    raise ValueError("split_ratios needs 3 comma-separated values")
-                kwargs[key] = parts
-            else:
-                raise ValueError(f"unknown run config key: {key!r}")
-
-        if base is None:
-            if "dataset_path" not in kwargs:
-                raise ValueError("dataset_path is required")
-            decode = DecodeConfig.from_text(format_kv(decode_raw)) if decode_raw else DecodeConfig()
-            return cls(decode=decode, **kwargs)
-        decode = base.decode
-        if decode_raw:
-            merged = parse_kv_text(base.decode.to_text())
-            merged.update(decode_raw)
-            decode = DecodeConfig.from_text(format_kv(merged))
-        return replace(base, decode=decode, **kwargs)
+        if base is not None:
+            raw = {**dataclass_to_kv(base), **raw}
+        return dataclass_from_kv(cls, raw)
 
 
 @dataclass
@@ -218,60 +165,27 @@ class RunReport:
         return float(np.std(self.seed_accuracies))
 
     def to_json(self) -> str:
-        payload = {
-            "method": self.method,
-            "profile": self.profile,
-            "n_way": self.n_way,
-            "k_shot": self.k_shot,
-            "seed_results": [
-                {
-                    "seed": r.seed,
-                    "test_accuracy": r.test_accuracy,
-                    "best_val_accuracy": r.best_val_accuracy,
-                    "best_eval_index": r.best_eval_index,
-                    "episodes_run": r.episodes_run,
-                    "n_evaluations": r.n_evaluations,
-                    "eval_episode_count": r.eval_episode_count,
-                    "stopped_early": r.stopped_early,
-                    "loss_curve": r.loss_curve,
-                    "val_curve": r.val_curve,
-                }
-                for r in self.seed_results
-            ],
-            "mean_accuracy": self.mean_accuracy if self.seed_results else None,
-            "std_accuracy": self.std_accuracy if self.seed_results else None,
-            "pmask_series": self.pmask_series,
-            "diversity": self.diversity,
-        }
+        payload = asdict(self)
+        payload["mean_accuracy"] = self.mean_accuracy if self.seed_results else None
+        payload["std_accuracy"] = self.std_accuracy if self.seed_results else None
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
         obj = json.loads(text)
-        seed_results = [
-            SeedResult(
-                seed=r["seed"],
-                test_accuracy=r["test_accuracy"],
-                best_val_accuracy=r["best_val_accuracy"],
-                best_eval_index=r["best_eval_index"],
-                episodes_run=r["episodes_run"],
-                n_evaluations=r["n_evaluations"],
-                eval_episode_count=r["eval_episode_count"],
-                stopped_early=r["stopped_early"],
-                loss_curve=[tuple(x) for x in r["loss_curve"]],
-                val_curve=[tuple(x) for x in r["val_curve"]],
-            )
+        del obj["mean_accuracy"], obj["std_accuracy"]
+        obj["seed_results"] = [
+            SeedResult(**{**r, "loss_curve": _tuples(r["loss_curve"]),
+                          "val_curve": _tuples(r["val_curve"])})
             for r in obj["seed_results"]
         ]
-        return cls(
-            method=obj["method"],
-            profile=obj["profile"],
-            n_way=obj["n_way"],
-            k_shot=obj["k_shot"],
-            seed_results=seed_results,
-            pmask_series=[tuple(x) for x in obj["pmask_series"]] if obj["pmask_series"] else None,
-            diversity=obj["diversity"],
-        )
+        if obj["pmask_series"] is not None:
+            obj["pmask_series"] = _tuples(obj["pmask_series"])
+        return cls(**obj)
+
+
+def _tuples(rows: list[list]) -> list[tuple]:
+    return [tuple(row) for row in rows]
 
 
 def _rngs(seed: int, n: int) -> list[np.random.Generator]:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,23 +22,11 @@ class DiversityReport:
     mean_pairwise_similarity: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dist2": self.dist2,
-                "bleu_vs_source": self.bleu_vs_source,
-                "mean_pairwise_similarity": self.mean_pairwise_similarity,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "DiversityReport":
-        obj = json.loads(text)
-        return cls(
-            dist2=obj["dist2"],
-            bleu_vs_source=obj["bleu_vs_source"],
-            mean_pairwise_similarity=obj["mean_pairwise_similarity"],
-        )
+        return cls(**json.loads(text))
 
 
 def distinct_2(sentences: Sequence[Sequence[str]]) -> float:

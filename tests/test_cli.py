@@ -1,8 +1,11 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from paraproto.cli import main, resolve_data_path
+from paraproto.cli import build_parser, main, resolve_data_path
+from paraproto.decoding import DecodeConfig
+from paraproto.experiment import RunConfig
 from paraproto.synth import generate_synthetic_dataset
 
 
@@ -165,6 +168,38 @@ class TestDataDirEnv:
         monkeypatch.chdir(tmp_path)
         assert resolve_data_path("corpus.jsonl") == str(data_dir / "corpus.jsonl")
 
+    def test_config_file_path_resolves_through_env(self, corpus_path, tmp_path, monkeypatch):
+        import shutil
+
+        data_dir = tmp_path / "data-home"
+        data_dir.mkdir()
+        shutil.copy(corpus_path, data_dir / "corpus.jsonl")
+        (tmp_path / "run.conf").write_text(
+            "dataset_path=corpus.jsonl\nn_way=3\nk_shot=1\nquery_per_class=3\n"
+            "max_episodes=20\neval_every=10\npatience=2\nn_eval_episodes=6\nseeds=0\n"
+        )
+        monkeypatch.setenv("PARAPROTO_DATA_DIR", str(data_dir))
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", "run.conf", "--out", "run"]) == 0
+        assert (tmp_path / "run" / "report.json").exists()
+
     def test_absolute_path_wins(self, corpus_path, monkeypatch):
         monkeypatch.setenv("PARAPROTO_DATA_DIR", "/nonexistent")
         assert resolve_data_path(corpus_path) == corpus_path
+
+
+# dests of options that configure the command itself rather than a run or decode
+NON_CONFIG_DESTS = {
+    "help", "config", "out", "pmask_sweep", "save_checkpoints", "seed", "corpus",
+    "sentences", "strategies", "n_sentences",
+}
+
+
+@pytest.mark.parametrize("command", ["train", "paraphrase", "diversity"])
+def test_option_dests_are_config_fields(command):
+    """Overrides are read by field name, so a flag whose dest is not a
+    RunConfig or DecodeConfig field would be dropped without a word."""
+    subparsers = build_parser()._subparsers._group_actions[0]
+    known = {f.name for f in fields(RunConfig) + fields(DecodeConfig)} | NON_CONFIG_DESTS
+    dests = {action.dest for action in subparsers.choices[command]._actions}
+    assert dests <= known, f"{command} options with no config field: {sorted(dests - known)}"

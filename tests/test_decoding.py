@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from lmstub import EOS, RandomLM, TableLM, enumerate_sequences
 from paraproto.decoding import (
+    CURVES,
     ConstraintSet,
     DecodeConfig,
     SynonymBigramLM,
@@ -390,7 +391,24 @@ class TestConstraintSoundnessFuzz:
                     assert not set(zip(toks, toks[1:])) & constraints.banned_bigrams
 
 
+@st.composite
+def decode_configs(draw):
+    num_groups = draw(st.integers(1, 8))
+    return DecodeConfig(
+        num_beams=num_groups * draw(st.integers(1, 5)),
+        num_groups=num_groups,
+        diversity_penalty=draw(st.floats(min_value=0.0, allow_nan=False)),
+        p_mask=draw(st.floats(0.0, 1.0)),
+        curve=draw(st.sampled_from(CURVES)),
+        max_len=draw(st.integers(0, 500)),
+    )
+
+
 class TestDecodeConfig:
+    @given(decode_configs())
+    def test_text_round_trip_property(self, cfg):
+        assert DecodeConfig.from_text(cfg.to_text()) == cfg
+
     def test_round_trip_text(self):
         cfg = DecodeConfig(num_beams=9, num_groups=3, diversity_penalty=0.25,
                            p_mask=0.4, curve="down", max_len=12)
@@ -410,3 +428,9 @@ class TestDecodeConfig:
             DecodeConfig(diversity_penalty=-0.1)
         with pytest.raises(ValueError):
             DecodeConfig.from_text("nonsense_key=1\n")
+        for shape in (dict(num_beams=10, num_groups=3), dict(num_groups=0), dict(num_beams=0),
+                      dict(num_beams=-5, num_groups=5)):
+            with pytest.raises(ValueError, match="multiple of num_groups"):
+                DecodeConfig(**shape)
+        with pytest.raises(ValueError, match="max_len"):
+            DecodeConfig(max_len=-4)

@@ -2,11 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from paraproto import numerics
 from paraproto.data import load_dataset
 from paraproto.decoding import DecodeConfig
 from paraproto.experiment import (
+    METHODS,
     PMASK_GRID,
+    PROFILES,
     RunConfig,
     RunReport,
     SeedResult,
@@ -20,6 +24,7 @@ from paraproto.experiment import (
 from paraproto.protonet import evaluate
 from paraproto.synth import generate_synthetic_dataset
 from paraproto.data import TEST, split_classes
+from test_decoding import decode_configs
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +52,53 @@ def quick_config(corpus_path, **overrides):
     return RunConfig(**defaults)
 
 
+# printable, no key/comment characters, no surrounding whitespace or line breaks
+paths = st.text(
+    st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"), exclude_characters="=#"),
+    min_size=1,
+).filter(lambda s: s == s.strip())
+positive = st.integers(1, 1000)
+
+
+@st.composite
+def run_configs(draw):
+    decode = draw(decode_configs())
+    strategy = draw(st.sampled_from(METHODS))
+    dbs = strategy not in ("none", "stub_bt")
+    eval_every = draw(positive)
+    train, valid = draw(st.floats(0.01, 0.49)), draw(st.floats(0.01, 0.49))
+    return RunConfig(
+        dataset_path=draw(paths),
+        profile=draw(st.sampled_from(PROFILES)),
+        n_way=draw(st.integers(2, 50)),
+        k_shot=draw(positive),
+        query_per_class=draw(positive),
+        n_unlabeled=draw(positive),
+        n_paraphrases=decode.num_groups if dbs else draw(positive),
+        strategy=strategy,
+        decode=decode,
+        anneal_alpha=draw(st.floats(min_value=0.0, exclude_min=True, allow_nan=False)),
+        max_episodes=eval_every + draw(st.integers(0, 10_000)),
+        eval_every=eval_every,
+        patience=draw(positive),
+        n_eval_episodes=draw(positive),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))),
+        distance=draw(st.sampled_from(numerics.DISTANCE_KINDS)),
+        split_ratios=(train, valid, 1.0 - train - valid),
+        group_by_domain=draw(st.booleans()),
+        low_profile_n=draw(positive),
+        embed_dim=draw(positive),
+        output_dim=draw(positive),
+        learning_rate=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        paraphrase_cache=draw(st.booleans()),
+    )
+
+
 class TestRunConfig:
+    @given(run_configs())
+    def test_text_round_trip_property(self, cfg):
+        assert RunConfig.from_text(cfg.to_text()) == cfg
+
     def test_text_round_trip(self, corpus_path):
         cfg = quick_config(
             corpus_path,
@@ -92,9 +143,23 @@ class TestRunConfig:
             dict(strategy="stub_bt", n_paraphrases=0),
             dict(strategy="dbs_unigram", n_paraphrases=5, decode=DecodeConfig(num_beams=6, num_groups=3)),
             dict(strategy="dbs", n_paraphrases=3),
+            dict(learning_rate=-1.0),
+            dict(learning_rate=0.0),
+            dict(learning_rate=float("nan")),
+            dict(learning_rate=float("inf")),
+            dict(output_dim=0),
+            dict(embed_dim=0),
+            dict(anneal_alpha=0.0),
+            dict(anneal_alpha=float("nan")),
+            dict(low_profile_n=0),
+            dict(split_ratios=(0.5, 0.5, 0.5)),
+            dict(split_ratios=(0.6, 0.6, -0.2)),
         ],
         ids=["eval_every", "n_eval_episodes", "query_per_class", "n_unlabeled",
-             "n_paraphrases", "dbs_unigram_groups", "dbs_groups"],
+             "n_paraphrases", "dbs_unigram_groups", "dbs_groups", "learning_rate_negative",
+             "learning_rate_zero", "learning_rate_nan", "learning_rate_inf", "output_dim",
+             "embed_dim", "anneal_alpha_zero", "anneal_alpha_nan", "low_profile_n",
+             "split_ratios_sum", "split_ratios_negative"],
     )
     def test_invalid_config_fails_when_built(self, corpus_path, overrides):
         with pytest.raises(ValueError):
@@ -223,7 +288,42 @@ class TestRunExperiment:
             assert field in line
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+seed_results = st.builds(
+    SeedResult,
+    seed=st.integers(0, 2**32 - 1),
+    test_accuracy=st.floats(0.0, 1.0),
+    best_val_accuracy=st.floats(allow_nan=False),
+    best_eval_index=st.integers(0, 100),
+    episodes_run=st.integers(0, 10_000),
+    n_evaluations=st.integers(0, 100),
+    eval_episode_count=st.integers(1, 600),
+    stopped_early=st.booleans(),
+    loss_curve=st.lists(st.tuples(st.integers(1, 10_000), finite, finite, finite, finite),
+                        max_size=5),
+    val_curve=st.lists(st.tuples(st.integers(1, 10_000), st.floats(0.0, 1.0)), max_size=5),
+)
+run_reports = st.builds(
+    RunReport,
+    method=st.sampled_from(METHODS),
+    profile=st.sampled_from(PROFILES),
+    n_way=st.integers(2, 50),
+    k_shot=st.integers(1, 20),
+    seed_results=st.lists(seed_results, max_size=3),
+    pmask_series=st.none() | st.lists(st.tuples(st.floats(0.0, 1.0), finite, finite), max_size=4),
+    diversity=st.none() | st.dictionaries(
+        st.text(max_size=8), st.dictionaries(st.text(max_size=8), finite, max_size=3), max_size=3
+    ),
+)
+
+
 class TestEmitReport:
+    @given(run_reports)
+    def test_report_json_round_trip_property(self, report):
+        text = report.to_json()
+        assert RunReport.from_json(text).to_json() == text
+        assert RunReport.from_json(text) == report
+
     def _report(self):
         results = [
             SeedResult(seed=s, test_accuracy=acc, best_val_accuracy=acc,
