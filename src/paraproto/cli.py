@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics
-from .configio import dataclass_from_kv
+from .configio import dataclass_from_kv, parse_kv_text
 from .data import PARTS, load_dataset, split_classes
 from .decoding import CURVES, STRATEGIES, DecodeConfig, SynonymBigramLM, generate_paraphrases
 from .encoder import load_checkpoint
@@ -62,11 +62,12 @@ def _overrides(args: argparse.Namespace, cls, prefix: str = "") -> dict[str, str
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    overrides = {**_overrides(args, RunConfig), **_overrides(args, DecodeConfig, "decode.")}
-    base = None
-    if args.config:
-        base = RunConfig.from_text(Path(args.config).read_text(encoding="utf-8"))
-    config = RunConfig.from_mapping(overrides, base=base)
+    # the flags complete the file before either is checked, so a file may
+    # leave out what the command line gives, such as dataset_path
+    pairs = parse_kv_text(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    pairs.update(_overrides(args, RunConfig))
+    pairs.update(_overrides(args, DecodeConfig, "decode."))
+    config = RunConfig.from_mapping(pairs)
     config = replace(config, dataset_path=resolve_data_path(config.dataset_path))
 
     out_dir = Path(args.out)

@@ -7,6 +7,8 @@ scale, and per-group output selection by lowest BLEU against the source.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from .configio import dataclass_from_kv, dataclass_to_kv, format_kv, parse_kv_text
 from .encoder import tokenize
-from .metrics import bleu
+from .metrics import BleuReference, bleu_reference, bleu_score
 
 STRATEGIES = ("dbs", "dbs_unigram", "dbs_bigram", "stub_bt")
 CURVES = ("flat", "down", "up")
@@ -25,6 +27,13 @@ class ConditionalLM(Protocol):
 
     `next_logprobs` must return finite log-probabilities for every vocabulary
     token plus end-of-sequence, jointly normalized, and must be deterministic.
+
+    An LM may also define `next_logprobs_batch(source, prefixes)`, taking B
+    prefixes as token-id sequences (indices into `vocab`) and returning a
+    (B, V) array of token log-probabilities and a (B,) array of EOS
+    log-probabilities, row i equal to `next_logprobs` of prefix i's tokens.
+    The decoders then make one LM call per step; without it they fall back to
+    one `next_logprobs` call per unfinished beam.
     """
 
     vocab: tuple[str, ...]
@@ -137,92 +146,33 @@ def build_bigram_constraints(source: Sequence[str]) -> ConstraintSet:
     return ConstraintSet(banned_bigrams=frozenset(pairs))
 
 
-def _index_constraints(
-    vocab: Sequence[str], constraints: ConstraintSet
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+def _banned_cells(vocab: Sequence[str], constraints: ConstraintSet) -> np.ndarray:
+    """(V+1, V+1) mask of forbidden continuations. Row: the previous token id,
+    or V before the first token. Column: the next token id, or V for EOS,
+    which is never banned."""
     index = {tok: i for i, tok in enumerate(vocab)}
-    banned_mask = np.zeros(len(vocab), dtype=bool)
-    for tok in constraints.banned_unigrams:
-        if tok in index:
-            banned_mask[index[tok]] = True
-    bigram_next: dict[int, list[int]] = {}
+    n = len(vocab)
+    banned = np.zeros((n + 1, n + 1), dtype=bool)
+    banned[:, [index[tok] for tok in constraints.banned_unigrams if tok in index]] = True
     for a, b in constraints.banned_bigrams:
         if a in index and b in index:
-            bigram_next.setdefault(index[a], []).append(index[b])
-    return banned_mask, {k: np.array(sorted(v)) for k, v in bigram_next.items()}
+            banned[index[a], index[b]] = True
+    return banned
 
 
-def _advance_beams(
-    lm: ConditionalLM,
-    source: Sequence[str],
-    beams: list[Beam],
-    width: int,
-    banned_mask: np.ndarray,
-    bigram_next: dict[int, np.ndarray],
-    penalty_counts: np.ndarray | None,
-    diversity_penalty: float,
-) -> tuple[list[Beam], list[int]]:
-    """One decode step: expand unfinished beams, keep the top `width`.
-
-    Returns the new beam list (sorted by descending selection score) and the
-    token ids newly appended this step (for diversity bookkeeping).
-    """
-    n_vocab = len(lm.vocab)
-    finished = [b for b in beams if b.finished]
-    active = [b for b in beams if not b.finished]
-    if not active:
-        return beams, []
-
-    # candidate matrix: one row per active beam, columns = tokens + EOS
-    rows = []
-    raw_rows = []
-    for beam in active:
-        logprobs, eos_lp = lm.next_logprobs(source, beam.texts(lm.vocab))
-        scores = beam.score + logprobs
-        scores[banned_mask] = -np.inf
-        if beam.tokens and beam.tokens[-1] in bigram_next:
-            scores[bigram_next[beam.tokens[-1]]] = -np.inf
-        if penalty_counts is not None and diversity_penalty > 0.0:
-            scores = scores - diversity_penalty * penalty_counts
-        eos_score = beam.score + eos_lp if beam.tokens else -np.inf
-        rows.append(np.append(scores, eos_score))
-        raw_rows.append(np.append(logprobs, eos_lp))
-
-    flat = np.concatenate([np.array([b.score for b in finished]), np.ravel(rows)])
-    order = np.argsort(-flat, kind="stable")
-
-    new_beams: list[Beam] = []
-    chosen_tokens: list[int] = []
-    n_finished = len(finished)
-    for idx in order:
-        if len(new_beams) >= width:
-            break
-        if not np.isfinite(flat[idx]):
-            continue
-        if idx < n_finished:
-            new_beams.append(finished[idx])
-            continue
-        cell = idx - n_finished
-        beam_i, token_id = divmod(int(cell), n_vocab + 1)
-        parent = active[beam_i]
-        raw = parent.raw_score + float(raw_rows[beam_i][token_id])
-        if token_id == n_vocab:  # EOS
-            new_beams.append(
-                Beam(tokens=parent.tokens, score=float(flat[idx]), raw_score=raw, finished=True)
-            )
-        else:
-            new_beams.append(
-                Beam(
-                    tokens=parent.tokens + (token_id,),
-                    score=float(flat[idx]),
-                    raw_score=raw,
-                    finished=False,
-                )
-            )
-            chosen_tokens.append(token_id)
-    if not new_beams:
-        raise ValueError("constraints exhaust vocabulary")
-    return new_beams, chosen_tokens
+def _step_logprobs(
+    lm: ConditionalLM, source: Sequence[str], prefixes: list[tuple[int, ...]]
+) -> np.ndarray:
+    """(B, V+1) log-probabilities of every token, and of EOS in the last
+    column, after each token-id prefix: one `next_logprobs_batch` call when
+    the LM has one, else one `next_logprobs` call per prefix."""
+    batch = getattr(lm, "next_logprobs_batch", None)
+    if batch is not None:
+        logprobs, eos = batch(source, prefixes)
+    else:
+        rows = [lm.next_logprobs(source, [lm.vocab[i] for i in p]) for p in prefixes]
+        logprobs, eos = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+    return np.column_stack((logprobs, eos))
 
 
 def beam_search(
@@ -232,22 +182,11 @@ def beam_search(
     max_len: int,
     constraints: ConstraintSet = ConstraintSet.none(),
 ) -> list[Beam]:
-    """Breadth-wise beam decoding; returns beams ranked by cumulative score."""
+    """Breadth-wise beam decoding; returns beams ranked by cumulative score.
+    This is diverse beam search with a single group."""
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    banned_mask, bigram_next = _index_constraints(lm.vocab, constraints)
-    if banned_mask.all():
-        raise ValueError("constraints exhaust vocabulary")
-    beams = [Beam(tokens=(), score=0.0, raw_score=0.0, finished=False)]
-    for _ in range(max_len):
-        if all(b.finished for b in beams):
-            break
-        beams, _ = _advance_beams(
-            lm, source, beams, beam_width, banned_mask, bigram_next, None, 0.0
-        )
-    return beams
+    return diverse_beam_search(lm, source, beam_width, 1, 0.0, max_len, constraints)[0].beams
 
 
 def diverse_beam_search(
@@ -264,7 +203,12 @@ def diverse_beam_search(
     Groups decode in fixed order; at each step a candidate token in group g
     is penalized by diversity_penalty times the number of times earlier
     groups chose that token at the same step. Within a group, selection is
-    standard beam search.
+    standard beam search: the top num_beams / num_groups finite candidates,
+    finished beams first on ties, then candidates in row-major order.
+
+    A step scores every group's unfinished beams with one LM call, since they
+    depend only on the previous step, in one (beams, V+1) matrix; each group
+    then subtracts its penalty from its own rows and selects.
     """
     if num_beams < 1 or num_groups < 1 or num_beams % num_groups != 0:
         raise ValueError(f"num_beams={num_beams} must be a positive multiple of num_groups={num_groups}")
@@ -272,42 +216,70 @@ def diverse_beam_search(
         raise ValueError("diversity_penalty must be >= 0")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    banned_mask, bigram_next = _index_constraints(lm.vocab, constraints)
-    if banned_mask.all():
+    n_vocab = len(lm.vocab)
+    banned = _banned_cells(lm.vocab, constraints)
+    if banned[n_vocab, :n_vocab].all():
         raise ValueError("constraints exhaust vocabulary")
 
     group_size = num_beams // num_groups
     groups: list[list[Beam]] = [
         [Beam(tokens=(), score=0.0, raw_score=0.0, finished=False)] for _ in range(num_groups)
     ]
-    for _ in range(max_len):
-        if all(b.finished for group in groups for b in group):
+    for step in range(max_len):
+        active = [b for group in groups for b in group if not b.finished]
+        if not active:
             break
-        counts = np.zeros(len(lm.vocab))
-        for g in range(num_groups):
-            groups[g], chosen = _advance_beams(
-                lm,
-                source,
-                groups[g],
-                group_size,
-                banned_mask,
-                bigram_next,
-                counts if g > 0 else None,
-                diversity_penalty,
-            )
-            for token_id in chosen:
-                counts[token_id] += 1.0
+        raw = _step_logprobs(lm, source, [b.tokens for b in active])
+        scores = np.array([b.score for b in active])[:, None] + raw
+        scores[banned[[b.tokens[-1] if b.tokens else n_vocab for b in active]]] = -np.inf
+        if step == 0:
+            scores[:, n_vocab] = -np.inf  # EOS only after the first token
+        counts = np.zeros(n_vocab)  # tokens chosen by earlier groups this step
+        row = 0
+        for g, group in enumerate(groups):
+            finished = [b for b in group if b.finished]
+            parents = [b for b in group if not b.finished]
+            if not parents:
+                continue
+            rows = slice(row, row + len(parents))
+            if g > 0 and diversity_penalty > 0.0:
+                scores[rows, :n_vocab] -= diversity_penalty * counts
+            flat = np.concatenate(([b.score for b in finished], scores[rows].ravel()))
+            # no score is +inf, so non-finite candidates (banned cells, NaN
+            # from an infinite penalty) sort after every finite one
+            new_beams = []
+            for idx in np.argsort(-flat, kind="stable")[:group_size].tolist():
+                if not math.isfinite(flat[idx]):
+                    break
+                if idx < len(finished):
+                    new_beams.append(finished[idx])
+                    continue
+                beam_i, token = divmod(idx - len(finished), n_vocab + 1)
+                parent = parents[beam_i]
+                raw_score = parent.raw_score + float(raw[row + beam_i, token])
+                if token == n_vocab:
+                    new_beams.append(Beam(parent.tokens, float(flat[idx]), raw_score, finished=True))
+                else:
+                    new_beams.append(
+                        Beam(parent.tokens + (token,), float(flat[idx]), raw_score, finished=False)
+                    )
+                    counts[token] += 1.0
+            if not new_beams:
+                raise ValueError("constraints exhaust vocabulary")
+            groups[g] = new_beams
+            row += len(parents)
     return [BeamGroup(index=g, beams=groups[g]) for g in range(num_groups)]
 
 
 def select_most_diverse(
-    group_beams: Sequence[Beam], source: Sequence[str], vocab: Sequence[str]
+    group_beams: Sequence[Beam], reference: BleuReference, vocab: Sequence[str]
 ) -> Beam:
-    """Beam with the lowest BLEU against the source; ties -> highest LM score."""
+    """Beam with the lowest BLEU against the reference (the source, counted
+    once per decode by `bleu_reference([source])`); ties -> highest LM score."""
     if not group_beams:
         raise ValueError("empty beam group")
     scored = [
-        (bleu(beam.texts(vocab), [list(source)], smooth=True), -beam.raw_score, i)
+        (bleu_score(beam.texts(vocab), reference, smooth=True), -beam.raw_score, i)
         for i, beam in enumerate(group_beams)
     ]
     _, _, best = min(scored)
@@ -371,11 +343,23 @@ def generate_paraphrases(
         max_len=config.resolved_max_len(len(source)),
         constraints=constraints,
     )
+    reference = bleu_reference([source])
     outputs = []
     for group in groups:
-        best = select_most_diverse(group.beams, source, lm.vocab)
+        best = select_most_diverse(group.beams, reference, lm.vocab)
         outputs.append(" ".join(best.texts(lm.vocab)))
     return outputs
+
+
+def _eos_gate(source_len: int, gen_len: int) -> float:
+    """EOS weight after gen_len tokens: the length gate keeps outputs near the
+    source length."""
+    src_len = max(source_len, 1)
+    if gen_len < max(1, round(0.85 * src_len)):
+        return 1e-4
+    if gen_len <= src_len + max(2, round(0.5 * src_len)):
+        return 1.0
+    return 25.0
 
 
 class SynonymBigramLM:
@@ -439,32 +423,36 @@ class SynonymBigramLM:
         self._w_unif = uniform_weight
         self._repeat_decay = repeat_decay
 
-    def _continuations(self, source: Sequence[str], prefix: Sequence[str]) -> tuple[list[str], bool]:
+        # base rows of the last source seen, by last prefix token; see _rows
+        self._rows_source: tuple[str, ...] | None = None
+        self._rows_by_last: dict[str | None, np.ndarray] = {}
+
+    def _continuations(self, source: Sequence[str], last: str | None) -> tuple[list[str], bool]:
         """Source tokens that plausibly come next, by aligning the last
-        generated token against source positions (exact or synonym match).
-        The flag reports whether the aligned position is the end of source."""
-        if not prefix:
+        generated token (None before the first) against source positions
+        (exact or synonym match). The flag reports whether the aligned
+        position is the end of source."""
+        if last is None:
             return [source[0]], False
-        prev = prefix[-1]
         nexts: list[str] = []
         at_end = False
         for i, tok in enumerate(source):
-            if tok == prev or prev in self.synonyms.get(tok, ()):
+            if tok == last or last in self.synonyms.get(tok, ()):
                 if i + 1 < len(source):
                     nexts.append(source[i + 1])
                 else:
                     at_end = True
         return nexts, at_end
 
-    def next_logprobs(
-        self, source: Sequence[str], prefix: Sequence[str]
-    ) -> tuple[np.ndarray, float]:
+    def _base_row(self, source: Sequence[str], last: str | None) -> np.ndarray:
+        """Mixture probabilities (V+1 columns, EOS last) after a prefix whose
+        last token is `last`, before the repeat decay and the EOS gate."""
         n = len(self.vocab)
-        prev = self._index.get(prefix[-1], self._bos) if prefix else self._bos
+        prev = self._bos if last is None else self._index.get(last, self._bos)
         probs = self._w_bigram * self._bigram[prev].copy()
         probs[:n] += self._w_unif / n
 
-        nexts, at_end = self._continuations(source, prefix)
+        nexts, at_end = self._continuations(source, last)
         if nexts or at_end:
             share = self._w_copy / (len(nexts) + (1 if at_end else 0))
             for tok in nexts:
@@ -497,24 +485,59 @@ class SynonymBigramLM:
             )
             if syn_ids:
                 probs[syn_ids] += self._w_syn / len(syn_ids)
+        return probs
 
-        # damp tokens already generated, so decodes do not loop
-        if prefix and self._repeat_decay < 1.0:
-            for tok in prefix:
-                i = self._index.get(tok)
-                if i is not None:
-                    probs[i] *= self._repeat_decay
+    def _rows(self, source: Sequence[str], lasts: list[str | None]) -> np.ndarray:
+        """Fresh (B, V+1) copies of the base rows for `lasts`. Each row is
+        built once per source: a decode asks for the same few rows at every
+        step. Only the last source's rows are kept, so memory stays bounded."""
+        key = tuple(source)
+        if key != self._rows_source:
+            self._rows_source, self._rows_by_last = key, {}
+        built = self._rows_by_last
+        for last in lasts:
+            if last not in built:
+                built[last] = self._base_row(source, last)
+        return np.array([built[last] for last in lasts])
 
-        # length-gated EOS keeps outputs near the source length
-        src_len = max(len(source), 1)
-        gen_len = len(prefix)
-        if gen_len < max(1, round(0.85 * src_len)):
-            gate = 1e-4
-        elif gen_len <= src_len + max(2, round(0.5 * src_len)):
-            gate = 1.0
-        else:
-            gate = 25.0
-        probs[n] *= gate
-        probs /= probs.sum()
+    def _logprobs(
+        self,
+        source: Sequence[str],
+        lasts: list[str | None],
+        vocab_ids: Sequence[Sequence[int]],
+        lengths: Sequence[int],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of log-probabilities for prefixes given by their last token,
+        the ids of their in-vocabulary tokens and their length."""
+        n = len(self.vocab)
+        probs = self._rows(source, lasts)
+
+        # damp tokens already generated, so decodes do not loop: a token seen
+        # c times is multiplied by the decay c times, one pass per repeat
+        if self._repeat_decay < 1.0:
+            owner = np.repeat(np.arange(len(vocab_ids)), [len(ids) for ids in vocab_ids])
+            ids = np.fromiter(itertools.chain.from_iterable(vocab_ids), dtype=np.intp)
+            counts = np.bincount(owner * (n + 1) + ids, minlength=probs.size).reshape(probs.shape)
+            for k in range(counts.max(initial=0)):
+                probs[counts > k] *= self._repeat_decay
+
+        probs[:, n] *= [_eos_gate(len(source), gen_len) for gen_len in lengths]
+        probs /= probs.sum(axis=1, keepdims=True)
         logs = np.log(probs)
-        return logs[:n], float(logs[n])
+        return logs[:, :n], logs[:, n]
+
+    def next_logprobs(
+        self, source: Sequence[str], prefix: Sequence[str]
+    ) -> tuple[np.ndarray, float]:
+        ids = [self._index[tok] for tok in prefix if tok in self._index]
+        logs, eos = self._logprobs(source, [prefix[-1] if prefix else None], [ids], [len(prefix)])
+        return logs[0], float(eos[0])
+
+    def next_logprobs_batch(
+        self, source: Sequence[str], prefixes: Sequence[Sequence[int]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """`next_logprobs` for B token-id prefixes (indices into `vocab`) at
+        once: a (B, V) array of token log-probabilities and a (B,) array of
+        EOS log-probabilities, row i equal to `next_logprobs` of prefix i."""
+        lasts = [self.vocab[p[-1]] if len(p) else None for p in prefixes]
+        return self._logprobs(source, lasts, prefixes, [len(p) for p in prefixes])

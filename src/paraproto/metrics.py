@@ -39,7 +39,57 @@ def distinct_2(sentences: Sequence[Sequence[str]]) -> float:
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+@dataclass(frozen=True)
+class BleuReference:
+    """The reference side of sentence BLEU, counted once for any number of
+    candidates: per n-gram order 1..max_n, the most times each n-gram occurs
+    in any one reference, and the reference lengths."""
+
+    max_counts: tuple[Counter, ...]
+    lengths: tuple[int, ...]
+
+
+def bleu_reference(references: Sequence[Sequence[str]], max_n: int = 4) -> BleuReference:
+    if not references or any(not r for r in references):
+        raise ValueError("need at least one non-empty reference")
+    max_counts = []
+    for n in range(1, max_n + 1):
+        max_ref: Counter = Counter()
+        for ref in references:
+            for gram, count in _ngram_counts(ref, n).items():
+                if count > max_ref[gram]:
+                    max_ref[gram] = count
+        max_counts.append(max_ref)
+    return BleuReference(tuple(max_counts), tuple(len(ref) for ref in references))
+
+
+def bleu_score(candidate: Sequence[str], reference: BleuReference, smooth: bool = False) -> float:
+    """Sentence BLEU of `candidate` against a counted reference; see `bleu`."""
+    if not candidate:
+        raise ValueError("empty candidate")
+
+    log_precisions = []
+    for n, max_ref in enumerate(reference.max_counts, start=1):
+        total = len(candidate) - n + 1
+        if total < 1:
+            break
+        cand_counts = _ngram_counts(candidate, n)
+        clipped = sum(min(count, max_ref[gram]) for gram, count in cand_counts.items())
+        if clipped == 0:
+            if not smooth:
+                return 0.0
+            log_precisions.append(math.log(1.0 / (total + 1)))
+        else:
+            log_precisions.append(math.log(clipped / total))
+
+    c = len(candidate)
+    # closest reference length; ties favor the shorter reference
+    r = min((abs(length - c), length) for length in reference.lengths)[1]
+    brevity = 1.0 if c >= r else math.exp(1.0 - r / c)
+    return brevity * math.exp(sum(log_precisions) / len(log_precisions))
 
 
 def bleu(
@@ -51,35 +101,7 @@ def bleu(
     """Sentence BLEU: clipped modified n-gram precision, uniform weights over
     the orders the candidate is long enough to support, brevity penalty, and
     add-one smoothing of zero-count precisions when `smooth` is set."""
-    if not candidate:
-        raise ValueError("empty candidate")
-    if not references or any(not r for r in references):
-        raise ValueError("need at least one non-empty reference")
-
-    log_precisions = []
-    for n in range(1, max_n + 1):
-        total = len(candidate) - n + 1
-        if total < 1:
-            break
-        cand_counts = _ngram_counts(candidate, n)
-        max_ref: Counter = Counter()
-        for ref in references:
-            for gram, count in _ngram_counts(ref, n).items():
-                if count > max_ref[gram]:
-                    max_ref[gram] = count
-        clipped = sum(min(count, max_ref[gram]) for gram, count in cand_counts.items())
-        if clipped == 0:
-            if not smooth:
-                return 0.0
-            log_precisions.append(math.log(1.0 / (total + 1)))
-        else:
-            log_precisions.append(math.log(clipped / total))
-
-    c = len(candidate)
-    # closest reference length; ties favor the shorter reference
-    r = min((abs(len(ref) - c), len(ref)) for ref in references)[1]
-    brevity = 1.0 if c >= r else math.exp(1.0 - r / c)
-    return brevity * math.exp(sum(log_precisions) / len(log_precisions))
+    return bleu_score(candidate, bleu_reference(references, max_n), smooth)
 
 
 def mean_pairwise_similarity(embeddings: Sequence[np.ndarray]) -> float:
@@ -109,8 +131,8 @@ def diversity_report(
         raise ValueError("need at least 2 paraphrases")
     sentences = [source, *paraphrases]
     token_lists = [tokenize(s) for s in sentences]
-    source_tokens = token_lists[0]
-    bleus = [bleu(toks, [source_tokens], smooth=True) for toks in token_lists[1:]]
+    reference = bleu_reference(token_lists[:1])
+    bleus = [bleu_score(toks, reference, smooth=True) for toks in token_lists[1:]]
     embeddings = encode_batch(encoder_params, token_lists, vocab)
     return DiversityReport(
         dist2=distinct_2(token_lists),

@@ -63,6 +63,19 @@ class TestTrain:
         report = json.loads((out / "report.json").read_text())
         assert report["method"] == "stub_bt"
 
+    def test_config_file_without_dataset_takes_flag(self, corpus_path, tmp_path):
+        config = tmp_path / "nods.conf"
+        config.write_text(
+            "n_way=3\nk_shot=1\nquery_per_class=3\nmax_episodes=20\neval_every=10\n"
+            "patience=2\nn_eval_episodes=6\nseeds=0\nstrategy=none\n"
+        )
+        out = tmp_path / "run3"
+        code = main(["train", "--config", str(config), "--dataset", corpus_path,
+                     "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["method"], report["n_way"]) == ("none", 3)
+
     def test_missing_dataset_fails(self, tmp_path, capsys):
         code = main(["train", "--dataset", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "r"), *TINY_TRAIN])

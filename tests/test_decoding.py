@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from lmstub import EOS, RandomLM, TableLM, enumerate_sequences
 from paraproto.decoding import (
     CURVES,
+    Beam,
     ConstraintSet,
     DecodeConfig,
     SynonymBigramLM,
@@ -17,6 +18,7 @@ from paraproto.decoding import (
     select_most_diverse,
     stub_backtranslate,
 )
+from paraproto.metrics import bleu_reference
 from paraproto.synth import default_synonym_table
 
 
@@ -142,6 +144,99 @@ class TestDiverseBeamSearch:
                                 diversity_penalty=0.5, max_len=3)
 
 
+def per_beam_diverse_beam_search(lm, source, num_beams, num_groups, diversity_penalty, max_len,
+                                 constraints=ConstraintSet.none()):
+    """Reference decoder: one `next_logprobs` call and one argsort per beam
+    and group, the way diverse beam search was first written here."""
+    n_vocab = len(lm.vocab)
+    index = {tok: i for i, tok in enumerate(lm.vocab)}
+    banned_mask = np.array([tok in constraints.banned_unigrams for tok in lm.vocab])
+    bigram_next = {}
+    for a, b in constraints.banned_bigrams:
+        if a in index and b in index:
+            bigram_next.setdefault(index[a], []).append(index[b])
+
+    def advance(beams, width, penalty_counts):
+        finished = [b for b in beams if b.finished]
+        active = [b for b in beams if not b.finished]
+        if not active:
+            return beams, []
+        rows, raw_rows = [], []
+        for beam in active:
+            logprobs, eos_lp = lm.next_logprobs(source, beam.texts(lm.vocab))
+            scores = beam.score + logprobs
+            scores[banned_mask] = -np.inf
+            if beam.tokens and beam.tokens[-1] in bigram_next:
+                scores[bigram_next[beam.tokens[-1]]] = -np.inf
+            if penalty_counts is not None and diversity_penalty > 0.0:
+                scores = scores - diversity_penalty * penalty_counts
+            rows.append(np.append(scores, beam.score + eos_lp if beam.tokens else -np.inf))
+            raw_rows.append(np.append(logprobs, eos_lp))
+        flat = np.concatenate([np.array([b.score for b in finished]), np.ravel(rows)])
+        new_beams, chosen = [], []
+        for idx in np.argsort(-flat, kind="stable"):
+            if len(new_beams) >= width:
+                break
+            if not np.isfinite(flat[idx]):
+                continue
+            if idx < len(finished):
+                new_beams.append(finished[idx])
+                continue
+            beam_i, token = divmod(int(idx) - len(finished), n_vocab + 1)
+            parent = active[beam_i]
+            raw = parent.raw_score + float(raw_rows[beam_i][token])
+            done = token == n_vocab
+            tokens = parent.tokens if done else parent.tokens + (token,)
+            new_beams.append(Beam(tokens, float(flat[idx]), raw, done))
+            if not done:
+                chosen.append(token)
+        return new_beams, chosen
+
+    groups = [[Beam((), 0.0, 0.0, False)] for _ in range(num_groups)]
+    for _ in range(max_len):
+        if all(b.finished for group in groups for b in group):
+            break
+        counts = np.zeros(n_vocab)
+        for g in range(num_groups):
+            groups[g], chosen = advance(groups[g], num_beams // num_groups, counts if g > 0 else None)
+            for token in chosen:
+                counts[token] += 1.0
+    return groups
+
+
+class TestBatchedStepMatchesPerBeam:
+    """The batched decoder gives exactly the groups of the per-beam reference:
+    through the `next_logprobs` fallback (RandomLM has no batch method) and
+    through `SynonymBigramLM.next_logprobs_batch`."""
+
+    def test_fallback_lm(self):
+        lm = RandomLM(tuple("abcdef"), seed=21, eos_weight=0.3)
+        assert not hasattr(lm, "next_logprobs_batch")
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            source = [lm.vocab[i] for i in rng.integers(0, 6, size=rng.integers(1, 6))]
+            constraints = ConstraintSet(
+                banned_unigrams=build_unigram_constraints(source, 0.4, "flat", rng).banned_unigrams,
+                banned_bigrams=build_bigram_constraints(source).banned_bigrams if trial % 2 else frozenset(),
+            )
+            if set(lm.vocab) <= constraints.banned_unigrams:
+                continue
+            num_groups = 1 + trial % 4
+            args = (lm, source, num_groups * (1 + trial % 3), num_groups, (0.0, 0.5, 2.0)[trial % 3], 5)
+            groups = diverse_beam_search(*args, constraints=constraints)
+            assert [g.beams for g in groups] == per_beam_diverse_beam_search(*args, constraints)
+
+    def test_synonym_bigram_lm(self, toy_lm):
+        rng = np.random.default_rng(8)
+        for sentence in ("can you play the music", "book the flight now please", "check my balance"):
+            source = sentence.split()
+            for constraints in (ConstraintSet.none(), build_bigram_constraints(source),
+                                build_unigram_constraints(source, 0.7, "flat", rng)):
+                args = (toy_lm, source, 15, 5, 0.5, 2 * len(source) + 5)
+                groups = diverse_beam_search(*args, constraints=constraints)
+                assert [g.beams for g in groups] == per_beam_diverse_beam_search(*args, constraints)
+
+
 class TestMaskProbabilities:
     def test_flat(self):
         np.testing.assert_allclose(mask_probabilities(10, 0.7, "flat"), 0.7)
@@ -225,7 +320,7 @@ class TestSelectMostDiverse:
         vocab = ("x", "y", "z")
         copy = Beam(tokens=(0, 1), score=-1.0, raw_score=-1.0, finished=True)
         other = Beam(tokens=(2,), score=-2.0, raw_score=-2.0, finished=True)
-        best = select_most_diverse([copy, other], ["x", "y"], vocab)
+        best = select_most_diverse([copy, other], bleu_reference([["x", "y"]]), vocab)
         assert best is other
 
     def test_all_identical_returns_that_beam(self):
@@ -233,7 +328,7 @@ class TestSelectMostDiverse:
 
         vocab = ("x", "y")
         beams = [Beam(tokens=(0,), score=-1.0, raw_score=-1.0, finished=True)] * 3
-        assert select_most_diverse(beams, ["x"], vocab).tokens == (0,)
+        assert select_most_diverse(beams, bleu_reference([["x"]]), vocab).tokens == (0,)
 
     def test_lowest_bleu_wins_hand_computed(self):
         from paraproto.decoding import Beam
@@ -244,7 +339,7 @@ class TestSelectMostDiverse:
         seqs = [(0, 1, 2), (0, 3, 4), (0, 1, 4)]
         beams = [Beam(tokens=s, score=-1.0, raw_score=-1.0, finished=True) for s in seqs]
         bleus = [bleu([vocab[i] for i in s], [source], smooth=True) for s in seqs]
-        best = select_most_diverse(beams, source, vocab)
+        best = select_most_diverse(beams, bleu_reference([source]), vocab)
         assert best.tokens == seqs[int(np.argmin(bleus))]
 
     def test_bleu_tie_broken_by_raw_score(self):
@@ -254,7 +349,7 @@ class TestSelectMostDiverse:
         source = ["zzz"]
         low = Beam(tokens=(0,), score=-5.0, raw_score=-5.0, finished=True)
         high = Beam(tokens=(1,), score=-1.0, raw_score=-1.0, finished=True)
-        assert select_most_diverse([low, high], source, vocab) is high
+        assert select_most_diverse([low, high], bleu_reference([source]), vocab) is high
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +390,84 @@ class TestSynonymBigramLM:
         with pytest.raises(ValueError):
             SynonymBigramLM(["a b"], bigram_weight=0.9, copy_weight=0.9,
                             synonym_weight=0.0, uniform_weight=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_batch_rows_equal_single_prefix_calls(self, toy_lm, data):
+        vocab = toy_lm.vocab
+        words = st.sampled_from(vocab + ("zzz",))  # "zzz" is out of vocabulary
+        source = data.draw(st.lists(words, min_size=1, max_size=10))
+        src_len = len(source)
+        lo, hi = max(1, round(0.85 * src_len)), src_len + max(2, round(0.5 * src_len))
+        pool = data.draw(st.lists(st.integers(0, len(vocab) - 1), min_size=1, max_size=4))
+        prefixes = data.draw(st.lists(st.lists(st.sampled_from(pool), max_size=hi + 2), max_size=5))
+        unaligned = [
+            i for i, tok in enumerate(vocab)
+            if all(tok != s and tok not in toy_lm.synonyms.get(s, ()) for s in source)
+        ]
+        # always: an empty prefix, one token three times, each side of both
+        # EOS-gate thresholds, and a last token with no source alignment
+        prefixes += [[], [pool[0]] * 3, [pool[0]] * (lo - 1), [pool[0]] * lo,
+                     [pool[-1]] * hi, [pool[-1]] * (hi + 1), pool + [unaligned[0]]]
+        logprobs, eos = toy_lm.next_logprobs_batch(source, prefixes)
+        assert logprobs.shape == (len(prefixes), len(vocab)) and eos.shape == (len(prefixes),)
+        for row, prefix in enumerate(prefixes):
+            text = [vocab[i] for i in prefix]
+            single, single_eos = toy_lm.next_logprobs(source, text)
+            ref, ref_eos = per_token_next_logprobs(toy_lm, source, text)
+            assert np.array_equal(logprobs[row], single) and eos[row] == single_eos
+            assert np.array_equal(single, ref) and single_eos == ref_eos
+
+    def test_out_of_vocabulary_prefix_matches_reference(self, toy_lm):
+        source = ["play", "zzz", "music", "zzz"]
+        for prefix in (["zzz"], ["play", "zzz"], ["zzz", "zzz", "the"]):
+            single, single_eos = toy_lm.next_logprobs(source, prefix)
+            ref, ref_eos = per_token_next_logprobs(toy_lm, source, prefix)
+            assert np.array_equal(single, ref) and single_eos == ref_eos
+
+
+def per_token_next_logprobs(lm, source, prefix):
+    """Reference SynonymBigramLM step with the same mixture arithmetic as the
+    LM, but the repeat decay applied one prefix token at a time and one
+    normalization over a single 1-D row."""
+    n = len(lm.vocab)
+    index = {tok: i for i, tok in enumerate(lm.vocab)}
+    probs = lm._w_bigram * lm._bigram[index.get(prefix[-1], n) if prefix else n].copy()
+    probs[:n] += lm._w_unif / n
+    if prefix:
+        aligned = [i for i, tok in enumerate(source)
+                   if tok == prefix[-1] or prefix[-1] in lm.synonyms.get(tok, ())]
+        nexts = [source[i + 1] for i in aligned if i + 1 < len(source)]
+        at_end = len(source) - 1 in aligned
+    else:
+        nexts, at_end = [source[0]], False
+    if nexts or at_end:
+        share = lm._w_copy / (len(nexts) + at_end)
+        for tok in nexts:
+            if tok in index:
+                probs[index[tok]] += share
+        if at_end:
+            probs[n] += share
+        syn_from = nexts
+    else:
+        src_ids = sorted({index[t] for t in source if t in index})
+        if src_ids:
+            probs[src_ids] += lm._w_copy / len(src_ids)
+        syn_from = source
+    syn_ids = sorted({index[alt] for tok in syn_from for alt in lm.synonyms.get(tok, ()) if alt in index})
+    if syn_ids:
+        probs[syn_ids] += lm._w_syn / len(syn_ids)
+    for tok in prefix:
+        if tok in index:
+            probs[index[tok]] *= lm._repeat_decay
+    src_len = max(len(source), 1)
+    if len(prefix) < max(1, round(0.85 * src_len)):
+        probs[n] *= 1e-4
+    elif len(prefix) > src_len + max(2, round(0.5 * src_len)):
+        probs[n] *= 25.0
+    probs /= probs.sum()
+    logs = np.log(probs)
+    return logs[:n], float(logs[n])
 
 
 class TestStubBacktranslate:
