@@ -27,7 +27,6 @@ from .decoding import (
 )
 from .encoder import (
     AdamState,
-    EncoderGradients,
     EncoderParams,
     Vocabulary,
     encode,
@@ -56,7 +55,7 @@ from .numerics import (
     gradient_check,
     softmax_over_neg_distances,
 )
-from .protonet import EvalResult, Prototypes, classify, evaluate, supervised_episode_loss
+from .protonet import EvalResult, classify, evaluate, prototypical_loss, supervised_episode_loss
 from .synth import default_synonym_table, generate_synthetic_dataset
 
 __version__ = "0.1.0"

@@ -12,17 +12,8 @@ import numpy as np
 
 from . import numerics
 from .data import Episode
-from .encoder import (
-    AdamState,
-    EncoderGradients,
-    EncoderParams,
-    Vocabulary,
-    encode_batch,
-    encode_batch_backward,
-    optimizer_step,
-    tokenize,
-)
-from .protonet import softmax_cross_entropy_episode, supervised_episode_loss
+from .encoder import AdamState, EncoderParams, Vocabulary, optimizer_step, tokenize
+from .protonet import prototypical_loss, supervised_episode_loss
 
 
 @dataclass
@@ -86,8 +77,10 @@ def unsupervised_loss(
     params: EncoderParams,
     vocab: Vocabulary,
     distance: str = numerics.SQUARED_EUCLIDEAN,
-) -> tuple[float, EncoderGradients]:
-    """Mean cross-entropy of each sentence against its own paraphrase mean.
+) -> tuple[float, EncoderParams]:
+    """Mean cross-entropy of each sentence against its own paraphrase mean:
+    the prototypical loss with one group per sentence, its paraphrases as
+    support and the sentence itself as the one query.
 
     Gradients flow through the sentence embeddings and through every
     paraphrase embedding; there is no stop-gradient on either side.
@@ -95,12 +88,8 @@ def unsupervised_loss(
     u, m = batch.n_sentences, batch.n_paraphrases
     tokens = [tokenize(s) for s in batch.sentences]
     tokens += [tokenize(p) for row in batch.paraphrases for p in row]
-    embs = encode_batch(params, tokens, vocab)
-    protos = embs[u:].reshape(u, m, -1).mean(axis=1)
-
-    loss, d_sent, d_proto = softmax_cross_entropy_episode(embs[:u], protos, np.arange(u), distance)
-    upstream = np.concatenate([d_sent, np.repeat(d_proto / m, m, axis=0)])
-    return loss, encode_batch_backward(params, tokens, vocab, upstream)
+    groups = np.concatenate([np.arange(u), np.repeat(np.arange(u), m)])
+    return prototypical_loss(params, vocab, tokens, groups, slice(u, None), slice(0, u), u, distance)
 
 
 def combined_training_step(
@@ -122,9 +111,10 @@ def combined_training_step(
     sup_loss, sup_grads = supervised_episode_loss(episode, params, vocab, distance)
     unsup_loss, unsup_grads = unsupervised_loss(batch, params, vocab, distance)
 
-    combined = EncoderGradients.zeros_like(params)
-    combined.add_scaled(sup_grads, 1.0 - weight)
-    combined.add_scaled(unsup_grads, weight)
+    combined = EncoderParams(*[
+        (1.0 - weight) * sup + weight * unsup
+        for sup, unsup in zip(sup_grads.arrays(), unsup_grads.arrays())
+    ])
     optimizer_step(optimizer_state, params, combined)
 
     total = weight * unsup_loss + (1.0 - weight) * sup_loss

@@ -362,6 +362,16 @@ def _eos_gate(source_len: int, gen_len: int) -> float:
     return 25.0
 
 
+# SynonymBigramLM: additive bigram smoothing, the mixture weights (they sum
+# to 1) and the factor on a token's probability per earlier occurrence
+SMOOTHING = 0.1
+BIGRAM_WEIGHT = 0.30
+COPY_WEIGHT = 0.45
+SYNONYM_WEIGHT = 0.18
+UNIFORM_WEIGHT = 0.07
+REPEAT_DECAY = 0.3
+
+
 class SynonymBigramLM:
     """Deterministic conditional LM: an additive-smoothed bigram model
     interpolated with a pointer-style copy bias and synonym mass.
@@ -374,23 +384,8 @@ class SynonymBigramLM:
     """
 
     def __init__(
-        self,
-        corpus_texts: Sequence[str],
-        synonyms: dict[str, tuple[str, ...]] | None = None,
-        smoothing: float = 0.1,
-        bigram_weight: float = 0.30,
-        copy_weight: float = 0.45,
-        synonym_weight: float = 0.18,
-        uniform_weight: float = 0.07,
-        repeat_decay: float = 0.3,
+        self, corpus_texts: Sequence[str], synonyms: dict[str, tuple[str, ...]] | None = None
     ):
-        if smoothing <= 0:
-            raise ValueError("smoothing must be positive")
-        if not 0.0 < repeat_decay <= 1.0:
-            raise ValueError("repeat_decay must be in (0, 1]")
-        weights = (bigram_weight, copy_weight, synonym_weight, uniform_weight)
-        if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
-            raise ValueError("mixture weights must be non-negative and sum to 1")
         self.synonyms = dict(synonyms) if synonyms else {}
         tokens: set[str] = set()
         sentences = [tokenize(t) for t in corpus_texts]
@@ -414,14 +409,8 @@ class SynonymBigramLM:
                 counts[prev, i] += 1.0
                 prev = i
             counts[prev, n] += 1.0
-        counts += smoothing
+        counts += SMOOTHING
         self._bigram = counts / counts.sum(axis=1, keepdims=True)
-        self._smoothing = smoothing
-        self._w_bigram = bigram_weight
-        self._w_copy = copy_weight
-        self._w_syn = synonym_weight
-        self._w_unif = uniform_weight
-        self._repeat_decay = repeat_decay
 
         # base rows of the last source seen, by last prefix token; see _rows
         self._rows_source: tuple[str, ...] | None = None
@@ -449,42 +438,34 @@ class SynonymBigramLM:
         last token is `last`, before the repeat decay and the EOS gate."""
         n = len(self.vocab)
         prev = self._bos if last is None else self._index.get(last, self._bos)
-        probs = self._w_bigram * self._bigram[prev].copy()
-        probs[:n] += self._w_unif / n
+        probs = BIGRAM_WEIGHT * self._bigram[prev].copy()
+        probs[:n] += UNIFORM_WEIGHT / n
 
         nexts, at_end = self._continuations(source, last)
         if nexts or at_end:
-            share = self._w_copy / (len(nexts) + (1 if at_end else 0))
+            share = COPY_WEIGHT / (len(nexts) + (1 if at_end else 0))
             for tok in nexts:
                 if tok in self._index:
                     probs[self._index[tok]] += share
             if at_end:
                 probs[n] += share
-            syn_ids = sorted(
-                {
-                    self._index[alt]
-                    for tok in nexts
-                    for alt in self.synonyms.get(tok, ())
-                    if alt in self._index
-                }
-            )
-            if syn_ids:
-                probs[syn_ids] += self._w_syn / len(syn_ids)
+            syn_from = nexts
         else:
             # no alignment: fall back to an unordered copy bias over the source
             src_ids = sorted({self._index[t] for t in source if t in self._index})
             if src_ids:
-                probs[src_ids] += self._w_copy / len(src_ids)
-            syn_ids = sorted(
-                {
-                    self._index[alt]
-                    for tok in source
-                    for alt in self.synonyms.get(tok, ())
-                    if alt in self._index
-                }
-            )
-            if syn_ids:
-                probs[syn_ids] += self._w_syn / len(syn_ids)
+                probs[src_ids] += COPY_WEIGHT / len(src_ids)
+            syn_from = source
+        syn_ids = sorted(
+            {
+                self._index[alt]
+                for tok in syn_from
+                for alt in self.synonyms.get(tok, ())
+                if alt in self._index
+            }
+        )
+        if syn_ids:
+            probs[syn_ids] += SYNONYM_WEIGHT / len(syn_ids)
         return probs
 
     def _rows(self, source: Sequence[str], lasts: list[str | None]) -> np.ndarray:
@@ -514,12 +495,11 @@ class SynonymBigramLM:
 
         # damp tokens already generated, so decodes do not loop: a token seen
         # c times is multiplied by the decay c times, one pass per repeat
-        if self._repeat_decay < 1.0:
-            owner = np.repeat(np.arange(len(vocab_ids)), [len(ids) for ids in vocab_ids])
-            ids = np.fromiter(itertools.chain.from_iterable(vocab_ids), dtype=np.intp)
-            counts = np.bincount(owner * (n + 1) + ids, minlength=probs.size).reshape(probs.shape)
-            for k in range(counts.max(initial=0)):
-                probs[counts > k] *= self._repeat_decay
+        owner = np.repeat(np.arange(len(vocab_ids)), [len(ids) for ids in vocab_ids])
+        ids = np.fromiter(itertools.chain.from_iterable(vocab_ids), dtype=np.intp)
+        counts = np.bincount(owner * (n + 1) + ids, minlength=probs.size).reshape(probs.shape)
+        for k in range(counts.max(initial=0)):
+            probs[counts > k] *= REPEAT_DECAY
 
         probs[:, n] *= [_eos_gate(len(source), gen_len) for gen_len in lengths]
         probs /= probs.sum(axis=1, keepdims=True)

@@ -71,7 +71,8 @@ class Vocabulary:
 
 @dataclass
 class EncoderParams:
-    """Learnable state: V x d_emb embedding table, d x d_emb projection, d bias."""
+    """Learnable state: V x d_emb embedding table, d x d_emb projection, d bias.
+    Gradients are held in the same shapes."""
 
     embedding: np.ndarray
     projection: np.ndarray
@@ -121,34 +122,6 @@ class EncoderParams:
         return EncoderParams(*[np.asarray(x, dtype=np.float64) for x in out])
 
 
-@dataclass
-class EncoderGradients:
-    """Gradient accumulator shaped like EncoderParams."""
-
-    embedding: np.ndarray
-    projection: np.ndarray
-    bias: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, params: EncoderParams) -> "EncoderGradients":
-        return cls(
-            embedding=np.zeros_like(params.embedding),
-            projection=np.zeros_like(params.projection),
-            bias=np.zeros_like(params.bias),
-        )
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.embedding, self.projection, self.bias
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays()])
-
-    def add_scaled(self, other: "EncoderGradients", scale: float) -> None:
-        self.embedding += scale * other.embedding
-        self.projection += scale * other.projection
-        self.bias += scale * other.bias
-
-
 def _forward(
     params: EncoderParams, token_lists: Sequence[Sequence[str]], vocab: Vocabulary
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -176,9 +149,9 @@ def encode_batch_backward(
     token_lists: Sequence[Sequence[str]],
     vocab: Vocabulary,
     upstream: np.ndarray,
-) -> EncoderGradients:
+) -> EncoderParams:
     """Exact gradients of sum(upstream * encode_batch(...)) w.r.t. all
-    parameters; upstream is (n, d), one row per token list.
+    parameters, shaped like them; upstream is (n, d), one row per token list.
 
     Recomputes the forward pass internally; rows of tokens absent from the
     batch receive zero gradient.
@@ -187,14 +160,12 @@ def encode_batch_backward(
     expected = (len(token_lists), params.output_dim)
     if upstream.shape != expected:
         raise ValueError(f"upstream gradient has shape {upstream.shape}, expected {expected}")
-    grads = EncoderGradients.zeros_like(params)
     ids, counts, means, out = _forward(params, token_lists, vocab)
     d_pre = upstream * (1.0 - out * out)
-    grads.bias += d_pre.sum(axis=0)
-    grads.projection += d_pre.T @ means
     d_means = (d_pre @ params.projection) / counts[:, None]
-    np.add.at(grads.embedding, ids, np.repeat(d_means, counts, axis=0))
-    return grads
+    d_embedding = np.zeros_like(params.embedding)
+    np.add.at(d_embedding, ids, np.repeat(d_means, counts, axis=0))
+    return EncoderParams(embedding=d_embedding, projection=d_pre.T @ means, bias=d_pre.sum(axis=0))
 
 
 def encode(params: EncoderParams, tokens: Sequence[str], vocab: Vocabulary) -> np.ndarray:
@@ -207,7 +178,7 @@ def encode_backward(
     tokens: Sequence[str],
     vocab: Vocabulary,
     upstream: np.ndarray,
-) -> EncoderGradients:
+) -> EncoderParams:
     """encode_batch_backward for a single token list and a (d,) upstream."""
     return encode_batch_backward(params, [tokens], vocab, np.asarray(upstream)[None])
 
@@ -232,9 +203,7 @@ class AdamState:
         return state
 
 
-def optimizer_step(
-    state: AdamState, params: EncoderParams, grads: EncoderGradients
-) -> tuple[EncoderParams, AdamState]:
+def optimizer_step(state: AdamState, params: EncoderParams, grads: EncoderParams) -> None:
     """One in-place Adam update with bias correction."""
     for g in grads.arrays():
         if not np.all(np.isfinite(g)):
@@ -250,7 +219,6 @@ def optimizer_step(
         v *= state.beta2
         v += (1.0 - state.beta2) * (g * g)
         p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
-    return params, state
 
 
 def save_checkpoint(path: str | Path, params: EncoderParams, vocab: Vocabulary) -> None:

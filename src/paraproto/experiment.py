@@ -362,15 +362,13 @@ def diversity_by_strategy(
     n_sentences: int = 200,
     decode: DecodeConfig | None = None,
     seed: int = 0,
-    encoder_params: EncoderParams | None = None,
-    vocab: Vocabulary | None = None,
 ) -> dict[str, dict[str, float]]:
-    """Mean diversity-report fields per strategy over sampled corpus sentences."""
+    """Mean diversity-report fields per strategy over sampled corpus sentences,
+    with similarity measured by an untrained encoder initialized from `seed`."""
     decode = decode or DecodeConfig()
     texts = dataset.texts()
-    vocab = vocab or Vocabulary.from_texts(texts)
-    if encoder_params is None:
-        encoder_params = EncoderParams.init(len(vocab), rng=np.random.default_rng(seed))
+    vocab = Vocabulary.from_texts(texts)
+    encoder_params = EncoderParams.init(len(vocab), rng=np.random.default_rng(seed))
     lm = SynonymBigramLM(texts, default_synonym_table())
     picker = np.random.default_rng(seed)
     n = min(n_sentences, len(texts))

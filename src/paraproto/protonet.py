@@ -1,7 +1,8 @@
-"""Supervised episodic loss for prototypical networks: class prototypes as
-support means, softmax over negative distances, average negative
-log-probability of the true class, with an analytic backward pass through
-both query and support embeddings.
+"""The prototypical-network loss: prototypes as group means of support
+rows, softmax over negative distances, average negative log-probability of
+each query's own group, with an analytic backward pass through both query
+and support embeddings. Labeled episodes (groups are classes) and paraphrase
+batches (see `consistency`) are two row layouts of this one loss.
 """
 
 from __future__ import annotations
@@ -12,21 +13,7 @@ import numpy as np
 
 from . import numerics
 from .data import Dataset, ClassSplit, Episode, sample_episode
-from .encoder import EncoderGradients, EncoderParams, Vocabulary, encode_batch, encode_batch_backward, tokenize
-
-
-@dataclass
-class Prototypes:
-    """One prototype vector per label, in label order."""
-
-    vectors: np.ndarray  # (C, d)
-    labels: list[str]
-
-    def __post_init__(self):
-        if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.labels):
-            raise ValueError("one prototype vector per label required")
-        if not np.all(np.isfinite(self.vectors)):
-            raise ValueError("non-finite prototype")
+from .encoder import EncoderParams, Vocabulary, encode_batch, encode_batch_backward, tokenize
 
 
 @dataclass
@@ -36,30 +23,26 @@ class EvalResult:
     episode_count: int
 
 
-def encode_episode(
-    episode: Episode, params: EncoderParams, vocab: Vocabulary
-) -> tuple[list[list[str]], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Embed support then query in one encoder call and build the prototypes.
-
-    Returns (token lists, class index per row, embeddings (n, d), prototypes
-    (C, d) as per-class support means in episode class order, shots per class).
-    """
+def episode_rows(episode: Episode) -> tuple[list[list[str]], np.ndarray, int]:
+    """Support then query rows of an episode: token lists, class index per
+    row in episode class order, and the number of support rows."""
+    supported = {label for _, label in episode.support}
+    for label in episode.episode_classes:
+        if label not in supported:
+            raise ValueError(f"episode class {label!r} has no support examples")
     class_order = {label: i for i, label in enumerate(episode.episode_classes)}
     rows = episode.support + episode.query
-    tokens = [tokenize(text) for text, _ in rows]
     classes = np.array([class_order[label] for _, label in rows])
-    embs = encode_batch(params, tokens, vocab)
+    return [tokenize(text) for text, _ in rows], classes, len(episode.support)
 
-    n_support = len(episode.support)
-    support_class = classes[:n_support]
-    shots = np.bincount(support_class, minlength=len(class_order))
-    if np.any(shots == 0):
-        missing = episode.episode_classes[int(np.argmin(shots))]
-        raise ValueError(f"episode class {missing!r} has no support examples")
-    protos = np.zeros((len(shots), embs.shape[1]))
-    np.add.at(protos, support_class, embs[:n_support])
+
+def prototypes(embs: np.ndarray, groups: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group means of embedding rows, (n_groups, d), and rows per group."""
+    shots = np.bincount(groups, minlength=n_groups)
+    protos = np.zeros((n_groups, embs.shape[1]))
+    np.add.at(protos, groups, embs)
     protos /= shots[:, None]
-    return tokens, classes, embs, protos, shots
+    return protos, shots
 
 
 def _pairwise_distances(queries: np.ndarray, protos: np.ndarray, kind: str) -> np.ndarray:
@@ -124,13 +107,41 @@ def softmax_cross_entropy_episode(
 
 
 def classify(
-    query_embedding: np.ndarray, prototypes: Prototypes, distance: str = numerics.SQUARED_EUCLIDEAN
+    query_embedding: np.ndarray, protos: np.ndarray, distance: str = numerics.SQUARED_EUCLIDEAN
 ) -> np.ndarray:
-    """Distribution over the prototype labels for one query embedding."""
+    """Distribution over the (C, d) prototypes for one query embedding."""
     dists = _pairwise_distances(
-        np.asarray(query_embedding, dtype=np.float64)[None, :], prototypes.vectors, distance
+        np.asarray(query_embedding, dtype=np.float64)[None, :], protos, distance
     )[0]
     return numerics.softmax_over_neg_distances(dists)
+
+
+def prototypical_loss(
+    params: EncoderParams,
+    vocab: Vocabulary,
+    tokens: list[list[str]],
+    groups: np.ndarray,
+    support: slice,
+    query: slice,
+    n_groups: int,
+    distance: str,
+) -> tuple[float, EncoderParams]:
+    """Prototypical-network loss over rows in the caller's order, and its
+    gradients through every row (Snell et al. 2017).
+
+    `groups` gives each row's group; the `support` rows of a group average
+    into its prototype, and every `query` row is scored against all
+    prototypes with its own group as the target.
+    """
+    embs = encode_batch(params, tokens, vocab)
+    protos, shots = prototypes(embs[support], groups[support], n_groups)
+    loss, d_query, d_proto = softmax_cross_entropy_episode(
+        embs[query], protos, groups[query], distance
+    )
+    upstream = np.zeros_like(embs)
+    upstream[query] = d_query
+    upstream[support] = d_proto[groups[support]] / shots[groups[support]][:, None]
+    return loss, encode_batch_backward(params, tokens, vocab, upstream)
 
 
 def supervised_episode_loss(
@@ -138,18 +149,13 @@ def supervised_episode_loss(
     params: EncoderParams,
     vocab: Vocabulary,
     distance: str = numerics.SQUARED_EUCLIDEAN,
-) -> tuple[float, EncoderGradients]:
+) -> tuple[float, EncoderParams]:
     """Episode loss and full parameter gradients (through support and query)."""
-    tokens, classes, embs, protos, shots = encode_episode(episode, params, vocab)
-    n_support = len(episode.support)
-    support_class = classes[:n_support]
-
-    loss, d_query, d_proto = softmax_cross_entropy_episode(
-        embs[n_support:], protos, classes[n_support:], distance
+    tokens, classes, n_support = episode_rows(episode)
+    return prototypical_loss(
+        params, vocab, tokens, classes, slice(0, n_support), slice(n_support, None),
+        len(episode.episode_classes), distance,
     )
-    d_support = d_proto[support_class] / shots[support_class][:, None]
-    grads = encode_batch_backward(params, tokens, vocab, np.concatenate([d_support, d_query]))
-    return loss, grads
 
 
 def evaluate(
@@ -174,8 +180,11 @@ def evaluate(
         episode = sample_episode(
             dataset, split, part, n_way, k_shot, query_per_class, n_unlabeled=0, rng=rng
         )
-        _, classes, embs, protos, _ = encode_episode(episode, params, vocab)
-        n_support = len(episode.support)
+        tokens, classes, n_support = episode_rows(episode)
+        embs = encode_batch(params, tokens, vocab)
+        protos, _ = prototypes(
+            embs[:n_support], classes[:n_support], len(episode.episode_classes)
+        )
         dists = _pairwise_distances(embs[n_support:], protos, distance)
         if not np.all(np.isfinite(dists)):
             raise ValueError("non-finite distance between a query and a prototype")

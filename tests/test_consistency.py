@@ -14,6 +14,7 @@ from paraproto.consistency import (
 from paraproto.data import Episode
 from paraproto.encoder import AdamState, EncoderParams, Vocabulary, encode, optimizer_step, tokenize
 from paraproto.numerics import (
+    COSINE,
     SQUARED_EUCLIDEAN,
     finite_difference_gradient,
     gradient_check,
@@ -157,14 +158,15 @@ class TestUnsupervisedLoss:
         loss, _ = unsupervised_loss(batch, params, vocab)
         assert loss < 0.01
 
-    def test_gradients_match_finite_differences(self):
+    @pytest.mark.parametrize("distance", [SQUARED_EUCLIDEAN, COSINE])
+    def test_gradients_match_finite_differences(self, distance):
         batch, vocab = _batch_and_vocab()
         params = EncoderParams.init(len(vocab), 5, 4, np.random.default_rng(2))
 
         def loss_fn(flat):
-            return unsupervised_loss(batch, params.with_flat(flat), vocab)[0]
+            return unsupervised_loss(batch, params.with_flat(flat), vocab, distance)[0]
 
-        _, grads = unsupervised_loss(batch, params, vocab)
+        _, grads = unsupervised_loss(batch, params, vocab, distance)
         numeric = finite_difference_gradient(loss_fn, params.flat())
         report = gradient_check(grads.flat(), numeric)
         assert report.max_relative_error < 1e-4

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmstub import EOS, RandomLM, TableLM, enumerate_sequences
+from paraproto import decoding
 from paraproto.decoding import (
     CURVES,
     Beam,
@@ -386,11 +387,6 @@ class TestSynonymBigramLM:
         logprobs, _ = toy_lm.next_logprobs(["play", "the", "music"], ["play"])
         assert toy_lm.vocab[int(np.argmax(logprobs))] == "the"
 
-    def test_invalid_mixture_rejected(self):
-        with pytest.raises(ValueError):
-            SynonymBigramLM(["a b"], bigram_weight=0.9, copy_weight=0.9,
-                            synonym_weight=0.0, uniform_weight=0.0)
-
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_batch_rows_equal_single_prefix_calls(self, toy_lm, data):
@@ -432,8 +428,8 @@ def per_token_next_logprobs(lm, source, prefix):
     normalization over a single 1-D row."""
     n = len(lm.vocab)
     index = {tok: i for i, tok in enumerate(lm.vocab)}
-    probs = lm._w_bigram * lm._bigram[index.get(prefix[-1], n) if prefix else n].copy()
-    probs[:n] += lm._w_unif / n
+    probs = decoding.BIGRAM_WEIGHT * lm._bigram[index.get(prefix[-1], n) if prefix else n].copy()
+    probs[:n] += decoding.UNIFORM_WEIGHT / n
     if prefix:
         aligned = [i for i, tok in enumerate(source)
                    if tok == prefix[-1] or prefix[-1] in lm.synonyms.get(tok, ())]
@@ -442,7 +438,7 @@ def per_token_next_logprobs(lm, source, prefix):
     else:
         nexts, at_end = [source[0]], False
     if nexts or at_end:
-        share = lm._w_copy / (len(nexts) + at_end)
+        share = decoding.COPY_WEIGHT / (len(nexts) + at_end)
         for tok in nexts:
             if tok in index:
                 probs[index[tok]] += share
@@ -452,14 +448,14 @@ def per_token_next_logprobs(lm, source, prefix):
     else:
         src_ids = sorted({index[t] for t in source if t in index})
         if src_ids:
-            probs[src_ids] += lm._w_copy / len(src_ids)
+            probs[src_ids] += decoding.COPY_WEIGHT / len(src_ids)
         syn_from = source
     syn_ids = sorted({index[alt] for tok in syn_from for alt in lm.synonyms.get(tok, ()) if alt in index})
     if syn_ids:
-        probs[syn_ids] += lm._w_syn / len(syn_ids)
+        probs[syn_ids] += decoding.SYNONYM_WEIGHT / len(syn_ids)
     for tok in prefix:
         if tok in index:
-            probs[index[tok]] *= lm._repeat_decay
+            probs[index[tok]] *= decoding.REPEAT_DECAY
     src_len = max(len(source), 1)
     if len(prefix) < max(1, round(0.85 * src_len)):
         probs[n] *= 1e-4

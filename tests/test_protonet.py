@@ -7,10 +7,10 @@ from paraproto.data import Dataset, Episode, split_classes
 from paraproto.encoder import EncoderParams, Vocabulary, encode_batch, tokenize
 from paraproto.numerics import COSINE, SQUARED_EUCLIDEAN, finite_difference_gradient, gradient_check
 from paraproto.protonet import (
-    Prototypes,
     classify,
-    encode_episode,
+    episode_rows,
     evaluate,
+    prototypes,
     supervised_episode_loss,
 )
 from paraproto.synth import generate_synthetic_dataset
@@ -24,8 +24,17 @@ def _episode_setup(texts_by_class, k_shot, seed=0):
     return episode, vocab, params
 
 
+def encode_episode(episode, params, vocab):
+    """Token lists, class index per row, embeddings and (prototypes, shots)
+    of an episode's support-then-query rows."""
+    tokens, classes, n_support = episode_rows(episode)
+    embs = encode_batch(params, tokens, vocab)
+    protos, shots = prototypes(embs[:n_support], classes[:n_support], len(episode.episode_classes))
+    return tokens, classes, embs, protos, shots
+
+
 class TestComputePrototypes:
-    """Prototypes built by encode_episode: per-class support means."""
+    """Prototypes of an episode's rows: per-class support means."""
 
     def test_single_shot_identity(self):
         episode, vocab, params = _episode_setup({"a": ["x y", "y"], "b": ["z", "x"]}, 1)
@@ -65,21 +74,19 @@ class TestComputePrototypes:
 
 class TestClassify:
     def test_nearest_prototype_wins(self):
-        protos = Prototypes(vectors=np.array([[0.0, 0.0], [10.0, 10.0]]), labels=["a", "b"])
+        protos = np.array([[0.0, 0.0], [10.0, 10.0]])
         probs = classify(np.array([0.1, -0.1]), protos)
         assert np.argmax(probs) == 0
         assert probs[0] > 0.99
 
     def test_equidistant_is_uniform(self):
-        protos = Prototypes(vectors=np.array([[1.0, 0.0], [-1.0, 0.0]]), labels=["a", "b"])
+        protos = np.array([[1.0, 0.0], [-1.0, 0.0]])
         probs = classify(np.array([0.0, 5.0]), protos)
         np.testing.assert_allclose(probs, [0.5, 0.5])
 
     def test_hand_computed_distances(self):
         # distances 0 and ln 2 -> [2/3, 1/3]
-        protos = Prototypes(
-            vectors=np.array([[0.0], [math.sqrt(math.log(2.0))]]), labels=["a", "b"]
-        )
+        protos = np.array([[0.0], [math.sqrt(math.log(2.0))]])
         probs = classify(np.array([0.0]), protos)
         np.testing.assert_allclose(probs, [2 / 3, 1 / 3], rtol=1e-12)
 
@@ -87,16 +94,13 @@ class TestClassify:
         rng = np.random.default_rng(0)
         vectors = rng.normal(size=(4, 3))
         query = rng.normal(size=3)
-        protos = Prototypes(vectors=vectors, labels=list("abcd"))
-        probs = classify(query, protos)
+        probs = classify(query, vectors)
         perm = [2, 0, 3, 1]
-        permuted = Prototypes(vectors=vectors[perm], labels=[protos.labels[i] for i in perm])
-        np.testing.assert_allclose(classify(query, permuted), probs[perm])
+        np.testing.assert_allclose(classify(query, vectors[perm]), probs[perm])
 
     def test_dimension_mismatch_rejected(self):
-        protos = Prototypes(vectors=np.eye(2), labels=["a", "b"])
         with pytest.raises(ValueError):
-            classify(np.zeros(3), protos)
+            classify(np.zeros(3), np.eye(2))
 
 
 def _episode_from(texts_by_class: dict[str, list[str]], k_shot: int) -> Episode:
