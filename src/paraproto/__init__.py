@@ -10,7 +10,7 @@ from .consistency import (
     combined_training_step,
     unsupervised_loss,
 )
-from .data import ClassSplit, Dataset, Episode, load_dataset, restrict_low_profile, sample_episode, split_classes
+from .data import ClassSplit, Dataset, Episode, SampledEpisode, load_dataset, restrict_low_profile, sample_episode, split_classes
 from .decoding import (
     Beam,
     BeamGroup,
@@ -28,11 +28,14 @@ from .decoding import (
 from .encoder import (
     AdamState,
     EncoderParams,
+    Forward,
+    TokenRows,
     Vocabulary,
     encode,
     encode_backward,
     encode_batch,
     encode_batch_backward,
+    forward,
     load_checkpoint,
     optimizer_step,
     save_checkpoint,

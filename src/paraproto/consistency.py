@@ -11,17 +11,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .data import Episode
-from .encoder import AdamState, EncoderParams, Vocabulary, optimizer_step, tokenize
+from .data import Episode, SampledEpisode
+from .encoder import AdamState, EncoderParams, TokenRows, Vocabulary, optimizer_step
 from .protonet import prototypical_loss, supervised_episode_loss
 
 
 @dataclass
 class UnlabeledBatch:
-    """U unlabeled sentences, each with exactly M paraphrases."""
+    """U unlabeled sentences, each with exactly M paraphrases: as text, or
+    already as vocabulary ids (one TokenRows of the U sentences and one of
+    each sentence's M paraphrases, as the training loop gathers them from
+    the working set and the paraphrase cache)."""
 
-    sentences: list[str]
-    paraphrases: list[list[str]]
+    sentences: list[str] | TokenRows
+    paraphrases: list[list[str]] | list[TokenRows]
 
     def __post_init__(self):
         if not self.sentences:
@@ -83,17 +86,21 @@ def unsupervised_loss(
     support and the sentence itself as the one query.
 
     Gradients flow through the sentence embeddings and through every
-    paraphrase embedding; there is no stop-gradient on either side.
+    paraphrase embedding; there is no stop-gradient on either side. A text
+    batch tokenizes its own rows first.
     """
     u, m = batch.n_sentences, batch.n_paraphrases
-    tokens = [tokenize(s) for s in batch.sentences]
-    tokens += [tokenize(p) for row in batch.paraphrases for p in row]
+    if isinstance(batch.sentences, TokenRows):
+        tokens = TokenRows.concat([batch.sentences, *batch.paraphrases])
+    else:
+        texts = batch.sentences + [p for row in batch.paraphrases for p in row]
+        tokens = TokenRows.from_texts(texts, vocab)
     groups = np.concatenate([np.arange(u), np.repeat(np.arange(u), m)])
-    return prototypical_loss(params, vocab, tokens, groups, slice(u, None), slice(0, u), u, distance)
+    return prototypical_loss(params, tokens, groups, slice(u, None), slice(0, u), u, distance)
 
 
 def combined_training_step(
-    episode: Episode,
+    episode: Episode | SampledEpisode,
     batch: UnlabeledBatch,
     params: EncoderParams,
     optimizer_state: AdamState,

@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
-from .encoder import tokenize
+from .encoder import TokenRows, Vocabulary, tokenize
 
 TRAIN, VALID, TEST = "train", "valid", "test"
 PARTS = (TRAIN, VALID, TEST)
@@ -29,22 +30,30 @@ class Dataset:
     domains: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        self._by_class: dict[str, list[int]] = {}
+        by_class: dict[str, list[int]] = {}
         for i, (_, label) in enumerate(self.records):
-            self._by_class.setdefault(label, []).append(i)
+            by_class.setdefault(label, []).append(i)
+        self._by_class = {label: np.array(rows) for label, rows in by_class.items()}
+        self._token_rows: tuple[Vocabulary, TokenRows] | None = None
 
     @property
     def classes(self) -> list[str]:
         return sorted(self._by_class)
 
-    def class_records(self, label: str) -> list[tuple[str, str]]:
-        return [self.records[i] for i in self._by_class[label]]
-
-    def class_size(self, label: str) -> int:
-        return len(self._by_class[label])
-
     def texts(self) -> list[str]:
         return [text for text, _ in self.records]
+
+    def class_rows(self, labels: Iterable[str]) -> np.ndarray:
+        """Row indices of every record of the given classes."""
+        return np.concatenate([self._by_class[label] for label in sorted(labels)])
+
+    def token_rows(self, vocab: Vocabulary) -> TokenRows:
+        """Every record's vocabulary ids, row i for record i. Built on the
+        first call and kept while `vocab` is the same object, so a training
+        run tokenizes its working set once."""
+        if self._token_rows is None or self._token_rows[0] is not vocab:
+            self._token_rows = (vocab, TokenRows.from_texts(self.texts(), vocab))
+        return self._token_rows[1]
 
     def __len__(self) -> int:
         return len(self.records)
@@ -78,12 +87,39 @@ class ClassSplit:
 
 @dataclass
 class Episode:
-    """One C-way K-shot task: labeled support/query sets plus unlabeled texts."""
+    """One hand-built C-way K-shot task as text: labeled support/query
+    records plus unlabeled texts."""
 
     support: list[tuple[str, str]]
     query: list[tuple[str, str]]
     unlabeled: list[str]
     episode_classes: list[str]
+
+
+@dataclass
+class SampledEpisode:
+    """One C-way K-shot task as row indices into `dataset`: support rows then
+    query rows, each row's index into `episode_classes`, and unlabeled rows.
+    The record and text views are built on access, off the training path."""
+
+    dataset: Dataset
+    rows: np.ndarray
+    classes: np.ndarray
+    n_support: int
+    unlabeled_rows: np.ndarray
+    episode_classes: list[str]
+
+    @property
+    def support(self) -> list[tuple[str, str]]:
+        return [self.dataset.records[i] for i in self.rows[: self.n_support]]
+
+    @property
+    def query(self) -> list[tuple[str, str]]:
+        return [self.dataset.records[i] for i in self.rows[self.n_support :]]
+
+    @property
+    def unlabeled(self) -> list[str]:
+        return [self.dataset.records[i][0] for i in self.unlabeled_rows]
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -184,9 +220,9 @@ def restrict_low_profile(
         indices = dataset._by_class[label]
         if label in split.train_classes and len(indices) > n_per_class:
             chosen = rng.choice(len(indices), size=n_per_class, replace=False)
-            keep.update(indices[i] for i in chosen)
+            keep.update(indices[chosen].tolist())
         else:
-            keep.update(indices)
+            keep.update(indices.tolist())
     records = [rec for i, rec in enumerate(dataset.records) if i in keep]
     return Dataset(records=records, domains=dict(dataset.domains))
 
@@ -200,33 +236,44 @@ def sample_episode(
     query_per_class: int,
     n_unlabeled: int,
     rng: np.random.Generator,
-) -> Episode:
-    """Sample a C-way K-shot episode from one split part.
+) -> SampledEpisode:
+    """Sample a C-way K-shot episode from one split part, as dataset rows.
 
-    Unlabeled texts are drawn uniformly from the whole dataset, regardless of
-    the split part (they may come from any class, including test classes).
+    Draws n_way classes from the part's sorted class names, then for each
+    class in drawn order k_shot + query_per_class of its rows without
+    replacement (the first k_shot are support), then n_unlabeled rows
+    uniformly from the whole dataset, regardless of the split part (they may
+    come from any class, including test classes). The support rows come
+    first, class by class, then the query rows in the same class order.
     """
     pool = sorted(split.part(part))
     if len(pool) < n_way:
         raise ValueError(f"part {part!r} has {len(pool)} classes, needs {n_way}")
     chosen = [pool[i] for i in rng.choice(len(pool), size=n_way, replace=False)]
 
-    support: list[tuple[str, str]] = []
-    query: list[tuple[str, str]] = []
+    support: list[np.ndarray] = []
+    query: list[np.ndarray] = []
     per_class = k_shot + query_per_class
     for label in chosen:
-        records = dataset.class_records(label)
-        if len(records) < per_class:
+        class_rows = dataset._by_class[label]
+        if len(class_rows) < per_class:
             raise ValueError(
-                f"class {label!r} has {len(records)} records, needs {per_class}"
+                f"class {label!r} has {len(class_rows)} records, needs {per_class}"
             )
-        picks = rng.choice(len(records), size=per_class, replace=False)
-        support.extend(records[i] for i in picks[:k_shot])
-        query.extend(records[i] for i in picks[k_shot:])
+        picks = class_rows[rng.choice(len(class_rows), size=per_class, replace=False)]
+        support.append(picks[:k_shot])
+        query.append(picks[k_shot:])
 
     if n_unlabeled > len(dataset):
         raise ValueError(f"cannot draw {n_unlabeled} unlabeled texts from {len(dataset)} records")
-    unlabeled_ids = rng.choice(len(dataset), size=n_unlabeled, replace=False)
-    unlabeled = [dataset.records[i][0] for i in unlabeled_ids]
+    unlabeled = rng.choice(len(dataset), size=n_unlabeled, replace=False)
 
-    return Episode(support=support, query=query, unlabeled=unlabeled, episode_classes=chosen)
+    groups = np.arange(n_way)
+    return SampledEpisode(
+        dataset=dataset,
+        rows=np.concatenate(support + query),
+        classes=np.concatenate([np.repeat(groups, k_shot), np.repeat(groups, query_per_class)]),
+        n_support=n_way * k_shot,
+        unlabeled_rows=unlabeled,
+        episode_classes=chosen,
+    )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -53,20 +54,51 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
-    @property
-    def unk_index(self) -> int:
-        return 0
-
     def index(self, token: str) -> int:
         return self._index.get(token, 0)
 
-    def indices(self, tokens: Sequence[str]) -> np.ndarray:
-        if not tokens:
-            return np.array([0], dtype=np.intp)  # empty sentence -> lone UNK
-        return np.array([self._index.get(t, 0) for t in tokens], dtype=np.intp)
+
+@dataclass(frozen=True)
+class TokenRows:
+    """Ragged rows of vocabulary ids in CSR form: every row's ids in one flat
+    array, and each row's length (with its offset, `starts`). An empty token
+    list is stored as a lone UNK, so every count is at least 1."""
+
+    ids: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def from_tokens(cls, token_lists: Sequence[Sequence[str]], vocab: Vocabulary) -> "TokenRows":
+        rows = [tokens or (UNK,) for tokens in token_lists]
+        counts = np.array([len(tokens) for tokens in rows], dtype=np.intp)
+        ids = (vocab._index.get(t, 0) for tokens in rows for t in tokens)
+        return cls(ids=np.fromiter(ids, dtype=np.intp, count=int(counts.sum())), counts=counts)
+
+    @classmethod
+    def from_texts(cls, texts: Iterable[str], vocab: Vocabulary) -> "TokenRows":
+        return cls.from_tokens([tokenize(text) for text in texts], vocab)
+
+    @classmethod
+    def concat(cls, parts: Sequence["TokenRows"]) -> "TokenRows":
+        return cls(
+            ids=np.concatenate([p.ids for p in parts]),
+            counts=np.concatenate([p.counts for p in parts]),
+        )
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.counts) - self.counts
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def take(self, rows: np.ndarray) -> "TokenRows":
+        """The given rows, in the given order, as one contiguous batch: one
+        vectorized ragged gather."""
+        counts = self.counts[rows]
+        offsets = self.starts[rows] - (np.cumsum(counts) - counts)
+        flat = np.repeat(offsets, counts) + np.arange(counts.sum())
+        return TokenRows(ids=self.ids[flat], counts=counts)
 
 
 @dataclass
@@ -122,50 +154,53 @@ class EncoderParams:
         return EncoderParams(*[np.asarray(x, dtype=np.float64) for x in out])
 
 
-def _forward(
-    params: EncoderParams, token_lists: Sequence[Sequence[str]], vocab: Vocabulary
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The batch in CSR form (all rows' vocabulary ids in one array, tokens
-    per row), then per-row mean embeddings (n, d_emb) and outputs (n, d)."""
-    if not token_lists:
+@dataclass(frozen=True)
+class Forward:
+    """One batch's forward pass, kept for its backward: the batch's token
+    rows, per-row mean embeddings (n, d_emb) and outputs (n, d)."""
+
+    rows: TokenRows
+    means: np.ndarray
+    out: np.ndarray
+
+
+def forward(params: EncoderParams, rows: TokenRows) -> Forward:
+    """tanh(W . mean(embedding rows) + b) for every row, from one gather and
+    one matmul."""
+    if not len(rows):
         raise ValueError("cannot encode an empty batch")
-    rows = [vocab.indices(tokens) for tokens in token_lists]
-    ids, counts = np.concatenate(rows), np.array([len(r) for r in rows])
-    starts = np.cumsum(counts) - counts
-    means = np.add.reduceat(params.embedding[ids], starts, axis=0) / counts[:, None]
-    return ids, counts, means, np.tanh(means @ params.projection.T + params.bias)
+    means = np.add.reduceat(params.embedding[rows.ids], rows.starts, axis=0) / rows.counts[:, None]
+    return Forward(rows=rows, means=means, out=np.tanh(means @ params.projection.T + params.bias))
 
 
 def encode_batch(
     params: EncoderParams, token_lists: Sequence[Sequence[str]], vocab: Vocabulary
 ) -> np.ndarray:
-    """tanh(W . mean(embedding rows) + b) for every token list, as an (n, d)
-    array from one gather and one matmul. Empty token lists encode as UNK."""
-    return _forward(params, token_lists, vocab)[3]
+    """`forward` over token lists, as an (n, d) array. Empty token lists
+    encode as UNK."""
+    return forward(params, TokenRows.from_tokens(token_lists, vocab)).out
 
 
 def encode_batch_backward(
-    params: EncoderParams,
-    token_lists: Sequence[Sequence[str]],
-    vocab: Vocabulary,
-    upstream: np.ndarray,
+    params: EncoderParams, fwd: Forward, upstream: np.ndarray
 ) -> EncoderParams:
-    """Exact gradients of sum(upstream * encode_batch(...)) w.r.t. all
-    parameters, shaped like them; upstream is (n, d), one row per token list.
+    """Exact gradients of sum(upstream * fwd.out) w.r.t. all parameters,
+    shaped like them; upstream is (n, d), one row per row of the batch.
 
-    Recomputes the forward pass internally; rows of tokens absent from the
-    batch receive zero gradient.
+    Uses the forward's intermediates; rows of tokens absent from the batch
+    receive zero gradient.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
-    expected = (len(token_lists), params.output_dim)
-    if upstream.shape != expected:
-        raise ValueError(f"upstream gradient has shape {upstream.shape}, expected {expected}")
-    ids, counts, means, out = _forward(params, token_lists, vocab)
-    d_pre = upstream * (1.0 - out * out)
+    if upstream.shape != fwd.out.shape:
+        raise ValueError(f"upstream gradient has shape {upstream.shape}, expected {fwd.out.shape}")
+    counts = fwd.rows.counts
+    d_pre = upstream * (1.0 - fwd.out * fwd.out)
     d_means = (d_pre @ params.projection) / counts[:, None]
     d_embedding = np.zeros_like(params.embedding)
-    np.add.at(d_embedding, ids, np.repeat(d_means, counts, axis=0))
-    return EncoderParams(embedding=d_embedding, projection=d_pre.T @ means, bias=d_pre.sum(axis=0))
+    np.add.at(d_embedding, fwd.rows.ids, np.repeat(d_means, counts, axis=0))
+    return EncoderParams(
+        embedding=d_embedding, projection=d_pre.T @ fwd.means, bias=d_pre.sum(axis=0)
+    )
 
 
 def encode(params: EncoderParams, tokens: Sequence[str], vocab: Vocabulary) -> np.ndarray:
@@ -179,8 +214,10 @@ def encode_backward(
     vocab: Vocabulary,
     upstream: np.ndarray,
 ) -> EncoderParams:
-    """encode_batch_backward for a single token list and a (d,) upstream."""
-    return encode_batch_backward(params, [tokens], vocab, np.asarray(upstream)[None])
+    """encode_batch_backward for a single token list and a (d,) upstream,
+    running the forward pass first."""
+    fwd = forward(params, TokenRows.from_tokens([tokens], vocab))
+    return encode_batch_backward(params, fwd, np.asarray(upstream)[None])
 
 
 @dataclass

@@ -24,7 +24,7 @@ from .consistency import (
 )
 from .data import TRAIN, VALID, TEST, Dataset, load_dataset, restrict_low_profile, split_classes, sample_episode
 from .decoding import STRATEGIES, DecodeConfig, SynonymBigramLM, generate_paraphrases
-from .encoder import AdamState, EncoderParams, Vocabulary, optimizer_step, save_checkpoint
+from .encoder import AdamState, EncoderParams, TokenRows, Vocabulary, optimizer_step, save_checkpoint
 from .metrics import diversity_report
 from .protonet import evaluate, supervised_episode_loss
 from .synth import default_synonym_table
@@ -206,6 +206,7 @@ def train_single_seed(
         else dataset
     )
     vocab = Vocabulary.from_texts(working.texts())
+    corpus = working.token_rows(vocab)  # every working text as ids, once per run
     rng_init, rng_episode, rng_valid, rng_test, rng_decode = _rngs(seed, 5)
 
     params = EncoderParams.init(len(vocab), config.embed_dim, config.output_dim, rng_init)
@@ -216,7 +217,9 @@ def train_single_seed(
         if config.strategy != "none"
         else None
     )
-    cache: dict[str, list[str]] | None = {} if config.paraphrase_cache else None
+    # sentence text -> its paraphrases and their token ids; keyed by text, so
+    # duplicate sentences share one decode
+    cache: dict[str, tuple[list[str], TokenRows]] | None = {} if config.paraphrase_cache else None
 
     best_val = -np.inf
     best_params = params.copy()
@@ -248,15 +251,18 @@ def train_single_seed(
             paraphrases = []
             for sentence in episode.unlabeled:
                 if cache is not None and sentence in cache:
-                    paraphrases.append(cache[sentence])
+                    paraphrases.append(cache[sentence][1])
                     continue
                 generated = generate_paraphrases(
                     lm, sentence, config.n_paraphrases, config.strategy, config.decode, rng_decode
                 )
+                rows = TokenRows.from_texts(generated, vocab)
                 if cache is not None:
-                    cache[sentence] = generated
-                paraphrases.append(generated)
-            batch = UnlabeledBatch(sentences=list(episode.unlabeled), paraphrases=paraphrases)
+                    cache[sentence] = (generated, rows)
+                paraphrases.append(rows)
+            batch = UnlabeledBatch(
+                sentences=corpus.take(episode.unlabeled_rows), paraphrases=paraphrases
+            )
             losses = combined_training_step(
                 episode, batch, params, adam, schedule, step, vocab, config.distance
             )
@@ -427,21 +433,3 @@ def emit_report(report: RunReport, out_dir: str | Path) -> list[Path]:
                 writer.writerow([repr(p_mask), repr(mean), repr(std)])
         written.append(series_path)
     return written
-
-
-def parse_results_csv(path: str | Path) -> list[dict]:
-    """Read back a results CSV, recovering the exact float values."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for record in csv.DictReader(handle):
-            rows.append(
-                {
-                    "method": record["method"],
-                    "profile": record["profile"],
-                    "k_shot": int(record["k_shot"]),
-                    "seed_accuracies": [float(x) for x in record["seed_accuracies"].split()],
-                    "mean": float(record["mean"]),
-                    "std": float(record["std"]),
-                }
-            )
-    return rows

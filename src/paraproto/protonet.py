@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .data import Dataset, ClassSplit, Episode, sample_episode
-from .encoder import EncoderParams, Vocabulary, encode_batch, encode_batch_backward, tokenize
+from .data import Dataset, ClassSplit, Episode, SampledEpisode, sample_episode
+from .encoder import EncoderParams, TokenRows, Vocabulary, encode_batch_backward, forward, tokenize
 
 
 @dataclass
@@ -24,8 +24,8 @@ class EvalResult:
 
 
 def episode_rows(episode: Episode) -> tuple[list[list[str]], np.ndarray, int]:
-    """Support then query rows of an episode: token lists, class index per
-    row in episode class order, and the number of support rows."""
+    """Support then query rows of a hand-built episode: token lists, class
+    index per row in episode class order, and the number of support rows."""
     supported = {label for _, label in episode.support}
     for label in episode.episode_classes:
         if label not in supported:
@@ -118,8 +118,7 @@ def classify(
 
 def prototypical_loss(
     params: EncoderParams,
-    vocab: Vocabulary,
-    tokens: list[list[str]],
+    tokens: TokenRows,
     groups: np.ndarray,
     support: slice,
     query: slice,
@@ -133,7 +132,8 @@ def prototypical_loss(
     into its prototype, and every `query` row is scored against all
     prototypes with its own group as the target.
     """
-    embs = encode_batch(params, tokens, vocab)
+    fwd = forward(params, tokens)
+    embs = fwd.out
     protos, shots = prototypes(embs[support], groups[support], n_groups)
     loss, d_query, d_proto = softmax_cross_entropy_episode(
         embs[query], protos, groups[query], distance
@@ -141,19 +141,28 @@ def prototypical_loss(
     upstream = np.zeros_like(embs)
     upstream[query] = d_query
     upstream[support] = d_proto[groups[support]] / shots[groups[support]][:, None]
-    return loss, encode_batch_backward(params, tokens, vocab, upstream)
+    return loss, encode_batch_backward(params, fwd, upstream)
 
 
 def supervised_episode_loss(
-    episode: Episode,
+    episode: Episode | SampledEpisode,
     params: EncoderParams,
     vocab: Vocabulary,
     distance: str = numerics.SQUARED_EUCLIDEAN,
 ) -> tuple[float, EncoderParams]:
-    """Episode loss and full parameter gradients (through support and query)."""
-    tokens, classes, n_support = episode_rows(episode)
+    """Episode loss and full parameter gradients (through support and query).
+
+    A sampled episode gathers its rows from its dataset's token ids; a
+    hand-built one tokenizes its own rows.
+    """
+    if isinstance(episode, SampledEpisode):
+        tokens = episode.dataset.token_rows(vocab).take(episode.rows)
+        classes, n_support = episode.classes, episode.n_support
+    else:
+        token_lists, classes, n_support = episode_rows(episode)
+        tokens = TokenRows.from_tokens(token_lists, vocab)
     return prototypical_loss(
-        params, vocab, tokens, classes, slice(0, n_support), slice(n_support, None),
+        params, tokens, classes, slice(0, n_support), slice(n_support, None),
         len(episode.episode_classes), distance,
     )
 
@@ -173,23 +182,32 @@ def evaluate(
 ) -> EvalResult:
     """Mean query accuracy over freshly sampled episodes; never updates params.
 
-    Each query is assigned the class of its nearest prototype.
+    The parameters are fixed during a call, so the rows of the part's classes
+    are encoded once, in one batch, and each episode gathers its embeddings
+    from that batch. Each query is assigned the class of its nearest
+    prototype.
     """
+    if not split.part(part):
+        raise ValueError(f"part {part!r} has 0 classes, needs {n_way}")
+    part_rows = dataset.class_rows(split.part(part))
+    encoded = forward(params, dataset.token_rows(vocab).take(part_rows)).out
+    position = np.zeros(len(dataset), dtype=np.intp)  # dataset row -> row of `encoded`
+    position[part_rows] = np.arange(len(part_rows))
     accuracies = []
     for _ in range(n_episodes):
         episode = sample_episode(
             dataset, split, part, n_way, k_shot, query_per_class, n_unlabeled=0, rng=rng
         )
-        tokens, classes, n_support = episode_rows(episode)
-        embs = encode_batch(params, tokens, vocab)
-        protos, _ = prototypes(
-            embs[:n_support], classes[:n_support], len(episode.episode_classes)
-        )
+        n_support, classes = episode.n_support, episode.classes
+        if n_support == 0:
+            raise ValueError(f"episode class {episode.episode_classes[0]!r} has no support examples")
+        embs = encoded[position[episode.rows]]
+        protos, _ = prototypes(embs[:n_support], classes[:n_support], n_way)
         dists = _pairwise_distances(embs[n_support:], protos, distance)
         if not np.all(np.isfinite(dists)):
             raise ValueError("non-finite distance between a query and a prototype")
         correct = np.count_nonzero(np.argmin(dists, axis=1) == classes[n_support:])
-        accuracies.append(correct / len(episode.query))
+        accuracies.append(correct / (len(classes) - n_support))
     return EvalResult(
         mean_accuracy=float(np.mean(accuracies)),
         per_episode_accuracies=accuracies,

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paraproto.data import (
+    ClassSplit,
     Dataset,
     load_dataset,
     restrict_low_profile,
@@ -11,6 +13,10 @@ from paraproto.data import (
     split_classes,
 )
 from paraproto.synth import generate_synthetic_dataset
+
+
+def class_size(dataset, label):
+    return sum(1 for _, record_label in dataset.records if record_label == label)
 
 
 def write_jsonl(path, rows):
@@ -121,9 +127,9 @@ class TestRestrictLowProfile:
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
         low = restrict_low_profile(corpus, split, n_per_class=10, seed=0)
         for label in split.train_classes:
-            assert low.class_size(label) == 10
+            assert class_size(low, label) == 10
         for label in split.valid_classes | split.test_classes:
-            assert low.class_size(label) == corpus.class_size(label)
+            assert class_size(low, label) == class_size(corpus, label)
 
     def test_cap_at_availability(self):
         ds = Dataset(records=[(f"text {i}", "small") for i in range(7)]
@@ -132,7 +138,7 @@ class TestRestrictLowProfile:
         split = split_classes(ds, (0.34, 0.33, 0.33), seed=1)
         low = restrict_low_profile(ds, split, n_per_class=10, seed=0)
         for label in split.train_classes:
-            assert low.class_size(label) == min(10, ds.class_size(label))
+            assert class_size(low, label) == min(10, class_size(ds, label))
 
     def test_deterministic(self, corpus):
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
@@ -246,3 +252,91 @@ class TestSynthGenerator:
             generate_synthetic_dataset(tmp_path / "x.jsonl", 1, 5)
         with pytest.raises(ValueError):
             generate_synthetic_dataset(tmp_path / "x.jsonl", 99, 5)
+
+
+def _record_copying_sample_episode(dataset, split, part, n_way, k_shot, query_per_class,
+                                   n_unlabeled, rng):
+    """The sampler as it was when it copied each chosen class's records:
+    the oracle for the row-index sampler's draws."""
+    pool = sorted(split.part(part))
+    if len(pool) < n_way:
+        raise ValueError(f"part {part!r} has {len(pool)} classes, needs {n_way}")
+    chosen = [pool[i] for i in rng.choice(len(pool), size=n_way, replace=False)]
+    support, query = [], []
+    per_class = k_shot + query_per_class
+    for label in chosen:
+        records = [record for record in dataset.records if record[1] == label]
+        if len(records) < per_class:
+            raise ValueError(f"class {label!r} has {len(records)} records, needs {per_class}")
+        picks = rng.choice(len(records), size=per_class, replace=False)
+        support.extend(records[i] for i in picks[:k_shot])
+        query.extend(records[i] for i in picks[k_shot:])
+    if n_unlabeled > len(dataset):
+        raise ValueError(f"cannot draw {n_unlabeled} unlabeled texts from {len(dataset)} records")
+    unlabeled_ids = rng.choice(len(dataset), size=n_unlabeled, replace=False)
+    unlabeled = [dataset.records[i][0] for i in unlabeled_ids]
+    return support, query, unlabeled, chosen
+
+
+def _outcome(sample, *args):
+    try:
+        return sample(*args)
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+class TestSamplerEquivalence:
+    """sample_episode draws exactly what the record-copying sampler drew,
+    and leaves the generator in the same state after every call."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 9), min_size=3, max_size=8),
+        order_seed=st.integers(0, 2**16),
+        part=st.sampled_from(["train", "valid", "test"]),
+        n_way=st.integers(1, 5),
+        k_shot=st.integers(0, 3),
+        query_per_class=st.integers(0, 4),
+        n_unlabeled=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_draws_and_generator_state(
+        self, sizes, order_seed, part, n_way, k_shot, query_per_class, n_unlabeled, seed
+    ):
+        records = [(f"text {c} {i}", f"c{c}") for c, size in enumerate(sizes) for i in range(size)]
+        # interleave classes so dataset rows and class-local positions differ
+        order = np.random.default_rng(order_seed).permutation(len(records))
+        ds = Dataset(records=[records[i] for i in order])
+        n = len(sizes)
+        names = [f"c{c}" for c in range(n)]
+        split = ClassSplit(
+            train_classes=frozenset(names[: n - 2]),
+            valid_classes=frozenset(names[n - 2 : n - 1]),
+            test_classes=frozenset(names[n - 1 :]),
+        )
+        args = (ds, split, part, n_way, k_shot, query_per_class, n_unlabeled)
+        rng_old, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            old = _outcome(_record_copying_sample_episode, *args, rng_old)
+            new = _outcome(sample_episode, *args, rng_new)
+            if old[0] == "error":
+                assert new == old
+            else:
+                support, query, unlabeled, chosen = old
+                assert new.support == support
+                assert new.query == query
+                assert new.unlabeled == unlabeled
+                assert new.episode_classes == chosen
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+    def test_error_messages_unchanged(self):
+        ds = Dataset(records=[("a a", "c1"), ("b b", "c1"), ("c c", "c2"), ("d d", "c2"),
+                              ("e e", "c3"), ("f f", "c3")])
+        split = ClassSplit(frozenset({"c1"}), frozenset({"c2"}), frozenset({"c3"}))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=r"^part 'train' has 1 classes, needs 2$"):
+            sample_episode(ds, split, "train", 2, 1, 1, 0, rng)
+        with pytest.raises(ValueError, match=r"^class 'c1' has 2 records, needs 3$"):
+            sample_episode(ds, split, "train", 1, 1, 2, 0, rng)
+        with pytest.raises(ValueError, match=r"^cannot draw 7 unlabeled texts from 6 records$"):
+            sample_episode(ds, split, "train", 1, 1, 1, 7, rng)

@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paraproto.encoder import (
+    UNK,
     AdamState,
     EncoderParams,
+    TokenRows,
     Vocabulary,
     encode,
     encode_backward,
     encode_batch,
     encode_batch_backward,
+    forward,
     load_checkpoint,
     optimizer_step,
     save_checkpoint,
@@ -35,8 +38,8 @@ class TestTokenize:
 class TestVocabulary:
     def test_unk_always_present(self):
         vocab = Vocabulary.from_texts(["a b", "c"])
-        assert "<unk>" in vocab
-        assert vocab.unk_index == 0
+        assert "<unk>" in vocab.tokens
+        assert vocab.index(UNK) == 0
 
     def test_indices_dense(self):
         vocab = Vocabulary.from_texts(["b a", "c a"])
@@ -44,11 +47,11 @@ class TestVocabulary:
 
     def test_unknown_token_maps_to_unk(self):
         vocab = Vocabulary.from_texts(["a b"])
-        assert vocab.index("zzz") == vocab.unk_index
+        assert vocab.index("zzz") == vocab.index(UNK)
 
     def test_empty_token_list_becomes_unk(self):
         vocab = Vocabulary.from_texts(["a"])
-        np.testing.assert_array_equal(vocab.indices([]), [0])
+        np.testing.assert_array_equal(TokenRows.from_tokens([[]], vocab).ids, [0])
 
 
 def _small_setup(seed=0, v_extra=("alpha", "beta", "gamma")):
@@ -132,6 +135,10 @@ class TestEncodeBackward:
 RAGGED = [["alpha", "beta", "beta"], [], ["gamma"], ["zeta", "alpha"], ["beta", "gamma", "alpha", "gamma"]]
 
 
+def _forward_tokens(params, token_lists, vocab):
+    return forward(params, TokenRows.from_tokens(token_lists, vocab))
+
+
 class TestEncodeBatch:
     def test_ragged_batch_matches_per_row_formula(self):
         vocab, params = _small_setup(seed=15)
@@ -139,7 +146,7 @@ class TestEncodeBatch:
         assert out.shape == (len(RAGGED), 4)
         for row, tokens in zip(out, RAGGED):
             # an empty row is a lone UNK; unknown tokens ("zeta") map to UNK
-            ids = [vocab.index(t) for t in tokens] or [vocab.unk_index]
+            ids = [vocab.index(t) for t in tokens] or [vocab.index(UNK)]
             mean = sum(params.embedding[i] for i in ids) / len(ids)
             manual = np.tanh(
                 np.array([np.dot(w, mean) for w in params.projection]) + params.bias
@@ -158,7 +165,7 @@ class TestEncodeBatch:
         def loss_fn(flat):
             return float(np.sum(upstream * encode_batch(params.with_flat(flat), RAGGED, vocab)))
 
-        grads = encode_batch_backward(params, RAGGED, vocab, upstream)
+        grads = encode_batch_backward(params, _forward_tokens(params, RAGGED, vocab), upstream)
         numeric = finite_difference_gradient(loss_fn, params.flat())
         report = gradient_check(grads.flat(), numeric)
         assert report.max_relative_error < 1e-4
@@ -166,7 +173,45 @@ class TestEncodeBatch:
     def test_backward_upstream_shape_checked(self):
         vocab, params = _small_setup()
         with pytest.raises(ValueError):
-            encode_batch_backward(params, RAGGED, vocab, np.zeros((len(RAGGED) - 1, 4)))
+            encode_batch_backward(
+                params, _forward_tokens(params, RAGGED, vocab), np.zeros((len(RAGGED) - 1, 4))
+            )
+
+
+class TestTokenRows:
+    """The per-run id table: rows gathered from a larger CSR are the rows
+    built from their own token lists (so the per-row formula check of
+    TestEncodeBatch covers them), and feed the same backward."""
+
+    # RAGGED's rows sit at these positions of a larger, shuffled corpus
+    POSITIONS = np.array([4, 1, 6, 3, 5])
+
+    def _corpus(self, vocab):
+        lists = [["gamma", "gamma"], [], ["beta"], ["zeta", "alpha"], ["alpha", "beta", "beta"],
+                 ["beta", "gamma", "alpha", "gamma"], ["gamma"]]
+        return TokenRows.from_tokens(lists, vocab)
+
+    def test_take_equals_rows_built_directly(self):
+        vocab, _ = _small_setup()
+        taken = self._corpus(vocab).take(self.POSITIONS)
+        direct = TokenRows.from_tokens(RAGGED, vocab)
+        for name in ("ids", "starts", "counts"):
+            np.testing.assert_array_equal(getattr(taken, name), getattr(direct, name))
+
+    def test_backward_from_handed_in_forward_equals_recomputed(self):
+        vocab, params = _small_setup(seed=29)
+        upstream = np.random.default_rng(31).normal(size=(len(RAGGED), 4))
+        handed = encode_batch_backward(
+            params, forward(params, self._corpus(vocab).take(self.POSITIONS)), upstream
+        )
+        # recomputed: a fresh forward over the token lists, as a caller
+        # without the training path's intermediates would run it
+        recomputed = encode_batch_backward(params, _forward_tokens(params, RAGGED, vocab), upstream)
+        for a, b in zip(handed.arrays(), recomputed.arrays()):
+            np.testing.assert_array_equal(a, b)
+        per_row = [encode_backward(params, t, vocab, u) for t, u in zip(RAGGED, upstream)]
+        for i, a in enumerate(handed.arrays()):
+            np.testing.assert_allclose(a, sum(g.arrays()[i] for g in per_row), rtol=1e-12, atol=1e-15)
 
 
 def _zero_gradients(params):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -16,7 +17,6 @@ from paraproto.experiment import (
     SeedResult,
     diversity_by_strategy,
     emit_report,
-    parse_results_csv,
     run_experiment,
     train_single_seed,
     _rngs,
@@ -25,6 +25,22 @@ from paraproto.protonet import evaluate
 from paraproto.synth import generate_synthetic_dataset
 from paraproto.data import TEST, split_classes
 from test_decoding import decode_configs
+
+
+def parse_results_csv(path):
+    """Read back a results CSV, recovering the exact float values."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        return [
+            {
+                "method": record["method"],
+                "profile": record["profile"],
+                "k_shot": int(record["k_shot"]),
+                "seed_accuracies": [float(x) for x in record["seed_accuracies"].split()],
+                "mean": float(record["mean"]),
+                "std": float(record["std"]),
+            }
+            for record in csv.DictReader(handle)
+        ]
 
 
 @pytest.fixture(scope="module")
@@ -447,3 +463,44 @@ class TestDiversityByStrategy:
         ds = load_dataset(corpus_path)
         kwargs = dict(strategies=("stub_bt",), n_sentences=4, seed=3)
         assert diversity_by_strategy(ds, **kwargs) == diversity_by_strategy(ds, **kwargs)
+
+
+class TestTokenizeOncePerRun:
+    """Tokenization is per run, not per episode: a deterministic count, so
+    the guard can sit in tier-1 where a timing could not."""
+
+    def _tokenize_calls(self, monkeypatch, config, dataset):
+        import sys
+
+        import paraproto.encoder
+
+        original = paraproto.encoder.tokenize
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return original(text)
+
+        for name, module in list(sys.modules.items()):
+            if name == "paraproto" or name.startswith("paraproto."):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counting)
+        try:
+            train_single_seed(config, 0, dataset)
+        finally:
+            monkeypatch.undo()
+        return len(calls)
+
+    def test_count_does_not_grow_with_episodes(self, monkeypatch, corpus_path):
+        ds = load_dataset(corpus_path)
+        counts = [
+            self._tokenize_calls(monkeypatch, RunConfig(
+                dataset_path=corpus_path, profile="low", strategy="none", n_way=3,
+                query_per_class=3, max_episodes=episodes, eval_every=25, patience=10, n_eval_episodes=20,
+                seeds=(0,),
+            ), ds)
+            for episodes in (50, 100)
+        ]
+        assert counts[0] > 0
+        assert counts[0] == counts[1]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from paraproto.data import Dataset, Episode, split_classes
+from paraproto.data import Dataset, Episode, sample_episode, split_classes
 from paraproto.encoder import EncoderParams, Vocabulary, encode_batch, tokenize
 from paraproto.numerics import COSINE, SQUARED_EUCLIDEAN, finite_difference_gradient, gradient_check
 from paraproto.protonet import (
@@ -225,3 +225,50 @@ class TestEvaluate:
         )
         assert result.mean_accuracy == pytest.approx(np.mean(result.per_episode_accuracies))
         assert result.episode_count == 30
+
+
+def _per_episode_encode_evaluate(params, vocab, dataset, split, part, n_way, k_shot,
+                                 query_per_class, n_episodes, rng, distance):
+    """evaluate as it was before each part was encoded once: every episode
+    tokenizes and encodes its own support and query rows."""
+    accuracies = []
+    for _ in range(n_episodes):
+        ep = sample_episode(dataset, split, part, n_way, k_shot, query_per_class, 0, rng)
+        text_episode = Episode(support=ep.support, query=ep.query, unlabeled=[],
+                               episode_classes=ep.episode_classes)
+        _, classes, embs, protos, _ = encode_episode(text_episode, params, vocab)
+        n_support = len(ep.support)
+        queries = embs[n_support:]
+        if distance == SQUARED_EUCLIDEAN:
+            dists = ((queries[:, None, :] - protos[None, :, :]) ** 2).sum(axis=2)
+        else:
+            dists = 1.0 - (queries @ protos.T) / np.outer(
+                np.linalg.norm(queries, axis=1), np.linalg.norm(protos, axis=1)
+            )
+        correct = np.count_nonzero(np.argmin(dists, axis=1) == classes[n_support:])
+        accuracies.append(correct / len(ep.query))
+    return accuracies
+
+
+class TestEvaluateEncodesPartOnce:
+    """Encoding the rows of a part once per call gives the per-episode
+    accuracies of encoding every episode on its own."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("distance", [SQUARED_EUCLIDEAN, COSINE])
+    @pytest.mark.parametrize("k_shot", [1, 2])
+    def test_matches_per_episode_encode_oracle(self, corpus, seed, distance, k_shot):
+        split = split_classes(corpus, (0.5, 0.25, 0.25), seed=seed)
+        vocab = Vocabulary.from_texts(corpus.texts())
+        params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(seed))
+        args = (params, vocab, corpus, split, "valid", 5, k_shot, 5, 40)
+        result = evaluate(*args, np.random.default_rng(100 + seed), distance)
+        oracle = _per_episode_encode_evaluate(*args, np.random.default_rng(100 + seed), distance)
+        assert result.per_episode_accuracies == oracle
+
+    def test_no_support_error_kept(self, corpus):
+        split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
+        vocab = Vocabulary.from_texts(corpus.texts())
+        params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="has no support examples"):
+            evaluate(params, vocab, corpus, split, "valid", 5, 0, 5, 3, np.random.default_rng(1))
