@@ -16,7 +16,7 @@ import numpy as np
 
 from .configio import dataclass_from_kv, dataclass_to_kv, format_kv, parse_kv_text
 from .encoder import tokenize
-from .metrics import BleuReference, bleu_reference, bleu_score
+from .metrics import BleuReference, bleu_reference, bleu_scores
 
 STRATEGIES = ("dbs", "dbs_unigram", "dbs_bigram", "stub_bt")
 CURVES = ("flat", "down", "up")
@@ -29,11 +29,11 @@ class ConditionalLM(Protocol):
     token plus end-of-sequence, jointly normalized, and must be deterministic.
 
     An LM may also define `next_logprobs_batch(source, prefixes)`, taking B
-    prefixes as token-id sequences (indices into `vocab`) and returning a
-    (B, V) array of token log-probabilities and a (B,) array of EOS
-    log-probabilities, row i equal to `next_logprobs` of prefix i's tokens.
-    The decoders then make one LM call per step; without it they fall back to
-    one `next_logprobs` call per unfinished beam.
+    prefixes as token-id sequences (indices into `vocab`) and returning one
+    (B, V+1) array of log-probabilities, EOS in the last column, row i equal
+    to `next_logprobs` of prefix i's tokens. The decoders then make one LM
+    call per step; without it they fall back to one `next_logprobs` call per
+    unfinished beam.
     """
 
     vocab: tuple[str, ...]
@@ -89,8 +89,8 @@ class DecodeConfig:
             raise ValueError(f"unknown curve {self.curve!r}, expected one of {CURVES}")
         if not 0.0 <= self.p_mask <= 1.0:
             raise ValueError("p_mask must be in [0, 1]")
-        if self.diversity_penalty < 0:
-            raise ValueError("diversity_penalty must be >= 0")
+        if not math.isfinite(self.diversity_penalty) or self.diversity_penalty < 0:
+            raise ValueError("diversity_penalty must be finite and >= 0")
         if self.num_groups < 1 or self.num_beams < 1 or self.num_beams % self.num_groups != 0:
             raise ValueError(
                 f"num_beams={self.num_beams} must be a positive multiple of "
@@ -168,11 +168,9 @@ def _step_logprobs(
     the LM has one, else one `next_logprobs` call per prefix."""
     batch = getattr(lm, "next_logprobs_batch", None)
     if batch is not None:
-        logprobs, eos = batch(source, prefixes)
-    else:
-        rows = [lm.next_logprobs(source, [lm.vocab[i] for i in p]) for p in prefixes]
-        logprobs, eos = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
-    return np.column_stack((logprobs, eos))
+        return batch(source, prefixes)
+    rows = [lm.next_logprobs(source, [lm.vocab[i] for i in p]) for p in prefixes]
+    return np.array([np.append(logprobs, eos) for logprobs, eos in rows])
 
 
 def beam_search(
@@ -207,13 +205,14 @@ def diverse_beam_search(
     finished beams first on ties, then candidates in row-major order.
 
     A step scores every group's unfinished beams with one LM call, since they
-    depend only on the previous step, in one (beams, V+1) matrix; each group
-    then subtracts its penalty from its own rows and selects.
+    depend only on the previous step, in one (beams, V+1) matrix of negated
+    scores; each group then adds its penalty to its own rows and selects.
+    Beams are (tokens, score, raw_score, finished) tuples until returned.
     """
     if num_beams < 1 or num_groups < 1 or num_beams % num_groups != 0:
         raise ValueError(f"num_beams={num_beams} must be a positive multiple of num_groups={num_groups}")
-    if diversity_penalty < 0:
-        raise ValueError("diversity_penalty must be >= 0")
+    if not math.isfinite(diversity_penalty) or diversity_penalty < 0:
+        raise ValueError("diversity_penalty must be finite and >= 0")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     n_vocab = len(lm.vocab)
@@ -222,68 +221,68 @@ def diverse_beam_search(
         raise ValueError("constraints exhaust vocabulary")
 
     group_size = num_beams // num_groups
-    groups: list[list[Beam]] = [
-        [Beam(tokens=(), score=0.0, raw_score=0.0, finished=False)] for _ in range(num_groups)
-    ]
+    groups: list[list[tuple]] = [[((), 0.0, 0.0, False)] for _ in range(num_groups)]
     for step in range(max_len):
-        active = [b for group in groups for b in group if not b.finished]
+        live = [[b for b in group if not b[3]] for group in groups]
+        active = [b for parents in live for b in parents]
         if not active:
             break
-        raw = _step_logprobs(lm, source, [b.tokens for b in active])
-        scores = np.array([b.score for b in active])[:, None] + raw
-        scores[banned[[b.tokens[-1] if b.tokens else n_vocab for b in active]]] = -np.inf
+        raw = _step_logprobs(lm, source, [b[0] for b in active])
+        # negated scores, so an ascending sort ranks best first and banned
+        # cells (+inf) after every finite candidate
+        neg = np.array([[-b[1]] for b in active]) - raw
+        neg[banned[[b[0][-1] if b[0] else n_vocab for b in active]]] = np.inf
         if step == 0:
-            scores[:, n_vocab] = -np.inf  # EOS only after the first token
+            neg[:, n_vocab] = np.inf  # EOS only after the first token
         counts = np.zeros(n_vocab)  # tokens chosen by earlier groups this step
         row = 0
-        for g, group in enumerate(groups):
-            finished = [b for b in group if b.finished]
-            parents = [b for b in group if not b.finished]
+        for g, parents in enumerate(live):
             if not parents:
                 continue
-            rows = slice(row, row + len(parents))
+            block = neg[row : row + len(parents)]
             if g > 0 and diversity_penalty > 0.0:
-                scores[rows, :n_vocab] -= diversity_penalty * counts
-            flat = np.concatenate(([b.score for b in finished], scores[rows].ravel()))
-            # no score is +inf, so non-finite candidates (banned cells, NaN
-            # from an infinite penalty) sort after every finite one
+                block[:, :n_vocab] += diversity_penalty * counts
+            finished = [b for b in groups[g] if b[3]]
+            flat = block.ravel()
+            if finished:
+                flat = np.concatenate(([-b[1] for b in finished], flat))
+            order = flat.argsort(kind="stable")[:group_size]
             new_beams = []
-            for idx in np.argsort(-flat, kind="stable")[:group_size].tolist():
-                if not math.isfinite(flat[idx]):
+            for idx, value in zip(order.tolist(), flat[order].tolist()):
+                if not math.isfinite(value):
                     break
                 if idx < len(finished):
                     new_beams.append(finished[idx])
                     continue
                 beam_i, token = divmod(idx - len(finished), n_vocab + 1)
-                parent = parents[beam_i]
-                raw_score = parent.raw_score + float(raw[row + beam_i, token])
+                tokens, _, raw_score, _ = parents[beam_i]
+                raw_score += float(raw[row + beam_i, token])
                 if token == n_vocab:
-                    new_beams.append(Beam(parent.tokens, float(flat[idx]), raw_score, finished=True))
+                    new_beams.append((tokens, -value, raw_score, True))
                 else:
-                    new_beams.append(
-                        Beam(parent.tokens + (token,), float(flat[idx]), raw_score, finished=False)
-                    )
+                    new_beams.append((tokens + (token,), -value, raw_score, False))
                     counts[token] += 1.0
             if not new_beams:
                 raise ValueError("constraints exhaust vocabulary")
             groups[g] = new_beams
             row += len(parents)
-    return [BeamGroup(index=g, beams=groups[g]) for g in range(num_groups)]
+    return [BeamGroup(index=g, beams=[Beam(*b) for b in beams]) for g, beams in enumerate(groups)]
 
 
 def select_most_diverse(
-    group_beams: Sequence[Beam], reference: BleuReference, vocab: Sequence[str]
-) -> Beam:
-    """Beam with the lowest BLEU against the reference (the source, counted
-    once per decode by `bleu_reference([source])`); ties -> highest LM score."""
-    if not group_beams:
+    groups: Sequence[Sequence[Beam]], reference: BleuReference, vocab: Sequence[str]
+) -> list[Beam]:
+    """Per group, the beam with the lowest BLEU against the reference (the
+    source, counted once per decode by `bleu_reference([source])`); ties ->
+    highest LM score. The beams of all groups are scored in one pass."""
+    if not groups or not all(groups):
         raise ValueError("empty beam group")
-    scored = [
-        (bleu_score(beam.texts(vocab), reference, smooth=True), -beam.raw_score, i)
-        for i, beam in enumerate(group_beams)
-    ]
-    _, _, best = min(scored)
-    return group_beams[best]
+    bleus = iter(bleu_scores([b.texts(vocab) for group in groups for b in group], reference, smooth=True))
+    best = []
+    for group in groups:
+        _, _, i = min((next(bleus), -beam.raw_score, i) for i, beam in enumerate(group))
+        best.append(group[i])
+    return best
 
 
 def stub_backtranslate(
@@ -343,23 +342,8 @@ def generate_paraphrases(
         max_len=config.resolved_max_len(len(source)),
         constraints=constraints,
     )
-    reference = bleu_reference([source])
-    outputs = []
-    for group in groups:
-        best = select_most_diverse(group.beams, reference, lm.vocab)
-        outputs.append(" ".join(best.texts(lm.vocab)))
-    return outputs
-
-
-def _eos_gate(source_len: int, gen_len: int) -> float:
-    """EOS weight after gen_len tokens: the length gate keeps outputs near the
-    source length."""
-    src_len = max(source_len, 1)
-    if gen_len < max(1, round(0.85 * src_len)):
-        return 1e-4
-    if gen_len <= src_len + max(2, round(0.5 * src_len)):
-        return 1.0
-    return 25.0
+    best = select_most_diverse([g.beams for g in groups], bleu_reference([source]), lm.vocab)
+    return [" ".join(beam.texts(lm.vocab)) for beam in best]
 
 
 # SynonymBigramLM: additive bigram smoothing, the mixture weights (they sum
@@ -412,9 +396,8 @@ class SynonymBigramLM:
         counts += SMOOTHING
         self._bigram = counts / counts.sum(axis=1, keepdims=True)
 
-        # base rows of the last source seen, by last prefix token; see _rows
-        self._rows_source: tuple[str, ...] | None = None
-        self._rows_by_last: dict[str | None, np.ndarray] = {}
+        # state of the last source seen; see _use_source
+        self._source: tuple[str, ...] | None = None
 
     def _continuations(self, source: Sequence[str], last: str | None) -> tuple[list[str], bool]:
         """Source tokens that plausibly come next, by aligning the last
@@ -468,56 +451,69 @@ class SynonymBigramLM:
             probs[syn_ids] += SYNONYM_WEIGHT / len(syn_ids)
         return probs
 
-    def _rows(self, source: Sequence[str], lasts: list[str | None]) -> np.ndarray:
-        """Fresh (B, V+1) copies of the base rows for `lasts`. Each row is
-        built once per source: a decode asks for the same few rows at every
-        step. Only the last source's rows are kept, so memory stays bounded."""
+    def _use_source(self, source: Sequence[str]) -> None:
+        """On a new source, start an empty (V+1, V+1) table of base rows by
+        last prefix token id (a decode asks for the same few rows at every
+        step, so each is built on first use) and set the EOS-gate bounds,
+        which keep outputs near the source length. Only one source is kept."""
         key = tuple(source)
-        if key != self._rows_source:
-            self._rows_source, self._rows_by_last = key, {}
-        built = self._rows_by_last
-        for last in lasts:
-            if last not in built:
-                built[last] = self._base_row(source, last)
-        return np.array([built[last] for last in lasts])
+        if key == self._source:
+            return
+        n = len(self.vocab)
+        src_len = max(len(key), 1)
+        self._source = key
+        self._table = np.empty((n + 1, n + 1))
+        self._built: set[int] = set()
+        self._eos_lo = max(1, round(0.85 * src_len))
+        self._eos_hi = src_len + max(2, round(0.5 * src_len))
+
+    def _base_rows(self, last_ids: list[int]) -> np.ndarray:
+        """Fresh (B, V+1) copies of the current source's base rows."""
+        for i in last_ids:
+            if i not in self._built:
+                self._table[i] = self._base_row(self._source, None if i == self._bos else self.vocab[i])
+                self._built.add(i)
+        return self._table[last_ids]
 
     def _logprobs(
-        self,
-        source: Sequence[str],
-        lasts: list[str | None],
-        vocab_ids: Sequence[Sequence[int]],
-        lengths: Sequence[int],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of log-probabilities for prefixes given by their last token,
-        the ids of their in-vocabulary tokens and their length."""
+        self, probs: np.ndarray, vocab_ids: Sequence[Sequence[int]], lengths: Sequence[int]
+    ) -> np.ndarray:
+        """(B, V+1) log-probabilities, EOS last, from base rows `probs` (changed
+        in place) of prefixes given by the ids of their in-vocabulary tokens
+        and their length."""
         n = len(self.vocab)
-        probs = self._rows(source, lasts)
-
         # damp tokens already generated, so decodes do not loop: a token seen
         # c times is multiplied by the decay c times, one pass per repeat
         owner = np.repeat(np.arange(len(vocab_ids)), [len(ids) for ids in vocab_ids])
         ids = np.fromiter(itertools.chain.from_iterable(vocab_ids), dtype=np.intp)
         counts = np.bincount(owner * (n + 1) + ids, minlength=probs.size).reshape(probs.shape)
         for k in range(counts.max(initial=0)):
-            probs[counts > k] *= REPEAT_DECAY
+            np.multiply(probs, REPEAT_DECAY, out=probs, where=counts > k)
 
-        probs[:, n] *= [_eos_gate(len(source), gen_len) for gen_len in lengths]
+        lo, hi = self._eos_lo, self._eos_hi
+        probs[:, n] *= [1e-4 if length < lo else 1.0 if length <= hi else 25.0 for length in lengths]
         probs /= probs.sum(axis=1, keepdims=True)
-        logs = np.log(probs)
-        return logs[:, :n], logs[:, n]
+        return np.log(probs, out=probs)
 
     def next_logprobs(
         self, source: Sequence[str], prefix: Sequence[str]
     ) -> tuple[np.ndarray, float]:
+        self._use_source(source)
+        last = prefix[-1] if prefix else None
+        i = self._bos if last is None else self._index.get(last)
+        # an out-of-vocabulary last token still aligns against the source
+        # strings, but has no row in the table
+        probs = self._base_row(source, last)[None] if i is None else self._base_rows([i])
         ids = [self._index[tok] for tok in prefix if tok in self._index]
-        logs, eos = self._logprobs(source, [prefix[-1] if prefix else None], [ids], [len(prefix)])
-        return logs[0], float(eos[0])
+        logs = self._logprobs(probs, [ids], [len(prefix)])
+        return logs[0, :-1], float(logs[0, -1])
 
     def next_logprobs_batch(
         self, source: Sequence[str], prefixes: Sequence[Sequence[int]]
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> np.ndarray:
         """`next_logprobs` for B token-id prefixes (indices into `vocab`) at
-        once: a (B, V) array of token log-probabilities and a (B,) array of
-        EOS log-probabilities, row i equal to `next_logprobs` of prefix i."""
-        lasts = [self.vocab[p[-1]] if len(p) else None for p in prefixes]
-        return self._logprobs(source, lasts, prefixes, [len(p) for p in prefixes])
+        once: a (B, V+1) array of log-probabilities, EOS in the last column,
+        row i equal to `next_logprobs` of prefix i."""
+        self._use_source(source)
+        probs = self._base_rows([p[-1] if len(p) else self._bos for p in prefixes])
+        return self._logprobs(probs, prefixes, [len(p) for p in prefixes])

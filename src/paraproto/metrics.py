@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -38,46 +37,72 @@ def distinct_2(sentences: Sequence[Sequence[str]]) -> float:
     return len(bigrams) / total_tokens
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(zip(*(tokens[i:] for i in range(n))))
-
-
 @dataclass(frozen=True)
 class BleuReference:
     """The reference side of sentence BLEU, counted once for any number of
-    candidates: per n-gram order 1..max_n, the most times each n-gram occurs
-    in any one reference, and the reference lengths."""
+    candidates. Reference tokens are numbered from 1 (`ids`); any other token
+    reads as 0, like the end of a row, and matches nothing. An n-gram's code
+    is `window @ digits[:, n-1] + offsets[n-1]`: its ids as base-R digits,
+    R = len(ids) + 1, moved into a range of its own order n. `keys` are the
+    sorted codes of every reference n-gram of orders 1..max_n; `limits[k]`
+    holds, in the column of key k's order, the most times it occurs in any
+    one reference."""
 
-    max_counts: tuple[Counter, ...]
+    ids: dict[str, int]
+    digits: np.ndarray
+    offsets: np.ndarray
+    keys: np.ndarray
+    limits: np.ndarray
     lengths: tuple[int, ...]
+
+
+def _windows(rows: list[list[int]], max_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The token-id rows laid end to end, each followed by a 0, as a
+    (T, max_n) array whose line t holds the ids at positions t..t+max_n-1
+    (0 past the end), and the row each position belongs to."""
+    flat = np.array([i for row in rows for i in (*row, 0)] + [0] * (max_n - 1))
+    starts = np.arange(len(flat) - max_n + 1)
+    owner = np.repeat(np.arange(len(rows)), [len(row) + 1 for row in rows])
+    return flat[starts[:, None] + np.arange(max_n)], owner
+
+
+def _key_counts(codes: np.ndarray, owner: np.ndarray, n_rows: int, keys: np.ndarray) -> np.ndarray:
+    """(n_rows, K): how often each of the sorted `keys` occurs among the
+    codes of each row's positions."""
+    pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
+    cells = (pos + len(keys) * owner[:, None])[keys[pos] == codes]
+    return np.bincount(cells, minlength=n_rows * len(keys)).reshape(n_rows, len(keys))
 
 
 def bleu_reference(references: Sequence[Sequence[str]], max_n: int = 4) -> BleuReference:
     if not references or any(not r for r in references):
         raise ValueError("need at least one non-empty reference")
-    max_counts = []
-    for n in range(1, max_n + 1):
-        max_ref: Counter = Counter()
-        for ref in references:
-            for gram, count in _ngram_counts(ref, n).items():
-                if count > max_ref[gram]:
-                    max_ref[gram] = count
-        max_counts.append(max_ref)
-    return BleuReference(tuple(max_counts), tuple(len(ref) for ref in references))
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
+    ids: dict[str, int] = {}
+    rows = [[ids.setdefault(tok, len(ids) + 1) for tok in ref] for ref in references]
+    base = len(ids) + 1
+    if base**max_n >= 2**62:
+        raise ValueError("too many distinct reference tokens to code n-grams in 64 bits")
+    digits = np.array([[base**j if j <= n else 0 for n in range(max_n)] for j in range(max_n)])
+    offsets = np.array([sum(base**j for j in range(1, n + 1)) for n in range(max_n)])
+    windows, owner = _windows(rows, max_n)
+    codes = windows @ digits + offsets
+    # reference ids are >= 1, so an n-gram lies inside its reference when
+    # no id in it is 0
+    keys = np.array(sorted(set(codes[np.minimum.accumulate(windows, axis=1) > 0].tolist())))
+    orders = np.eye(max_n, dtype=np.int64)[np.searchsorted(offsets, keys, side="right") - 1]
+    limits = _key_counts(codes, owner, len(rows), keys).max(axis=0)[:, None] * orders
+    return BleuReference(ids, digits, offsets, keys, limits, tuple(len(ref) for ref in references))
 
 
-def bleu_score(candidate: Sequence[str], reference: BleuReference, smooth: bool = False) -> float:
-    """Sentence BLEU of `candidate` against a counted reference; see `bleu`."""
-    if not candidate:
-        raise ValueError("empty candidate")
-
+def _sentence_bleu(c: int, clipped_by_order: list[int], lengths: tuple[int, ...], smooth: bool) -> float:
+    """BLEU of a length-c candidate from its clipped n-gram counts."""
     log_precisions = []
-    for n, max_ref in enumerate(reference.max_counts, start=1):
-        total = len(candidate) - n + 1
+    for n, clipped in enumerate(clipped_by_order, start=1):
+        total = c - n + 1
         if total < 1:
             break
-        cand_counts = _ngram_counts(candidate, n)
-        clipped = sum(min(count, max_ref[gram]) for gram, count in cand_counts.items())
         if clipped == 0:
             if not smooth:
                 return 0.0
@@ -85,11 +110,28 @@ def bleu_score(candidate: Sequence[str], reference: BleuReference, smooth: bool 
         else:
             log_precisions.append(math.log(clipped / total))
 
-    c = len(candidate)
     # closest reference length; ties favor the shorter reference
-    r = min((abs(length - c), length) for length in reference.lengths)[1]
+    r = min((abs(length - c), length) for length in lengths)[1]
     brevity = 1.0 if c >= r else math.exp(1.0 - r / c)
     return brevity * math.exp(sum(log_precisions) / len(log_precisions))
+
+
+def bleu_scores(
+    candidates: Sequence[Sequence[str]], reference: BleuReference, smooth: bool = False
+) -> list[float]:
+    """Sentence BLEU of each candidate against a counted reference, with the
+    n-grams of all candidates counted and clipped in one pass; see `bleu`."""
+    if any(not cand for cand in candidates):
+        raise ValueError("empty candidate")
+    rows = [[reference.ids.get(tok, 0) for tok in cand] for cand in candidates]
+    windows, owner = _windows(rows, len(reference.offsets))
+    codes = windows @ reference.digits + reference.offsets
+    counts = _key_counts(codes, owner, len(rows), reference.keys)
+    clipped = np.minimum(counts[:, :, None], reference.limits).sum(axis=1)
+    return [
+        _sentence_bleu(len(cand), by_order, reference.lengths, smooth)
+        for cand, by_order in zip(candidates, clipped.tolist())
+    ]
 
 
 def bleu(
@@ -101,7 +143,7 @@ def bleu(
     """Sentence BLEU: clipped modified n-gram precision, uniform weights over
     the orders the candidate is long enough to support, brevity penalty, and
     add-one smoothing of zero-count precisions when `smooth` is set."""
-    return bleu_score(candidate, bleu_reference(references, max_n), smooth)
+    return bleu_scores([candidate], bleu_reference(references, max_n), smooth)[0]
 
 
 def mean_pairwise_similarity(embeddings: Sequence[np.ndarray]) -> float:
@@ -132,7 +174,7 @@ def diversity_report(
     sentences = [source, *paraphrases]
     token_lists = [tokenize(s) for s in sentences]
     reference = bleu_reference(token_lists[:1])
-    bleus = [bleu_score(toks, reference, smooth=True) for toks in token_lists[1:]]
+    bleus = bleu_scores(token_lists[1:], reference, smooth=True)
     embeddings = encode_batch(encoder_params, token_lists, vocab)
     return DiversityReport(
         dist2=distinct_2(token_lists),

@@ -19,8 +19,10 @@ from paraproto.decoding import (
     select_most_diverse,
     stub_backtranslate,
 )
+from paraproto.data import load_dataset
+from paraproto.encoder import tokenize
 from paraproto.metrics import bleu_reference
-from paraproto.synth import default_synonym_table
+from paraproto.synth import default_synonym_table, generate_synthetic_dataset
 
 
 class TestBeamSearch:
@@ -144,6 +146,13 @@ class TestDiverseBeamSearch:
             diverse_beam_search(lm, ["a"], num_beams=5, num_groups=2,
                                 diversity_penalty=0.5, max_len=3)
 
+    @pytest.mark.parametrize("penalty", [float("nan"), float("inf")])
+    def test_non_finite_penalty_rejected(self, penalty):
+        lm = RandomLM(("a", "b"), seed=0)
+        with pytest.raises(ValueError, match="diversity_penalty must be finite"):
+            diverse_beam_search(lm, ["a"], num_beams=4, num_groups=2,
+                                diversity_penalty=penalty, max_len=3)
+
 
 def per_beam_diverse_beam_search(lm, source, num_beams, num_groups, diversity_penalty, max_len,
                                  constraints=ConstraintSet.none()):
@@ -227,15 +236,65 @@ class TestBatchedStepMatchesPerBeam:
             groups = diverse_beam_search(*args, constraints=constraints)
             assert [g.beams for g in groups] == per_beam_diverse_beam_search(*args, constraints)
 
-    def test_synonym_bigram_lm(self, toy_lm):
+    def test_synonym_bigram_lm(self, toy_lm, tmp_path):
+        texts = load_dataset(generate_synthetic_dataset(tmp_path / "corpus.jsonl", n_classes=4,
+                                                        sentences_per_class=6, seed=3)).texts()
+        synth_lm = SynonymBigramLM(texts, default_synonym_table())
+        # joined sentences repeat tokens, so the repeat decay runs several passes
+        synth_sentences = texts[:4] + [f"{a} and {b}" for a, b in zip(texts[4:8], texts[12:16])]
+        cases = [(toy_lm, s) for s in ("can you play the music", "book the flight now please",
+                                       "check my balance")]
+        cases += [(synth_lm, s) for s in synth_sentences]
         rng = np.random.default_rng(8)
-        for sentence in ("can you play the music", "book the flight now please", "check my balance"):
-            source = sentence.split()
+        most_repeats = 0
+        for lm, sentence in cases:
+            source = tokenize(sentence)
             for constraints in (ConstraintSet.none(), build_bigram_constraints(source),
                                 build_unigram_constraints(source, 0.7, "flat", rng)):
-                args = (toy_lm, source, 15, 5, 0.5, 2 * len(source) + 5)
+                args = (lm, source, 15, 5, 0.5, 2 * len(source) + 5)
                 groups = diverse_beam_search(*args, constraints=constraints)
                 assert [g.beams for g in groups] == per_beam_diverse_beam_search(*args, constraints)
+                most_repeats = max([most_repeats] + [max(np.bincount(b.tokens)) for g in groups
+                                                     for b in g.beams if b.tokens])
+        assert most_repeats >= 3
+
+
+class TestLMCallCounts:
+    """A seeded decode makes one batched LM call per step and builds each
+    base row at most once per source, so per-beam LM calls and per-step row
+    rebuilds cannot come back unnoticed."""
+
+    def test_one_batch_call_per_step_and_one_build_per_row(self, monkeypatch):
+        lm = SynonymBigramLM(
+            ["can you play the music", "book the flight now please", "check my balance"],
+            default_synonym_table(),
+        )
+        batch_lengths, builds = [], []
+        batch, base_row = SynonymBigramLM.next_logprobs_batch, SynonymBigramLM._base_row
+
+        def counting_batch(self, source, prefixes):
+            batch_lengths.append({len(p) for p in prefixes})
+            return batch(self, source, prefixes)
+
+        def counting_base_row(self, source, last):
+            builds.append((tuple(source), last))
+            return base_row(self, source, last)
+
+        def no_single_calls(self, source, prefix):
+            raise AssertionError("per-beam next_logprobs call")
+
+        monkeypatch.setattr(SynonymBigramLM, "next_logprobs_batch", counting_batch)
+        monkeypatch.setattr(SynonymBigramLM, "_base_row", counting_base_row)
+        monkeypatch.setattr(SynonymBigramLM, "next_logprobs", no_single_calls)
+        rng = np.random.default_rng(4)
+        for sentence in ("can you play the music and book the flight now please",
+                         "check my balance"):
+            for strategy in ("dbs", "dbs_unigram", "dbs_bigram"):
+                batch_lengths.clear()
+                generate_paraphrases(lm, sentence, 5, strategy, DecodeConfig(), rng)
+                # every unfinished beam has as many tokens as steps taken
+                assert batch_lengths == [{step} for step in range(len(batch_lengths))]
+        assert len(builds) == len(set(builds))
 
 
 class TestMaskProbabilities:
@@ -321,7 +380,7 @@ class TestSelectMostDiverse:
         vocab = ("x", "y", "z")
         copy = Beam(tokens=(0, 1), score=-1.0, raw_score=-1.0, finished=True)
         other = Beam(tokens=(2,), score=-2.0, raw_score=-2.0, finished=True)
-        best = select_most_diverse([copy, other], bleu_reference([["x", "y"]]), vocab)
+        best = select_most_diverse([[copy, other]], bleu_reference([["x", "y"]]), vocab)[0]
         assert best is other
 
     def test_all_identical_returns_that_beam(self):
@@ -329,7 +388,7 @@ class TestSelectMostDiverse:
 
         vocab = ("x", "y")
         beams = [Beam(tokens=(0,), score=-1.0, raw_score=-1.0, finished=True)] * 3
-        assert select_most_diverse(beams, bleu_reference([["x"]]), vocab).tokens == (0,)
+        assert select_most_diverse([beams], bleu_reference([["x"]]), vocab)[0].tokens == (0,)
 
     def test_lowest_bleu_wins_hand_computed(self):
         from paraproto.decoding import Beam
@@ -340,7 +399,7 @@ class TestSelectMostDiverse:
         seqs = [(0, 1, 2), (0, 3, 4), (0, 1, 4)]
         beams = [Beam(tokens=s, score=-1.0, raw_score=-1.0, finished=True) for s in seqs]
         bleus = [bleu([vocab[i] for i in s], [source], smooth=True) for s in seqs]
-        best = select_most_diverse(beams, bleu_reference([source]), vocab)
+        best = select_most_diverse([beams], bleu_reference([source]), vocab)[0]
         assert best.tokens == seqs[int(np.argmin(bleus))]
 
     def test_bleu_tie_broken_by_raw_score(self):
@@ -350,7 +409,7 @@ class TestSelectMostDiverse:
         source = ["zzz"]
         low = Beam(tokens=(0,), score=-5.0, raw_score=-5.0, finished=True)
         high = Beam(tokens=(1,), score=-1.0, raw_score=-1.0, finished=True)
-        assert select_most_diverse([low, high], bleu_reference([source]), vocab) is high
+        assert select_most_diverse([[low, high]], bleu_reference([source]), vocab)[0] is high
 
 
 @pytest.fixture(scope="module")
@@ -405,8 +464,9 @@ class TestSynonymBigramLM:
         # EOS-gate thresholds, and a last token with no source alignment
         prefixes += [[], [pool[0]] * 3, [pool[0]] * (lo - 1), [pool[0]] * lo,
                      [pool[-1]] * hi, [pool[-1]] * (hi + 1), pool + [unaligned[0]]]
-        logprobs, eos = toy_lm.next_logprobs_batch(source, prefixes)
-        assert logprobs.shape == (len(prefixes), len(vocab)) and eos.shape == (len(prefixes),)
+        batch = toy_lm.next_logprobs_batch(source, prefixes)
+        assert batch.shape == (len(prefixes), len(vocab) + 1)
+        logprobs, eos = batch[:, :-1], batch[:, -1]
         for row, prefix in enumerate(prefixes):
             text = [vocab[i] for i in prefix]
             single, single_eos = toy_lm.next_logprobs(source, text)
@@ -566,7 +626,7 @@ def decode_configs(draw):
     return DecodeConfig(
         num_beams=num_groups * draw(st.integers(1, 5)),
         num_groups=num_groups,
-        diversity_penalty=draw(st.floats(min_value=0.0, allow_nan=False)),
+        diversity_penalty=draw(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)),
         p_mask=draw(st.floats(0.0, 1.0)),
         curve=draw(st.sampled_from(CURVES)),
         max_len=draw(st.integers(0, 500)),
@@ -595,6 +655,9 @@ class TestDecodeConfig:
             DecodeConfig(curve="sideways")
         with pytest.raises(ValueError):
             DecodeConfig(diversity_penalty=-0.1)
+        for penalty in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="diversity_penalty must be finite"):
+                DecodeConfig(diversity_penalty=penalty)
         with pytest.raises(ValueError):
             DecodeConfig.from_text("nonsense_key=1\n")
         for shape in (dict(num_beams=10, num_groups=3), dict(num_groups=0), dict(num_beams=0),

@@ -1,14 +1,18 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from paraproto.encoder import EncoderParams, Vocabulary
+from paraproto.decoding import Beam, select_most_diverse
 from paraproto.metrics import (
     DiversityReport,
     bleu,
+    bleu_reference,
+    bleu_scores,
     distinct_2,
     diversity_report,
     mean_pairwise_similarity,
@@ -87,6 +91,79 @@ class TestBleu:
         for smooth in (False, True):
             score = bleu(cand, [ref], smooth=smooth)
             assert 0.0 <= score <= 1.0 + 1e-12
+
+
+def counter_bleu(candidate, references, max_n=4, smooth=False):
+    """Sentence BLEU the way it was first written here: a Counter of n-gram
+    tuples per order for each reference and for the candidate."""
+
+    def ngrams(tokens, n):
+        return Counter(zip(*(tokens[i:] for i in range(n))))
+
+    max_ref = []
+    for n in range(1, max_n + 1):
+        most = Counter()
+        for ref in references:
+            for gram, count in ngrams(ref, n).items():
+                most[gram] = max(most[gram], count)
+        max_ref.append(most)
+    log_precisions = []
+    for n, most in enumerate(max_ref, start=1):
+        total = len(candidate) - n + 1
+        if total < 1:
+            break
+        clipped = sum(min(count, most[gram]) for gram, count in ngrams(candidate, n).items())
+        if clipped == 0:
+            if not smooth:
+                return 0.0
+            log_precisions.append(math.log(1.0 / (total + 1)))
+        else:
+            log_precisions.append(math.log(clipped / total))
+    c = len(candidate)
+    r = min((abs(len(ref) - c), len(ref)) for ref in references)[1]
+    brevity = 1.0 if c >= r else math.exp(1.0 - r / c)
+    return brevity * math.exp(sum(log_precisions) / len(log_precisions))
+
+
+# candidates draw from a vocabulary with tokens ("x", "y") no reference
+# holds, references from one with a token ("z") no candidate holds; four
+# shared letters make repeated, clipped n-grams common
+candidate_st = st.lists(st.sampled_from("abcdxy"), min_size=1, max_size=12)
+reference_st = st.lists(st.sampled_from("abcdz"), min_size=1, max_size=10)
+
+
+class TestBatchedBleu:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(candidate_st, min_size=1, max_size=6), st.lists(reference_st, min_size=1, max_size=3),
+           st.integers(1, 5), st.booleans())
+    def test_equals_counter_bleu(self, candidates, references, max_n, smooth):
+        expected = [counter_bleu(c, references, max_n, smooth) for c in candidates]
+        assert bleu_scores(candidates, bleu_reference(references, max_n), smooth) == expected
+        assert [bleu(c, references, max_n, smooth) for c in candidates] == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_selection_matches_oracle_on_ties(self, data):
+        vocab = ("a", "b", "c", "x")
+        source = data.draw(reference_st)
+        # few distinct token sequences and raw scores, so exact BLEU ties
+        # and raw-score ties are common
+        pool = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=6).map(tuple),
+                                  min_size=1, max_size=3))
+        groups = data.draw(st.lists(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from((-1.0, -2.0))),
+                                             min_size=1, max_size=4), min_size=1, max_size=4))
+        beams = [[Beam(tokens, raw, raw, True) for tokens, raw in group] for group in groups]
+        best = select_most_diverse(beams, bleu_reference([source]), vocab)
+        for group, chosen in zip(beams, best):
+            oracle = min((counter_bleu([vocab[i] for i in b.tokens], [source], smooth=True), -b.raw_score, i)
+                         for i, b in enumerate(group))
+            assert chosen is group[oracle[2]]
+
+    def test_rejects_empty_candidate_and_order_zero(self):
+        with pytest.raises(ValueError, match="empty candidate"):
+            bleu_scores([["a"], []], bleu_reference([["a"]]))
+        with pytest.raises(ValueError, match="max_n"):
+            bleu_reference([["a"]], max_n=0)
 
 
 class TestMeanPairwiseSimilarity:
