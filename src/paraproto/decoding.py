@@ -395,51 +395,47 @@ class SynonymBigramLM:
             counts[prev, n] += 1.0
         counts += SMOOTHING
         self._bigram = counts / counts.sum(axis=1, keepdims=True)
+        # base rows before any source mass: bigram plus uniform
+        self._prior = BIGRAM_WEIGHT * self._bigram
+        self._prior[:, :n] += UNIFORM_WEIGHT / n
 
         # state of the last source seen; see _use_source
         self._source: tuple[str, ...] | None = None
 
-    def _continuations(self, source: Sequence[str], last: str | None) -> tuple[list[str], bool]:
-        """Source tokens that plausibly come next, by aligning the last
-        generated token (None before the first) against source positions
-        (exact or synonym match). The flag reports whether the aligned
-        position is the end of source."""
-        if last is None:
-            return [source[0]], False
-        nexts: list[str] = []
-        at_end = False
-        for i, tok in enumerate(source):
-            if tok == last or last in self.synonyms.get(tok, ()):
-                if i + 1 < len(source):
-                    nexts.append(source[i + 1])
-                else:
-                    at_end = True
-        return nexts, at_end
+    def _alignments(self, source: Sequence[str]) -> dict[str, list[int]]:
+        """The source positions each token aligns to, in order: where it
+        occurs, and where a word occurs that lists it as a synonym."""
+        positions: dict[str, list[int]] = {}
+        for j, tok in enumerate(source):
+            for t in {tok, *self.synonyms.get(tok, ())}:
+                positions.setdefault(t, []).append(j)
+        return positions
 
-    def _base_row(self, source: Sequence[str], last: str | None) -> np.ndarray:
-        """Mixture probabilities (V+1 columns, EOS last) after a prefix whose
-        last token is `last`, before the repeat decay and the EOS gate."""
+    def _mass(
+        self, source: Sequence[str], positions: list[int] | None
+    ) -> tuple[tuple[list[int], float], tuple[list[int], float]]:
+        """The copy mass, then the synonym mass, of a base row whose last
+        token aligns to source `positions` (None before the first token),
+        each as (column ids, share): every listed column gets the share, a
+        repeated one once per listing, and EOS is column V. The copy bias
+        goes to the source tokens that come next, and to EOS after the last
+        one; with no alignment it falls back to every source token,
+        unordered. The synonym mass goes to their synonyms."""
         n = len(self.vocab)
-        prev = self._bos if last is None else self._index.get(last, self._bos)
-        probs = BIGRAM_WEIGHT * self._bigram[prev].copy()
-        probs[:n] += UNIFORM_WEIGHT / n
-
-        nexts, at_end = self._continuations(source, last)
+        if positions is None:
+            nexts = [source[0]]
+        else:
+            nexts = [source[j + 1] for j in positions if j + 1 < len(source)]
+        at_end = bool(positions) and positions[-1] == len(source) - 1
         if nexts or at_end:
-            share = COPY_WEIGHT / (len(nexts) + (1 if at_end else 0))
-            for tok in nexts:
-                if tok in self._index:
-                    probs[self._index[tok]] += share
-            if at_end:
-                probs[n] += share
+            copy = [self._index[tok] for tok in nexts if tok in self._index] + [n] * at_end
+            copy_share = COPY_WEIGHT / (len(nexts) + at_end)
             syn_from = nexts
         else:
-            # no alignment: fall back to an unordered copy bias over the source
-            src_ids = sorted({self._index[t] for t in source if t in self._index})
-            if src_ids:
-                probs[src_ids] += COPY_WEIGHT / len(src_ids)
+            copy = sorted({self._index[t] for t in source if t in self._index})
+            copy_share = COPY_WEIGHT / max(len(copy), 1)
             syn_from = source
-        syn_ids = sorted(
+        syn = sorted(
             {
                 self._index[alt]
                 for tok in syn_from
@@ -447,33 +443,50 @@ class SynonymBigramLM:
                 if alt in self._index
             }
         )
-        if syn_ids:
-            probs[syn_ids] += SYNONYM_WEIGHT / len(syn_ids)
-        return probs
+        return (copy, copy_share), (syn, SYNONYM_WEIGHT / max(len(syn), 1))
+
+    def _add_mass(
+        self, probs: np.ndarray, rows: list[int], source: Sequence[str], positions: list[list[int] | None]
+    ) -> None:
+        """Add to row rows[k] of `probs` the `_mass` of a last token aligned
+        to source positions[k]: every row's copy mass, then every row's
+        synonym mass, in one `np.add.at`, which adds a cell's shares one
+        after another in the order listed."""
+        masses = [self._mass(source, p) for p in positions]
+        cell_rows, cell_cols, values = [], [], []
+        for part in (0, 1):
+            for row, mass in zip(rows, masses):
+                cols, share = mass[part]
+                cell_rows += [row] * len(cols)
+                cell_cols += cols
+                values += [share] * len(cols)
+        np.add.at(probs, (cell_rows, cell_cols), values)
 
     def _use_source(self, source: Sequence[str]) -> None:
-        """On a new source, start an empty (V+1, V+1) table of base rows by
-        last prefix token id (a decode asks for the same few rows at every
-        step, so each is built on first use) and set the EOS-gate bounds,
-        which keep outputs near the source length. Only one source is kept."""
+        """On a new source, build its (V+1, V+1) table of base rows by last
+        prefix token id, once (a decode asks for the same few rows at every
+        step), and set the EOS-gate bounds, which keep outputs near the
+        source length. Only one source is kept. BOS and the tokens that
+        align with the source get their own mass; every other token row
+        gets the same fallback mass."""
         key = tuple(source)
         if key == self._source:
             return
+        if not key:
+            raise ValueError("empty source")
         n = len(self.vocab)
-        src_len = max(len(key), 1)
+        positions = self._alignments(key)
+        aligned = sorted(self._index[t] for t in positions if t in self._index)
+        table = self._prior.copy()
+        # the fallback mass on every token row, then the aligned rows start over
+        for cols, share in self._mass(key, []):
+            table[:n, cols] += share
+        table[aligned] = self._prior[aligned]
+        self._add_mass(table, [self._bos, *aligned], key, [None, *(positions[self.vocab[i]] for i in aligned)])
         self._source = key
-        self._table = np.empty((n + 1, n + 1))
-        self._built: set[int] = set()
-        self._eos_lo = max(1, round(0.85 * src_len))
-        self._eos_hi = src_len + max(2, round(0.5 * src_len))
-
-    def _base_rows(self, last_ids: list[int]) -> np.ndarray:
-        """Fresh (B, V+1) copies of the current source's base rows."""
-        for i in last_ids:
-            if i not in self._built:
-                self._table[i] = self._base_row(self._source, None if i == self._bos else self.vocab[i])
-                self._built.add(i)
-        return self._table[last_ids]
+        self._table = table
+        self._eos_lo = max(1, round(0.85 * len(key)))
+        self._eos_hi = len(key) + max(2, round(0.5 * len(key)))
 
     def _logprobs(
         self, probs: np.ndarray, vocab_ids: Sequence[Sequence[int]], lengths: Sequence[int]
@@ -482,13 +495,12 @@ class SynonymBigramLM:
         in place) of prefixes given by the ids of their in-vocabulary tokens
         and their length."""
         n = len(self.vocab)
-        # damp tokens already generated, so decodes do not loop: a token seen
-        # c times is multiplied by the decay c times, one pass per repeat
+        # damp tokens already generated, so decodes do not loop: `multiply.at`
+        # multiplies a cell once per occurrence, so a token seen c times gets
+        # the decay c times
         owner = np.repeat(np.arange(len(vocab_ids)), [len(ids) for ids in vocab_ids])
         ids = np.fromiter(itertools.chain.from_iterable(vocab_ids), dtype=np.intp)
-        counts = np.bincount(owner * (n + 1) + ids, minlength=probs.size).reshape(probs.shape)
-        for k in range(counts.max(initial=0)):
-            np.multiply(probs, REPEAT_DECAY, out=probs, where=counts > k)
+        np.multiply.at(probs, (owner, ids), REPEAT_DECAY)
 
         lo, hi = self._eos_lo, self._eos_hi
         probs[:, n] *= [1e-4 if length < lo else 1.0 if length <= hi else 25.0 for length in lengths]
@@ -501,9 +513,13 @@ class SynonymBigramLM:
         self._use_source(source)
         last = prefix[-1] if prefix else None
         i = self._bos if last is None else self._index.get(last)
-        # an out-of-vocabulary last token still aligns against the source
-        # strings, but has no row in the table
-        probs = self._base_row(source, last)[None] if i is None else self._base_rows([i])
+        if i is None:
+            # an out-of-vocabulary last token has no row in the table, but
+            # still aligns against the source strings
+            probs = self._prior[[self._bos]]
+            self._add_mass(probs, [0], source, [self._alignments(source).get(last, [])])
+        else:
+            probs = self._table[[i]]
         ids = [self._index[tok] for tok in prefix if tok in self._index]
         logs = self._logprobs(probs, [ids], [len(prefix)])
         return logs[0, :-1], float(logs[0, -1])
@@ -515,5 +531,5 @@ class SynonymBigramLM:
         once: a (B, V+1) array of log-probabilities, EOS in the last column,
         row i equal to `next_logprobs` of prefix i."""
         self._use_source(source)
-        probs = self._base_rows([p[-1] if len(p) else self._bos for p in prefixes])
+        probs = self._table[[p[-1] if len(p) else self._bos for p in prefixes]]
         return self._logprobs(probs, prefixes, [len(p) for p in prefixes])

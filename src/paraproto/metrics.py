@@ -4,6 +4,7 @@ pairwise cosine similarity of sentence embeddings."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -67,11 +68,13 @@ def _windows(rows: list[list[int]], max_n: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _key_counts(codes: np.ndarray, owner: np.ndarray, n_rows: int, keys: np.ndarray) -> np.ndarray:
-    """(n_rows, K): how often each of the sorted `keys` occurs among the
-    codes of each row's positions."""
+    """(n_rows, K, max_n): how often each of the sorted `keys` occurs among
+    the codes of each row's positions, in the column of the key's order (a
+    code's column in `codes`); the other columns are 0."""
+    max_n = codes.shape[1]
     pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
-    cells = (pos + len(keys) * owner[:, None])[keys[pos] == codes]
-    return np.bincount(cells, minlength=n_rows * len(keys)).reshape(n_rows, len(keys))
+    cells = ((pos + len(keys) * owner[:, None]) * max_n + np.arange(max_n))[keys[pos] == codes]
+    return np.bincount(cells, minlength=n_rows * len(keys) * max_n).reshape(n_rows, len(keys), max_n)
 
 
 def bleu_reference(references: Sequence[Sequence[str]], max_n: int = 4) -> BleuReference:
@@ -84,15 +87,15 @@ def bleu_reference(references: Sequence[Sequence[str]], max_n: int = 4) -> BleuR
     base = len(ids) + 1
     if base**max_n >= 2**62:
         raise ValueError("too many distinct reference tokens to code n-grams in 64 bits")
-    digits = np.array([[base**j if j <= n else 0 for n in range(max_n)] for j in range(max_n)])
-    offsets = np.array([sum(base**j for j in range(1, n + 1)) for n in range(max_n)])
+    powers = [base**j for j in range(max_n)]
+    digits = np.array([[0] * j + [p] * (max_n - j) for j, p in enumerate(powers)])
+    offsets = np.array([0, *itertools.accumulate(powers[1:])])
     windows, owner = _windows(rows, max_n)
     codes = windows @ digits + offsets
     # reference ids are >= 1, so an n-gram lies inside its reference when
     # no id in it is 0
     keys = np.array(sorted(set(codes[np.minimum.accumulate(windows, axis=1) > 0].tolist())))
-    orders = np.eye(max_n, dtype=np.int64)[np.searchsorted(offsets, keys, side="right") - 1]
-    limits = _key_counts(codes, owner, len(rows), keys).max(axis=0)[:, None] * orders
+    limits = _key_counts(codes, owner, len(rows), keys).max(axis=0)
     return BleuReference(ids, digits, offsets, keys, limits, tuple(len(ref) for ref in references))
 
 
@@ -127,7 +130,7 @@ def bleu_scores(
     windows, owner = _windows(rows, len(reference.offsets))
     codes = windows @ reference.digits + reference.offsets
     counts = _key_counts(codes, owner, len(rows), reference.keys)
-    clipped = np.minimum(counts[:, :, None], reference.limits).sum(axis=1)
+    clipped = np.minimum(counts, reference.limits).sum(axis=1)
     return [
         _sentence_bleu(len(cand), by_order, reference.lengths, smooth)
         for cand, by_order in zip(candidates, clipped.tolist())

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,41 +262,44 @@ class TestBatchedStepMatchesPerBeam:
 
 
 class TestLMCallCounts:
-    """A seeded decode makes one batched LM call per step and builds each
-    base row at most once per source, so per-beam LM calls and per-step row
-    rebuilds cannot come back unnoticed."""
+    """A seeded decode makes one batched LM call per step and builds its
+    source's table of base rows once, so per-beam LM calls and per-step
+    table rebuilds cannot come back unnoticed."""
 
-    def test_one_batch_call_per_step_and_one_build_per_row(self, monkeypatch):
+    def test_one_batch_call_per_step_and_one_table_build_per_source(self, monkeypatch):
         lm = SynonymBigramLM(
             ["can you play the music", "book the flight now please", "check my balance"],
             default_synonym_table(),
         )
         batch_lengths, builds = [], []
-        batch, base_row = SynonymBigramLM.next_logprobs_batch, SynonymBigramLM._base_row
+        batch, add_mass = SynonymBigramLM.next_logprobs_batch, SynonymBigramLM._add_mass
 
         def counting_batch(self, source, prefixes):
             batch_lengths.append({len(p) for p in prefixes})
             return batch(self, source, prefixes)
 
-        def counting_base_row(self, source, last):
-            builds.append((tuple(source), last))
-            return base_row(self, source, last)
+        def counting_add_mass(self, probs, rows, source, positions):
+            builds.append(tuple(source))
+            return add_mass(self, probs, rows, source, positions)
 
         def no_single_calls(self, source, prefix):
             raise AssertionError("per-beam next_logprobs call")
 
         monkeypatch.setattr(SynonymBigramLM, "next_logprobs_batch", counting_batch)
-        monkeypatch.setattr(SynonymBigramLM, "_base_row", counting_base_row)
+        monkeypatch.setattr(SynonymBigramLM, "_add_mass", counting_add_mass)
         monkeypatch.setattr(SynonymBigramLM, "next_logprobs", no_single_calls)
         rng = np.random.default_rng(4)
         for sentence in ("can you play the music and book the flight now please",
                          "check my balance"):
             for strategy in ("dbs", "dbs_unigram", "dbs_bigram"):
                 batch_lengths.clear()
+                builds.clear()
                 generate_paraphrases(lm, sentence, 5, strategy, DecodeConfig(), rng)
                 # every unfinished beam has as many tokens as steps taken
                 assert batch_lengths == [{step} for step in range(len(batch_lengths))]
-        assert len(builds) == len(set(builds))
+                # one build when the source changes, none per step; a decode
+                # of the same source again reuses the table
+                assert builds == ([tuple(tokenize(sentence))] if strategy == "dbs" else [])
 
 
 class TestMaskProbabilities:
@@ -425,6 +430,16 @@ def toy_lm():
     return SynonymBigramLM(corpus, default_synonym_table())
 
 
+@pytest.fixture(scope="module")
+def oov_synonym_lm(toy_lm):
+    """`toy_lm` plus "qqq", an out-of-vocabulary token with in-vocabulary
+    synonyms. The constructor never makes one, since it adds every synonym
+    word to the vocabulary, so the entry is added afterwards."""
+    lm = copy.deepcopy(toy_lm)
+    lm.synonyms["qqq"] = ("music", "play")
+    return lm
+
+
 class TestSynonymBigramLM:
     def test_scores_normalized(self, toy_lm):
         logprobs, eos = toy_lm.next_logprobs(["play", "the", "music"], [])
@@ -481,18 +496,40 @@ class TestSynonymBigramLM:
             ref, ref_eos = per_token_next_logprobs(toy_lm, source, prefix)
             assert np.array_equal(single, ref) and single_eos == ref_eos
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_table_rows_equal_reference_base_rows(self, oov_synonym_lm, data):
+        lm = oov_synonym_lm
+        synonym_words = sorted(tok for tok in lm.synonyms if tok in lm.vocab)
+        words = st.one_of(st.sampled_from(lm.vocab), st.sampled_from(synonym_words),
+                          st.sampled_from(("zzz", "qqq")))
+        # a small pool makes repeated tokens common
+        pool = data.draw(st.lists(words, min_size=1, max_size=4))
+        assert_table_matches_reference(lm, data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10)))
 
-def per_token_next_logprobs(lm, source, prefix):
-    """Reference SynonymBigramLM step with the same mixture arithmetic as the
-    LM, but the repeat decay applied one prefix token at a time and one
-    normalization over a single 1-D row."""
+    def test_table_rows_on_chosen_sources(self, oov_synonym_lm):
+        for source in (["play"], ["zzz"], ["qqq"], ["play", "songs", "play", "music", "play"],
+                       ["qqq", "music", "zzz", "tunes", "qqq"]):
+            assert_table_matches_reference(oov_synonym_lm, source)
+
+    def test_empty_source_fails_clearly(self, toy_lm):
+        with pytest.raises(ValueError, match="empty source"):
+            toy_lm.next_logprobs([], [])
+        with pytest.raises(ValueError, match="empty source"):
+            toy_lm.next_logprobs_batch([], [()])
+
+
+def reference_base_row(lm, source, last):
+    """Reference SynonymBigramLM base row, built alone: the mixture
+    probabilities (V+1 columns, EOS last) after a prefix whose last token is
+    `last` (None before the first), before the repeat decay and the EOS gate."""
     n = len(lm.vocab)
     index = {tok: i for i, tok in enumerate(lm.vocab)}
-    probs = decoding.BIGRAM_WEIGHT * lm._bigram[index.get(prefix[-1], n) if prefix else n].copy()
+    probs = decoding.BIGRAM_WEIGHT * lm._bigram[index.get(last, n)].copy()
     probs[:n] += decoding.UNIFORM_WEIGHT / n
-    if prefix:
+    if last is not None:
         aligned = [i for i, tok in enumerate(source)
-                   if tok == prefix[-1] or prefix[-1] in lm.synonyms.get(tok, ())]
+                   if tok == last or last in lm.synonyms.get(tok, ())]
         nexts = [source[i + 1] for i in aligned if i + 1 < len(source)]
         at_end = len(source) - 1 in aligned
     else:
@@ -513,6 +550,30 @@ def per_token_next_logprobs(lm, source, prefix):
     syn_ids = sorted({index[alt] for tok in syn_from for alt in lm.synonyms.get(tok, ()) if alt in index})
     if syn_ids:
         probs[syn_ids] += decoding.SYNONYM_WEIGHT / len(syn_ids)
+    return probs
+
+
+def assert_table_matches_reference(lm, source):
+    """Every row of `source`'s table equals its reference base row, and an
+    out-of-vocabulary last token, which aligns by string outside the table,
+    matches the reference step."""
+    lm._use_source(source)
+    for i in range(len(lm.vocab) + 1):
+        last = lm.vocab[i] if i < len(lm.vocab) else None
+        assert np.array_equal(lm._table[i], reference_base_row(lm, source, last)), (source, last)
+    for oov in ("zzz", "qqq"):
+        single, single_eos = lm.next_logprobs(source, ["play", oov])
+        ref, ref_eos = per_token_next_logprobs(lm, source, ["play", oov])
+        assert np.array_equal(single, ref) and single_eos == ref_eos
+
+
+def per_token_next_logprobs(lm, source, prefix):
+    """Reference SynonymBigramLM step from `reference_base_row`, with the
+    repeat decay applied one prefix token at a time and one normalization
+    over a single 1-D row."""
+    n = len(lm.vocab)
+    index = {tok: i for i, tok in enumerate(lm.vocab)}
+    probs = reference_base_row(lm, source, prefix[-1] if prefix else None)
     for tok in prefix:
         if tok in index:
             probs[index[tok]] *= decoding.REPEAT_DECAY
