@@ -227,6 +227,54 @@ def restrict_low_profile(
     return Dataset(records=records, domains=dict(dataset.domains))
 
 
+def sample_episode_rows(
+    dataset: Dataset,
+    split: ClassSplit,
+    part: str,
+    n_way: int,
+    per_class: int,
+    n_unlabeled: int,
+    n_episodes: int,
+    rng: np.random.Generator,
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Draw the rows of `n_episodes` C-way episodes from one split part.
+
+    Per episode: n_way classes from the part's sorted class names, then for
+    each class in drawn order per_class of its rows without replacement,
+    then n_unlabeled rows uniformly from the whole dataset, regardless of
+    the split part (they may come from any class, including test classes).
+    An episode with no unlabeled rows makes no unlabeled draw; a size-0
+    draw would leave the generator as it was.
+
+    Returns the part's sorted class names, the drawn class indices into
+    them (E, n_way), the dataset rows (E, n_way, per_class) in draw order,
+    and the unlabeled rows (E, n_unlabeled).
+    """
+    pool = sorted(split.part(part))
+    if len(pool) < n_way:
+        raise ValueError(f"part {part!r} has {len(pool)} classes, needs {n_way}")
+    by_class = [dataset._by_class[label] for label in pool]
+    chosen = np.empty((n_episodes, n_way), dtype=np.intp)
+    rows = np.empty((n_episodes, n_way, per_class), dtype=np.intp)
+    unlabeled = np.empty((n_episodes, n_unlabeled), dtype=np.intp)
+    for e in range(n_episodes):
+        chosen[e] = rng.choice(len(pool), size=n_way, replace=False)
+        for c, i in enumerate(chosen[e].tolist()):
+            class_rows = by_class[i]
+            if len(class_rows) < per_class:
+                raise ValueError(
+                    f"class {pool[i]!r} has {len(class_rows)} records, needs {per_class}"
+                )
+            rows[e, c] = class_rows[rng.choice(len(class_rows), size=per_class, replace=False)]
+        if n_unlabeled:
+            if n_unlabeled > len(dataset):
+                raise ValueError(
+                    f"cannot draw {n_unlabeled} unlabeled texts from {len(dataset)} records"
+                )
+            unlabeled[e] = rng.choice(len(dataset), size=n_unlabeled, replace=False)
+    return pool, chosen, rows, unlabeled
+
+
 def sample_episode(
     dataset: Dataset,
     split: ClassSplit,
@@ -237,43 +285,20 @@ def sample_episode(
     n_unlabeled: int,
     rng: np.random.Generator,
 ) -> SampledEpisode:
-    """Sample a C-way K-shot episode from one split part, as dataset rows.
-
-    Draws n_way classes from the part's sorted class names, then for each
-    class in drawn order k_shot + query_per_class of its rows without
-    replacement (the first k_shot are support), then n_unlabeled rows
-    uniformly from the whole dataset, regardless of the split part (they may
-    come from any class, including test classes). The support rows come
-    first, class by class, then the query rows in the same class order.
+    """Sample one C-way K-shot episode from one split part, as dataset rows:
+    the draws of `sample_episode_rows` for one episode, of which each
+    class's first k_shot rows are support. The support rows come first,
+    class by class, then the query rows in the same class order.
     """
-    pool = sorted(split.part(part))
-    if len(pool) < n_way:
-        raise ValueError(f"part {part!r} has {len(pool)} classes, needs {n_way}")
-    chosen = [pool[i] for i in rng.choice(len(pool), size=n_way, replace=False)]
-
-    support: list[np.ndarray] = []
-    query: list[np.ndarray] = []
-    per_class = k_shot + query_per_class
-    for label in chosen:
-        class_rows = dataset._by_class[label]
-        if len(class_rows) < per_class:
-            raise ValueError(
-                f"class {label!r} has {len(class_rows)} records, needs {per_class}"
-            )
-        picks = class_rows[rng.choice(len(class_rows), size=per_class, replace=False)]
-        support.append(picks[:k_shot])
-        query.append(picks[k_shot:])
-
-    if n_unlabeled > len(dataset):
-        raise ValueError(f"cannot draw {n_unlabeled} unlabeled texts from {len(dataset)} records")
-    unlabeled = rng.choice(len(dataset), size=n_unlabeled, replace=False)
-
+    pool, chosen, rows, unlabeled = sample_episode_rows(
+        dataset, split, part, n_way, k_shot + query_per_class, n_unlabeled, 1, rng
+    )
     groups = np.arange(n_way)
     return SampledEpisode(
         dataset=dataset,
-        rows=np.concatenate(support + query),
+        rows=np.concatenate((rows[0, :, :k_shot], rows[0, :, k_shot:]), axis=None),
         classes=np.concatenate([np.repeat(groups, k_shot), np.repeat(groups, query_per_class)]),
         n_support=n_way * k_shot,
-        unlabeled_rows=unlabeled,
-        episode_classes=chosen,
+        unlabeled_rows=unlabeled[0],
+        episode_classes=[pool[i] for i in chosen[0].tolist()],
     )

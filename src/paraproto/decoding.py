@@ -499,8 +499,14 @@ class SynonymBigramLM:
         # multiplies a cell once per occurrence, so a token seen c times gets
         # the decay c times
         owner = np.repeat(np.arange(len(vocab_ids)), [len(ids) for ids in vocab_ids])
-        ids = np.fromiter(itertools.chain.from_iterable(vocab_ids), dtype=np.intp)
-        np.multiply.at(probs, (owner, ids), REPEAT_DECAY)
+        try:
+            # the ids also pick the table rows, where -1 and n would read the
+            # BOS row; an unsigned negative id overflows, and the token
+            # columns end before n
+            ids = np.fromiter(itertools.chain.from_iterable(vocab_ids), dtype=np.uintp)
+            np.multiply.at(probs[:, :n], (owner, ids), REPEAT_DECAY)
+        except (OverflowError, IndexError) as exc:
+            raise ValueError(f"prefix token ids must lie in [0, {n})") from exc
 
         lo, hi = self._eos_lo, self._eos_hi
         probs[:, n] *= [1e-4 if length < lo else 1.0 if length <= hi else 25.0 for length in lengths]
@@ -527,9 +533,10 @@ class SynonymBigramLM:
     def next_logprobs_batch(
         self, source: Sequence[str], prefixes: Sequence[Sequence[int]]
     ) -> np.ndarray:
-        """`next_logprobs` for B token-id prefixes (indices into `vocab`) at
-        once: a (B, V+1) array of log-probabilities, EOS in the last column,
-        row i equal to `next_logprobs` of prefix i."""
+        """`next_logprobs` for B token-id prefixes (Python int indices into
+        `vocab`) at once: a (B, V+1) array of log-probabilities, EOS in the
+        last column, row i equal to `next_logprobs` of prefix i. An id
+        outside [0, V) raises `ValueError`."""
         self._use_source(source)
         probs = self._table[[p[-1] if len(p) else self._bos for p in prefixes]]
         return self._logprobs(probs, prefixes, [len(p) for p in prefixes])

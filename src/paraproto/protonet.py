@@ -12,8 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .data import Dataset, ClassSplit, Episode, SampledEpisode, sample_episode
+from .data import Dataset, ClassSplit, Episode, SampledEpisode, sample_episode_rows
 from .encoder import EncoderParams, TokenRows, Vocabulary, encode_batch_backward, forward, tokenize
+
+# byte cap on one evaluation block's squared-distance difference tensor:
+# scoring every episode at once would hold all of their embeddings
+EVAL_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass
@@ -46,19 +50,21 @@ def prototypes(embs: np.ndarray, groups: np.ndarray, n_groups: int) -> tuple[np.
 
 
 def _pairwise_distances(queries: np.ndarray, protos: np.ndarray, kind: str) -> np.ndarray:
-    if queries.shape[1] != protos.shape[1]:
+    """(..., Q, C) distances between (..., Q, d) queries and (..., C, d)
+    prototypes; leading batch dimensions are episodes."""
+    if queries.shape[-1] != protos.shape[-1]:
         raise ValueError(
-            f"embedding dimension mismatch: {queries.shape[1]} vs {protos.shape[1]}"
+            f"embedding dimension mismatch: {queries.shape[-1]} vs {protos.shape[-1]}"
         )
     if kind == numerics.SQUARED_EUCLIDEAN:
-        diff = queries[:, None, :] - protos[None, :, :]
-        return np.einsum("jcd,jcd->jc", diff, diff)
+        diff = queries[..., :, None, :] - protos[..., None, :, :]
+        return np.einsum("...jcd,...jcd->...jc", diff, diff)
     if kind == numerics.COSINE:
-        qn = np.linalg.norm(queries, axis=1)
-        pn = np.linalg.norm(protos, axis=1)
+        qn = np.linalg.norm(queries, axis=-1)
+        pn = np.linalg.norm(protos, axis=-1)
         if np.any(qn == 0) or np.any(pn == 0):
             raise ValueError("cosine distance undefined for zero-norm embeddings")
-        return 1.0 - (queries @ protos.T) / np.outer(qn, pn)
+        return 1.0 - (queries @ np.swapaxes(protos, -1, -2)) / (qn[..., :, None] * pn[..., None, :])
     raise ValueError(f"unknown distance kind: {kind!r}")
 
 
@@ -182,32 +188,50 @@ def evaluate(
 ) -> EvalResult:
     """Mean query accuracy over freshly sampled episodes; never updates params.
 
-    The parameters are fixed during a call, so the rows of the part's classes
-    are encoded once, in one batch, and each episode gathers its embeddings
-    from that batch. Each query is assigned the class of its nearest
-    prototype.
+    Every episode's rows are drawn first, with the draws `sample_episode`
+    makes. The parameters are fixed during a call, so the rows of the part's
+    classes are encoded once, in one batch, and episodes are scored in
+    blocks that gather their embeddings from that batch. Each query is
+    assigned the class of its nearest prototype.
     """
-    if not split.part(part):
-        raise ValueError(f"part {part!r} has 0 classes, needs {n_way}")
+    if k_shot < 1:
+        raise ValueError(f"k_shot must be >= 1, got {k_shot}: an episode has no support examples")
+    if n_episodes < 1:
+        raise ValueError("n_episodes must be >= 1")
+    if query_per_class < 1:
+        raise ValueError("query_per_class must be >= 1")
+    if n_way < 2:
+        raise ValueError("n_way must be >= 2")
+    _, _, rows, _ = sample_episode_rows(
+        dataset, split, part, n_way, k_shot + query_per_class, 0, n_episodes, rng
+    )
     part_rows = dataset.class_rows(split.part(part))
     encoded = forward(params, dataset.token_rows(vocab).take(part_rows)).out
     position = np.zeros(len(dataset), dtype=np.intp)  # dataset row -> row of `encoded`
     position[part_rows] = np.arange(len(part_rows))
-    accuracies = []
-    for _ in range(n_episodes):
-        episode = sample_episode(
-            dataset, split, part, n_way, k_shot, query_per_class, n_unlabeled=0, rng=rng
-        )
-        n_support, classes = episode.n_support, episode.classes
-        if n_support == 0:
-            raise ValueError(f"episode class {episode.episode_classes[0]!r} has no support examples")
-        embs = encoded[position[episode.rows]]
-        protos, _ = prototypes(embs[:n_support], classes[:n_support], n_way)
-        dists = _pairwise_distances(embs[n_support:], protos, distance)
-        if not np.all(np.isfinite(dists)):
+    rows = position[rows]
+
+    n_query = n_way * query_per_class
+    # episodes per block, from the size of its (episodes, queries, classes, d)
+    # squared-distance difference tensor
+    block = max(1, EVAL_BLOCK_BYTES // (n_query * n_way * encoded.shape[1] * encoded.itemsize))
+    targets = np.repeat(np.arange(n_way), query_per_class)
+    correct = np.empty(n_episodes, dtype=np.intp)
+    for start in range(0, n_episodes, block):
+        embs = encoded[rows[start : start + block]]  # (episodes, n_way, k_shot + query, d)
+        # the support mean of `prototypes`: shots added in order, then divided
+        protos = np.zeros((len(embs), n_way, encoded.shape[1]))
+        for shot in range(k_shot):
+            protos += embs[:, :, shot]
+        protos /= k_shot
+        queries = embs[:, :, k_shot:].reshape(len(embs), n_query, -1)
+        dists = _pairwise_distances(queries, protos, distance)
+        if not np.isfinite(dists).all():
             raise ValueError("non-finite distance between a query and a prototype")
-        correct = np.count_nonzero(np.argmin(dists, axis=1) == classes[n_support:])
-        accuracies.append(correct / (len(classes) - n_support))
+        correct[start : start + len(embs)] = np.count_nonzero(
+            dists.argmin(axis=2) == targets, axis=1
+        )
+    accuracies = (correct / n_query).tolist()
     return EvalResult(
         mean_accuracy=float(np.mean(accuracies)),
         per_episode_accuracies=accuracies,

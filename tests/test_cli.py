@@ -119,6 +119,23 @@ class TestEvaluate:
         assert seen == [split_classes(dataset, trained, seed=0)]
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--episodes", "0"], "n_episodes must be >= 1"),
+        (["--query-per-class", "0"], "query_per_class must be >= 1"),
+    ])
+    def test_degenerate_episodes_exit_nonzero(self, corpus_path, tmp_path, capsys, flags, message):
+        from paraproto.data import load_dataset
+        from paraproto.encoder import EncoderParams, Vocabulary, save_checkpoint
+
+        vocab = Vocabulary.from_texts(load_dataset(corpus_path).texts())
+        save_checkpoint(tmp_path / "ckpt.npz", EncoderParams.init(len(vocab), 4, 4), vocab)
+        code = main(["evaluate", "--checkpoint", str(tmp_path / "ckpt.npz"),
+                     "--dataset", corpus_path, *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert message in captured.err and "accuracy" not in captured.out
+
+
 class TestParaphrase:
     def test_jsonl_output(self, corpus_path, tmp_path):
         sentences = tmp_path / "sents.txt"

@@ -10,6 +10,7 @@ from paraproto.data import (
     load_dataset,
     restrict_low_profile,
     sample_episode,
+    sample_episode_rows,
     split_classes,
 )
 from paraproto.synth import generate_synthetic_dataset
@@ -328,6 +329,43 @@ class TestSamplerEquivalence:
                 assert new.unlabeled == unlabeled
                 assert new.episode_classes == chosen
             assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+    @pytest.mark.parametrize("n_way, k_shot, query_per_class", [(5, 1, 5), (3, 2, 4), (1, 0, 1)])
+    def test_no_unlabeled_draw_when_none_requested(self, corpus, n_way, k_shot, query_per_class):
+        split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
+        args = (corpus, split, "train", n_way, k_shot, query_per_class, 0)
+        rng, rng_old = np.random.default_rng(11), np.random.default_rng(11)
+        calls = []
+
+        class CountingRng:
+            def choice(self, *a, **kw):
+                calls.append(kw["size"])
+                return rng.choice(*a, **kw)
+
+        for _ in range(3):
+            calls.clear()
+            new = sample_episode(*args, CountingRng())
+            support, query, _, chosen = _record_copying_sample_episode(*args, rng_old)
+            assert (new.support, new.query, new.episode_classes) == (support, query, chosen)
+            assert rng.bit_generator.state == rng_old.bit_generator.state
+            assert new.unlabeled_rows.dtype == np.intp and new.unlabeled_rows.shape == (0,)
+            assert calls == [n_way] + [k_shot + query_per_class] * n_way
+
+    def test_episode_rows_equal_consecutive_episodes(self, corpus):
+        split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
+        rng, rng_old = np.random.default_rng(12), np.random.default_rng(12)
+        pool, chosen, rows, unlabeled = sample_episode_rows(corpus, split, "valid", 3, 4, 2, 6, rng)
+        assert (chosen.shape, rows.shape, unlabeled.shape) == ((6, 3), (6, 3, 4), (6, 2))
+        for e in range(6):
+            support, query, texts, classes = _record_copying_sample_episode(
+                corpus, split, "valid", 3, 1, 3, 2, rng_old
+            )
+            assert [pool[i] for i in chosen[e]] == classes
+            picked = rows[e]
+            assert [corpus.records[i] for i in picked[:, :1].ravel()] == support
+            assert [corpus.records[i] for i in picked[:, 1:].ravel()] == query
+            assert [corpus.records[i][0] for i in unlabeled[e]] == texts
+        assert rng.bit_generator.state == rng_old.bit_generator.state
 
     def test_error_messages_unchanged(self):
         ds = Dataset(records=[("a a", "c1"), ("b b", "c1"), ("c c", "c2"), ("d d", "c2"),

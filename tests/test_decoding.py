@@ -518,6 +518,17 @@ class TestSynonymBigramLM:
         with pytest.raises(ValueError, match="empty source"):
             toy_lm.next_logprobs_batch([], [()])
 
+    def test_out_of_range_token_ids_rejected(self, toy_lm):
+        # id V and id -1 would both read the BOS row of the table
+        source, n = ["play", "music"], len(toy_lm.vocab)
+        for bad in ((n,), (-1,), (0, n)):
+            with pytest.raises(ValueError, match=rf"token ids must lie in \[0, {n}\)"):
+                toy_lm.next_logprobs_batch(source, [(0,), bad])
+        valid = (toy_lm.vocab.index("play"), n - 1)
+        logprobs, eos = toy_lm.next_logprobs(source, [toy_lm.vocab[i] for i in valid])
+        row = toy_lm.next_logprobs_batch(source, [valid])[0]
+        assert np.array_equal(row[:-1], logprobs) and row[-1] == eos
+
 
 def reference_base_row(lm, source, last):
     """Reference SynonymBigramLM base row, built alone: the mixture

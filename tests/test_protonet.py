@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from paraproto.data import Dataset, Episode, sample_episode, split_classes
 from paraproto.encoder import EncoderParams, Vocabulary, encode_batch, tokenize
 from paraproto.numerics import COSINE, SQUARED_EUCLIDEAN, finite_difference_gradient, gradient_check
 from paraproto.protonet import (
+    EVAL_BLOCK_BYTES,
     classify,
     episode_rows,
     evaluate,
@@ -251,20 +253,28 @@ def _per_episode_encode_evaluate(params, vocab, dataset, split, part, n_way, k_s
 
 
 class TestEvaluateEncodesPartOnce:
-    """Encoding the rows of a part once per call gives the per-episode
-    accuracies of encoding every episode on its own."""
+    """Encoding the rows of a part once per call, and scoring episodes in
+    blocks, gives the per-episode accuracies of encoding and scoring every
+    episode on its own, and leaves the generator where the oracle does."""
+
+    # 5-way, 5 queries per class, output_dim 8: episodes per scoring block
+    BLOCK = EVAL_BLOCK_BYTES // (25 * 5 * 8 * 8)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("distance", [SQUARED_EUCLIDEAN, COSINE])
     @pytest.mark.parametrize("k_shot", [1, 2])
-    def test_matches_per_episode_encode_oracle(self, corpus, seed, distance, k_shot):
+    @pytest.mark.parametrize("n_episodes", [1, 7, BLOCK + 1, 40])
+    def test_matches_per_episode_encode_oracle(self, corpus, seed, distance, k_shot, n_episodes):
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=seed)
         vocab = Vocabulary.from_texts(corpus.texts())
         params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(seed))
-        args = (params, vocab, corpus, split, "valid", 5, k_shot, 5, 40)
-        result = evaluate(*args, np.random.default_rng(100 + seed), distance)
-        oracle = _per_episode_encode_evaluate(*args, np.random.default_rng(100 + seed), distance)
+        args = (params, vocab, corpus, split, "valid", 5, k_shot, 5, n_episodes)
+        rng, rng_oracle = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
+        result = evaluate(*args, rng, distance)
+        oracle = _per_episode_encode_evaluate(*args, rng_oracle, distance)
         assert result.per_episode_accuracies == oracle
+        assert result.episode_count == n_episodes
+        assert rng.bit_generator.state == rng_oracle.bit_generator.state
 
     def test_no_support_error_kept(self, corpus):
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
@@ -272,3 +282,41 @@ class TestEvaluateEncodesPartOnce:
         params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(0))
         with pytest.raises(ValueError, match="has no support examples"):
             evaluate(params, vocab, corpus, split, "valid", 5, 0, 5, 3, np.random.default_rng(1))
+
+    @pytest.mark.parametrize(
+        "n_way, k_shot, query_per_class, n_episodes, message",
+        [
+            (5, 1, 5, 0, "n_episodes must be >= 1"),
+            (5, 1, 5, -2, "n_episodes must be >= 1"),
+            (5, -1, 5, 3, "has no support examples"),
+            (5, 1, 0, 3, "query_per_class must be >= 1"),
+            (1, 1, 5, 3, "n_way must be >= 2"),
+        ],
+    )
+    def test_degenerate_episode_arguments_rejected_before_any_draw(
+        self, corpus, n_way, k_shot, query_per_class, n_episodes, message
+    ):
+        split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
+        vocab = Vocabulary.from_texts(corpus.texts())
+        params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            evaluate(params, vocab, corpus, split, "valid", n_way, k_shot, query_per_class,
+                     n_episodes, rng)
+        assert rng.bit_generator.state == before
+
+    def test_block_memory_stays_small(self, corpus):
+        # materializing all 200 episodes' embeddings and distance differences
+        # at output_dim 32 would take about 7.7 MB
+        split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
+        vocab = Vocabulary.from_texts(corpus.texts())
+        params = EncoderParams.init(len(vocab), 32, 32, np.random.default_rng(0))
+        corpus.token_rows(vocab)  # built once per training run, not per evaluation
+        tracemalloc.start()
+        try:
+            evaluate(params, vocab, corpus, split, "valid", 5, 1, 5, 200, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
