@@ -10,15 +10,13 @@ from .consistency import (
     combined_training_step,
     unsupervised_loss,
 )
-from .data import ClassSplit, Dataset, Episode, SampledEpisode, load_dataset, restrict_low_profile, sample_episode, split_classes
+from .data import ClassSplit, Dataset, SampledEpisode, load_dataset, restrict_low_profile, sample_episode, split_classes
 from .decoding import (
     Beam,
-    BeamGroup,
     ConditionalLM,
     ConstraintSet,
     DecodeConfig,
     SynonymBigramLM,
-    beam_search,
     build_bigram_constraints,
     build_unigram_constraints,
     diverse_beam_search,

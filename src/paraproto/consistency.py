@@ -11,20 +11,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .data import Episode, SampledEpisode
+from .data import SampledEpisode
 from .encoder import AdamState, EncoderParams, TokenRows, Vocabulary, optimizer_step
 from .protonet import prototypical_loss, supervised_episode_loss
 
 
 @dataclass
 class UnlabeledBatch:
-    """U unlabeled sentences, each with exactly M paraphrases: as text, or
-    already as vocabulary ids (one TokenRows of the U sentences and one of
-    each sentence's M paraphrases, as the training loop gathers them from
-    the working set and the paraphrase cache)."""
+    """U unlabeled sentences, each with exactly M paraphrases, as vocabulary
+    ids: one TokenRows of the U sentences and one of each sentence's M
+    paraphrases, as the training loop gathers them from the working set and
+    the paraphrase cache."""
 
-    sentences: list[str] | TokenRows
-    paraphrases: list[list[str]] | list[TokenRows]
+    sentences: TokenRows
+    paraphrases: list[TokenRows]
 
     def __post_init__(self):
         if not self.sentences:
@@ -78,7 +78,6 @@ def anneal_weight(step: int, schedule: AnnealSchedule) -> float:
 def unsupervised_loss(
     batch: UnlabeledBatch,
     params: EncoderParams,
-    vocab: Vocabulary,
     distance: str = numerics.SQUARED_EUCLIDEAN,
 ) -> tuple[float, EncoderParams]:
     """Mean cross-entropy of each sentence against its own paraphrase mean:
@@ -86,21 +85,16 @@ def unsupervised_loss(
     support and the sentence itself as the one query.
 
     Gradients flow through the sentence embeddings and through every
-    paraphrase embedding; there is no stop-gradient on either side. A text
-    batch tokenizes its own rows first.
+    paraphrase embedding; there is no stop-gradient on either side.
     """
     u, m = batch.n_sentences, batch.n_paraphrases
-    if isinstance(batch.sentences, TokenRows):
-        tokens = TokenRows.concat([batch.sentences, *batch.paraphrases])
-    else:
-        texts = batch.sentences + [p for row in batch.paraphrases for p in row]
-        tokens = TokenRows.from_texts(texts, vocab)
+    tokens = TokenRows.concat([batch.sentences, *batch.paraphrases])
     groups = np.concatenate([np.arange(u), np.repeat(np.arange(u), m)])
     return prototypical_loss(params, tokens, groups, slice(u, None), slice(0, u), u, distance)
 
 
 def combined_training_step(
-    episode: Episode | SampledEpisode,
+    episode: SampledEpisode,
     batch: UnlabeledBatch,
     params: EncoderParams,
     optimizer_state: AdamState,
@@ -116,7 +110,7 @@ def combined_training_step(
     """
     weight = anneal_weight(step, schedule)
     sup_loss, sup_grads = supervised_episode_loss(episode, params, vocab, distance)
-    unsup_loss, unsup_grads = unsupervised_loss(batch, params, vocab, distance)
+    unsup_loss, unsup_grads = unsupervised_loss(batch, params, distance)
 
     combined = EncoderParams(*[
         (1.0 - weight) * sup + weight * unsup

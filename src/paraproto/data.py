@@ -86,17 +86,6 @@ class ClassSplit:
 
 
 @dataclass
-class Episode:
-    """One hand-built C-way K-shot task as text: labeled support/query
-    records plus unlabeled texts."""
-
-    support: list[tuple[str, str]]
-    query: list[tuple[str, str]]
-    unlabeled: list[str]
-    episode_classes: list[str]
-
-
-@dataclass
 class SampledEpisode:
     """One C-way K-shot task as row indices into `dataset`: support rows then
     query rows, each row's index into `episode_classes`, and unlabeled rows.
@@ -275,6 +264,17 @@ def sample_episode_rows(
     return pool, chosen, rows, unlabeled
 
 
+def check_episode_shape(n_way: int, k_shot: int, query_per_class: int) -> None:
+    """Reject an episode shape whose loss or accuracy is undefined: fewer than
+    two classes, or a class with no support or no query rows."""
+    if k_shot < 1:
+        raise ValueError(f"k_shot must be >= 1, got {k_shot}: an episode has no support examples")
+    if query_per_class < 1:
+        raise ValueError("query_per_class must be >= 1")
+    if n_way < 2:
+        raise ValueError("n_way must be >= 2")
+
+
 def sample_episode(
     dataset: Dataset,
     split: ClassSplit,
@@ -288,8 +288,10 @@ def sample_episode(
     """Sample one C-way K-shot episode from one split part, as dataset rows:
     the draws of `sample_episode_rows` for one episode, of which each
     class's first k_shot rows are support. The support rows come first,
-    class by class, then the query rows in the same class order.
+    class by class, then the query rows in the same class order. A
+    degenerate shape (`check_episode_shape`) fails before any draw.
     """
+    check_episode_shape(n_way, k_shot, query_per_class)
     pool, chosen, rows, unlabeled = sample_episode_rows(
         dataset, split, part, n_way, k_shot + query_per_class, n_unlabeled, 1, rng
     )

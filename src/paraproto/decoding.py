@@ -1,4 +1,4 @@
-"""Conditional-LM-agnostic beam search and diverse beam search with
+"""Diverse beam search over any conditional LM with a batch step, with
 decode-time constraints: unigram bans sampled from positional probability
 curves, and bans on reproducing source bigrams. Includes a deterministic
 bigram/synonym/copy mixture LM so constraint effects are observable at desk
@@ -23,24 +23,20 @@ CURVES = ("flat", "down", "up")
 
 
 class ConditionalLM(Protocol):
-    """Scores continuations of a generated prefix, conditioned on a source.
+    """Scores continuations of generated prefixes, conditioned on a source.
 
-    `next_logprobs` must return finite log-probabilities for every vocabulary
-    token plus end-of-sequence, jointly normalized, and must be deterministic.
-
-    An LM may also define `next_logprobs_batch(source, prefixes)`, taking B
-    prefixes as token-id sequences (indices into `vocab`) and returning one
-    (B, V+1) array of log-probabilities, EOS in the last column, row i equal
-    to `next_logprobs` of prefix i's tokens. The decoders then make one LM
-    call per step; without it they fall back to one `next_logprobs` call per
-    unfinished beam.
+    `next_logprobs_batch(source, prefixes)` takes B prefixes as token-id
+    sequences (indices into `vocab`) and returns one (B, V+1) array of
+    finite log-probabilities, row i over every vocabulary token and then
+    end-of-sequence in the last column, jointly normalized. It must be
+    deterministic. The decoder makes one call per step.
     """
 
     vocab: tuple[str, ...]
 
-    def next_logprobs(
-        self, source: Sequence[str], prefix: Sequence[str]
-    ) -> tuple[np.ndarray, float]: ...
+    def next_logprobs_batch(
+        self, source: Sequence[str], prefixes: Sequence[Sequence[int]]
+    ) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -65,12 +61,6 @@ class Beam:
 
     def texts(self, vocab: Sequence[str]) -> list[str]:
         return [vocab[i] for i in self.tokens]
-
-
-@dataclass
-class BeamGroup:
-    index: int
-    beams: list[Beam]
 
 
 @dataclass
@@ -160,33 +150,6 @@ def _banned_cells(vocab: Sequence[str], constraints: ConstraintSet) -> np.ndarra
     return banned
 
 
-def _step_logprobs(
-    lm: ConditionalLM, source: Sequence[str], prefixes: list[tuple[int, ...]]
-) -> np.ndarray:
-    """(B, V+1) log-probabilities of every token, and of EOS in the last
-    column, after each token-id prefix: one `next_logprobs_batch` call when
-    the LM has one, else one `next_logprobs` call per prefix."""
-    batch = getattr(lm, "next_logprobs_batch", None)
-    if batch is not None:
-        return batch(source, prefixes)
-    rows = [lm.next_logprobs(source, [lm.vocab[i] for i in p]) for p in prefixes]
-    return np.array([np.append(logprobs, eos) for logprobs, eos in rows])
-
-
-def beam_search(
-    lm: ConditionalLM,
-    source: Sequence[str],
-    beam_width: int,
-    max_len: int,
-    constraints: ConstraintSet = ConstraintSet.none(),
-) -> list[Beam]:
-    """Breadth-wise beam decoding; returns beams ranked by cumulative score.
-    This is diverse beam search with a single group."""
-    if beam_width < 1:
-        raise ValueError("beam_width must be >= 1")
-    return diverse_beam_search(lm, source, beam_width, 1, 0.0, max_len, constraints)[0].beams
-
-
 def diverse_beam_search(
     lm: ConditionalLM,
     source: Sequence[str],
@@ -195,8 +158,9 @@ def diverse_beam_search(
     diversity_penalty: float,
     max_len: int,
     constraints: ConstraintSet = ConstraintSet.none(),
-) -> list[BeamGroup]:
-    """Group-wise diverse beam search with a Hamming diversity penalty.
+) -> list[list[Beam]]:
+    """Group-wise diverse beam search with a Hamming diversity penalty; plain
+    beam search is its one-group case. Returns each group's beams.
 
     Groups decode in fixed order; at each step a candidate token in group g
     is penalized by diversity_penalty times the number of times earlier
@@ -227,7 +191,7 @@ def diverse_beam_search(
         active = [b for parents in live for b in parents]
         if not active:
             break
-        raw = _step_logprobs(lm, source, [b[0] for b in active])
+        raw = lm.next_logprobs_batch(source, [b[0] for b in active])
         # negated scores, so an ascending sort ranks best first and banned
         # cells (+inf) after every finite candidate
         neg = np.array([[-b[1]] for b in active]) - raw
@@ -266,7 +230,7 @@ def diverse_beam_search(
                 raise ValueError("constraints exhaust vocabulary")
             groups[g] = new_beams
             row += len(parents)
-    return [BeamGroup(index=g, beams=[Beam(*b) for b in beams]) for g, beams in enumerate(groups)]
+    return [[Beam(*b) for b in beams] for beams in groups]
 
 
 def select_most_diverse(
@@ -342,7 +306,7 @@ def generate_paraphrases(
         max_len=config.resolved_max_len(len(source)),
         constraints=constraints,
     )
-    best = select_most_diverse([g.beams for g in groups], bleu_reference([source]), lm.vocab)
+    best = select_most_diverse(groups, bleu_reference([source]), lm.vocab)
     return [" ".join(beam.texts(lm.vocab)) for beam in best]
 
 
@@ -499,14 +463,16 @@ class SynonymBigramLM:
         # multiplies a cell once per occurrence, so a token seen c times gets
         # the decay c times
         owner = np.repeat(np.arange(len(vocab_ids)), [len(ids) for ids in vocab_ids])
+        # the ids also pick the table rows, where -1 and n would read the BOS
+        # row; as unsigned ids, a negative Python int overflows and a negative
+        # numpy integer wraps to at least n
         try:
-            # the ids also pick the table rows, where -1 and n would read the
-            # BOS row; an unsigned negative id overflows, and the token
-            # columns end before n
             ids = np.fromiter(itertools.chain.from_iterable(vocab_ids), dtype=np.uintp)
-            np.multiply.at(probs[:, :n], (owner, ids), REPEAT_DECAY)
-        except (OverflowError, IndexError) as exc:
-            raise ValueError(f"prefix token ids must lie in [0, {n})") from exc
+        except OverflowError:
+            ids = None
+        if ids is None or ids.size and ids.max() >= n:
+            raise ValueError(f"prefix token ids must lie in [0, {n})")
+        np.multiply.at(probs[:, :n], (owner, ids), REPEAT_DECAY)
 
         lo, hi = self._eos_lo, self._eos_hi
         probs[:, n] *= [1e-4 if length < lo else 1.0 if length <= hi else 25.0 for length in lengths]
@@ -533,7 +499,7 @@ class SynonymBigramLM:
     def next_logprobs_batch(
         self, source: Sequence[str], prefixes: Sequence[Sequence[int]]
     ) -> np.ndarray:
-        """`next_logprobs` for B token-id prefixes (Python int indices into
+        """`next_logprobs` for B token-id prefixes (integer indices into
         `vocab`) at once: a (B, V+1) array of log-probabilities, EOS in the
         last column, row i equal to `next_logprobs` of prefix i. An id
         outside [0, V) raises `ValueError`."""

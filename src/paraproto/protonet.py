@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .data import Dataset, ClassSplit, Episode, SampledEpisode, sample_episode_rows
-from .encoder import EncoderParams, TokenRows, Vocabulary, encode_batch_backward, forward, tokenize
+from .data import Dataset, ClassSplit, SampledEpisode, check_episode_shape, sample_episode_rows
+from .encoder import EncoderParams, TokenRows, Vocabulary, encode_batch_backward, forward
 
 # byte cap on one evaluation block's squared-distance difference tensor:
 # scoring every episode at once would hold all of their embeddings
@@ -25,19 +25,6 @@ class EvalResult:
     mean_accuracy: float
     per_episode_accuracies: list[float]
     episode_count: int
-
-
-def episode_rows(episode: Episode) -> tuple[list[list[str]], np.ndarray, int]:
-    """Support then query rows of a hand-built episode: token lists, class
-    index per row in episode class order, and the number of support rows."""
-    supported = {label for _, label in episode.support}
-    for label in episode.episode_classes:
-        if label not in supported:
-            raise ValueError(f"episode class {label!r} has no support examples")
-    class_order = {label: i for i, label in enumerate(episode.episode_classes)}
-    rows = episode.support + episode.query
-    classes = np.array([class_order[label] for _, label in rows])
-    return [tokenize(text) for text, _ in rows], classes, len(episode.support)
 
 
 def prototypes(embs: np.ndarray, groups: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,25 +138,17 @@ def prototypical_loss(
 
 
 def supervised_episode_loss(
-    episode: Episode | SampledEpisode,
+    episode: SampledEpisode,
     params: EncoderParams,
     vocab: Vocabulary,
     distance: str = numerics.SQUARED_EUCLIDEAN,
 ) -> tuple[float, EncoderParams]:
-    """Episode loss and full parameter gradients (through support and query).
-
-    A sampled episode gathers its rows from its dataset's token ids; a
-    hand-built one tokenizes its own rows.
-    """
-    if isinstance(episode, SampledEpisode):
-        tokens = episode.dataset.token_rows(vocab).take(episode.rows)
-        classes, n_support = episode.classes, episode.n_support
-    else:
-        token_lists, classes, n_support = episode_rows(episode)
-        tokens = TokenRows.from_tokens(token_lists, vocab)
+    """Episode loss and full parameter gradients (through support and query),
+    over the episode's rows gathered from its dataset's token ids."""
+    n_support = episode.n_support
     return prototypical_loss(
-        params, tokens, classes, slice(0, n_support), slice(n_support, None),
-        len(episode.episode_classes), distance,
+        params, episode.dataset.token_rows(vocab).take(episode.rows), episode.classes,
+        slice(0, n_support), slice(n_support, None), len(episode.episode_classes), distance,
     )
 
 
@@ -194,14 +173,9 @@ def evaluate(
     blocks that gather their embeddings from that batch. Each query is
     assigned the class of its nearest prototype.
     """
-    if k_shot < 1:
-        raise ValueError(f"k_shot must be >= 1, got {k_shot}: an episode has no support examples")
+    check_episode_shape(n_way, k_shot, query_per_class)
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
-    if query_per_class < 1:
-        raise ValueError("query_per_class must be >= 1")
-    if n_way < 2:
-        raise ValueError("n_way must be >= 2")
     _, _, rows, _ = sample_episode_rows(
         dataset, split, part, n_way, k_shot + query_per_class, 0, n_episodes, rng
     )

@@ -9,7 +9,16 @@ import numpy as np
 EOS = "</s>"
 
 
-class TableLM:
+class PrefixLM:
+    """A test LM scored one text prefix at a time by `next_logprobs`, with
+    the decoder's batch step built from those rows."""
+
+    def next_logprobs_batch(self, source, prefixes):
+        rows = [self.next_logprobs(source, [self.vocab[i] for i in p]) for p in prefixes]
+        return np.array([np.append(logprobs, eos) for logprobs, eos in rows])
+
+
+class TableLM(PrefixLM):
     """LM defined by an explicit distribution per generated prefix.
 
     table maps a prefix tuple to {token: probability}; missing prefixes fall
@@ -32,7 +41,7 @@ class TableLM:
         return logs, float(np.log(eos / total))
 
 
-class RandomLM:
+class RandomLM(PrefixLM):
     """Deterministic pseudo-random LM: the distribution for every
     (source, prefix) pair is seeded from a stable hash of its repr."""
 

@@ -1,0 +1,32 @@
+"""Episodes and unlabeled batches written as text, built into the row forms
+the losses take: a `SampledEpisode` over a `Dataset` of its own records, and
+an `UnlabeledBatch` of token ids."""
+
+import numpy as np
+
+from paraproto.consistency import UnlabeledBatch
+from paraproto.data import Dataset, SampledEpisode
+from paraproto.encoder import TokenRows
+
+
+def text_episode(support, query, episode_classes):
+    """An episode of labeled (text, label) support and query records, in the
+    given order; each row's class is its label's index in episode_classes."""
+    dataset = Dataset(records=list(support) + list(query))
+    order = {label: i for i, label in enumerate(episode_classes)}
+    return SampledEpisode(
+        dataset=dataset,
+        rows=np.arange(len(dataset)),
+        classes=np.array([order[label] for _, label in dataset.records]),
+        n_support=len(support),
+        unlabeled_rows=np.empty(0, dtype=np.intp),
+        episode_classes=list(episode_classes),
+    )
+
+
+def text_batch(sentences, paraphrases, vocab):
+    """An unlabeled batch of sentences and each one's paraphrase texts."""
+    return UnlabeledBatch(
+        sentences=TokenRows.from_texts(sentences, vocab),
+        paraphrases=[TokenRows.from_texts(row, vocab) for row in paraphrases],
+    )

@@ -14,13 +14,12 @@ import pytest
 
 from lmstub import RandomLM, enumerate_sequences
 from paraproto.cli import main
-from paraproto.consistency import AnnealSchedule, UnlabeledBatch, anneal_weight, unsupervised_loss
+from paraproto.consistency import AnnealSchedule, anneal_weight, unsupervised_loss
 from paraproto.data import load_dataset
 from paraproto.decoding import (
     ConstraintSet,
     DecodeConfig,
     SynonymBigramLM,
-    beam_search,
     build_bigram_constraints,
     build_unigram_constraints,
     diverse_beam_search,
@@ -37,8 +36,9 @@ from paraproto.experiment import (
 )
 from paraproto.numerics import finite_difference_gradient, gradient_check
 from paraproto.protonet import evaluate, supervised_episode_loss
-from paraproto.data import Episode, TEST, split_classes
+from paraproto.data import TEST, split_classes
 from paraproto.synth import default_synonym_table, generate_synthetic_dataset
+from rowstub import text_batch, text_episode
 
 
 def criterion(label):
@@ -119,18 +119,16 @@ def _random_episode_and_batch(rng):
     classes = [f"c{i}" for i in range(n_way)]
     support = [(sentence(), c) for c in classes for _ in range(k_shot)]
     query = [(sentence(), c) for c in classes for _ in range(2)]
-    episode = Episode(support=support, query=query, unlabeled=[], episode_classes=classes)
-    batch = UnlabeledBatch(
-        sentences=[sentence() for _ in range(n_unlabeled)],
-        paraphrases=[[sentence() for _ in range(n_para)] for _ in range(n_unlabeled)],
-    )
-    texts = [t for t, _ in support + query] + batch.sentences
-    texts += [p for row in batch.paraphrases for p in row]
+    episode = text_episode(support, query, classes)
+    sentences = [sentence() for _ in range(n_unlabeled)]
+    paraphrases = [[sentence() for _ in range(n_para)] for _ in range(n_unlabeled)]
+    texts = [t for t, _ in support + query] + sentences
+    texts += [p for row in paraphrases for p in row]
     vocab = Vocabulary.from_texts(texts)
     d_emb = int(rng.integers(3, 9))
     d_out = int(rng.integers(3, 9))
     params = EncoderParams.init(len(vocab), d_emb, d_out, rng)
-    return episode, batch, vocab, params
+    return episode, text_batch(sentences, paraphrases, vocab), vocab, params
 
 
 @criterion("1 gradient-correctness")
@@ -146,10 +144,10 @@ def test_criterion_1_gradients_match_finite_differences():
             return supervised_episode_loss(episode, params.with_flat(flat), vocab)[0]
 
         def unsup_loss_fn(flat):
-            return unsupervised_loss(batch, params.with_flat(flat), vocab)[0]
+            return unsupervised_loss(batch, params.with_flat(flat))[0]
 
         _, sup_grads = supervised_episode_loss(episode, params, vocab)
-        _, unsup_grads = unsupervised_loss(batch, params, vocab)
+        _, unsup_grads = unsupervised_loss(batch, params)
 
         schedule = AnnealSchedule(alpha=float(rng.choice([0.25, 1.0, 4.0])), total_steps=7)
         step = int(rng.integers(0, 8))
@@ -181,19 +179,20 @@ def test_criterion_2_beam_search_matches_enumeration():
         lm = RandomLM(("a", "b", "c", "d"), seed=seed, eos_weight=0.5)
         source = ["b", "d"]
         width = len(lm.vocab) ** 3
-        beams = beam_search(lm, source, beam_width=width, max_len=3)
+        beams = diverse_beam_search(lm, source, width, 1, 0.0, max_len=3)[0]
         oracle = enumerate_sequences(lm, source, 3, ConstraintSet.none())
         assert beams[0].tokens == oracle[0][1]
         assert beams[0].score == pytest.approx(oracle[0][0], rel=1e-12)
 
     for seed in range(5):
         lm = RandomLM(("x", "y", "z"), seed=100 + seed, eos_weight=0.4)
+        # a lone group has no earlier group to be penalized against
         groups = diverse_beam_search(
             lm, ["x"], num_beams=6, num_groups=1, diversity_penalty=0.7, max_len=4
         )
-        plain = beam_search(lm, ["x"], beam_width=6, max_len=4)
-        assert [b.tokens for b in groups[0].beams] == [b.tokens for b in plain]
-        assert [b.score for b in groups[0].beams] == pytest.approx([b.score for b in plain])
+        plain = diverse_beam_search(lm, ["x"], 6, 1, 0.0, max_len=4)[0]
+        assert [b.tokens for b in groups[0]] == [b.tokens for b in plain]
+        assert [b.score for b in groups[0]] == pytest.approx([b.score for b in plain])
     assert time.monotonic() - started < 30.0
 
 
@@ -224,7 +223,7 @@ def test_criterion_3_no_banned_output_in_10k_decodes(corpus):
         )
         decodes += 1
         for group in groups:
-            for beam in group.beams:
+            for beam in group:
                 toks = beam.texts(lm_random.vocab)
                 if set(toks) & constraints.banned_unigrams:
                     violations += 1

@@ -6,12 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from paraproto.consistency import (
     AnnealSchedule,
-    UnlabeledBatch,
     anneal_weight,
     combined_training_step,
     unsupervised_loss,
 )
-from paraproto.data import Episode
 from paraproto.encoder import AdamState, EncoderParams, Vocabulary, encode, optimizer_step, tokenize
 from paraproto.numerics import (
     COSINE,
@@ -21,28 +19,32 @@ from paraproto.numerics import (
     softmax_over_neg_distances,
 )
 from paraproto.protonet import softmax_cross_entropy_episode, supervised_episode_loss
+from rowstub import text_batch, text_episode
+
+
+VOCAB = Vocabulary.from_texts(["a b x y z p q"])
 
 
 class TestUnlabeledBatch:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError, match="ragged"):
-            UnlabeledBatch(sentences=["a", "b"], paraphrases=[["x"], ["y", "z"]])
+            text_batch(["a", "b"], [["x"], ["y", "z"]], VOCAB)
 
     def test_counts(self):
-        batch = UnlabeledBatch(sentences=["a", "b"], paraphrases=[["x", "y"], ["p", "q"]])
+        batch = text_batch(["a", "b"], [["x", "y"], ["p", "q"]], VOCAB)
         assert batch.n_sentences == 2
         assert batch.n_paraphrases == 2
 
 
-def _oracle_unsupervised_loss(batch, params, vocab):
+def _oracle_unsupervised_loss(sentences, paraphrases, params, vocab):
     """The consistency loss written per sentence: each sentence against the
     mean embedding of each sentence's paraphrases."""
     protos = np.array(
         [np.mean([encode(params, tokenize(p), vocab) for p in row], axis=0)
-         for row in batch.paraphrases]
+         for row in paraphrases]
     )
     losses = []
-    for u, sentence in enumerate(batch.sentences):
+    for u, sentence in enumerate(sentences):
         emb = encode(params, tokenize(sentence), vocab)
         probs = softmax_over_neg_distances(((protos - emb) ** 2).sum(axis=1))
         losses.append(-math.log(probs[u]))
@@ -53,37 +55,36 @@ class TestUnlabeledPrototypes:
     """unsupervised_loss takes each sentence's prototype as the mean of its
     paraphrase embeddings."""
 
-    def _params(self, batch, seed):
-        texts = batch.sentences + [p for row in batch.paraphrases for p in row]
-        vocab = Vocabulary.from_texts(texts)
-        return EncoderParams.init(len(vocab), 5, 4, np.random.default_rng(seed)), vocab
+    def _params(self, vocab, seed):
+        return EncoderParams.init(len(vocab), 5, 4, np.random.default_rng(seed))
 
     def test_single_paraphrase_identity(self):
-        batch = UnlabeledBatch(sentences=["a b", "c", "d a"], paraphrases=[["b"], ["c d"], ["a"]])
-        params, vocab = self._params(batch, 0)
-        loss, _ = unsupervised_loss(batch, params, vocab)
-        assert loss == pytest.approx(_oracle_unsupervised_loss(batch, params, vocab), rel=1e-12)
+        sentences, paraphrases = ["a b", "c", "d a"], [["b"], ["c d"], ["a"]]
+        batch, vocab = _batch_and_vocab(sentences, paraphrases)
+        params = self._params(vocab, 0)
+        loss, _ = unsupervised_loss(batch, params)
+        oracle = _oracle_unsupervised_loss(sentences, paraphrases, params, vocab)
+        assert loss == pytest.approx(oracle, rel=1e-12)
 
     def test_mean(self):
-        batch, _ = _batch_and_vocab()
-        params, vocab = self._params(batch, 1)
-        loss, _ = unsupervised_loss(batch, params, vocab)
-        assert loss == pytest.approx(_oracle_unsupervised_loss(batch, params, vocab), rel=1e-12)
+        batch, vocab = _batch_and_vocab()
+        params = self._params(vocab, 1)
+        loss, _ = unsupervised_loss(batch, params)
+        oracle = _oracle_unsupervised_loss(SENTENCES, PARAPHRASES, params, vocab)
+        assert loss == pytest.approx(oracle, rel=1e-12)
 
     def test_paraphrase_order_invariant(self):
-        batch, _ = _batch_and_vocab()
-        params, vocab = self._params(batch, 2)
-        reversed_batch = UnlabeledBatch(
-            sentences=batch.sentences, paraphrases=[row[::-1] for row in batch.paraphrases]
-        )
-        a, grads_a = unsupervised_loss(batch, params, vocab)
-        b, grads_b = unsupervised_loss(reversed_batch, params, vocab)
+        batch, vocab = _batch_and_vocab()
+        params = self._params(vocab, 2)
+        reversed_batch = text_batch(SENTENCES, [row[::-1] for row in PARAPHRASES], vocab)
+        a, grads_a = unsupervised_loss(batch, params)
+        b, grads_b = unsupervised_loss(reversed_batch, params)
         assert a == pytest.approx(b, rel=1e-12)
         np.testing.assert_allclose(grads_a.flat(), grads_b.flat(), atol=1e-14)
 
     def test_ragged_shape_rejected(self):
         with pytest.raises(ValueError, match="M >= 1"):
-            UnlabeledBatch(sentences=["a", "b"], paraphrases=[[], []])
+            text_batch(["a", "b"], [[], []], VOCAB)
 
 
 def _consistency_probs(query, paraphrase_embs):
@@ -119,17 +120,17 @@ class TestConsistencyDistribution:
         np.testing.assert_allclose(probs, [2 / 3, 1 / 3], rtol=1e-12)
 
 
-def _batch_and_vocab():
-    batch = UnlabeledBatch(
-        sentences=["red apple", "green pear", "blue plum"],
-        paraphrases=[
-            ["crimson apple", "red fruit"],
-            ["verdant pear", "green fruit"],
-            ["azure plum", "blue fruit"],
-        ],
-    )
-    texts = batch.sentences + [p for row in batch.paraphrases for p in row]
-    return batch, Vocabulary.from_texts(texts)
+SENTENCES = ["red apple", "green pear", "blue plum"]
+PARAPHRASES = [
+    ["crimson apple", "red fruit"],
+    ["verdant pear", "green fruit"],
+    ["azure plum", "blue fruit"],
+]
+
+
+def _batch_and_vocab(sentences=SENTENCES, paraphrases=PARAPHRASES):
+    vocab = Vocabulary.from_texts(sentences + [p for row in paraphrases for p in row])
+    return text_batch(sentences, paraphrases, vocab), vocab
 
 
 class TestUnsupervisedLoss:
@@ -138,15 +139,12 @@ class TestUnsupervisedLoss:
         params = EncoderParams.init(len(vocab), 4, 4, np.random.default_rng(0))
         params.embedding[:] = 0.0
         params.projection[:] = 0.0
-        loss, _ = unsupervised_loss(batch, params, vocab)
+        loss, _ = unsupervised_loss(batch, params)
         assert loss == pytest.approx(math.log(3.0), rel=1e-9)
 
     def test_perfect_consistency_near_zero(self):
-        batch = UnlabeledBatch(
-            sentences=["aa", "bb", "cc"],
-            paraphrases=[["aa", "aa"], ["bb", "bb"], ["cc", "cc"]],
-        )
         vocab = Vocabulary.from_texts(["aa bb cc"])
+        batch = text_batch(["aa", "bb", "cc"], [["aa", "aa"], ["bb", "bb"], ["cc", "cc"]], vocab)
         params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(1))
         # sign-pattern embeddings + scaled identity projection saturate tanh,
         # putting the three sentences at mutually distant corners of [-1, 1]^8
@@ -155,7 +153,7 @@ class TestUnsupervisedLoss:
         signs = {"aa": np.ones(8), "bb": -np.ones(8), "cc": np.tile([1.0, -1.0], 4)}
         for tok, pattern in signs.items():
             params.embedding[vocab.index(tok)] = 3.0 * pattern
-        loss, _ = unsupervised_loss(batch, params, vocab)
+        loss, _ = unsupervised_loss(batch, params)
         assert loss < 0.01
 
     @pytest.mark.parametrize("distance", [SQUARED_EUCLIDEAN, COSINE])
@@ -164,9 +162,9 @@ class TestUnsupervisedLoss:
         params = EncoderParams.init(len(vocab), 5, 4, np.random.default_rng(2))
 
         def loss_fn(flat):
-            return unsupervised_loss(batch, params.with_flat(flat), vocab, distance)[0]
+            return unsupervised_loss(batch, params.with_flat(flat), distance)[0]
 
-        _, grads = unsupervised_loss(batch, params, vocab, distance)
+        _, grads = unsupervised_loss(batch, params, distance)
         numeric = finite_difference_gradient(loss_fn, params.flat())
         report = gradient_check(grads.flat(), numeric)
         assert report.max_relative_error < 1e-4
@@ -208,19 +206,17 @@ class TestAnnealWeight:
 
 
 def _episode_and_batch():
-    episode = Episode(
+    episode = text_episode(
         support=[("red apple", "a"), ("green pear", "b")],
         query=[("red fruit apple", "a"), ("green fruit pear", "b")],
-        unlabeled=["blue plum", "red apple"],
         episode_classes=["a", "b"],
     )
-    batch = UnlabeledBatch(
-        sentences=episode.unlabeled,
-        paraphrases=[["azure plum", "blue fruit"], ["crimson apple", "red fruit"]],
-    )
+    unlabeled = ["blue plum", "red apple"]
+    paraphrases = [["azure plum", "blue fruit"], ["crimson apple", "red fruit"]]
     texts = [t for t, _ in episode.support + episode.query]
-    texts += batch.sentences + [p for row in batch.paraphrases for p in row]
-    return episode, batch, Vocabulary.from_texts(texts)
+    texts += unlabeled + [p for row in paraphrases for p in row]
+    vocab = Vocabulary.from_texts(texts)
+    return episode, text_batch(unlabeled, paraphrases, vocab), vocab
 
 
 class TestCombinedTrainingStep:
@@ -253,7 +249,7 @@ class TestCombinedTrainingStep:
         adam_b = AdamState.for_params(params_b)
 
         losses = combined_training_step(episode, batch, params_a, adam_a, schedule, 100, vocab)
-        unsup_loss, unsup_grads = unsupervised_loss(batch, params_b, vocab)
+        unsup_loss, unsup_grads = unsupervised_loss(batch, params_b)
         optimizer_step(adam_b, params_b, unsup_grads)
 
         assert losses.weight == 1.0
@@ -266,7 +262,7 @@ class TestCombinedTrainingStep:
         params = EncoderParams.init(len(vocab), 4, 4, np.random.default_rng(5))
 
         _, sup_grads = supervised_episode_loss(episode, params, vocab)
-        _, unsup_grads = unsupervised_loss(batch, params, vocab)
+        _, unsup_grads = unsupervised_loss(batch, params)
         expected = 0.5 * (sup_grads.flat() + unsup_grads.flat())
 
         # recompute what the combined step applies by reading the Adam moment

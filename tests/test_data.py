@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from paraproto.data import (
     ClassSplit,
     Dataset,
+    check_episode_shape,
     load_dataset,
     restrict_low_profile,
     sample_episode,
@@ -206,14 +207,34 @@ class TestSampleEpisode:
         assert hit_parts == {"train", "valid", "test"}
 
     def test_insufficient_records_error_names_class(self):
+        # of the two training classes only c1 is short of records
         ds = Dataset(
-            records=[("a a", "c1"), ("b b", "c1"), ("c c", "c2"), ("d d", "c2"),
-                     ("e e", "c3"), ("f f", "c3")]
+            records=[("a a", "c1"), ("b b", "c1"), ("c c", "c3"), ("d d", "c4")]
+            + [(f"e e {i}", "c2") for i in range(5)]
         )
-        split = split_classes(ds, (0.34, 0.33, 0.33), seed=0)
-        label = sorted(split.train_classes)[0]
-        with pytest.raises(ValueError, match=label):
-            sample_episode(ds, split, "train", 1, 2, 3, 0, np.random.default_rng(0))
+        split = ClassSplit(frozenset({"c1", "c2"}), frozenset({"c3"}), frozenset({"c4"}))
+        with pytest.raises(ValueError, match="c1"):
+            sample_episode(ds, split, "train", 2, 2, 3, 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "n_way, k_shot, query_per_class, message",
+        [
+            (5, 0, 5, "has no support examples"),
+            (5, -1, 5, "has no support examples"),
+            (5, 1, 0, "query_per_class must be >= 1"),
+            (1, 1, 5, "n_way must be >= 2"),
+        ],
+    )
+    def test_degenerate_shape_rejected_before_any_draw(
+        self, corpus, n_way, k_shot, query_per_class, message
+    ):
+        # a class with no support rows, or no query rows, gives a nan loss
+        split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
+        rng = np.random.default_rng(10)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            sample_episode(corpus, split, "train", n_way, k_shot, query_per_class, 5, rng)
+        assert rng.bit_generator.state == before
 
     def test_seed_determinism(self, corpus):
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
@@ -257,8 +278,10 @@ class TestSynthGenerator:
 
 def _record_copying_sample_episode(dataset, split, part, n_way, k_shot, query_per_class,
                                    n_unlabeled, rng):
-    """The sampler as it was when it copied each chosen class's records:
+    """The sampler as it was when it copied each chosen class's records,
+    after the shape check that rejects degenerate episodes before any draw:
     the oracle for the row-index sampler's draws."""
+    check_episode_shape(n_way, k_shot, query_per_class)
     pool = sorted(split.part(part))
     if len(pool) < n_way:
         raise ValueError(f"part {part!r} has {len(pool)} classes, needs {n_way}")
@@ -330,7 +353,7 @@ class TestSamplerEquivalence:
                 assert new.episode_classes == chosen
             assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
-    @pytest.mark.parametrize("n_way, k_shot, query_per_class", [(5, 1, 5), (3, 2, 4), (1, 0, 1)])
+    @pytest.mark.parametrize("n_way, k_shot, query_per_class", [(5, 1, 5), (3, 2, 4), (2, 1, 1)])
     def test_no_unlabeled_draw_when_none_requested(self, corpus, n_way, k_shot, query_per_class):
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
         args = (corpus, split, "train", n_way, k_shot, query_per_class, 0)
@@ -374,7 +397,9 @@ class TestSamplerEquivalence:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match=r"^part 'train' has 1 classes, needs 2$"):
             sample_episode(ds, split, "train", 2, 1, 1, 0, rng)
+        # two training classes, since an episode needs n_way >= 2
+        split = ClassSplit(frozenset({"c1", "c2"}), frozenset(), frozenset({"c3"}))
         with pytest.raises(ValueError, match=r"^class 'c1' has 2 records, needs 3$"):
-            sample_episode(ds, split, "train", 1, 1, 2, 0, rng)
+            sample_episode(ds, split, "train", 2, 1, 2, 0, rng)
         with pytest.raises(ValueError, match=r"^cannot draw 7 unlabeled texts from 6 records$"):
-            sample_episode(ds, split, "train", 1, 1, 1, 7, rng)
+            sample_episode(ds, split, "train", 2, 1, 1, 7, rng)

@@ -12,7 +12,6 @@ from paraproto.decoding import (
     ConstraintSet,
     DecodeConfig,
     SynonymBigramLM,
-    beam_search,
     build_bigram_constraints,
     build_unigram_constraints,
     diverse_beam_search,
@@ -28,10 +27,12 @@ from paraproto.synth import default_synonym_table, generate_synthetic_dataset
 
 
 class TestBeamSearch:
+    """Plain beam search: diverse beam search with one group."""
+
     def test_width_one_is_greedy(self):
         lm = RandomLM(("a", "b", "c"), seed=1, eos_weight=0.2)
         source = ["a", "b"]
-        beams = beam_search(lm, source, beam_width=1, max_len=4)
+        beams = diverse_beam_search(lm, source, 1, 1, 0.0, max_len=4)[0]
         assert len(beams) == 1
         # replay greedily
         tokens = []
@@ -54,7 +55,7 @@ class TestBeamSearch:
         lm = RandomLM(("a", "b", "c"), seed=7, eos_weight=0.6)
         source = ["b", "c"]
         oracle = enumerate_sequences(lm, source, max_len=3, constraints=ConstraintSet.none())
-        beams = beam_search(lm, source, beam_width=100, max_len=3)
+        beams = diverse_beam_search(lm, source, 100, 1, 0.0, max_len=3)[0]
         assert beams[0].tokens == oracle[0][1]
         assert beams[0].score == pytest.approx(oracle[0][0])
         # the whole frontier matches, not just the top
@@ -65,11 +66,11 @@ class TestBeamSearch:
     def test_banned_first_token_changes_output(self):
         lm = RandomLM(("a", "b", "c"), seed=3, eos_weight=0.2)
         source = ["a"]
-        free = beam_search(lm, source, 1, 3)
+        free = diverse_beam_search(lm, source, 1, 1, 0.0, 3)[0]
         first = free[0].tokens[0]
-        banned = beam_search(
-            lm, source, 1, 3, ConstraintSet(banned_unigrams=frozenset({lm.vocab[first]}))
-        )
+        banned = diverse_beam_search(
+            lm, source, 1, 1, 0.0, 3, ConstraintSet(banned_unigrams=frozenset({lm.vocab[first]}))
+        )[0]
         assert banned[0].tokens[0] != first
         assert lm.vocab[first] not in [lm.vocab[i] for i in banned[0].tokens]
 
@@ -77,44 +78,31 @@ class TestBeamSearch:
         lm = RandomLM(("a", "b"), seed=0)
         constraints = ConstraintSet(banned_unigrams=frozenset({"a", "b"}))
         with pytest.raises(ValueError, match="exhaust"):
-            beam_search(lm, ["a"], 2, 3, constraints)
+            diverse_beam_search(lm, ["a"], 2, 1, 0.0, 3, constraints)
 
     def test_invalid_arguments(self):
         lm = RandomLM(("a",), seed=0)
         with pytest.raises(ValueError):
-            beam_search(lm, ["a"], 0, 3)
+            diverse_beam_search(lm, ["a"], 0, 1, 0.0, 3)
         with pytest.raises(ValueError):
-            beam_search(lm, ["a"], 1, 0)
+            diverse_beam_search(lm, ["a"], 1, 1, 0.0, 0)
 
     def test_deterministic(self):
         lm = RandomLM(("a", "b", "c", "d"), seed=5)
-        a = beam_search(lm, ["a", "d"], 4, 5)
-        b = beam_search(lm, ["a", "d"], 4, 5)
+        a = diverse_beam_search(lm, ["a", "d"], 4, 1, 0.0, 5)
+        b = diverse_beam_search(lm, ["a", "d"], 4, 1, 0.0, 5)
         assert a == b
 
 
 class TestDiverseBeamSearch:
-    def test_single_group_equals_beam_search(self):
-        lm = RandomLM(("a", "b", "c"), seed=11, eos_weight=0.4)
-        source = ["c", "a"]
-        for penalty in (0.0, 0.5, 2.0):
-            groups = diverse_beam_search(
-                lm, source, num_beams=4, num_groups=1, diversity_penalty=penalty, max_len=4
-            )
-            plain = beam_search(lm, source, beam_width=4, max_len=4)
-            assert [b.tokens for b in groups[0].beams] == [b.tokens for b in plain]
-            assert [b.score for b in groups[0].beams] == pytest.approx(
-                [b.score for b in plain]
-            )
-
     def test_zero_penalty_groups_collapse(self):
         lm = RandomLM(("a", "b", "c"), seed=13, eos_weight=0.4)
         groups = diverse_beam_search(
             lm, ["a", "b"], num_beams=6, num_groups=3, diversity_penalty=0.0, max_len=4
         )
-        first = [b.tokens for b in groups[0].beams]
+        first = [b.tokens for b in groups[0]]
         for group in groups[1:]:
-            assert [b.tokens for b in group.beams] == first
+            assert [b.tokens for b in group] == first
 
     def test_hand_traced_two_group_divergence(self):
         # two near-tied first tokens: log(0.55) - log(0.45) ~ 0.2 < penalty 0.5
@@ -126,7 +114,7 @@ class TestDiverseBeamSearch:
         groups = diverse_beam_search(
             lm, ["a"], num_beams=2, num_groups=2, diversity_penalty=0.5, max_len=2
         )
-        first_tokens = [group.beams[0].tokens[0] for group in groups]
+        first_tokens = [group[0].tokens[0] for group in groups]
         assert lm.vocab[first_tokens[0]] == "a"
         assert lm.vocab[first_tokens[1]] == "b"
 
@@ -139,7 +127,7 @@ class TestDiverseBeamSearch:
         groups = diverse_beam_search(
             lm, ["a"], num_beams=2, num_groups=2, diversity_penalty=0.05, max_len=2
         )
-        firsts = [lm.vocab[group.beams[0].tokens[0]] for group in groups]
+        firsts = [lm.vocab[group[0].tokens[0]] for group in groups]
         assert firsts == ["a", "a"]
 
     def test_divisibility_enforced(self):
@@ -218,12 +206,11 @@ def per_beam_diverse_beam_search(lm, source, num_beams, num_groups, diversity_pe
 
 class TestBatchedStepMatchesPerBeam:
     """The batched decoder gives exactly the groups of the per-beam reference:
-    through the `next_logprobs` fallback (RandomLM has no batch method) and
-    through `SynonymBigramLM.next_logprobs_batch`."""
+    with a test LM whose batch step stacks its per-prefix rows, and with
+    `SynonymBigramLM.next_logprobs_batch`."""
 
-    def test_fallback_lm(self):
+    def test_random_lm(self):
         lm = RandomLM(tuple("abcdef"), seed=21, eos_weight=0.3)
-        assert not hasattr(lm, "next_logprobs_batch")
         rng = np.random.default_rng(5)
         for trial in range(40):
             source = [lm.vocab[i] for i in rng.integers(0, 6, size=rng.integers(1, 6))]
@@ -236,7 +223,7 @@ class TestBatchedStepMatchesPerBeam:
             num_groups = 1 + trial % 4
             args = (lm, source, num_groups * (1 + trial % 3), num_groups, (0.0, 0.5, 2.0)[trial % 3], 5)
             groups = diverse_beam_search(*args, constraints=constraints)
-            assert [g.beams for g in groups] == per_beam_diverse_beam_search(*args, constraints)
+            assert groups == per_beam_diverse_beam_search(*args, constraints)
 
     def test_synonym_bigram_lm(self, toy_lm, tmp_path):
         texts = load_dataset(generate_synthetic_dataset(tmp_path / "corpus.jsonl", n_classes=4,
@@ -255,9 +242,9 @@ class TestBatchedStepMatchesPerBeam:
                                 build_unigram_constraints(source, 0.7, "flat", rng)):
                 args = (lm, source, 15, 5, 0.5, 2 * len(source) + 5)
                 groups = diverse_beam_search(*args, constraints=constraints)
-                assert [g.beams for g in groups] == per_beam_diverse_beam_search(*args, constraints)
+                assert groups == per_beam_diverse_beam_search(*args, constraints)
                 most_repeats = max([most_repeats] + [max(np.bincount(b.tokens)) for g in groups
-                                                     for b in g.beams if b.tokens])
+                                                     for b in g if b.tokens])
         assert most_repeats >= 3
 
 
@@ -519,9 +506,10 @@ class TestSynonymBigramLM:
             toy_lm.next_logprobs_batch([], [()])
 
     def test_out_of_range_token_ids_rejected(self, toy_lm):
-        # id V and id -1 would both read the BOS row of the table
+        # id V and id -1 would both read the BOS row of the table; as unsigned
+        # ids, a Python -1 overflows but a numpy -1 wraps
         source, n = ["play", "music"], len(toy_lm.vocab)
-        for bad in ((n,), (-1,), (0, n)):
+        for bad in ((n,), (-1,), (0, n), (np.intp(-1),), (0, np.int64(-1))):
             with pytest.raises(ValueError, match=rf"token ids must lie in \[0, {n}\)"):
                 toy_lm.next_logprobs_batch(source, [(0,), bad])
         valid = (toy_lm.vocab.index("play"), n - 1)
@@ -686,7 +674,7 @@ class TestConstraintSoundnessFuzz:
                 max_len=5, constraints=constraints,
             )
             for group in groups:
-                for beam in group.beams:
+                for beam in group:
                     toks = beam.texts(lm.vocab)
                     assert not set(toks) & constraints.banned_unigrams
                     assert not set(zip(toks, toks[1:])) & constraints.banned_bigrams

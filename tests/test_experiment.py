@@ -24,6 +24,7 @@ from paraproto.experiment import (
 from paraproto.protonet import evaluate
 from paraproto.synth import generate_synthetic_dataset
 from paraproto.data import TEST, split_classes
+from rowstub import text_batch
 from test_decoding import decode_configs
 
 
@@ -406,7 +407,7 @@ class TestLearnability:
     def test_heldout_consistency_loss_decreases(self, tmp_path):
         # the unsupervised loss on held-out unlabeled batches goes down over
         # training, checked across 5 seeds
-        from paraproto.consistency import UnlabeledBatch, unsupervised_loss
+        from paraproto.consistency import unsupervised_loss
         from paraproto.data import sample_episode
         from paraproto.decoding import SynonymBigramLM, generate_paraphrases
         from paraproto.encoder import EncoderParams, Vocabulary
@@ -430,7 +431,7 @@ class TestLearnability:
                     generate_paraphrases(lm, s, 3, "dbs", decode, held_rng)
                     for s in ep.unlabeled
                 ]
-                batches.append(UnlabeledBatch(sentences=ep.unlabeled, paraphrases=paras))
+                batches.append((ep.unlabeled, paras))
             cfg = RunConfig(
                 dataset_path=str(path), strategy="dbs", n_way=5, k_shot=1,
                 query_per_class=5, n_unlabeled=5, n_paraphrases=3, decode=decode,
@@ -438,10 +439,12 @@ class TestLearnability:
                 seeds=(seed,), paraphrase_cache=True,
             )
             init_params = EncoderParams.init(len(vocab), 32, 32, _rngs(seed, 5)[0])
-            before = np.mean([unsupervised_loss(b, init_params, vocab)[0] for b in batches])
+            before = np.mean(
+                [unsupervised_loss(text_batch(*b, vocab), init_params)[0] for b in batches]
+            )
             _, trained, trained_vocab = train_single_seed(cfg, seed, ds)
             after = np.mean(
-                [unsupervised_loss(b, trained, trained_vocab)[0] for b in batches]
+                [unsupervised_loss(text_batch(*b, trained_vocab), trained)[0] for b in batches]
             )
             deltas.append(after - before)
         assert np.mean(deltas) < 0.0

@@ -4,19 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from paraproto.data import Dataset, Episode, sample_episode, split_classes
+from paraproto.data import Dataset, sample_episode, split_classes
 from paraproto.encoder import EncoderParams, Vocabulary, encode_batch, tokenize
 from paraproto.numerics import COSINE, SQUARED_EUCLIDEAN, finite_difference_gradient, gradient_check
 from paraproto.protonet import (
     EVAL_BLOCK_BYTES,
     classify,
-    episode_rows,
     evaluate,
     prototypes,
     supervised_episode_loss,
 )
 from paraproto.synth import generate_synthetic_dataset
 from paraproto.data import load_dataset
+from rowstub import text_episode
 
 
 def _episode_setup(texts_by_class, k_shot, seed=0):
@@ -28,8 +28,9 @@ def _episode_setup(texts_by_class, k_shot, seed=0):
 
 def encode_episode(episode, params, vocab):
     """Token lists, class index per row, embeddings and (prototypes, shots)
-    of an episode's support-then-query rows."""
-    tokens, classes, n_support = episode_rows(episode)
+    of an episode's support-then-query rows, each row tokenized from its text."""
+    tokens = [tokenize(text) for text, _ in episode.support + episode.query]
+    classes, n_support = episode.classes, episode.n_support
     embs = encode_batch(params, tokens, vocab)
     protos, shots = prototypes(embs[:n_support], classes[:n_support], len(episode.episode_classes))
     return tokens, classes, embs, protos, shots
@@ -59,19 +60,10 @@ class TestComputePrototypes:
         episode, vocab, params = _episode_setup(
             {"a": ["x y", "y", "x"], "b": ["z", "x z", "y"]}, 2
         )
-        reordered = Episode(
-            support=episode.support[::-1], query=episode.query,
-            unlabeled=[], episode_classes=episode.episode_classes,
-        )
+        reordered = text_episode(episode.support[::-1], episode.query, episode.episode_classes)
         a = encode_episode(episode, params, vocab)[3]
         b = encode_episode(reordered, params, vocab)[3]
         np.testing.assert_allclose(a, b, rtol=1e-12)
-
-    def test_empty_class_rejected(self):
-        episode, vocab, params = _episode_setup({"a": ["x y", "y"], "b": ["z", "x"]}, 1)
-        episode.support = episode.support[:1]
-        with pytest.raises(ValueError, match="no support"):
-            encode_episode(episode, params, vocab)
 
 
 class TestClassify:
@@ -105,16 +97,14 @@ class TestClassify:
             classify(np.zeros(3), np.eye(2))
 
 
-def _episode_from(texts_by_class: dict[str, list[str]], k_shot: int) -> Episode:
+def _episode_from(texts_by_class: dict[str, list[str]], k_shot: int):
     support, query = [], []
     for label, texts in texts_by_class.items():
         for text in texts[:k_shot]:
             support.append((text, label))
         for text in texts[k_shot:]:
             query.append((text, label))
-    return Episode(
-        support=support, query=query, unlabeled=[], episode_classes=list(texts_by_class)
-    )
+    return text_episode(support, query, list(texts_by_class))
 
 
 class TestSupervisedEpisodeLoss:
@@ -236,9 +226,7 @@ def _per_episode_encode_evaluate(params, vocab, dataset, split, part, n_way, k_s
     accuracies = []
     for _ in range(n_episodes):
         ep = sample_episode(dataset, split, part, n_way, k_shot, query_per_class, 0, rng)
-        text_episode = Episode(support=ep.support, query=ep.query, unlabeled=[],
-                               episode_classes=ep.episode_classes)
-        _, classes, embs, protos, _ = encode_episode(text_episode, params, vocab)
+        _, classes, embs, protos, _ = encode_episode(ep, params, vocab)
         n_support = len(ep.support)
         queries = embs[n_support:]
         if distance == SQUARED_EUCLIDEAN:
