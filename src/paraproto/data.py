@@ -21,6 +21,10 @@ from .encoder import TokenRows, Vocabulary, tokenize
 TRAIN, VALID, TEST = "train", "valid", "test"
 PARTS = (TRAIN, VALID, TEST)
 
+# Key matrices per chunk of episodes are capped at this many bytes; each
+# episode's keys stay one contiguous row, so chunking moves no draw.
+SAMPLE_BLOCK_BYTES = 64 * 1024
+
 
 @dataclass
 class Dataset:
@@ -89,7 +93,9 @@ class ClassSplit:
 class SampledEpisode:
     """One C-way K-shot task as row indices into `dataset`: support rows then
     query rows, each row's index into `episode_classes`, and unlabeled rows.
-    The record and text views are built on access, off the training path."""
+    `unlabeled` builds the unlabeled rows' texts on each access; consistency
+    training reads it once per episode to key the paraphrase cache and to
+    feed the decoder."""
 
     dataset: Dataset
     rows: np.ndarray
@@ -97,14 +103,6 @@ class SampledEpisode:
     n_support: int
     unlabeled_rows: np.ndarray
     episode_classes: list[str]
-
-    @property
-    def support(self) -> list[tuple[str, str]]:
-        return [self.dataset.records[i] for i in self.rows[: self.n_support]]
-
-    @property
-    def query(self) -> list[tuple[str, str]]:
-        return [self.dataset.records[i] for i in self.rows[self.n_support :]]
 
     @property
     def unlabeled(self) -> list[str]:
@@ -228,39 +226,62 @@ def sample_episode_rows(
 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
     """Draw the rows of `n_episodes` C-way episodes from one split part.
 
-    Per episode: n_way classes from the part's sorted class names, then for
-    each class in drawn order per_class of its rows without replacement,
-    then n_unlabeled rows uniformly from the whole dataset, regardless of
-    the split part (they may come from any class, including test classes).
-    An episode with no unlabeled rows makes no unlabeled draw; a size-0
-    draw would leave the generator as it was.
+    Each episode reads one row of K uniform keys from `rng.random`, where
+    P is the part's class count and W its largest class size:
+    - keys [0, P) rank the part's sorted class names; the n_way smallest
+      (stable `argsort`) are the episode's classes, in key order;
+    - keys [P, P + n_way * W) give each drawn class, in order, W keys, one
+      per row of the class in dataset order (cells past the class's size
+      count as +inf); the per_class smallest pick its rows, in key order;
+    - only when n_unlabeled > 0, keys [P + n_way * W, K) rank every dataset
+      row and the n_unlabeled smallest are the unlabeled rows. They may
+      come from any class, including test classes.
+    An episode's keys are one contiguous row, so E episodes drawn in one
+    call are the E episodes of E one-episode calls, and leave the
+    generator where those calls do. Keys are drawn in chunks of at most
+    SAMPLE_BLOCK_BYTES. Too few classes, a class of the part with fewer
+    than per_class rows (the first in sorted order is named) and too few
+    records for the unlabeled rows all fail before any draw.
 
     Returns the part's sorted class names, the drawn class indices into
-    them (E, n_way), the dataset rows (E, n_way, per_class) in draw order,
+    them (E, n_way), the dataset rows (E, n_way, per_class) in key order,
     and the unlabeled rows (E, n_unlabeled).
     """
     pool = sorted(split.part(part))
     if len(pool) < n_way:
         raise ValueError(f"part {part!r} has {len(pool)} classes, needs {n_way}")
     by_class = [dataset._by_class[label] for label in pool]
+    sizes = np.array([len(class_rows) for class_rows in by_class])
+    short = np.flatnonzero(sizes < per_class)
+    if len(short):
+        raise ValueError(
+            f"class {pool[short[0]]!r} has {sizes[short[0]]} records, needs {per_class}"
+        )
+    if n_unlabeled > len(dataset):
+        raise ValueError(f"cannot draw {n_unlabeled} unlabeled texts from {len(dataset)} records")
+    n_classes, width = len(pool), int(sizes.max())
+    filled = np.arange(width) < sizes[:, None]  # (P, W): cell holds a row of the class
+    table = np.full((n_classes, width), -1, dtype=np.intp)
+    table[filled] = np.concatenate(by_class)
+    n_keys = n_classes + n_way * width + (len(dataset) if n_unlabeled else 0)
+
     chosen = np.empty((n_episodes, n_way), dtype=np.intp)
     rows = np.empty((n_episodes, n_way, per_class), dtype=np.intp)
     unlabeled = np.empty((n_episodes, n_unlabeled), dtype=np.intp)
-    for e in range(n_episodes):
-        chosen[e] = rng.choice(len(pool), size=n_way, replace=False)
-        for c, i in enumerate(chosen[e].tolist()):
-            class_rows = by_class[i]
-            if len(class_rows) < per_class:
-                raise ValueError(
-                    f"class {pool[i]!r} has {len(class_rows)} records, needs {per_class}"
-                )
-            rows[e, c] = class_rows[rng.choice(len(class_rows), size=per_class, replace=False)]
+    chunk = max(1, SAMPLE_BLOCK_BYTES // (n_keys * 8))
+    for start in range(0, n_episodes, chunk):
+        keys = rng.random((min(chunk, n_episodes - start), n_keys))
+        stop = start + len(keys)
+        picked = keys[:, :n_classes].argsort(axis=1, kind="stable")[:, :n_way]
+        row_keys = keys[:, n_classes : n_classes + n_way * width].reshape(-1, n_way, width)
+        row_keys[~filled[picked]] = np.inf
+        order = row_keys.argsort(axis=2, kind="stable")[:, :, :per_class]
+        chosen[start:stop] = picked
+        rows[start:stop] = table[picked[:, :, None], order]
         if n_unlabeled:
-            if n_unlabeled > len(dataset):
-                raise ValueError(
-                    f"cannot draw {n_unlabeled} unlabeled texts from {len(dataset)} records"
-                )
-            unlabeled[e] = rng.choice(len(dataset), size=n_unlabeled, replace=False)
+            unlabeled[start:stop] = keys[:, n_classes + n_way * width :].argsort(
+                axis=1, kind="stable"
+            )[:, :n_unlabeled]
     return pool, chosen, rows, unlabeled
 
 
@@ -275,6 +296,46 @@ def check_episode_shape(n_way: int, k_shot: int, query_per_class: int) -> None:
         raise ValueError("n_way must be >= 2")
 
 
+def sample_episodes(
+    dataset: Dataset,
+    split: ClassSplit,
+    part: str,
+    n_way: int,
+    k_shot: int,
+    query_per_class: int,
+    n_unlabeled: int,
+    n_episodes: int,
+    rng: np.random.Generator,
+) -> list[SampledEpisode]:
+    """Sample `n_episodes` C-way K-shot episodes from one split part, as
+    dataset rows: the draws of `sample_episode_rows`, of which each class's
+    first k_shot rows are support. The support rows come first, class by
+    class, then the query rows in the same class order. A degenerate shape
+    (`check_episode_shape`) fails before any draw.
+    """
+    check_episode_shape(n_way, k_shot, query_per_class)
+    pool, chosen, rows, unlabeled = sample_episode_rows(
+        dataset, split, part, n_way, k_shot + query_per_class, n_unlabeled, n_episodes, rng
+    )
+    rows = np.concatenate(
+        (rows[:, :, :k_shot].reshape(n_episodes, -1), rows[:, :, k_shot:].reshape(n_episodes, -1)),
+        axis=1,
+    )
+    groups = np.arange(n_way)
+    classes = np.concatenate([np.repeat(groups, k_shot), np.repeat(groups, query_per_class)])
+    return [
+        SampledEpisode(
+            dataset=dataset,
+            rows=rows[e],
+            classes=classes,
+            n_support=n_way * k_shot,
+            unlabeled_rows=unlabeled[e],
+            episode_classes=[pool[i] for i in picked],
+        )
+        for e, picked in enumerate(chosen.tolist())
+    ]
+
+
 def sample_episode(
     dataset: Dataset,
     split: ClassSplit,
@@ -285,22 +346,7 @@ def sample_episode(
     n_unlabeled: int,
     rng: np.random.Generator,
 ) -> SampledEpisode:
-    """Sample one C-way K-shot episode from one split part, as dataset rows:
-    the draws of `sample_episode_rows` for one episode, of which each
-    class's first k_shot rows are support. The support rows come first,
-    class by class, then the query rows in the same class order. A
-    degenerate shape (`check_episode_shape`) fails before any draw.
-    """
-    check_episode_shape(n_way, k_shot, query_per_class)
-    pool, chosen, rows, unlabeled = sample_episode_rows(
-        dataset, split, part, n_way, k_shot + query_per_class, n_unlabeled, 1, rng
-    )
-    groups = np.arange(n_way)
-    return SampledEpisode(
-        dataset=dataset,
-        rows=np.concatenate((rows[0, :, :k_shot], rows[0, :, k_shot:]), axis=None),
-        classes=np.concatenate([np.repeat(groups, k_shot), np.repeat(groups, query_per_class)]),
-        n_support=n_way * k_shot,
-        unlabeled_rows=unlabeled[0],
-        episode_classes=[pool[i] for i in chosen[0].tolist()],
-    )
+    """One episode of `sample_episodes`."""
+    return sample_episodes(
+        dataset, split, part, n_way, k_shot, query_per_class, n_unlabeled, 1, rng
+    )[0]

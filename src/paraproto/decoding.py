@@ -320,6 +320,10 @@ UNIFORM_WEIGHT = 0.07
 REPEAT_DECAY = 0.3
 
 
+def _bad_prefix_ids(n: int) -> ValueError:
+    return ValueError(f"prefix token ids must lie in [0, {n})")
+
+
 class SynonymBigramLM:
     """Deterministic conditional LM: an additive-smoothed bigram model
     interpolated with a pointer-style copy bias and synonym mass.
@@ -471,7 +475,7 @@ class SynonymBigramLM:
         except OverflowError:
             ids = None
         if ids is None or ids.size and ids.max() >= n:
-            raise ValueError(f"prefix token ids must lie in [0, {n})")
+            raise _bad_prefix_ids(n)
         np.multiply.at(probs[:, :n], (owner, ids), REPEAT_DECAY)
 
         lo, hi = self._eos_lo, self._eos_hi
@@ -504,5 +508,8 @@ class SynonymBigramLM:
         last column, row i equal to `next_logprobs` of prefix i. An id
         outside [0, V) raises `ValueError`."""
         self._use_source(source)
-        probs = self._table[[p[-1] if len(p) else self._bos for p in prefixes]]
+        try:
+            probs = self._table[[p[-1] if len(p) else self._bos for p in prefixes]]
+        except IndexError:  # a last id below -(V+1), past V, or not an integer
+            raise _bad_prefix_ids(len(self.vocab)) from None
         return self._logprobs(probs, prefixes, [len(p) for p in prefixes])

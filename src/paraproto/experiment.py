@@ -22,7 +22,7 @@ from .consistency import (
     combined_training_step,
     format_step_log,
 )
-from .data import TRAIN, VALID, TEST, Dataset, load_dataset, restrict_low_profile, split_classes, sample_episode
+from .data import TRAIN, VALID, TEST, Dataset, load_dataset, restrict_low_profile, split_classes, sample_episodes
 from .decoding import STRATEGIES, DecodeConfig, SynonymBigramLM, generate_paraphrases
 from .encoder import AdamState, EncoderParams, TokenRows, Vocabulary, optimizer_step, save_checkpoint
 from .metrics import diversity_report
@@ -231,8 +231,12 @@ def train_single_seed(
     val_curve: list[tuple[int, float]] = []
     episodes_run = 0
 
-    for step in range(1, config.max_episodes + 1):
-        episode = sample_episode(
+    # training episodes are drawn eval_every at a time; a block equals its
+    # episodes drawn one by one, and early stopping falls on a block's end
+    episodes = (
+        episode
+        for start in range(0, config.max_episodes, config.eval_every)
+        for episode in sample_episodes(
             working,
             split,
             TRAIN,
@@ -240,8 +244,11 @@ def train_single_seed(
             config.k_shot,
             config.query_per_class,
             config.n_unlabeled if config.strategy != "none" else 0,
+            min(config.eval_every, config.max_episodes - start),
             rng_episode,
         )
+    )
+    for step, episode in enumerate(episodes, start=1):
         episodes_run = step
         if config.strategy == "none":
             sup_loss, grads = supervised_episode_loss(episode, params, vocab, config.distance)

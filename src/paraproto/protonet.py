@@ -167,8 +167,9 @@ def evaluate(
 ) -> EvalResult:
     """Mean query accuracy over freshly sampled episodes; never updates params.
 
-    Every episode's rows are drawn first, with the draws `sample_episode`
-    makes. The parameters are fixed during a call, so the rows of the part's
+    Every episode's rows are drawn first, in one `sample_episode_rows` call
+    with no unlabeled rows: the draws of that many `sample_episode` calls.
+    The parameters are fixed during a call, so the rows of the part's
     classes are encoded once, in one batch, and episodes are scored in
     blocks that gather their embeddings from that batch. Each query is
     assigned the class of its nearest prototype.

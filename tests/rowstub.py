@@ -1,6 +1,6 @@
 """Episodes and unlabeled batches written as text, built into the row forms
 the losses take: a `SampledEpisode` over a `Dataset` of its own records, and
-an `UnlabeledBatch` of token ids."""
+an `UnlabeledBatch` of token ids; and an episode's rows read back as records."""
 
 import numpy as np
 
@@ -22,6 +22,13 @@ def text_episode(support, query, episode_classes):
         unlabeled_rows=np.empty(0, dtype=np.intp),
         episode_classes=list(episode_classes),
     )
+
+
+def episode_records(episode):
+    """An episode's (text, label) support records and query records, read
+    from its dataset in row order."""
+    records = [episode.dataset.records[i] for i in episode.rows]
+    return records[: episode.n_support], records[episode.n_support :]
 
 
 def text_batch(sentences, paraphrases, vocab):

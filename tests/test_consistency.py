@@ -19,7 +19,7 @@ from paraproto.numerics import (
     softmax_over_neg_distances,
 )
 from paraproto.protonet import softmax_cross_entropy_episode, supervised_episode_loss
-from rowstub import text_batch, text_episode
+from rowstub import episode_records, text_batch, text_episode
 
 
 VOCAB = Vocabulary.from_texts(["a b x y z p q"])
@@ -213,7 +213,8 @@ def _episode_and_batch():
     )
     unlabeled = ["blue plum", "red apple"]
     paraphrases = [["azure plum", "blue fruit"], ["crimson apple", "red fruit"]]
-    texts = [t for t, _ in episode.support + episode.query]
+    support, query = episode_records(episode)
+    texts = [t for t, _ in support + query]
     texts += unlabeled + [p for row in paraphrases for p in row]
     vocab = Vocabulary.from_texts(texts)
     return episode, text_batch(unlabeled, paraphrases, vocab), vocab

@@ -1,20 +1,24 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paraproto import data
 from paraproto.data import (
+    SAMPLE_BLOCK_BYTES,
     ClassSplit,
     Dataset,
-    check_episode_shape,
     load_dataset,
     restrict_low_profile,
     sample_episode,
     sample_episode_rows,
+    sample_episodes,
     split_classes,
 )
 from paraproto.synth import generate_synthetic_dataset
+from rowstub import episode_records
 
 
 def class_size(dataset, label):
@@ -154,17 +158,19 @@ class TestSampleEpisode:
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
         rng = np.random.default_rng(0)
         ep = sample_episode(corpus, split, "train", 5, 1, 5, 5, rng)
-        assert len(ep.support) == 5
-        assert len(ep.query) == 25
+        support, query = episode_records(ep)
+        assert len(support) == 5
+        assert len(query) == 25
         assert len(ep.unlabeled) == 5
         assert len(ep.episode_classes) == 5
 
     def test_exact_shots_per_class(self, corpus):
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
         ep = sample_episode(corpus, split, "train", 3, 2, 4, 0, np.random.default_rng(1))
+        support, query = episode_records(ep)
         for label in ep.episode_classes:
-            assert sum(1 for _, l in ep.support if l == label) == 2
-            assert sum(1 for _, l in ep.query if l == label) == 4
+            assert sum(1 for _, l in support if l == label) == 2
+            assert sum(1 for _, l in query if l == label) == 4
 
     def test_support_query_disjoint(self):
         # unique texts make record identity observable from the outside
@@ -175,9 +181,10 @@ class TestSampleEpisode:
         rng = np.random.default_rng(2)
         for _ in range(50):
             ep = sample_episode(ds, split, "train", 3, 2, 5, 0, rng)
-            assert not set(ep.support) & set(ep.query)
-            assert all(l in ep.episode_classes for _, l in ep.support)
-            assert all(l in ep.episode_classes for _, l in ep.query)
+            support, query = episode_records(ep)
+            assert not set(support) & set(query)
+            assert all(l in ep.episode_classes for _, l in support)
+            assert all(l in ep.episode_classes for _, l in query)
 
     def test_monte_carlo_class_coverage(self, corpus):
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
@@ -240,7 +247,7 @@ class TestSampleEpisode:
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
         a = sample_episode(corpus, split, "train", 5, 1, 5, 5, np.random.default_rng(9))
         b = sample_episode(corpus, split, "train", 5, 1, 5, 5, np.random.default_rng(9))
-        assert a.support == b.support and a.query == b.query and a.unlabeled == b.unlabeled
+        assert episode_records(a) == episode_records(b) and a.unlabeled == b.unlabeled
 
 
 class TestSynthGenerator:
@@ -276,30 +283,53 @@ class TestSynthGenerator:
             generate_synthetic_dataset(tmp_path / "x.jsonl", 99, 5)
 
 
-def _record_copying_sample_episode(dataset, split, part, n_way, k_shot, query_per_class,
-                                   n_unlabeled, rng):
-    """The sampler as it was when it copied each chosen class's records,
-    after the shape check that rejects degenerate episodes before any draw:
-    the oracle for the row-index sampler's draws."""
-    check_episode_shape(n_way, k_shot, query_per_class)
+def _key_sampler_reference(dataset, split, part, n_way, per_class, n_unlabeled, rng):
+    """One episode of the uniform-key scheme in plain Python, the oracle for
+    `sample_episode_rows`: the same checks before any draw, then one row of
+    keys; the smallest class keys pick the classes, each drawn class's W-wide
+    key segment picks its rows (cells past its size would be +inf, so only
+    its own cells are ranked), and the tail ranks every dataset row.
+    Returns the drawn class names, each class's rows and the unlabeled rows."""
     pool = sorted(split.part(part))
     if len(pool) < n_way:
         raise ValueError(f"part {part!r} has {len(pool)} classes, needs {n_way}")
-    chosen = [pool[i] for i in rng.choice(len(pool), size=n_way, replace=False)]
-    support, query = [], []
-    per_class = k_shot + query_per_class
-    for label in chosen:
-        records = [record for record in dataset.records if record[1] == label]
-        if len(records) < per_class:
-            raise ValueError(f"class {label!r} has {len(records)} records, needs {per_class}")
-        picks = rng.choice(len(records), size=per_class, replace=False)
-        support.extend(records[i] for i in picks[:k_shot])
-        query.extend(records[i] for i in picks[k_shot:])
+    members = [[i for i, (_, label) in enumerate(dataset.records) if label == name] for name in pool]
+    for name, rows in zip(pool, members):
+        if len(rows) < per_class:
+            raise ValueError(f"class {name!r} has {len(rows)} records, needs {per_class}")
     if n_unlabeled > len(dataset):
         raise ValueError(f"cannot draw {n_unlabeled} unlabeled texts from {len(dataset)} records")
-    unlabeled_ids = rng.choice(len(dataset), size=n_unlabeled, replace=False)
-    unlabeled = [dataset.records[i][0] for i in unlabeled_ids]
-    return support, query, unlabeled, chosen
+    width = max(len(rows) for rows in members)
+    n_keys = len(pool) + n_way * width + (len(dataset) if n_unlabeled else 0)
+    keys = rng.random(n_keys).tolist()
+
+    def smallest(segment, n):
+        return sorted(range(len(segment)), key=segment.__getitem__)[:n]
+
+    chosen = smallest(keys[: len(pool)], n_way)
+    rows = []
+    for c, i in enumerate(chosen):
+        start = len(pool) + c * width
+        cells = keys[start : start + len(members[i])]
+        rows.append([members[i][j] for j in smallest(cells, per_class)])
+    unlabeled = smallest(keys[len(pool) + n_way * width :], n_unlabeled)
+    return [pool[i] for i in chosen], rows, unlabeled
+
+
+def _ragged_dataset(sizes, order_seed):
+    """Classes c0.. of the given sizes, rows interleaved so that dataset rows
+    and class-local positions differ; the last two classes are the valid and
+    test parts, the rest train."""
+    records = [(f"text {c} {i}", f"c{c}") for c, size in enumerate(sizes) for i in range(size)]
+    order = np.random.default_rng(order_seed).permutation(len(records))
+    ds = Dataset(records=[records[i] for i in order])
+    names = [f"c{c}" for c in range(len(sizes))]
+    split = ClassSplit(
+        train_classes=frozenset(names[:-2]),
+        valid_classes=frozenset(names[-2:-1]),
+        test_classes=frozenset(names[-1:]),
+    )
+    return ds, split
 
 
 def _outcome(sample, *args):
@@ -309,86 +339,146 @@ def _outcome(sample, *args):
         return ("error", str(exc))
 
 
-class TestSamplerEquivalence:
-    """sample_episode draws exactly what the record-copying sampler drew,
-    and leaves the generator in the same state after every call."""
+RAGGED = dict(
+    sizes=st.lists(st.integers(1, 9), min_size=3, max_size=8),
+    order_seed=st.integers(0, 2**16),
+    part=st.sampled_from(["train", "valid", "test"]),
+    n_way=st.integers(1, 5),
+    per_class=st.integers(1, 5),
+    n_unlabeled=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
 
-    @settings(max_examples=120, deadline=None)
-    @given(
-        sizes=st.lists(st.integers(1, 9), min_size=3, max_size=8),
-        order_seed=st.integers(0, 2**16),
-        part=st.sampled_from(["train", "valid", "test"]),
-        n_way=st.integers(1, 5),
-        k_shot=st.integers(0, 3),
-        query_per_class=st.integers(0, 4),
-        n_unlabeled=st.integers(0, 12),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_same_draws_and_generator_state(
-        self, sizes, order_seed, part, n_way, k_shot, query_per_class, n_unlabeled, seed
+
+class TestKeySampler:
+    """`sample_episode_rows` draws one contiguous row of uniform keys per
+    episode and ranks classes, rows and unlabeled rows by key."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_episodes=st.integers(1, 4), **RAGGED)
+    def test_matches_per_episode_reference(
+        self, sizes, order_seed, part, n_way, per_class, n_unlabeled, seed, n_episodes
     ):
-        records = [(f"text {c} {i}", f"c{c}") for c, size in enumerate(sizes) for i in range(size)]
-        # interleave classes so dataset rows and class-local positions differ
-        order = np.random.default_rng(order_seed).permutation(len(records))
-        ds = Dataset(records=[records[i] for i in order])
-        n = len(sizes)
-        names = [f"c{c}" for c in range(n)]
-        split = ClassSplit(
-            train_classes=frozenset(names[: n - 2]),
-            valid_classes=frozenset(names[n - 2 : n - 1]),
-            test_classes=frozenset(names[n - 1 :]),
-        )
-        args = (ds, split, part, n_way, k_shot, query_per_class, n_unlabeled)
-        rng_old, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(3):
-            old = _outcome(_record_copying_sample_episode, *args, rng_old)
-            new = _outcome(sample_episode, *args, rng_new)
-            if old[0] == "error":
-                assert new == old
-            else:
-                support, query, unlabeled, chosen = old
-                assert new.support == support
-                assert new.query == query
-                assert new.unlabeled == unlabeled
-                assert new.episode_classes == chosen
-            assert rng_new.bit_generator.state == rng_old.bit_generator.state
-
-    @pytest.mark.parametrize("n_way, k_shot, query_per_class", [(5, 1, 5), (3, 2, 4), (2, 1, 1)])
-    def test_no_unlabeled_draw_when_none_requested(self, corpus, n_way, k_shot, query_per_class):
-        split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
-        args = (corpus, split, "train", n_way, k_shot, query_per_class, 0)
-        rng, rng_old = np.random.default_rng(11), np.random.default_rng(11)
-        calls = []
-
-        class CountingRng:
-            def choice(self, *a, **kw):
-                calls.append(kw["size"])
-                return rng.choice(*a, **kw)
-
-        for _ in range(3):
-            calls.clear()
-            new = sample_episode(*args, CountingRng())
-            support, query, _, chosen = _record_copying_sample_episode(*args, rng_old)
-            assert (new.support, new.query, new.episode_classes) == (support, query, chosen)
-            assert rng.bit_generator.state == rng_old.bit_generator.state
-            assert new.unlabeled_rows.dtype == np.intp and new.unlabeled_rows.shape == (0,)
-            assert calls == [n_way] + [k_shot + query_per_class] * n_way
-
-    def test_episode_rows_equal_consecutive_episodes(self, corpus):
-        split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
-        rng, rng_old = np.random.default_rng(12), np.random.default_rng(12)
-        pool, chosen, rows, unlabeled = sample_episode_rows(corpus, split, "valid", 3, 4, 2, 6, rng)
-        assert (chosen.shape, rows.shape, unlabeled.shape) == ((6, 3), (6, 3, 4), (6, 2))
-        for e in range(6):
-            support, query, texts, classes = _record_copying_sample_episode(
-                corpus, split, "valid", 3, 1, 3, 2, rng_old
+        ds, split = _ragged_dataset(sizes, order_seed)
+        args = (ds, split, part, n_way, per_class, n_unlabeled)
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _outcome(sample_episode_rows, *args, n_episodes, rng)
+        expected = [_outcome(_key_sampler_reference, *args, rng_ref) for _ in range(n_episodes)]
+        if got[0] == "error":
+            assert [got] * n_episodes == expected
+        else:
+            pool, chosen, rows, unlabeled = got
+            assert (chosen.shape, rows.shape, unlabeled.shape) == (
+                (n_episodes, n_way), (n_episodes, n_way, per_class), (n_episodes, n_unlabeled)
             )
-            assert [pool[i] for i in chosen[e]] == classes
-            picked = rows[e]
-            assert [corpus.records[i] for i in picked[:, :1].ravel()] == support
-            assert [corpus.records[i] for i in picked[:, 1:].ravel()] == query
-            assert [corpus.records[i][0] for i in unlabeled[e]] == texts
-        assert rng.bit_generator.state == rng_old.bit_generator.state
+            assert unlabeled.dtype == np.intp
+            for e, (classes, class_rows, unlabeled_rows) in enumerate(expected):
+                assert [pool[i] for i in chosen[e]] == classes
+                assert rows[e].tolist() == class_rows
+                assert unlabeled[e].tolist() == unlabeled_rows
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(**RAGGED)
+    def test_no_padding_row_and_distinct_rows(
+        self, sizes, order_seed, part, n_way, per_class, n_unlabeled, seed
+    ):
+        ds, split = _ragged_dataset(sizes, order_seed)
+        rng = np.random.default_rng(seed)
+        outcome = _outcome(
+            sample_episode_rows, ds, split, part, n_way, per_class, n_unlabeled, 30, rng
+        )
+        if outcome[0] == "error":
+            return
+        pool, chosen, rows, unlabeled = outcome
+        assert rows.min() >= 0
+        for e in range(30):
+            for c, i in enumerate(chosen[e]):
+                assert {ds.records[r][1] for r in rows[e, c]} == {pool[i]}
+            assert len(set(rows[e].ravel().tolist())) == n_way * per_class
+            assert len(set(chosen[e].tolist())) == n_way
+            assert len(set(unlabeled[e].tolist())) == n_unlabeled
+
+    @pytest.mark.parametrize("cap", [SAMPLE_BLOCK_BYTES, 1])
+    @pytest.mark.parametrize("part, n_unlabeled", [("train", 5), ("valid", 0), ("test", 3)])
+    def test_block_equals_single_episode_calls(self, corpus, monkeypatch, cap, part, n_unlabeled):
+        split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
+        args = (corpus, split, part, 5, 6, n_unlabeled)
+        rng, rng_one = np.random.default_rng(12), np.random.default_rng(12)
+        monkeypatch.setattr(data, "SAMPLE_BLOCK_BYTES", cap)
+        pool, chosen, rows, unlabeled = sample_episode_rows(*args, 60, rng)
+        monkeypatch.undo()
+        for e in range(60):
+            one = sample_episode_rows(*args, 1, rng_one)
+            assert one[0] == pool
+            np.testing.assert_array_equal(one[1][0], chosen[e])
+            np.testing.assert_array_equal(one[2][0], rows[e])
+            np.testing.assert_array_equal(one[3][0], unlabeled[e])
+        assert rng.bit_generator.state == rng_one.bit_generator.state
+
+    def test_episodes_equal_single_episode_calls(self, corpus):
+        split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
+        args = (corpus, split, "train", 3, 2, 4, 5)
+        rng, rng_one = np.random.default_rng(13), np.random.default_rng(13)
+        block = sample_episodes(*args, 25, rng)
+        for episode in block:
+            one = sample_episode(*args, rng_one)
+            np.testing.assert_array_equal(one.rows, episode.rows)
+            np.testing.assert_array_equal(one.classes, episode.classes)
+            np.testing.assert_array_equal(one.unlabeled_rows, episode.unlabeled_rows)
+            assert (one.n_support, one.episode_classes) == (episode.n_support, episode.episode_classes)
+        assert rng.bit_generator.state == rng_one.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "train, per_class, n_unlabeled, message",
+        [
+            ({"c1": 5, "c2": 2, "c3": 1}, 3, 0, r"^class 'c2' has 2 records, needs 3$"),
+            ({"c1": 5, "c2": 5}, 3, 40, r"^cannot draw 40 unlabeled texts from 12 records$"),
+            ({"c1": 5}, 3, 0, r"^part 'train' has 1 classes, needs 2$"),
+        ],
+    )
+    def test_errors_raised_before_any_draw(self, train, per_class, n_unlabeled, message):
+        sizes = {**train, "v": 1, "t": 1}
+        ds = Dataset(records=[(f"{label} {i}", label) for label, n in sizes.items() for i in range(n)])
+        split = ClassSplit(frozenset(train), frozenset({"v"}), frozenset({"t"}))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            sample_episode_rows(ds, split, "train", 2, per_class, n_unlabeled, 5, rng)
+        assert rng.bit_generator.state == before
+
+    def test_class_and_row_draw_rates(self, corpus):
+        # each of the P train classes is drawn with probability n_way / P, and
+        # each of a drawn class's 30 rows with probability per_class / 30;
+        # binomial standard deviations over 20,000 episodes are below 0.004
+        split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
+        pool, chosen, rows, _ = sample_episode_rows(
+            corpus, split, "train", 5, 6, 0, 20_000, np.random.default_rng(14)
+        )
+        class_rate = np.bincount(chosen.ravel(), minlength=len(pool)) / 20_000
+        np.testing.assert_allclose(class_rate, 5 / len(pool), atol=0.02)
+        row_counts = np.bincount(rows.ravel(), minlength=len(corpus))
+        for i, label in enumerate(pool):
+            members = corpus.class_rows([label])
+            row_rate = row_counts[members] / np.count_nonzero(chosen == i)
+            np.testing.assert_allclose(row_rate, 6 / 30, atol=0.03)
+
+    def test_peak_memory_is_output_plus_capped_chunks(self, corpus):
+        # the bench's working set: low profile, 5-way, 1 + 5 rows per class,
+        # 5 unlabeled rows ranked over all 400 working rows
+        split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
+        working = restrict_low_profile(corpus, split, 10, seed=0)
+        rng = np.random.default_rng(15)
+        tracemalloc.start()
+        try:
+            _, chosen, rows, unlabeled = sample_episode_rows(
+                working, split, "train", 5, 6, 5, 10_000, rng
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = chosen.nbytes + rows.nbytes + unlabeled.nbytes
+        assert peak < output + 4 * SAMPLE_BLOCK_BYTES
 
     def test_error_messages_unchanged(self):
         ds = Dataset(records=[("a a", "c1"), ("b b", "c1"), ("c c", "c2"), ("d d", "c2"),

@@ -517,6 +517,14 @@ class TestSynonymBigramLM:
         row = toy_lm.next_logprobs_batch(source, [valid])[0]
         assert np.array_equal(row[:-1], logprobs) and row[-1] == eos
 
+    @pytest.mark.parametrize("last", [-200, 10**30, 0.5])
+    def test_unindexable_last_id_rejected(self, toy_lm, last):
+        # the table gather reads the last ids before they are checked: an id
+        # below -(V+1), one past any index and a non-integer fail there
+        n = len(toy_lm.vocab)
+        with pytest.raises(ValueError, match=rf"^prefix token ids must lie in \[0, {n}\)$"):
+            toy_lm.next_logprobs_batch(["play", "music"], [(0,), (last,)])
+
 
 def reference_base_row(lm, source, last):
     """Reference SynonymBigramLM base row, built alone: the mixture

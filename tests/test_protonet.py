@@ -16,12 +16,13 @@ from paraproto.protonet import (
 )
 from paraproto.synth import generate_synthetic_dataset
 from paraproto.data import load_dataset
-from rowstub import text_episode
+from rowstub import episode_records, text_episode
 
 
 def _episode_setup(texts_by_class, k_shot, seed=0):
     episode = _episode_from(texts_by_class, k_shot)
-    vocab = Vocabulary.from_texts([t for t, _ in episode.support + episode.query])
+    support, query = episode_records(episode)
+    vocab = Vocabulary.from_texts([t for t, _ in support + query])
     params = EncoderParams.init(len(vocab), 5, 4, np.random.default_rng(seed))
     return episode, vocab, params
 
@@ -29,7 +30,8 @@ def _episode_setup(texts_by_class, k_shot, seed=0):
 def encode_episode(episode, params, vocab):
     """Token lists, class index per row, embeddings and (prototypes, shots)
     of an episode's support-then-query rows, each row tokenized from its text."""
-    tokens = [tokenize(text) for text, _ in episode.support + episode.query]
+    support, query = episode_records(episode)
+    tokens = [tokenize(text) for text, _ in support + query]
     classes, n_support = episode.classes, episode.n_support
     embs = encode_batch(params, tokens, vocab)
     protos, shots = prototypes(embs[:n_support], classes[:n_support], len(episode.episode_classes))
@@ -50,7 +52,9 @@ class TestComputePrototypes:
             {"a": ["x y", "y", "x"], "b": ["z", "x z", "y"]}, 2
         )
         tokens, classes, embs, protos, _ = encode_episode(episode, params, vocab)
-        support = encode_batch(params, [tokenize(t) for t, _ in episode.support], vocab)
+        support = encode_batch(
+            params, [tokenize(t) for t, _ in episode_records(episode)[0]], vocab
+        )
         np.testing.assert_allclose(protos[0], support[:2].mean(axis=0), rtol=1e-12)
         np.testing.assert_allclose(protos[1], support[2:].mean(axis=0), rtol=1e-12)
         np.testing.assert_array_equal(classes, [0, 0, 1, 1, 0, 1])
@@ -60,7 +64,8 @@ class TestComputePrototypes:
         episode, vocab, params = _episode_setup(
             {"a": ["x y", "y", "x"], "b": ["z", "x z", "y"]}, 2
         )
-        reordered = text_episode(episode.support[::-1], episode.query, episode.episode_classes)
+        support, query = episode_records(episode)
+        reordered = text_episode(support[::-1], query, episode.episode_classes)
         a = encode_episode(episode, params, vocab)[3]
         b = encode_episode(reordered, params, vocab)[3]
         np.testing.assert_allclose(a, b, rtol=1e-12)
@@ -112,7 +117,8 @@ class TestSupervisedEpisodeLoss:
         episode = _episode_from(
             {f"c{i}": [f"word{i} a", f"word{i} b"] for i in range(5)}, k_shot=1
         )
-        vocab = Vocabulary.from_texts([t for t, _ in episode.support + episode.query])
+        support, query = episode_records(episode)
+        vocab = Vocabulary.from_texts([t for t, _ in support + query])
         params = EncoderParams.init(len(vocab), 4, 4, np.random.default_rng(0))
         params.embedding[:] = 0.0
         params.projection[:] = 0.0
@@ -132,7 +138,8 @@ class TestSupervisedEpisodeLoss:
 
     def test_loss_nonnegative(self):
         episode = _episode_from({"a": ["x y", "y z"], "b": ["p q", "q r"]}, k_shot=1)
-        vocab = Vocabulary.from_texts([t for t, _ in episode.support + episode.query])
+        support, query = episode_records(episode)
+        vocab = Vocabulary.from_texts([t for t, _ in support + query])
         params = EncoderParams.init(len(vocab), 6, 6, np.random.default_rng(2))
         loss, _ = supervised_episode_loss(episode, params, vocab)
         assert loss >= 0.0
@@ -144,7 +151,8 @@ class TestSupervisedEpisodeLoss:
             {"a": ["foo bar", "bar baz", "foo baz"], "b": ["qux quux", "quux foo", "qux bar"]},
             k_shot=2,
         )
-        vocab = Vocabulary.from_texts([t for t, _ in episode.support + episode.query])
+        support, query = episode_records(episode)
+        vocab = Vocabulary.from_texts([t for t, _ in support + query])
         params = EncoderParams.init(len(vocab), 5, 4, rng)
 
         def loss_fn(flat):
@@ -227,7 +235,8 @@ def _per_episode_encode_evaluate(params, vocab, dataset, split, part, n_way, k_s
     for _ in range(n_episodes):
         ep = sample_episode(dataset, split, part, n_way, k_shot, query_per_class, 0, rng)
         _, classes, embs, protos, _ = encode_episode(ep, params, vocab)
-        n_support = len(ep.support)
+        support, query = episode_records(ep)
+        n_support = len(support)
         queries = embs[n_support:]
         if distance == SQUARED_EUCLIDEAN:
             dists = ((queries[:, None, :] - protos[None, :, :]) ** 2).sum(axis=2)
@@ -236,7 +245,7 @@ def _per_episode_encode_evaluate(params, vocab, dataset, split, part, n_way, k_s
                 np.linalg.norm(queries, axis=1), np.linalg.norm(protos, axis=1)
             )
         correct = np.count_nonzero(np.argmin(dists, axis=1) == classes[n_support:])
-        accuracies.append(correct / len(ep.query))
+        accuracies.append(correct / len(query))
     return accuracies
 
 
