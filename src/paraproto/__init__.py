@@ -20,6 +20,7 @@ from .decoding import (
     build_bigram_constraints,
     build_unigram_constraints,
     diverse_beam_search,
+    generate_paraphrase_batch,
     generate_paraphrases,
     select_most_diverse,
 )

@@ -17,7 +17,7 @@ import numpy as np
 from . import numerics
 from .configio import dataclass_from_kv, parse_kv_text
 from .data import PARTS, load_dataset, split_classes
-from .decoding import CURVES, STRATEGIES, DecodeConfig, SynonymBigramLM, generate_paraphrases
+from .decoding import CURVES, STRATEGIES, DecodeConfig, SynonymBigramLM, generate_paraphrase_batch
 from .encoder import load_checkpoint
 from .experiment import (
     METHODS,
@@ -114,12 +114,13 @@ def cmd_paraphrase(args: argparse.Namespace) -> int:
             for line in Path(args.sentences).read_text(encoding="utf-8").splitlines()
             if line.strip()
         ]
-    rng = np.random.default_rng(args.seed)
+    n = decode.num_groups if args.strategy != "stub_bt" else args.n_paraphrases
+    decoded = generate_paraphrase_batch(
+        lm, lines, n, args.strategy, decode, np.random.default_rng(args.seed)
+    )
     out = open(args.out, "w", encoding="utf-8") if args.out != "-" else sys.stdout
     try:
-        for sentence in lines:
-            n = decode.num_groups if args.strategy != "stub_bt" else args.n_paraphrases
-            paraphrases = generate_paraphrases(lm, sentence, n, args.strategy, decode, rng)
+        for sentence, paraphrases in zip(lines, decoded):
             out.write(json.dumps({"source": sentence, "paraphrases": paraphrases}) + "\n")
     finally:
         if out is not sys.stdout:

@@ -92,10 +92,7 @@ class ClassSplit:
 @dataclass
 class SampledEpisode:
     """One C-way K-shot task as row indices into `dataset`: support rows then
-    query rows, each row's index into `episode_classes`, and unlabeled rows.
-    `unlabeled` builds the unlabeled rows' texts on each access; consistency
-    training reads it once per episode to key the paraphrase cache and to
-    feed the decoder."""
+    query rows, each row's index into `episode_classes`, and unlabeled rows."""
 
     dataset: Dataset
     rows: np.ndarray
@@ -103,10 +100,6 @@ class SampledEpisode:
     n_support: int
     unlabeled_rows: np.ndarray
     episode_classes: list[str]
-
-    @property
-    def unlabeled(self) -> list[str]:
-        return [self.dataset.records[i][0] for i in self.unlabeled_rows]
 
 
 def load_dataset(path: str | Path) -> Dataset:

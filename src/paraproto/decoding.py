@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -21,21 +22,32 @@ from .metrics import BleuReference, bleu_reference, bleu_scores
 STRATEGIES = ("dbs", "dbs_unigram", "dbs_bigram", "stub_bt")
 CURVES = ("flat", "down", "up")
 
+# SynonymBigramLM keeps one float64 (V+1, V+1) table per source of a search;
+# `generate_paraphrase_batch` searches its sentences in blocks whose tables fit
+# this many bytes (9 sources at V = 114).
+DECODE_BLOCK_BYTES = 1024 * 1024
+
 
 class ConditionalLM(Protocol):
-    """Scores continuations of generated prefixes, conditioned on a source.
+    """Scores continuations of generated prefixes, each conditioned on one of
+    a search's sources.
 
-    `next_logprobs_batch(source, prefixes)` takes B prefixes as token-id
-    sequences (indices into `vocab`) and returns one (B, V+1) array of
-    finite log-probabilities, row i over every vocabulary token and then
+    `next_logprobs_batch(sources, owners, prefixes)` takes B prefixes as
+    token-id sequences (indices into `vocab`), prefix i continuing source
+    `sources[owners[i]]`, and returns one (B, V+1) array of finite
+    log-probabilities, row i over every vocabulary token and then
     end-of-sequence in the last column, jointly normalized. It must be
-    deterministic. The decoder makes one call per step.
+    deterministic. The decoder makes one call per step, with the same
+    `sources` throughout a search.
     """
 
     vocab: tuple[str, ...]
 
     def next_logprobs_batch(
-        self, source: Sequence[str], prefixes: Sequence[Sequence[int]]
+        self,
+        sources: Sequence[Sequence[str]],
+        owners: Sequence[int],
+        prefixes: Sequence[Sequence[int]],
     ) -> np.ndarray: ...
 
 
@@ -49,8 +61,7 @@ class ConstraintSet:
         return cls()
 
 
-@dataclass(frozen=True)
-class Beam:
+class Beam(NamedTuple):
     """One decoded hypothesis. `score` includes any diversity penalties payed
     during selection; `raw_score` is the pure cumulative LM log-probability."""
 
@@ -136,101 +147,146 @@ def build_bigram_constraints(source: Sequence[str]) -> ConstraintSet:
     return ConstraintSet(banned_bigrams=frozenset(pairs))
 
 
-def _banned_cells(vocab: Sequence[str], constraints: ConstraintSet) -> np.ndarray:
-    """(V+1, V+1) mask of forbidden continuations. Row: the previous token id,
-    or V before the first token. Column: the next token id, or V for EOS,
-    which is never banned."""
+def _banned_cells(vocab: Sequence[str], constraints: Sequence[ConstraintSet]) -> np.ndarray:
+    """(S, V+1, V+1) masks of forbidden continuations, one per constraint
+    set. Row: the previous token id, or V before the first token. Column: the
+    next token id, or V for EOS, which is banned only before the first token."""
     index = {tok: i for i, tok in enumerate(vocab)}
     n = len(vocab)
-    banned = np.zeros((n + 1, n + 1), dtype=bool)
-    banned[:, [index[tok] for tok in constraints.banned_unigrams if tok in index]] = True
-    for a, b in constraints.banned_bigrams:
-        if a in index and b in index:
-            banned[index[a], index[b]] = True
+    banned = np.zeros((len(constraints), n + 1, n + 1), dtype=bool)
+    banned[:, n, n] = True
+    for mask, cs in zip(banned, constraints):
+        mask[:, [index[tok] for tok in cs.banned_unigrams if tok in index]] = True
+        for a, b in cs.banned_bigrams:
+            if a in index and b in index:
+                mask[index[a], index[b]] = True
     return banned
 
 
 def diverse_beam_search(
     lm: ConditionalLM,
-    source: Sequence[str],
+    sources: Sequence[Sequence[str]],
     num_beams: int,
     num_groups: int,
     diversity_penalty: float,
-    max_len: int,
-    constraints: ConstraintSet = ConstraintSet.none(),
-) -> list[list[Beam]]:
+    max_lens: Sequence[int],
+    constraints: Sequence[ConstraintSet] | None = None,
+) -> list[list[list[Beam]]]:
     """Group-wise diverse beam search with a Hamming diversity penalty; plain
-    beam search is its one-group case. Returns each group's beams.
+    beam search is its one-group case. Source s decodes for at most
+    max_lens[s] steps under constraints[s] (none when omitted). Returns each
+    source's groups of beams, equal to a search of that source alone.
 
     Groups decode in fixed order; at each step a candidate token in group g
     is penalized by diversity_penalty times the number of times earlier
-    groups chose that token at the same step. Within a group, selection is
-    standard beam search: the top num_beams / num_groups finite candidates,
-    finished beams first on ties, then candidates in row-major order.
+    groups chose that token at the same step for the same source. Within a
+    group, selection is standard beam search: the top num_beams / num_groups
+    finite candidates, finished beams first on ties, then candidates in
+    row-major order.
 
-    A step scores every group's unfinished beams with one LM call, since they
-    depend only on the previous step, in one (beams, V+1) matrix of negated
-    scores; each group then adds its penalty to its own rows and selects.
-    Beams are (tokens, score, raw_score, finished) tuples until returned.
+    All sources are searched together. The LM may keep state per source
+    (SynonymBigramLM keeps a table each), so callers bound how many they
+    pass, as `generate_paraphrase_batch` does. A step scores every group's
+    unfinished beams of every source with one LM call, since they depend only
+    on the previous step, in one (beams, V+1) matrix of negated scores; each
+    group then adds its penalty to its own rows and takes each source's best
+    candidates from that source's rows, one `argmin` per candidate, which
+    for num_beams / num_groups candidates costs less than a sort. Beams are
+    (tokens, score, raw_score, finished) tuples until returned.
     """
     if num_beams < 1 or num_groups < 1 or num_beams % num_groups != 0:
         raise ValueError(f"num_beams={num_beams} must be a positive multiple of num_groups={num_groups}")
     if not math.isfinite(diversity_penalty) or diversity_penalty < 0:
         raise ValueError("diversity_penalty must be finite and >= 0")
-    if max_len < 1:
+    if constraints is None:
+        constraints = [ConstraintSet.none()] * len(sources)
+    if not len(sources) == len(max_lens) == len(constraints):
+        raise ValueError("need one max_len and one constraint set per source")
+    if any(m < 1 for m in max_lens):
         raise ValueError("max_len must be >= 1")
     n_vocab = len(lm.vocab)
-    banned = _banned_cells(lm.vocab, constraints)
-    if banned[n_vocab, :n_vocab].all():
+    if any(len(cs.banned_unigrams) >= n_vocab and cs.banned_unigrams.issuperset(lm.vocab) for cs in constraints):
         raise ValueError("constraints exhaust vocabulary")
 
+    sources = tuple(map(tuple, sources))
     group_size = num_beams // num_groups
-    groups: list[list[tuple]] = [[((), 0.0, 0.0, False)] for _ in range(num_groups)]
-    for step in range(max_len):
-        live = [[b for b in group if not b[3]] for group in groups]
-        active = [b for parents in live for b in parents]
-        if not active:
-            break
-        raw = lm.next_logprobs_batch(source, [b[0] for b in active])
-        # negated scores, so an ascending sort ranks best first and banned
-        # cells (+inf) after every finite candidate
-        neg = np.array([[-b[1]] for b in active]) - raw
-        neg[banned[[b[0][-1] if b[0] else n_vocab for b in active]]] = np.inf
-        if step == 0:
-            neg[:, n_vocab] = np.inf  # EOS only after the first token
-        counts = np.zeros(n_vocab)  # tokens chosen by earlier groups this step
+    width = n_vocab + 1
+    # row: source * width + previous token id
+    banned = _banned_cells(lm.vocab, constraints).reshape(-1, width)
+    counts = np.zeros((len(sources), n_vocab))  # tokens chosen by earlier groups this step
+    source_counts = list(counts)  # its rows as views, once, not one counts[s] per pick
+    start = ((), 0.0, 0.0, False)
+    beams = [[[start] for _ in sources] for _ in range(num_groups)]
+    # the step's unfinished beams and their sources, group by group and
+    # within a group source by source, and each group's (source, unfinished
+    # beams, finished beams)
+    owners = [s for _ in range(num_groups) for s in range(len(sources))]
+    active = [start] * len(owners)
+    live = [[(s, [start], []) for s in range(len(sources))] for _ in range(num_groups)]
+    step = 0
+    while active:
+        raw = lm.next_logprobs_batch(sources, owners, [b[0] for b in active])
+        # negated scores, so the smallest ranks best and banned cells (+inf)
+        # after every finite candidate
+        neg = np.negative(raw)
+        neg -= np.array([b[1] for b in active])[:, None]
+        neg[banned[[s * width + (b[0][-1] if b[0] else n_vocab) for s, b in zip(owners, active)]]] = np.inf
+        counts.fill(0.0)
+        step += 1
+        next_owners, next_active, next_live = [], [], []
         row = 0
-        for g, parents in enumerate(live):
-            if not parents:
-                continue
-            block = neg[row : row + len(parents)]
-            if g > 0 and diversity_penalty > 0.0:
-                block[:, :n_vocab] += diversity_penalty * counts
-            finished = [b for b in groups[g] if b[3]]
-            flat = block.ravel()
-            if finished:
-                flat = np.concatenate(([-b[1] for b in finished], flat))
-            order = flat.argsort(kind="stable")[:group_size]
-            new_beams = []
-            for idx, value in zip(order.tolist(), flat[order].tolist()):
-                if not math.isfinite(value):
-                    break
-                if idx < len(finished):
-                    new_beams.append(finished[idx])
-                    continue
-                beam_i, token = divmod(idx - len(finished), n_vocab + 1)
-                tokens, _, raw_score, _ = parents[beam_i]
-                raw_score += float(raw[row + beam_i, token])
-                if token == n_vocab:
-                    new_beams.append((tokens, -value, raw_score, True))
-                else:
-                    new_beams.append((tokens + (token,), -value, raw_score, False))
-                    counts[token] += 1.0
-            if not new_beams:
-                raise ValueError("constraints exhaust vocabulary")
-            groups[g] = new_beams
-            row += len(parents)
-    return [[Beam(*b) for b in beams] for beams in groups]
+        for g, entries in enumerate(live):
+            next_live.append([])
+            penalized = g > 0 and diversity_penalty > 0.0 and entries
+            if penalized:
+                penalties = diversity_penalty * counts  # one row per source
+            for s, parents, finished in entries:
+                block = neg[row : row + len(parents)]
+                if penalized:
+                    block[:, :n_vocab] += penalties[s]
+                # the source's best group_size candidates in (score, index)
+                # order, as a stable sort ranks them: argmin takes the first
+                # of equal minima, and each pick is then set to +inf
+                flat, picks = block.ravel(), []
+                for _ in range(group_size):
+                    idx = int(flat.argmin())
+                    value = flat.item(idx)
+                    if value == math.inf:
+                        break
+                    picks.append((value, idx))
+                    flat[idx] = math.inf
+                if finished:
+                    # finished beams rank first on ties: as indices -len..-1
+                    # they sort before every candidate of the same score
+                    picks = sorted([(-b[1], k - len(finished)) for k, b in enumerate(finished)] + picks)
+                chosen = source_counts[s]
+                new_beams, new_parents, new_finished = [], [], []
+                for value, idx in picks[:group_size]:
+                    if idx < 0:
+                        beam = finished[idx]
+                        new_finished.append(beam)
+                    else:
+                        beam_i, token = divmod(idx, width)
+                        tokens, _, raw_score, _ = parents[beam_i]
+                        raw_score += raw.item(row + beam_i, token)
+                        if token == n_vocab:
+                            beam = (tokens, -value, raw_score, True)
+                            new_finished.append(beam)
+                        else:
+                            beam = (tokens + (token,), -value, raw_score, False)
+                            new_parents.append(beam)
+                            chosen[token] += 1.0
+                    new_beams.append(beam)
+                if not new_beams:
+                    raise ValueError("constraints exhaust vocabulary")
+                beams[g][s] = new_beams
+                row += len(parents)
+                if new_parents and step < max_lens[s]:
+                    next_live[g].append((s, new_parents, new_finished))
+                    next_owners += [s] * len(new_parents)
+                    next_active += new_parents
+        owners, active, live = next_owners, next_active, next_live
+    return [[list(map(Beam._make, beams)) for beams in groups] for groups in zip(*beams)]
 
 
 def select_most_diverse(
@@ -273,41 +329,67 @@ def generate_paraphrases(
     config: DecodeConfig,
     rng: np.random.Generator,
 ) -> list[str]:
-    """Produce n_paraphrases texts for one sentence under a decoding strategy."""
+    """Produce n_paraphrases texts for one sentence under a decoding strategy:
+    the one-sentence case of `generate_paraphrase_batch`."""
+    return generate_paraphrase_batch(lm, [sentence], n_paraphrases, strategy, config, rng)[0]
+
+
+def generate_paraphrase_batch(
+    lm: ConditionalLM,
+    sentences: Sequence[str],
+    n_paraphrases: int,
+    strategy: str,
+    config: DecodeConfig,
+    rng: np.random.Generator,
+) -> list[list[str]]:
+    """n_paraphrases texts for each sentence under a decoding strategy, equal
+    to one `generate_paraphrases` call per sentence in order, with the same
+    draws from `rng`: every sentence's unigram bans are drawn first, in input
+    order, and then the sentences are decoded in blocks, one search each."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    source = tokenize(sentence)
-    if not source:
+    sources = [tokenize(sentence) for sentence in sentences]
+    if not all(sources):
         raise ValueError("cannot paraphrase an empty sentence")
 
     if strategy == "stub_bt":
         synonyms = getattr(lm, "synonyms", None)
         if synonyms is None:
             raise ValueError("stub_bt requires an LM that exposes a synonym table")
-        return [" ".join(toks) for toks in stub_backtranslate(source, synonyms, n_paraphrases)]
+        return [
+            [" ".join(toks) for toks in stub_backtranslate(source, synonyms, n_paraphrases)]
+            for source in sources
+        ]
 
     if n_paraphrases != config.num_groups:
         raise ValueError(
             f"DBS strategies need n_paraphrases == num_groups, got {n_paraphrases} != {config.num_groups}"
         )
     if strategy == "dbs_unigram":
-        constraints = build_unigram_constraints(source, config.p_mask, config.curve, rng)
+        constraints = [build_unigram_constraints(s, config.p_mask, config.curve, rng) for s in sources]
     elif strategy == "dbs_bigram":
-        constraints = build_bigram_constraints(source)
+        constraints = [build_bigram_constraints(s) for s in sources]
     else:
-        constraints = ConstraintSet.none()
+        constraints = None
 
-    groups = diverse_beam_search(
-        lm,
-        source,
-        num_beams=config.num_beams,
-        num_groups=config.num_groups,
-        diversity_penalty=config.diversity_penalty,
-        max_len=config.resolved_max_len(len(source)),
-        constraints=constraints,
-    )
-    best = select_most_diverse(groups, bleu_reference([source]), lm.vocab)
-    return [" ".join(beam.texts(lm.vocab)) for beam in best]
+    # one search per block of DECODE_BLOCK_BYTES, so that the LM's tables
+    # stay capped and only the chosen texts outlive a block
+    cap, out = max(1, DECODE_BLOCK_BYTES // (8 * (len(lm.vocab) + 1) ** 2)), []
+    for i in range(0, len(sources), cap):
+        chunk = sources[i : i + cap]
+        decoded = diverse_beam_search(
+            lm,
+            chunk,
+            num_beams=config.num_beams,
+            num_groups=config.num_groups,
+            diversity_penalty=config.diversity_penalty,
+            max_lens=[config.resolved_max_len(len(s)) for s in chunk],
+            constraints=None if constraints is None else constraints[i : i + cap],
+        )
+        for source, groups in zip(chunk, decoded):
+            best = select_most_diverse(groups, bleu_reference([source]), lm.vocab)
+            out.append([" ".join(beam.texts(lm.vocab)) for beam in best])
+    return out
 
 
 # SynonymBigramLM: additive bigram smoothing, the mixture weights (they sum
@@ -367,8 +449,9 @@ class SynonymBigramLM:
         self._prior = BIGRAM_WEIGHT * self._bigram
         self._prior[:, :n] += UNIFORM_WEIGHT / n
 
-        # state of the last source seen; see _use_source
-        self._source: tuple[str, ...] | None = None
+        # the sources of the current search and their tables; see _use_sources
+        self._sources: tuple[tuple[str, ...], ...] | None = None
+        self._buffer = np.empty((0, n + 1, n + 1))
 
     def _alignments(self, source: Sequence[str]) -> dict[str, list[int]]:
         """The source positions each token aligns to, in order: where it
@@ -430,63 +513,80 @@ class SynonymBigramLM:
                 values += [share] * len(cols)
         np.add.at(probs, (cell_rows, cell_cols), values)
 
-    def _use_source(self, source: Sequence[str]) -> None:
-        """On a new source, build its (V+1, V+1) table of base rows by last
-        prefix token id, once (a decode asks for the same few rows at every
-        step), and set the EOS-gate bounds, which keep outputs near the
-        source length. Only one source is kept. BOS and the tokens that
-        align with the source get their own mass; every other token row
-        gets the same fallback mass."""
-        key = tuple(source)
-        if key == self._source:
+    def _use_sources(self, sources: Sequence[Sequence[str]]) -> None:
+        """On new sources, build each one's (V+1, V+1) table of base rows by
+        last prefix token id, once (a search asks for the same few rows at
+        every step), into one (S, V+1, V+1) stack, and set each one's EOS-gate
+        bounds, which keep outputs near the source length. Only the last
+        sources are kept. BOS and the tokens that align with a source get
+        their own mass; every other token row gets the same fallback mass."""
+        if sources is self._sources:
             return
-        if not key:
+        key = tuple(map(tuple, sources))
+        if key == self._sources:
+            return
+        if not all(key):
             raise ValueError("empty source")
+        self._sources = None  # the buffer is rebuilt in place
         n = len(self.vocab)
-        positions = self._alignments(key)
-        aligned = sorted(self._index[t] for t in positions if t in self._index)
-        table = self._prior.copy()
-        # the fallback mass on every token row, then the aligned rows start over
-        for cols, share in self._mass(key, []):
-            table[:n, cols] += share
-        table[aligned] = self._prior[aligned]
-        self._add_mass(table, [self._bos, *aligned], key, [None, *(positions[self.vocab[i]] for i in aligned)])
-        self._source = key
-        self._table = table
-        self._eos_lo = max(1, round(0.85 * len(key)))
-        self._eos_hi = len(key) + max(2, round(0.5 * len(key)))
+        # searches reuse one buffer, grown to the most sources seen at once
+        # (`generate_paraphrase_batch` passes at most DECODE_BLOCK_BYTES of them)
+        if len(self._buffer) < len(key):
+            self._buffer = np.empty((len(key), n + 1, n + 1))
+        tables = self._buffer[: len(key)]
+        for table, source in zip(tables, key):
+            positions = self._alignments(source)
+            aligned = sorted(self._index[t] for t in positions if t in self._index)
+            table[...] = self._prior
+            # the fallback mass on every token row, then the aligned rows start over
+            for cols, share in self._mass(source, []):
+                table[:n, cols] += share
+            table[aligned] = self._prior[aligned]
+            self._add_mass(
+                table, [self._bos, *aligned], source, [None, *(positions[self.vocab[i]] for i in aligned)]
+            )
+        self._rows = tables.reshape(-1, n + 1)  # row: source * (V+1) + last id
+        self._eos_lo = [max(1, round(0.85 * len(s))) for s in key]
+        self._eos_hi = [len(s) + max(2, round(0.5 * len(s))) for s in key]
+        # keep the caller's object when it is the key already, so that the
+        # next call with it returns at the identity check
+        self._sources = sources if type(sources) is tuple and sources == key else key
 
     def _logprobs(
-        self, probs: np.ndarray, vocab_ids: Sequence[Sequence[int]], lengths: Sequence[int]
+        self,
+        probs: np.ndarray,
+        owners: Sequence[int],
+        vocab_ids: Sequence[Sequence[int]],
+        lengths: Sequence[int],
     ) -> np.ndarray:
         """(B, V+1) log-probabilities, EOS last, from base rows `probs` (changed
-        in place) of prefixes given by the ids of their in-vocabulary tokens
-        and their length."""
+        in place) of prefixes of sources `owners`, given by the ids of their
+        in-vocabulary tokens and their length."""
         n = len(self.vocab)
         # damp tokens already generated, so decodes do not loop: `multiply.at`
         # multiplies a cell once per occurrence, so a token seen c times gets
         # the decay c times
         owner = np.repeat(np.arange(len(vocab_ids)), [len(ids) for ids in vocab_ids])
-        # the ids also pick the table rows, where -1 and n would read the BOS
-        # row; as unsigned ids, a negative Python int overflows and a negative
-        # numpy integer wraps to at least n
+        # the last ids have picked table rows already, where an id outside
+        # [0, n) reads a wrong row; an unsigned `array` takes only integers,
+        # and no negative one
         try:
-            ids = np.fromiter(itertools.chain.from_iterable(vocab_ids), dtype=np.uintp)
-        except OverflowError:
-            ids = None
-        if ids is None or ids.size and ids.max() >= n:
+            ids = np.frombuffer(array("Q", itertools.chain.from_iterable(vocab_ids)), dtype=np.ulonglong)
+        except (TypeError, OverflowError):
+            raise _bad_prefix_ids(n) from None
+        if ids.size and ids.max() >= n:
             raise _bad_prefix_ids(n)
-        np.multiply.at(probs[:, :n], (owner, ids), REPEAT_DECAY)
+        np.multiply.at(probs, (owner, ids), REPEAT_DECAY)
 
         lo, hi = self._eos_lo, self._eos_hi
-        probs[:, n] *= [1e-4 if length < lo else 1.0 if length <= hi else 25.0 for length in lengths]
+        probs[:, n] *= [1e-4 if k < lo[o] else 1.0 if k <= hi[o] else 25.0 for k, o in zip(lengths, owners)]
         probs /= probs.sum(axis=1, keepdims=True)
         return np.log(probs, out=probs)
 
     def next_logprobs(
         self, source: Sequence[str], prefix: Sequence[str]
     ) -> tuple[np.ndarray, float]:
-        self._use_source(source)
+        self._use_sources([source])
         last = prefix[-1] if prefix else None
         i = self._bos if last is None else self._index.get(last)
         if i is None:
@@ -495,21 +595,28 @@ class SynonymBigramLM:
             probs = self._prior[[self._bos]]
             self._add_mass(probs, [0], source, [self._alignments(source).get(last, [])])
         else:
-            probs = self._table[[i]]
+            probs = self._rows[[i]]
         ids = [self._index[tok] for tok in prefix if tok in self._index]
-        logs = self._logprobs(probs, [ids], [len(prefix)])
+        logs = self._logprobs(probs, [0], [ids], [len(prefix)])
         return logs[0, :-1], float(logs[0, -1])
 
     def next_logprobs_batch(
-        self, source: Sequence[str], prefixes: Sequence[Sequence[int]]
+        self,
+        sources: Sequence[Sequence[str]],
+        owners: Sequence[int],
+        prefixes: Sequence[Sequence[int]],
     ) -> np.ndarray:
         """`next_logprobs` for B token-id prefixes (integer indices into
-        `vocab`) at once: a (B, V+1) array of log-probabilities, EOS in the
-        last column, row i equal to `next_logprobs` of prefix i. An id
-        outside [0, V) raises `ValueError`."""
-        self._use_source(source)
+        `vocab`) at once, prefix i of source `sources[owners[i]]`: a (B, V+1)
+        array of log-probabilities, EOS in the last column, row i equal to
+        `next_logprobs` of prefix i. An owner outside [0, S), or an id outside
+        [0, V) or not an integer, raises `ValueError`."""
+        if owners and not 0 <= min(owners) <= max(owners) < len(sources):
+            raise ValueError(f"owners must lie in [0, {len(sources)})")
+        self._use_sources(sources)
+        width = len(self.vocab) + 1
         try:
-            probs = self._table[[p[-1] if len(p) else self._bos for p in prefixes]]
-        except IndexError:  # a last id below -(V+1), past V, or not an integer
+            probs = self._rows[[o * width + (p[-1] if len(p) else self._bos) for o, p in zip(owners, prefixes)]]
+        except IndexError:  # a last id that indexes no row: a float, or far out of range
             raise _bad_prefix_ids(len(self.vocab)) from None
-        return self._logprobs(probs, prefixes, [len(p) for p in prefixes])
+        return self._logprobs(probs, owners, prefixes, [len(p) for p in prefixes])

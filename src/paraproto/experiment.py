@@ -23,7 +23,7 @@ from .consistency import (
     format_step_log,
 )
 from .data import TRAIN, VALID, TEST, Dataset, load_dataset, restrict_low_profile, split_classes, sample_episodes
-from .decoding import STRATEGIES, DecodeConfig, SynonymBigramLM, generate_paraphrases
+from .decoding import STRATEGIES, DecodeConfig, SynonymBigramLM, generate_paraphrase_batch
 from .encoder import AdamState, EncoderParams, TokenRows, Vocabulary, optimizer_step, save_checkpoint
 from .metrics import diversity_report
 from .protonet import evaluate, supervised_episode_loss
@@ -205,21 +205,61 @@ def train_single_seed(
         if config.profile == "low"
         else dataset
     )
-    vocab = Vocabulary.from_texts(working.texts())
+    texts = working.texts()
+    vocab = Vocabulary.from_texts(texts)
     corpus = working.token_rows(vocab)  # every working text as ids, once per run
     rng_init, rng_episode, rng_valid, rng_test, rng_decode = _rngs(seed, 5)
 
     params = EncoderParams.init(len(vocab), config.embed_dim, config.output_dim, rng_init)
     adam = AdamState.for_params(params, config.learning_rate)
     schedule = AnnealSchedule(alpha=config.anneal_alpha, total_steps=config.max_episodes)
-    lm = (
-        SynonymBigramLM(working.texts(), default_synonym_table())
-        if config.strategy != "none"
-        else None
-    )
-    # sentence text -> its paraphrases and their token ids; keyed by text, so
-    # duplicate sentences share one decode
-    cache: dict[str, tuple[list[str], TokenRows]] | None = {} if config.paraphrase_cache else None
+    lm = SynonymBigramLM(texts, default_synonym_table()) if config.strategy != "none" else None
+    # paraphrase ids by working-set row, keyed by the first row with the same
+    # text, so duplicate sentences share one decode
+    cache: dict[int, TokenRows] | None = None
+    if config.paraphrase_cache:
+        cache, first_rows = {}, {}
+        cache_key = [first_rows.setdefault(text, row) for row, text in enumerate(texts)]
+
+    def paraphrase(rows: list[int]) -> list[TokenRows]:
+        """The paraphrase ids of these rows' texts, from one batch decode."""
+        decoded = generate_paraphrase_batch(
+            lm, [texts[r] for r in rows], config.n_paraphrases, config.strategy, config.decode, rng_decode
+        )
+        return [TokenRows.from_texts(generated, vocab) for generated in decoded]
+
+    def blocks():
+        """Training episodes, eval_every at a time, each with the paraphrase
+        ids of its unlabeled rows: a block's cache misses (the first row of
+        each text not yet cached, in episode order; every row with the cache
+        off) are decoded together before its first step. A block equals its
+        episodes drawn one by one, and early stopping falls on a block's end,
+        so a run draws and decodes what per-episode draws and decodes would."""
+        for start in range(0, config.max_episodes, config.eval_every):
+            block = sample_episodes(
+                working,
+                split,
+                TRAIN,
+                config.n_way,
+                config.k_shot,
+                config.query_per_class,
+                config.n_unlabeled if lm is not None else 0,
+                min(config.eval_every, config.max_episodes - start),
+                rng_episode,
+            )
+            if lm is None:
+                yield from ((episode, None) for episode in block)
+                continue
+            rows = [row for episode in block for row in episode.unlabeled_rows.tolist()]
+            if cache is None:
+                paraphrases = paraphrase(rows)
+            else:
+                keys = [cache_key[row] for row in rows]
+                misses = list(dict.fromkeys(key for key in keys if key not in cache))
+                cache.update(zip(misses, paraphrase(misses)))
+                paraphrases = [cache[key] for key in keys]
+            n = config.n_unlabeled
+            yield from ((episode, paraphrases[i * n : (i + 1) * n]) for i, episode in enumerate(block))
 
     best_val = -np.inf
     best_params = params.copy()
@@ -231,42 +271,13 @@ def train_single_seed(
     val_curve: list[tuple[int, float]] = []
     episodes_run = 0
 
-    # training episodes are drawn eval_every at a time; a block equals its
-    # episodes drawn one by one, and early stopping falls on a block's end
-    episodes = (
-        episode
-        for start in range(0, config.max_episodes, config.eval_every)
-        for episode in sample_episodes(
-            working,
-            split,
-            TRAIN,
-            config.n_way,
-            config.k_shot,
-            config.query_per_class,
-            config.n_unlabeled if config.strategy != "none" else 0,
-            min(config.eval_every, config.max_episodes - start),
-            rng_episode,
-        )
-    )
-    for step, episode in enumerate(episodes, start=1):
+    for step, (episode, paraphrases) in enumerate(blocks(), start=1):
         episodes_run = step
-        if config.strategy == "none":
+        if lm is None:
             sup_loss, grads = supervised_episode_loss(episode, params, vocab, config.distance)
             optimizer_step(adam, params, grads)
             losses = StepLosses(total=sup_loss, supervised=sup_loss, unsupervised=0.0, weight=0.0)
         else:
-            paraphrases = []
-            for sentence in episode.unlabeled:
-                if cache is not None and sentence in cache:
-                    paraphrases.append(cache[sentence][1])
-                    continue
-                generated = generate_paraphrases(
-                    lm, sentence, config.n_paraphrases, config.strategy, config.decode, rng_decode
-                )
-                rows = TokenRows.from_texts(generated, vocab)
-                if cache is not None:
-                    cache[sentence] = (generated, rows)
-                paraphrases.append(rows)
             batch = UnlabeledBatch(
                 sentences=corpus.take(episode.unlabeled_rows), paraphrases=paraphrases
             )
@@ -391,10 +402,8 @@ def diversity_by_strategy(
     for si, strategy in enumerate(sorted(strategies)):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, si])))
         fields = {"dist2": [], "bleu_vs_source": [], "mean_pairwise_similarity": []}
-        for sentence in sentences:
-            paraphrases = generate_paraphrases(
-                lm, sentence, decode.num_groups, strategy, decode, rng
-            )
+        decoded = generate_paraphrase_batch(lm, sentences, decode.num_groups, strategy, decode, rng)
+        for sentence, paraphrases in zip(sentences, decoded):
             report = diversity_report(sentence, paraphrases, encoder_params, vocab)
             fields["dist2"].append(report.dist2)
             fields["bleu_vs_source"].append(report.bleu_vs_source)

@@ -6,15 +6,28 @@ import zlib
 
 import numpy as np
 
+from paraproto.decoding import diverse_beam_search
+
 EOS = "</s>"
+
+
+def decode_one(lm, source, num_beams, num_groups, diversity_penalty, max_len, constraints=None):
+    """`diverse_beam_search` of one source: its groups of beams."""
+    return diverse_beam_search(
+        lm, [source], num_beams, num_groups, diversity_penalty, [max_len],
+        None if constraints is None else [constraints],
+    )[0]
 
 
 class PrefixLM:
     """A test LM scored one text prefix at a time by `next_logprobs`, with
     the decoder's batch step built from those rows."""
 
-    def next_logprobs_batch(self, source, prefixes):
-        rows = [self.next_logprobs(source, [self.vocab[i] for i in p]) for p in prefixes]
+    def next_logprobs_batch(self, sources, owners, prefixes):
+        rows = [
+            self.next_logprobs(sources[o], [self.vocab[i] for i in p])
+            for o, p in zip(owners, prefixes)
+        ]
         return np.array([np.append(logprobs, eos) for logprobs, eos in rows])
 
 

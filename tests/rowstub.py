@@ -31,6 +31,11 @@ def episode_records(episode):
     return records[: episode.n_support], records[episode.n_support :]
 
 
+def unlabeled_texts(episode):
+    """An episode's unlabeled texts, read from its dataset in row order."""
+    return [episode.dataset.records[i][0] for i in episode.unlabeled_rows]
+
+
 def text_batch(sentences, paraphrases, vocab):
     """An unlabeled batch of sentences and each one's paraphrase texts."""
     return UnlabeledBatch(

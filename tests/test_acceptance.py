@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from lmstub import RandomLM, enumerate_sequences
+from lmstub import RandomLM, decode_one, enumerate_sequences
 from paraproto.cli import main
 from paraproto.consistency import AnnealSchedule, anneal_weight, unsupervised_loss
 from paraproto.data import load_dataset
@@ -22,7 +22,6 @@ from paraproto.decoding import (
     SynonymBigramLM,
     build_bigram_constraints,
     build_unigram_constraints,
-    diverse_beam_search,
     generate_paraphrases,
 )
 from paraproto.encoder import EncoderParams, Vocabulary
@@ -179,7 +178,7 @@ def test_criterion_2_beam_search_matches_enumeration():
         lm = RandomLM(("a", "b", "c", "d"), seed=seed, eos_weight=0.5)
         source = ["b", "d"]
         width = len(lm.vocab) ** 3
-        beams = diverse_beam_search(lm, source, width, 1, 0.0, max_len=3)[0]
+        beams = decode_one(lm, source, width, 1, 0.0, max_len=3)[0]
         oracle = enumerate_sequences(lm, source, 3, ConstraintSet.none())
         assert beams[0].tokens == oracle[0][1]
         assert beams[0].score == pytest.approx(oracle[0][0], rel=1e-12)
@@ -187,10 +186,10 @@ def test_criterion_2_beam_search_matches_enumeration():
     for seed in range(5):
         lm = RandomLM(("x", "y", "z"), seed=100 + seed, eos_weight=0.4)
         # a lone group has no earlier group to be penalized against
-        groups = diverse_beam_search(
+        groups = decode_one(
             lm, ["x"], num_beams=6, num_groups=1, diversity_penalty=0.7, max_len=4
         )
-        plain = diverse_beam_search(lm, ["x"], 6, 1, 0.0, max_len=4)[0]
+        plain = decode_one(lm, ["x"], 6, 1, 0.0, max_len=4)[0]
         assert [b.tokens for b in groups[0]] == [b.tokens for b in plain]
         assert [b.score for b in groups[0]] == pytest.approx([b.score for b in plain])
     assert time.monotonic() - started < 30.0
@@ -217,7 +216,7 @@ def test_criterion_3_no_banned_output_in_10k_decodes(corpus):
         )
         if set(lm_random.vocab) <= constraints.banned_unigrams:
             continue
-        groups = diverse_beam_search(
+        groups = decode_one(
             lm_random, source, num_beams=4, num_groups=2, diversity_penalty=0.5,
             max_len=4, constraints=constraints,
         )

@@ -18,7 +18,7 @@ from paraproto.data import (
     split_classes,
 )
 from paraproto.synth import generate_synthetic_dataset
-from rowstub import episode_records
+from rowstub import episode_records, unlabeled_texts
 
 
 def class_size(dataset, label):
@@ -161,7 +161,7 @@ class TestSampleEpisode:
         support, query = episode_records(ep)
         assert len(support) == 5
         assert len(query) == 25
-        assert len(ep.unlabeled) == 5
+        assert len(unlabeled_texts(ep)) == 5
         assert len(ep.episode_classes) == 5
 
     def test_exact_shots_per_class(self, corpus):
@@ -202,7 +202,7 @@ class TestSampleEpisode:
         hit_parts = set()
         for _ in range(200):
             ep = sample_episode(corpus, split, "train", 5, 1, 5, 5, rng)
-            for text in ep.unlabeled:
+            for text in unlabeled_texts(ep):
                 label = text_to_label[text]
                 for name, part in (
                     ("train", split.train_classes),
@@ -247,7 +247,7 @@ class TestSampleEpisode:
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
         a = sample_episode(corpus, split, "train", 5, 1, 5, 5, np.random.default_rng(9))
         b = sample_episode(corpus, split, "train", 5, 1, 5, 5, np.random.default_rng(9))
-        assert episode_records(a) == episode_records(b) and a.unlabeled == b.unlabeled
+        assert episode_records(a) == episode_records(b) and unlabeled_texts(a) == unlabeled_texts(b)
 
 
 class TestSynthGenerator:

@@ -1,10 +1,11 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmstub import EOS, RandomLM, TableLM, enumerate_sequences
+from lmstub import EOS, RandomLM, TableLM, decode_one, enumerate_sequences
 from paraproto import decoding
 from paraproto.decoding import (
     CURVES,
@@ -15,6 +16,7 @@ from paraproto.decoding import (
     build_bigram_constraints,
     build_unigram_constraints,
     diverse_beam_search,
+    generate_paraphrase_batch,
     generate_paraphrases,
     mask_probabilities,
     select_most_diverse,
@@ -32,7 +34,7 @@ class TestBeamSearch:
     def test_width_one_is_greedy(self):
         lm = RandomLM(("a", "b", "c"), seed=1, eos_weight=0.2)
         source = ["a", "b"]
-        beams = diverse_beam_search(lm, source, 1, 1, 0.0, max_len=4)[0]
+        beams = decode_one(lm, source, 1, 1, 0.0, max_len=4)[0]
         assert len(beams) == 1
         # replay greedily
         tokens = []
@@ -55,7 +57,7 @@ class TestBeamSearch:
         lm = RandomLM(("a", "b", "c"), seed=7, eos_weight=0.6)
         source = ["b", "c"]
         oracle = enumerate_sequences(lm, source, max_len=3, constraints=ConstraintSet.none())
-        beams = diverse_beam_search(lm, source, 100, 1, 0.0, max_len=3)[0]
+        beams = decode_one(lm, source, 100, 1, 0.0, max_len=3)[0]
         assert beams[0].tokens == oracle[0][1]
         assert beams[0].score == pytest.approx(oracle[0][0])
         # the whole frontier matches, not just the top
@@ -66,9 +68,9 @@ class TestBeamSearch:
     def test_banned_first_token_changes_output(self):
         lm = RandomLM(("a", "b", "c"), seed=3, eos_weight=0.2)
         source = ["a"]
-        free = diverse_beam_search(lm, source, 1, 1, 0.0, 3)[0]
+        free = decode_one(lm, source, 1, 1, 0.0, 3)[0]
         first = free[0].tokens[0]
-        banned = diverse_beam_search(
+        banned = decode_one(
             lm, source, 1, 1, 0.0, 3, ConstraintSet(banned_unigrams=frozenset({lm.vocab[first]}))
         )[0]
         assert banned[0].tokens[0] != first
@@ -78,26 +80,26 @@ class TestBeamSearch:
         lm = RandomLM(("a", "b"), seed=0)
         constraints = ConstraintSet(banned_unigrams=frozenset({"a", "b"}))
         with pytest.raises(ValueError, match="exhaust"):
-            diverse_beam_search(lm, ["a"], 2, 1, 0.0, 3, constraints)
+            decode_one(lm, ["a"], 2, 1, 0.0, 3, constraints)
 
     def test_invalid_arguments(self):
         lm = RandomLM(("a",), seed=0)
         with pytest.raises(ValueError):
-            diverse_beam_search(lm, ["a"], 0, 1, 0.0, 3)
+            decode_one(lm, ["a"], 0, 1, 0.0, 3)
         with pytest.raises(ValueError):
-            diverse_beam_search(lm, ["a"], 1, 1, 0.0, 0)
+            decode_one(lm, ["a"], 1, 1, 0.0, 0)
 
     def test_deterministic(self):
         lm = RandomLM(("a", "b", "c", "d"), seed=5)
-        a = diverse_beam_search(lm, ["a", "d"], 4, 1, 0.0, 5)
-        b = diverse_beam_search(lm, ["a", "d"], 4, 1, 0.0, 5)
+        a = decode_one(lm, ["a", "d"], 4, 1, 0.0, 5)
+        b = decode_one(lm, ["a", "d"], 4, 1, 0.0, 5)
         assert a == b
 
 
 class TestDiverseBeamSearch:
     def test_zero_penalty_groups_collapse(self):
         lm = RandomLM(("a", "b", "c"), seed=13, eos_weight=0.4)
-        groups = diverse_beam_search(
+        groups = decode_one(
             lm, ["a", "b"], num_beams=6, num_groups=3, diversity_penalty=0.0, max_len=4
         )
         first = [b.tokens for b in groups[0]]
@@ -111,7 +113,7 @@ class TestDiverseBeamSearch:
             table={(): {"a": 0.55, "b": 0.45}},
             default={"a": 0.1, "b": 0.1, EOS: 0.8},
         )
-        groups = diverse_beam_search(
+        groups = decode_one(
             lm, ["a"], num_beams=2, num_groups=2, diversity_penalty=0.5, max_len=2
         )
         first_tokens = [group[0].tokens[0] for group in groups]
@@ -124,7 +126,7 @@ class TestDiverseBeamSearch:
             table={(): {"a": 0.55, "b": 0.45}},
             default={"a": 0.1, "b": 0.1, EOS: 0.8},
         )
-        groups = diverse_beam_search(
+        groups = decode_one(
             lm, ["a"], num_beams=2, num_groups=2, diversity_penalty=0.05, max_len=2
         )
         firsts = [lm.vocab[group[0].tokens[0]] for group in groups]
@@ -133,14 +135,14 @@ class TestDiverseBeamSearch:
     def test_divisibility_enforced(self):
         lm = RandomLM(("a", "b"), seed=0)
         with pytest.raises(ValueError, match="multiple"):
-            diverse_beam_search(lm, ["a"], num_beams=5, num_groups=2,
+            decode_one(lm, ["a"], num_beams=5, num_groups=2,
                                 diversity_penalty=0.5, max_len=3)
 
     @pytest.mark.parametrize("penalty", [float("nan"), float("inf")])
     def test_non_finite_penalty_rejected(self, penalty):
         lm = RandomLM(("a", "b"), seed=0)
         with pytest.raises(ValueError, match="diversity_penalty must be finite"):
-            diverse_beam_search(lm, ["a"], num_beams=4, num_groups=2,
+            decode_one(lm, ["a"], num_beams=4, num_groups=2,
                                 diversity_penalty=penalty, max_len=3)
 
 
@@ -222,7 +224,7 @@ class TestBatchedStepMatchesPerBeam:
                 continue
             num_groups = 1 + trial % 4
             args = (lm, source, num_groups * (1 + trial % 3), num_groups, (0.0, 0.5, 2.0)[trial % 3], 5)
-            groups = diverse_beam_search(*args, constraints=constraints)
+            groups = decode_one(*args, constraints=constraints)
             assert groups == per_beam_diverse_beam_search(*args, constraints)
 
     def test_synonym_bigram_lm(self, toy_lm, tmp_path):
@@ -241,11 +243,21 @@ class TestBatchedStepMatchesPerBeam:
             for constraints in (ConstraintSet.none(), build_bigram_constraints(source),
                                 build_unigram_constraints(source, 0.7, "flat", rng)):
                 args = (lm, source, 15, 5, 0.5, 2 * len(source) + 5)
-                groups = diverse_beam_search(*args, constraints=constraints)
+                groups = decode_one(*args, constraints=constraints)
                 assert groups == per_beam_diverse_beam_search(*args, constraints)
                 most_repeats = max([most_repeats] + [max(np.bincount(b.tokens)) for g in groups
                                                      for b in g if b.tokens])
         assert most_repeats >= 3
+
+    def test_ties_keep_row_major_order(self):
+        # a uniform LM makes every candidate of a beam tie, so only the
+        # order rule (finished first, then row-major) tells beams apart
+        lm = TableLM(("a", "b", "c", "d"), {}, default={"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0, EOS: 1.0})
+        for num_groups, per_group, penalty in ((1, 3, 0.0), (2, 3, 0.5), (3, 2, 2.0), (1, 7, 0.0)):
+            for source in (["a"], ["b", "d", "a"]):
+                args = (lm, source, num_groups * per_group, num_groups, penalty, 4)
+                for constraints in (ConstraintSet.none(), build_bigram_constraints(source)):
+                    assert decode_one(*args, constraints) == per_beam_diverse_beam_search(*args, constraints)
 
 
 class TestLMCallCounts:
@@ -261,9 +273,9 @@ class TestLMCallCounts:
         batch_lengths, builds = [], []
         batch, add_mass = SynonymBigramLM.next_logprobs_batch, SynonymBigramLM._add_mass
 
-        def counting_batch(self, source, prefixes):
+        def counting_batch(self, sources, owners, prefixes):
             batch_lengths.append({len(p) for p in prefixes})
-            return batch(self, source, prefixes)
+            return batch(self, sources, owners, prefixes)
 
         def counting_add_mass(self, probs, rows, source, positions):
             builds.append(tuple(source))
@@ -287,6 +299,140 @@ class TestLMCallCounts:
                 # one build when the source changes, none per step; a decode
                 # of the same source again reuses the table
                 assert builds == ([tuple(tokenize(sentence))] if strategy == "dbs" else [])
+
+
+@pytest.fixture(scope="module")
+def synth_lm_and_texts(tmp_path_factory):
+    """The acceptance corpus's LM (V = 114) and texts."""
+    path = tmp_path_factory.mktemp("synth") / "synth20.jsonl"
+    texts = load_dataset(generate_synthetic_dataset(path, n_classes=20, sentences_per_class=30,
+                                                    synonym_rate=0.5, seed=0)).texts()
+    return SynonymBigramLM(texts, default_synonym_table()), texts
+
+
+class TestManySourcesSearch:
+    """A search of S sources equals S searches of one source each, beam for
+    beam."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equals_single_source_searches(self, synth_lm_and_texts, data):
+        lm, texts = synth_lm_and_texts
+        sentence = st.sampled_from(texts[:60])
+        # single sentences, joined ones (repeated tokens), and out-of-vocabulary words
+        source = st.one_of(
+            sentence.map(tokenize),
+            st.tuples(sentence, sentence).map(lambda ab: tokenize(" and ".join(ab))),
+            st.tuples(sentence, st.sampled_from(("zzz", "qqq"))).map(
+                lambda sw: [sw[1], *tokenize(sw[0]), sw[1]]),
+        )
+        sources = data.draw(st.lists(source, min_size=1, max_size=12))
+        num_groups = data.draw(st.integers(1, 5))
+        num_beams = num_groups * data.draw(st.integers(1, 3))
+        penalty = data.draw(st.sampled_from((0.0, 0.5, 2.0)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        constraints = [
+            data.draw(st.sampled_from((
+                ConstraintSet.none(),
+                build_bigram_constraints(s),
+                build_unigram_constraints(s, 0.7, "flat", rng),
+            )))
+            for s in sources
+        ]
+        max_lens = [data.draw(st.integers(1, 2 * len(s) + 5)) for s in sources]
+        singles = [
+            decode_one(lm, s, num_beams, num_groups, penalty, m, c)
+            for s, m, c in zip(sources, max_lens, constraints)
+        ]
+        found = diverse_beam_search(lm, sources, num_beams, num_groups, penalty, max_lens, constraints)
+        assert found == singles
+        # a Beam equals a plain tuple of its fields, so check the type apart
+        assert all(type(b) is Beam for groups in found for group in groups for b in group)
+
+    def test_cap_allows_nine_sources_at_acceptance_vocabulary(self, synth_lm_and_texts):
+        lm, _ = synth_lm_and_texts
+        assert len(lm.vocab) == 114
+        assert decoding.DECODE_BLOCK_BYTES // (8 * (len(lm.vocab) + 1) ** 2) == 9
+
+    def test_one_lm_call_per_step_over_every_source(self, synth_lm_and_texts, monkeypatch):
+        lm, texts = synth_lm_and_texts
+        calls = []
+        batch = SynonymBigramLM.next_logprobs_batch
+
+        def counting_batch(self, sources, owners, prefixes):
+            calls.append((len(sources), set(owners)))
+            return batch(self, sources, owners, prefixes)
+
+        monkeypatch.setattr(SynonymBigramLM, "next_logprobs_batch", counting_batch)
+        sources = [tokenize(t) for t in texts[:3]]
+        max_lens = [2 * len(s) + 5 for s in sources]
+        diverse_beam_search(lm, sources, 15, 5, 0.5, max_lens)
+        assert calls[0] == (3, {0, 1, 2})
+        assert len(calls) <= max(max_lens)
+
+    def test_block_peak_memory_stays_near_the_capped_tables(self, synth_lm_and_texts):
+        # a training block decodes about 170 misses at once; uncapped, their
+        # tables alone would take 170 * 8 * 115**2 bytes, about 18 MB. Capped,
+        # the peak is one block's tables (0.95 MB), about as much again for
+        # the step's arrays and banned masks, and the inputs and outputs.
+        lm, texts = synth_lm_and_texts
+        sentences = texts[:170]
+        capped = (decoding.DECODE_BLOCK_BYTES // (8 * 115**2)) * 8 * 115**2
+        generate_paraphrase_batch(lm, sentences[:2], 5, "dbs_unigram", DecodeConfig(),
+                                  np.random.default_rng(0))  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            generate_paraphrase_batch(lm, sentences, 5, "dbs_unigram", DecodeConfig(),
+                                      np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * capped
+
+
+class TestParaphraseBatch:
+    """The batch entry point equals one `generate_paraphrases` call per
+    sentence, outputs and generator state alike."""
+
+    @pytest.mark.parametrize("strategy", ["dbs", "dbs_unigram", "dbs_bigram", "stub_bt"])
+    @pytest.mark.parametrize("block", [1, 2, None])
+    def test_equals_per_sentence_calls(self, synth_lm_and_texts, strategy, block, monkeypatch):
+        lm, texts = synth_lm_and_texts
+        sentences = texts[:12] + [f"{a} and {b}" for a, b in zip(texts[12:18], texts[30:36])]
+        sentences += [sentences[0], "zzz " + texts[40]]  # a repeat and an out-of-vocabulary word
+        config = DecodeConfig(num_beams=9, num_groups=3)
+        one_by_one, batch = np.random.default_rng(6), np.random.default_rng(6)
+        singles = [generate_paraphrases(lm, s, 3, strategy, config, one_by_one) for s in sentences]
+        if block is not None:  # blocks of `block` sources; else the default cap of 9
+            monkeypatch.setattr(decoding, "DECODE_BLOCK_BYTES", block * 8 * (len(lm.vocab) + 1) ** 2)
+        assert generate_paraphrase_batch(lm, sentences, 3, strategy, config, batch) == singles
+        assert batch.bit_generator.state == one_by_one.bit_generator.state
+
+    def test_no_sentences(self, toy_lm):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert generate_paraphrase_batch(toy_lm, [], 5, "dbs_unigram", DecodeConfig(), rng) == []
+        assert rng.bit_generator.state == state
+
+    def test_error_messages(self, toy_lm):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="unknown strategy 'nope'"):
+            generate_paraphrase_batch(toy_lm, ["play"], 5, "nope", DecodeConfig(), rng)
+        with pytest.raises(ValueError, match="cannot paraphrase an empty sentence"):
+            generate_paraphrase_batch(toy_lm, ["play", "  "], 5, "dbs", DecodeConfig(), rng)
+        with pytest.raises(ValueError, match=r"n_paraphrases == num_groups, got 3 != 5"):
+            generate_paraphrase_batch(toy_lm, ["play"], 3, "dbs", DecodeConfig(), rng)
+        with pytest.raises(ValueError, match="stub_bt requires an LM that exposes a synonym table"):
+            generate_paraphrase_batch(RandomLM(("a",)), ["a"], 5, "stub_bt", DecodeConfig(), rng)
+        sources = [["play"], ["music"], ["book"]]
+        exhausting = ConstraintSet(banned_unigrams=frozenset(toy_lm.vocab))
+        with pytest.raises(ValueError, match="constraints exhaust vocabulary"):
+            diverse_beam_search(toy_lm, sources, 5, 5, 0.5, [3] * 3,
+                                [ConstraintSet.none(), exhausting, ConstraintSet.none()])
+        with pytest.raises(ValueError, match="max_len must be >= 1"):
+            diverse_beam_search(toy_lm, sources, 5, 5, 0.5, [3, 0, 3])
+        with pytest.raises(ValueError, match="one max_len and one constraint set per source"):
+            diverse_beam_search(toy_lm, sources, 5, 5, 0.5, [3, 3])
 
 
 class TestMaskProbabilities:
@@ -466,7 +612,7 @@ class TestSynonymBigramLM:
         # EOS-gate thresholds, and a last token with no source alignment
         prefixes += [[], [pool[0]] * 3, [pool[0]] * (lo - 1), [pool[0]] * lo,
                      [pool[-1]] * hi, [pool[-1]] * (hi + 1), pool + [unaligned[0]]]
-        batch = toy_lm.next_logprobs_batch(source, prefixes)
+        batch = toy_lm.next_logprobs_batch([source], [0] * len(prefixes), prefixes)
         assert batch.shape == (len(prefixes), len(vocab) + 1)
         logprobs, eos = batch[:, :-1], batch[:, -1]
         for row, prefix in enumerate(prefixes):
@@ -503,7 +649,7 @@ class TestSynonymBigramLM:
         with pytest.raises(ValueError, match="empty source"):
             toy_lm.next_logprobs([], [])
         with pytest.raises(ValueError, match="empty source"):
-            toy_lm.next_logprobs_batch([], [()])
+            toy_lm.next_logprobs_batch([[]], [0], [()])
 
     def test_out_of_range_token_ids_rejected(self, toy_lm):
         # id V and id -1 would both read the BOS row of the table; as unsigned
@@ -511,10 +657,10 @@ class TestSynonymBigramLM:
         source, n = ["play", "music"], len(toy_lm.vocab)
         for bad in ((n,), (-1,), (0, n), (np.intp(-1),), (0, np.int64(-1))):
             with pytest.raises(ValueError, match=rf"token ids must lie in \[0, {n}\)"):
-                toy_lm.next_logprobs_batch(source, [(0,), bad])
+                toy_lm.next_logprobs_batch([source], [0, 0], [(0,), bad])
         valid = (toy_lm.vocab.index("play"), n - 1)
         logprobs, eos = toy_lm.next_logprobs(source, [toy_lm.vocab[i] for i in valid])
-        row = toy_lm.next_logprobs_batch(source, [valid])[0]
+        row = toy_lm.next_logprobs_batch([source], [0], [valid])[0]
         assert np.array_equal(row[:-1], logprobs) and row[-1] == eos
 
     @pytest.mark.parametrize("last", [-200, 10**30, 0.5])
@@ -523,7 +669,21 @@ class TestSynonymBigramLM:
         # below -(V+1), one past any index and a non-integer fail there
         n = len(toy_lm.vocab)
         with pytest.raises(ValueError, match=rf"^prefix token ids must lie in \[0, {n}\)$"):
-            toy_lm.next_logprobs_batch(["play", "music"], [(0,), (last,)])
+            toy_lm.next_logprobs_batch([["play", "music"]], [0, 0], [(0,), (last,)])
+
+    @pytest.mark.parametrize("owner", [-1, 2])
+    def test_owner_outside_sources_rejected(self, toy_lm, owner):
+        # a negative owner would read another source's table rows
+        with pytest.raises(ValueError, match=r"^owners must lie in \[0, 2\)$"):
+            toy_lm.next_logprobs_batch([["play"], ["music"]], [0, owner], [(0,), (1,)])
+
+    @pytest.mark.parametrize("prefix", [(0.5, 1), (1.0, 1)])
+    def test_non_integer_id_before_the_last_rejected(self, toy_lm, prefix):
+        # the unsigned id array takes only integers, so a float fails at any
+        # position, not only where the table gather reads it
+        n = len(toy_lm.vocab)
+        with pytest.raises(ValueError, match=rf"^prefix token ids must lie in \[0, {n}\)$"):
+            toy_lm.next_logprobs_batch([["play", "music"]], [0, 0], [(0,), prefix])
 
 
 def reference_base_row(lm, source, last):
@@ -564,10 +724,10 @@ def assert_table_matches_reference(lm, source):
     """Every row of `source`'s table equals its reference base row, and an
     out-of-vocabulary last token, which aligns by string outside the table,
     matches the reference step."""
-    lm._use_source(source)
+    lm._use_sources([source])
     for i in range(len(lm.vocab) + 1):
         last = lm.vocab[i] if i < len(lm.vocab) else None
-        assert np.array_equal(lm._table[i], reference_base_row(lm, source, last)), (source, last)
+        assert np.array_equal(lm._rows[i], reference_base_row(lm, source, last)), (source, last)
     for oov in ("zzz", "qqq"):
         single, single_eos = lm.next_logprobs(source, ["play", oov])
         ref, ref_eos = per_token_next_logprobs(lm, source, ["play", oov])
@@ -677,7 +837,7 @@ class TestConstraintSoundnessFuzz:
             )
             if set(lm.vocab) <= constraints.banned_unigrams:
                 continue
-            groups = diverse_beam_search(
+            groups = decode_one(
                 lm, source, num_beams=4, num_groups=2, diversity_penalty=0.5,
                 max_len=5, constraints=constraints,
             )

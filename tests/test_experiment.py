@@ -24,7 +24,7 @@ from paraproto.experiment import (
 from paraproto.protonet import evaluate
 from paraproto.synth import generate_synthetic_dataset
 from paraproto.data import TEST, split_classes
-from rowstub import text_batch
+from rowstub import text_batch, unlabeled_texts
 from test_decoding import decode_configs
 
 
@@ -427,11 +427,12 @@ class TestLearnability:
             batches = []
             for _ in range(3):
                 ep = sample_episode(ds, split, "train", 2, 1, 1, 4, held_rng)
+                sentences = unlabeled_texts(ep)
                 paras = [
                     generate_paraphrases(lm, s, 3, "dbs", decode, held_rng)
-                    for s in ep.unlabeled
+                    for s in sentences
                 ]
-                batches.append((ep.unlabeled, paras))
+                batches.append((sentences, paras))
             cfg = RunConfig(
                 dataset_path=str(path), strategy="dbs", n_way=5, k_shot=1,
                 query_per_class=5, n_unlabeled=5, n_paraphrases=3, decode=decode,
@@ -507,3 +508,40 @@ class TestTokenizeOncePerRun:
         ]
         assert counts[0] > 0
         assert counts[0] == counts[1]
+
+
+class TestBlockDecoding:
+    """Training decodes a block's paraphrase misses in one batch call: with
+    the cache, each text once per run, keyed by the first row holding it;
+    without it, every drawn row."""
+
+    def _batches(self, monkeypatch, dataset, cache):
+        import paraproto.experiment as experiment
+
+        original, batches = experiment.generate_paraphrase_batch, []
+
+        def recording(lm, sentences, *args):
+            batches.append(list(sentences))
+            return original(lm, sentences, *args)
+
+        monkeypatch.setattr(experiment, "generate_paraphrase_batch", recording)
+        cfg = quick_config(
+            "unused", strategy="dbs", n_paraphrases=3, n_unlabeled=4,
+            decode=DecodeConfig(num_beams=6, num_groups=3), paraphrase_cache=cache,
+        )
+        train_single_seed(cfg, 0, dataset)
+        return batches
+
+    def test_cache_decodes_each_text_once(self, monkeypatch, corpus_path):
+        from paraproto.data import Dataset
+
+        ds = load_dataset(corpus_path)
+        doubled = Dataset(ds.records + ds.records)  # every text on two rows
+        batches = self._batches(monkeypatch, doubled, cache=True)
+        assert len(batches) == 3  # one per block of eval_every episodes
+        texts = [text for batch in batches for text in batch]
+        assert len(texts) == len(set(texts))
+
+    def test_no_cache_decodes_every_drawn_row(self, monkeypatch, corpus_path):
+        batches = self._batches(monkeypatch, load_dataset(corpus_path), cache=False)
+        assert [len(batch) for batch in batches] == [10 * 4] * 3
