@@ -15,7 +15,6 @@ from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .configio import dataclass_from_kv, dataclass_to_kv, format_kv, parse_kv_text
 from .encoder import tokenize
 from .metrics import BleuReference, bleu_reference, bleu_scores
 
@@ -55,10 +54,6 @@ class ConditionalLM(Protocol):
 class ConstraintSet:
     banned_unigrams: frozenset[str] = frozenset()
     banned_bigrams: frozenset[tuple[str, str]] = frozenset()
-
-    @classmethod
-    def none(cls) -> "ConstraintSet":
-        return cls()
 
 
 class Beam(NamedTuple):
@@ -103,13 +98,6 @@ class DecodeConfig:
     def resolved_max_len(self, source_len: int) -> int:
         return self.max_len if self.max_len > 0 else 2 * source_len + 5
 
-    def to_text(self) -> str:
-        return format_kv(dataclass_to_kv(self))
-
-    @classmethod
-    def from_text(cls, text: str) -> "DecodeConfig":
-        return dataclass_from_kv(cls, parse_kv_text(text))
-
 
 def mask_probabilities(n_tokens: int, p_mask: float, curve: str) -> np.ndarray:
     """Per-position ban probability; every curve has mean exactly p_mask.
@@ -134,7 +122,7 @@ def build_unigram_constraints(
 ) -> ConstraintSet:
     """Ban each source token with its positional probability."""
     if not source:
-        return ConstraintSet.none()
+        return ConstraintSet()
     probs = mask_probabilities(len(source), p_mask, curve)
     draws = rng.random(len(source))
     banned = {tok for tok, p, u in zip(source, probs, draws) if u < p}
@@ -199,7 +187,7 @@ def diverse_beam_search(
     if not math.isfinite(diversity_penalty) or diversity_penalty < 0:
         raise ValueError("diversity_penalty must be finite and >= 0")
     if constraints is None:
-        constraints = [ConstraintSet.none()] * len(sources)
+        constraints = [ConstraintSet()] * len(sources)
     if not len(sources) == len(max_lens) == len(constraints):
         raise ValueError("need one max_len and one constraint set per source")
     if any(m < 1 for m in max_lens):
@@ -348,6 +336,8 @@ def generate_paraphrase_batch(
     order, and then the sentences are decoded in blocks, one search each."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    if n_paraphrases < 1:
+        raise ValueError(f"n_paraphrases must be >= 1, got {n_paraphrases}")
     sources = [tokenize(sentence) for sentence in sentences]
     if not all(sources):
         raise ValueError("cannot paraphrase an empty sentence")
@@ -433,12 +423,11 @@ class SynonymBigramLM:
             raise ValueError("empty corpus")
         self._index = {tok: i for i, tok in enumerate(self.vocab)}
         n = len(self.vocab)
-        self._bos = n
         # rows: previous token (plus BOS); cols: next token (plus EOS)
         counts = np.zeros((n + 1, n + 1))
         for sent in sentences:
             ids = [self._index[t] for t in sent]
-            prev = self._bos
+            prev = n  # BOS
             for i in ids:
                 counts[prev, i] += 1.0
                 prev = i
@@ -453,151 +442,83 @@ class SynonymBigramLM:
         self._sources: tuple[tuple[str, ...], ...] | None = None
         self._buffer = np.empty((0, n + 1, n + 1))
 
-    def _alignments(self, source: Sequence[str]) -> dict[str, list[int]]:
-        """The source positions each token aligns to, in order: where it
-        occurs, and where a word occurs that lists it as a synonym."""
-        positions: dict[str, list[int]] = {}
-        for j, tok in enumerate(source):
-            for t in {tok, *self.synonyms.get(tok, ())}:
-                positions.setdefault(t, []).append(j)
-        return positions
-
-    def _mass(
-        self, source: Sequence[str], positions: list[int] | None
-    ) -> tuple[tuple[list[int], float], tuple[list[int], float]]:
-        """The copy mass, then the synonym mass, of a base row whose last
-        token aligns to source `positions` (None before the first token),
-        each as (column ids, share): every listed column gets the share, a
-        repeated one once per listing, and EOS is column V. The copy bias
-        goes to the source tokens that come next, and to EOS after the last
-        one; with no alignment it falls back to every source token,
-        unordered. The synonym mass goes to their synonyms."""
-        n = len(self.vocab)
-        if positions is None:
-            nexts = [source[0]]
-        else:
-            nexts = [source[j + 1] for j in positions if j + 1 < len(source)]
-        at_end = bool(positions) and positions[-1] == len(source) - 1
-        if nexts or at_end:
-            copy = [self._index[tok] for tok in nexts if tok in self._index] + [n] * at_end
-            copy_share = COPY_WEIGHT / (len(nexts) + at_end)
-            syn_from = nexts
-        else:
-            copy = sorted({self._index[t] for t in source if t in self._index})
-            copy_share = COPY_WEIGHT / max(len(copy), 1)
-            syn_from = source
-        syn = sorted(
-            {
-                self._index[alt]
-                for tok in syn_from
-                for alt in self.synonyms.get(tok, ())
-                if alt in self._index
-            }
-        )
-        return (copy, copy_share), (syn, SYNONYM_WEIGHT / max(len(syn), 1))
-
-    def _add_mass(
-        self, probs: np.ndarray, rows: list[int], source: Sequence[str], positions: list[list[int] | None]
-    ) -> None:
-        """Add to row rows[k] of `probs` the `_mass` of a last token aligned
-        to source positions[k]: every row's copy mass, then every row's
-        synonym mass, in one `np.add.at`, which adds a cell's shares one
-        after another in the order listed."""
-        masses = [self._mass(source, p) for p in positions]
-        cell_rows, cell_cols, values = [], [], []
-        for part in (0, 1):
-            for row, mass in zip(rows, masses):
-                cols, share = mass[part]
-                cell_rows += [row] * len(cols)
-                cell_cols += cols
-                values += [share] * len(cols)
-        np.add.at(probs, (cell_rows, cell_cols), values)
-
     def _use_sources(self, sources: Sequence[Sequence[str]]) -> None:
         """On new sources, build each one's (V+1, V+1) table of base rows by
         last prefix token id, once (a search asks for the same few rows at
         every step), into one (S, V+1, V+1) stack, and set each one's EOS-gate
         bounds, which keep outputs near the source length. Only the last
-        sources are kept. BOS and the tokens that align with a source get
-        their own mass; every other token row gets the same fallback mass."""
-        if sources is self._sources:
-            return
+        sources are kept.
+
+        A row's mass goes to target positions of its source, position
+        len(source) standing for EOS: BOS targets position 0, and a token
+        that occurs at position j, or is listed as a synonym of the word
+        there, targets j + 1. The copy mass is one share per listing on the
+        targets' tokens (an out-of-vocabulary one takes a share but no
+        column); the synonym mass is spread over the union of their
+        synonyms. A token row with no target gets the fallback, computed
+        once: every in-vocabulary source token once, then the synonyms of
+        every source token. A table's mass is added in one `np.add.at`, which
+        adds a cell's shares one after another: its copy shares, then its
+        synonym share."""
         key = tuple(map(tuple, sources))
         if key == self._sources:
             return
         if not all(key):
             raise ValueError("empty source")
         self._sources = None  # the buffer is rebuilt in place
-        n = len(self.vocab)
+        n, index = len(self.vocab), self._index
+        width = n + 1
         # searches reuse one buffer, grown to the most sources seen at once
         # (`generate_paraphrase_batch` passes at most DECODE_BLOCK_BYTES of them)
         if len(self._buffer) < len(key):
-            self._buffer = np.empty((len(key), n + 1, n + 1))
+            self._buffer = np.empty((len(key), width, width))
         tables = self._buffer[: len(key)]
+        tables[...] = self._prior
         for table, source in zip(tables, key):
-            positions = self._alignments(source)
-            aligned = sorted(self._index[t] for t in positions if t in self._index)
-            table[...] = self._prior
-            # the fallback mass on every token row, then the aligned rows start over
-            for cols, share in self._mass(source, []):
-                table[:n, cols] += share
-            table[aligned] = self._prior[aligned]
-            self._add_mass(
-                table, [self._bos, *aligned], source, [None, *(positions[self.vocab[i]] for i in aligned)]
+            # each target position's column (-1 out of vocabulary, EOS past
+            # the end) and in-vocabulary synonyms
+            ids = [index.get(tok, -1) for tok in source] + [n]
+            alts = [{index[a] for a in self.synonyms.get(tok, ()) if a in index} for tok in source] + [set()]
+            # (row, target) listings: BOS targets position 0, and a token at
+            # position j, or listed as a synonym of the word there, targets j + 1
+            pairs = [(n, 0)] + [(t, j + 1) for j, i in enumerate(ids[:-1]) for t in {i, *alts[j]} - {-1}]
+            rows, cols = np.array([(r, ids[k]) for r, k in pairs]).T
+            listings = np.bincount(rows, minlength=width)
+            syn = np.fromiter({r * width + a for r, k in pairs for a in alts[k]}, dtype=np.intp)
+            # the fallback row, once, and the token rows with no target that take it
+            copy_all, syn_all = {i for i in ids[:-1] if i >= 0}, set().union(*alts)
+            fallback_cols = np.array([*copy_all, *syn_all], dtype=np.intp)
+            fallback_shares = np.repeat(
+                [COPY_WEIGHT / max(len(copy_all), 1), SYNONYM_WEIGHT / max(len(syn_all), 1)],
+                [len(copy_all), len(syn_all)],
             )
-        self._rows = tables.reshape(-1, n + 1)  # row: source * (V+1) + last id
+            fallback = np.flatnonzero(listings[:n] == 0)[:, None] * width
+            copy = (rows * width + cols)[cols >= 0]  # flat cells of the table
+            np.add.at(
+                table.reshape(-1),
+                np.concatenate([copy, syn, (fallback + fallback_cols).ravel()]),
+                np.concatenate([
+                    COPY_WEIGHT / listings[copy // width],
+                    SYNONYM_WEIGHT / np.bincount(syn // width, minlength=width)[syn // width],
+                    np.repeat(fallback_shares[None], len(fallback), axis=0).ravel(),
+                ]),
+            )
+        self._rows = tables.reshape(-1, width)  # row: source * (V+1) + last id
         self._eos_lo = [max(1, round(0.85 * len(s))) for s in key]
         self._eos_hi = [len(s) + max(2, round(0.5 * len(s))) for s in key]
-        # keep the caller's object when it is the key already, so that the
-        # next call with it returns at the identity check
-        self._sources = sources if type(sources) is tuple and sources == key else key
-
-    def _logprobs(
-        self,
-        probs: np.ndarray,
-        owners: Sequence[int],
-        vocab_ids: Sequence[Sequence[int]],
-        lengths: Sequence[int],
-    ) -> np.ndarray:
-        """(B, V+1) log-probabilities, EOS last, from base rows `probs` (changed
-        in place) of prefixes of sources `owners`, given by the ids of their
-        in-vocabulary tokens and their length."""
-        n = len(self.vocab)
-        # damp tokens already generated, so decodes do not loop: `multiply.at`
-        # multiplies a cell once per occurrence, so a token seen c times gets
-        # the decay c times
-        owner = np.repeat(np.arange(len(vocab_ids)), [len(ids) for ids in vocab_ids])
-        # the last ids have picked table rows already, where an id outside
-        # [0, n) reads a wrong row; an unsigned `array` takes only integers,
-        # and no negative one
-        try:
-            ids = np.frombuffer(array("Q", itertools.chain.from_iterable(vocab_ids)), dtype=np.ulonglong)
-        except (TypeError, OverflowError):
-            raise _bad_prefix_ids(n) from None
-        if ids.size and ids.max() >= n:
-            raise _bad_prefix_ids(n)
-        np.multiply.at(probs, (owner, ids), REPEAT_DECAY)
-
-        lo, hi = self._eos_lo, self._eos_hi
-        probs[:, n] *= [1e-4 if k < lo[o] else 1.0 if k <= hi[o] else 25.0 for k, o in zip(lengths, owners)]
-        probs /= probs.sum(axis=1, keepdims=True)
-        return np.log(probs, out=probs)
+        self._sources = key
 
     def next_logprobs(
         self, source: Sequence[str], prefix: Sequence[str]
     ) -> tuple[np.ndarray, float]:
-        self._use_sources([source])
-        last = prefix[-1] if prefix else None
-        i = self._bos if last is None else self._index.get(last)
-        if i is None:
-            # an out-of-vocabulary last token has no row in the table, but
-            # still aligns against the source strings
-            probs = self._prior[[self._bos]]
-            self._add_mass(probs, [0], source, [self._alignments(source).get(last, [])])
-        else:
-            probs = self._rows[[i]]
-        ids = [self._index[tok] for tok in prefix if tok in self._index]
-        logs = self._logprobs(probs, [0], [ids], [len(prefix)])
+        """The one-prefix case of `next_logprobs_batch`, on token strings: the
+        log-probabilities of every vocabulary token, and of EOS, after
+        `prefix`. A prefix token outside `vocab` raises `ValueError`."""
+        try:
+            ids = [self._index[tok] for tok in prefix]
+        except KeyError as exc:
+            raise ValueError(f"prefix token {exc.args[0]!r} is not in the vocabulary") from None
+        logs = self.next_logprobs_batch([source], [0], [ids])
         return logs[0, :-1], float(logs[0, -1])
 
     def next_logprobs_batch(
@@ -606,17 +527,34 @@ class SynonymBigramLM:
         owners: Sequence[int],
         prefixes: Sequence[Sequence[int]],
     ) -> np.ndarray:
-        """`next_logprobs` for B token-id prefixes (integer indices into
-        `vocab`) at once, prefix i of source `sources[owners[i]]`: a (B, V+1)
-        array of log-probabilities, EOS in the last column, row i equal to
-        `next_logprobs` of prefix i. An owner outside [0, S), or an id outside
-        [0, V) or not an integer, raises `ValueError`."""
+        """Scores B token-id prefixes (integer indices into `vocab`), prefix i
+        continuing source `sources[owners[i]]`: a (B, V+1) array of
+        log-probabilities, EOS in the last column. An owner outside [0, S), or
+        an id outside [0, V) or not an integer, raises `ValueError`."""
         if owners and not 0 <= min(owners) <= max(owners) < len(sources):
             raise ValueError(f"owners must lie in [0, {len(sources)})")
         self._use_sources(sources)
-        width = len(self.vocab) + 1
+        n = len(self.vocab)
         try:
-            probs = self._rows[[o * width + (p[-1] if len(p) else self._bos) for o, p in zip(owners, prefixes)]]
+            probs = self._rows[[o * (n + 1) + (p[-1] if len(p) else n) for o, p in zip(owners, prefixes)]]
         except IndexError:  # a last id that indexes no row: a float, or far out of range
-            raise _bad_prefix_ids(len(self.vocab)) from None
-        return self._logprobs(probs, owners, prefixes, [len(p) for p in prefixes])
+            raise _bad_prefix_ids(n) from None
+        # damp tokens already generated, so decodes do not loop: `multiply.at`
+        # multiplies a cell once per occurrence, so a token seen c times gets
+        # the decay c times
+        owner = np.repeat(np.arange(len(prefixes)), [len(p) for p in prefixes])
+        # the last ids have picked table rows already, where an id outside
+        # [0, n) reads a wrong row; an unsigned `array` takes only integers,
+        # and no negative one
+        try:
+            ids = np.frombuffer(array("Q", itertools.chain.from_iterable(prefixes)), dtype=np.ulonglong)
+        except (TypeError, OverflowError):
+            raise _bad_prefix_ids(n) from None
+        if ids.size and ids.max() >= n:
+            raise _bad_prefix_ids(n)
+        np.multiply.at(probs, (owner, ids), REPEAT_DECAY)
+
+        lo, hi = self._eos_lo, self._eos_hi
+        probs[:, n] *= [1e-4 if len(p) < lo[o] else 1.0 if len(p) <= hi[o] else 25.0 for p, o in zip(prefixes, owners)]
+        probs /= probs.sum(axis=1, keepdims=True)
+        return np.log(probs, out=probs)

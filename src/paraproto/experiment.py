@@ -389,6 +389,8 @@ def diversity_by_strategy(
 ) -> dict[str, dict[str, float]]:
     """Mean diversity-report fields per strategy over sampled corpus sentences,
     with similarity measured by an untrained encoder initialized from `seed`."""
+    if n_sentences < 1:
+        raise ValueError(f"n_sentences must be >= 1, got {n_sentences}")
     decode = decode or DecodeConfig()
     texts = dataset.texts()
     vocab = Vocabulary.from_texts(texts)

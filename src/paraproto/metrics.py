@@ -5,9 +5,8 @@ pairwise cosine similarity of sentence embeddings."""
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,13 +19,6 @@ class DiversityReport:
     dist2: float
     bleu_vs_source: float
     mean_pairwise_similarity: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiversityReport":
-        return cls(**json.loads(text))
 
 
 def distinct_2(sentences: Sequence[Sequence[str]]) -> float:

@@ -179,7 +179,7 @@ def test_criterion_2_beam_search_matches_enumeration():
         source = ["b", "d"]
         width = len(lm.vocab) ** 3
         beams = decode_one(lm, source, width, 1, 0.0, max_len=3)[0]
-        oracle = enumerate_sequences(lm, source, 3, ConstraintSet.none())
+        oracle = enumerate_sequences(lm, source, 3, ConstraintSet())
         assert beams[0].tokens == oracle[0][1]
         assert beams[0].score == pytest.approx(oracle[0][0], rel=1e-12)
 

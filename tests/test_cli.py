@@ -162,6 +162,17 @@ class TestParaphrase:
         row = json.loads(out.read_text())
         assert len(row["paraphrases"]) == 4
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_stub_bt_without_paraphrases_exits_nonzero(self, corpus_path, tmp_path, capsys, n):
+        sentences = tmp_path / "sents.txt"
+        sentences.write_text("book the flight\n")
+        out = tmp_path / "para.jsonl"
+        code = main(["paraphrase", "--corpus", corpus_path, "--sentences", str(sentences),
+                     "--out", str(out), "--strategy", "stub_bt", "--paraphrases", n])
+        assert code == 1
+        assert "n_paraphrases must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDiversity:
     def test_json_summary(self, corpus_path, tmp_path):
@@ -172,6 +183,15 @@ class TestDiversity:
         assert code == 0
         summary = json.loads(out.read_text())
         assert set(summary) == {"stub_bt", "dbs"}
+
+    def test_no_sentences_exits_nonzero(self, corpus_path, tmp_path, capsys):
+        # the means over zero sentences were NaN, which is not JSON
+        out = tmp_path / "div.json"
+        code = main(["diversity", "--dataset", corpus_path, "--strategies", "stub_bt",
+                     "--n-sentences", "0", "--out", str(out)])
+        assert code == 1
+        assert "n_sentences must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReport:

@@ -24,6 +24,7 @@ from paraproto.decoding import (
 )
 from paraproto.data import load_dataset
 from paraproto.encoder import tokenize
+from paraproto.experiment import RunConfig
 from paraproto.metrics import bleu_reference
 from paraproto.synth import default_synonym_table, generate_synthetic_dataset
 
@@ -56,7 +57,7 @@ class TestBeamSearch:
     def test_matches_exhaustive_enumeration(self):
         lm = RandomLM(("a", "b", "c"), seed=7, eos_weight=0.6)
         source = ["b", "c"]
-        oracle = enumerate_sequences(lm, source, max_len=3, constraints=ConstraintSet.none())
+        oracle = enumerate_sequences(lm, source, max_len=3, constraints=ConstraintSet())
         beams = decode_one(lm, source, 100, 1, 0.0, max_len=3)[0]
         assert beams[0].tokens == oracle[0][1]
         assert beams[0].score == pytest.approx(oracle[0][0])
@@ -147,7 +148,7 @@ class TestDiverseBeamSearch:
 
 
 def per_beam_diverse_beam_search(lm, source, num_beams, num_groups, diversity_penalty, max_len,
-                                 constraints=ConstraintSet.none()):
+                                 constraints=ConstraintSet()):
     """Reference decoder: one `next_logprobs` call and one argsort per beam
     and group, the way diverse beam search was first written here."""
     n_vocab = len(lm.vocab)
@@ -240,7 +241,7 @@ class TestBatchedStepMatchesPerBeam:
         most_repeats = 0
         for lm, sentence in cases:
             source = tokenize(sentence)
-            for constraints in (ConstraintSet.none(), build_bigram_constraints(source),
+            for constraints in (ConstraintSet(), build_bigram_constraints(source),
                                 build_unigram_constraints(source, 0.7, "flat", rng)):
                 args = (lm, source, 15, 5, 0.5, 2 * len(source) + 5)
                 groups = decode_one(*args, constraints=constraints)
@@ -256,7 +257,7 @@ class TestBatchedStepMatchesPerBeam:
         for num_groups, per_group, penalty in ((1, 3, 0.0), (2, 3, 0.5), (3, 2, 2.0), (1, 7, 0.0)):
             for source in (["a"], ["b", "d", "a"]):
                 args = (lm, source, num_groups * per_group, num_groups, penalty, 4)
-                for constraints in (ConstraintSet.none(), build_bigram_constraints(source)):
+                for constraints in (ConstraintSet(), build_bigram_constraints(source)):
                     assert decode_one(*args, constraints) == per_beam_diverse_beam_search(*args, constraints)
 
 
@@ -271,21 +272,24 @@ class TestLMCallCounts:
             default_synonym_table(),
         )
         batch_lengths, builds = [], []
-        batch, add_mass = SynonymBigramLM.next_logprobs_batch, SynonymBigramLM._add_mass
+        batch, use_sources = SynonymBigramLM.next_logprobs_batch, SynonymBigramLM._use_sources
 
         def counting_batch(self, sources, owners, prefixes):
             batch_lengths.append({len(p) for p in prefixes})
             return batch(self, sources, owners, prefixes)
 
-        def counting_add_mass(self, probs, rows, source, positions):
-            builds.append(tuple(source))
-            return add_mass(self, probs, rows, source, positions)
+        def counting_use_sources(self, sources):
+            # a table build: sources other than the last ones
+            key = tuple(map(tuple, sources))
+            if key != self._sources:
+                builds.extend(key)
+            return use_sources(self, sources)
 
         def no_single_calls(self, source, prefix):
             raise AssertionError("per-beam next_logprobs call")
 
         monkeypatch.setattr(SynonymBigramLM, "next_logprobs_batch", counting_batch)
-        monkeypatch.setattr(SynonymBigramLM, "_add_mass", counting_add_mass)
+        monkeypatch.setattr(SynonymBigramLM, "_use_sources", counting_use_sources)
         monkeypatch.setattr(SynonymBigramLM, "next_logprobs", no_single_calls)
         rng = np.random.default_rng(4)
         for sentence in ("can you play the music and book the flight now please",
@@ -333,7 +337,7 @@ class TestManySourcesSearch:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
         constraints = [
             data.draw(st.sampled_from((
-                ConstraintSet.none(),
+                ConstraintSet(),
                 build_bigram_constraints(s),
                 build_unigram_constraints(s, 0.7, "flat", rng),
             )))
@@ -428,7 +432,7 @@ class TestParaphraseBatch:
         exhausting = ConstraintSet(banned_unigrams=frozenset(toy_lm.vocab))
         with pytest.raises(ValueError, match="constraints exhaust vocabulary"):
             diverse_beam_search(toy_lm, sources, 5, 5, 0.5, [3] * 3,
-                                [ConstraintSet.none(), exhausting, ConstraintSet.none()])
+                                [ConstraintSet(), exhausting, ConstraintSet()])
         with pytest.raises(ValueError, match="max_len must be >= 1"):
             diverse_beam_search(toy_lm, sources, 5, 5, 0.5, [3, 0, 3])
         with pytest.raises(ValueError, match="one max_len and one constraint set per source"):
@@ -616,18 +620,14 @@ class TestSynonymBigramLM:
         assert batch.shape == (len(prefixes), len(vocab) + 1)
         logprobs, eos = batch[:, :-1], batch[:, -1]
         for row, prefix in enumerate(prefixes):
-            text = [vocab[i] for i in prefix]
-            single, single_eos = toy_lm.next_logprobs(source, text)
-            ref, ref_eos = per_token_next_logprobs(toy_lm, source, text)
-            assert np.array_equal(logprobs[row], single) and eos[row] == single_eos
-            assert np.array_equal(single, ref) and single_eos == ref_eos
+            ref, ref_eos = per_token_next_logprobs(toy_lm, source, [vocab[i] for i in prefix])
+            assert np.array_equal(logprobs[row], ref) and eos[row] == ref_eos
 
-    def test_out_of_vocabulary_prefix_matches_reference(self, toy_lm):
-        source = ["play", "zzz", "music", "zzz"]
-        for prefix in (["zzz"], ["play", "zzz"], ["zzz", "zzz", "the"]):
-            single, single_eos = toy_lm.next_logprobs(source, prefix)
-            ref, ref_eos = per_token_next_logprobs(toy_lm, source, prefix)
-            assert np.array_equal(single, ref) and single_eos == ref_eos
+    def test_out_of_vocabulary_prefix_token_rejected(self, toy_lm):
+        # a decoder emits vocabulary ids only, so a token with no id has no score
+        for prefix in (["zzz"], ["zzz", "play"], ["play", "zzz"]):
+            with pytest.raises(ValueError, match="^prefix token 'zzz' is not in the vocabulary$"):
+                toy_lm.next_logprobs(["play", "zzz", "music"], prefix)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -721,17 +721,11 @@ def reference_base_row(lm, source, last):
 
 
 def assert_table_matches_reference(lm, source):
-    """Every row of `source`'s table equals its reference base row, and an
-    out-of-vocabulary last token, which aligns by string outside the table,
-    matches the reference step."""
+    """Every row of `source`'s table equals its reference base row."""
     lm._use_sources([source])
     for i in range(len(lm.vocab) + 1):
         last = lm.vocab[i] if i < len(lm.vocab) else None
         assert np.array_equal(lm._rows[i], reference_base_row(lm, source, last)), (source, last)
-    for oov in ("zzz", "qqq"):
-        single, single_eos = lm.next_logprobs(source, ["play", oov])
-        ref, ref_eos = per_token_next_logprobs(lm, source, ["play", oov])
-        assert np.array_equal(single, ref) and single_eos == ref_eos
 
 
 def per_token_next_logprobs(lm, source, prefix):
@@ -742,8 +736,7 @@ def per_token_next_logprobs(lm, source, prefix):
     index = {tok: i for i, tok in enumerate(lm.vocab)}
     probs = reference_base_row(lm, source, prefix[-1] if prefix else None)
     for tok in prefix:
-        if tok in index:
-            probs[index[tok]] *= decoding.REPEAT_DECAY
+        probs[index[tok]] *= decoding.REPEAT_DECAY
     src_len = max(len(source), 1)
     if len(prefix) < max(1, round(0.85 * src_len)):
         probs[n] *= 1e-4
@@ -821,6 +814,17 @@ class TestGenerateParaphrases:
             generate_paraphrases(toy_lm, "play", 5, "nope", DecodeConfig(),
                                  np.random.default_rng(0))
 
+    @pytest.mark.parametrize("strategy", ["stub_bt", "dbs_unigram"])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_fewer_than_one_paraphrase_rejected(self, toy_lm, strategy, n):
+        # stub_bt has no group count to check n against, so it once returned
+        # no paraphrases at all; the check comes before any draw
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=rf"^n_paraphrases must be >= 1, got {n}$"):
+            generate_paraphrase_batch(toy_lm, ["book the flight"], n, strategy, DecodeConfig(), rng)
+        assert rng.bit_generator.state == state
+
 
 class TestConstraintSoundnessFuzz:
     def test_no_banned_output_across_fuzzed_decodes(self):
@@ -862,14 +866,17 @@ def decode_configs(draw):
 
 
 class TestDecodeConfig:
+    # a decode config is written and read as the `decode.*` keys of a run config
+
     @given(decode_configs())
     def test_text_round_trip_property(self, cfg):
-        assert DecodeConfig.from_text(cfg.to_text()) == cfg
+        run = RunConfig(dataset_path="d", decode=cfg)
+        assert RunConfig.from_text(run.to_text()).decode == cfg
 
     def test_round_trip_text(self):
         cfg = DecodeConfig(num_beams=9, num_groups=3, diversity_penalty=0.25,
                            p_mask=0.4, curve="down", max_len=12)
-        assert DecodeConfig.from_text(cfg.to_text()) == cfg
+        assert RunConfig.from_text(RunConfig(dataset_path="d", decode=cfg).to_text()).decode == cfg
 
     def test_default_max_len_follows_source(self):
         cfg = DecodeConfig()
@@ -887,7 +894,7 @@ class TestDecodeConfig:
             with pytest.raises(ValueError, match="diversity_penalty must be finite"):
                 DecodeConfig(diversity_penalty=penalty)
         with pytest.raises(ValueError):
-            DecodeConfig.from_text("nonsense_key=1\n")
+            RunConfig.from_text("decode.nonsense_key=1\n")
         for shape in (dict(num_beams=10, num_groups=3), dict(num_groups=0), dict(num_beams=0),
                       dict(num_beams=-5, num_groups=5)):
             with pytest.raises(ValueError, match="multiple of num_groups"):

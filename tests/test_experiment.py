@@ -468,6 +468,11 @@ class TestDiversityByStrategy:
         kwargs = dict(strategies=("stub_bt",), n_sentences=4, seed=3)
         assert diversity_by_strategy(ds, **kwargs) == diversity_by_strategy(ds, **kwargs)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_fewer_than_one_sentence_rejected(self, corpus_path, n):
+        with pytest.raises(ValueError, match=rf"^n_sentences must be >= 1, got {n}$"):
+            diversity_by_strategy(load_dataset(corpus_path), strategies=("stub_bt",), n_sentences=n)
+
 
 class TestTokenizeOncePerRun:
     """Tokenization is per run, not per episode: a deterministic count, so

@@ -1,4 +1,3 @@
-import json
 import math
 from collections import Counter
 
@@ -9,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from paraproto.encoder import EncoderParams, Vocabulary
 from paraproto.decoding import Beam, select_most_diverse
 from paraproto.metrics import (
-    DiversityReport,
     bleu,
     bleu_reference,
     bleu_scores,
@@ -227,11 +225,3 @@ class TestDiversityReport:
         params, vocab = encoder
         with pytest.raises(ValueError):
             diversity_report("play the music", ["only one"], params, vocab)
-
-    def test_json_round_trip(self):
-        report = DiversityReport(dist2=0.5, bleu_vs_source=0.25,
-                                 mean_pairwise_similarity=0.75)
-        parsed = DiversityReport.from_json(report.to_json())
-        assert parsed == report
-        obj = json.loads(report.to_json())
-        assert set(obj) == {"dist2", "bleu_vs_source", "mean_pairwise_similarity"}
