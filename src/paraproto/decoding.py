@@ -484,7 +484,8 @@ class SynonymBigramLM:
             pairs = [(n, 0)] + [(t, j + 1) for j, i in enumerate(ids[:-1]) for t in {i, *alts[j]} - {-1}]
             rows, cols = np.array([(r, ids[k]) for r, k in pairs]).T
             listings = np.bincount(rows, minlength=width)
-            syn = np.fromiter({r * width + a for r, k in pairs for a in alts[k]}, dtype=np.intp)
+            syn = np.array(sorted({(r, a) for r, k in pairs for a in alts[k]}), dtype=np.intp).reshape(-1, 2)
+            syn_rows, syn_cols = syn[:, 0], syn[:, 1]
             # the fallback row, once, and the token rows with no target that take it
             copy_all, syn_all = {i for i in ids[:-1] if i >= 0}, set().union(*alts)
             fallback_cols = np.array([*copy_all, *syn_all], dtype=np.intp)
@@ -492,15 +493,18 @@ class SynonymBigramLM:
                 [COPY_WEIGHT / max(len(copy_all), 1), SYNONYM_WEIGHT / max(len(syn_all), 1)],
                 [len(copy_all), len(syn_all)],
             )
-            fallback = np.flatnonzero(listings[:n] == 0)[:, None] * width
-            copy = (rows * width + cols)[cols >= 0]  # flat cells of the table
+            fallback_rows = np.flatnonzero(listings[:n] == 0)
+            copy_rows, copy_cols = rows[cols >= 0], cols[cols >= 0]
             np.add.at(
-                table.reshape(-1),
-                np.concatenate([copy, syn, (fallback + fallback_cols).ravel()]),
+                table,
+                (
+                    np.concatenate([copy_rows, syn_rows, np.repeat(fallback_rows, len(fallback_cols))]),
+                    np.concatenate([copy_cols, syn_cols, np.tile(fallback_cols, len(fallback_rows))]),
+                ),
                 np.concatenate([
-                    COPY_WEIGHT / listings[copy // width],
-                    SYNONYM_WEIGHT / np.bincount(syn // width, minlength=width)[syn // width],
-                    np.repeat(fallback_shares[None], len(fallback), axis=0).ravel(),
+                    COPY_WEIGHT / listings[copy_rows],
+                    SYNONYM_WEIGHT / np.bincount(syn_rows, minlength=width)[syn_rows],
+                    np.tile(fallback_shares, len(fallback_rows)),
                 ]),
             )
         self._rows = tables.reshape(-1, width)  # row: source * (V+1) + last id

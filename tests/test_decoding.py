@@ -279,11 +279,12 @@ class TestLMCallCounts:
             return batch(self, sources, owners, prefixes)
 
         def counting_use_sources(self, sources):
-            # a table build: sources other than the last ones
-            key = tuple(map(tuple, sources))
-            if key != self._sources:
-                builds.extend(key)
-            return use_sources(self, sources)
+            # a table build: only a build sets a new view of the table rows
+            rows = getattr(self, "_rows", None)
+            out = use_sources(self, sources)
+            if self._rows is not rows:
+                builds.extend(self._sources)
+            return out
 
         def no_single_calls(self, source, prefix):
             raise AssertionError("per-beam next_logprobs call")
