@@ -52,8 +52,8 @@ class AnnealSchedule:
     total_steps: int = 10000
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
 
@@ -112,10 +112,7 @@ def combined_training_step(
     sup_loss, sup_grads = supervised_episode_loss(episode, params, vocab, distance)
     unsup_loss, unsup_grads = unsupervised_loss(batch, params, distance)
 
-    combined = EncoderParams(*[
-        (1.0 - weight) * sup + weight * unsup
-        for sup, unsup in zip(sup_grads.arrays(), unsup_grads.arrays())
-    ])
+    combined = params.with_flat((1.0 - weight) * sup_grads.vector + weight * unsup_grads.vector)
     optimizer_step(optimizer_state, params, combined)
 
     total = weight * unsup_loss + (1.0 - weight) * sup_loss

@@ -7,6 +7,7 @@ scale, and per-group output selection by lowest BLEU against the source.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from array import array
@@ -135,11 +136,17 @@ def build_bigram_constraints(source: Sequence[str]) -> ConstraintSet:
     return ConstraintSet(banned_bigrams=frozenset(pairs))
 
 
-def _banned_cells(vocab: Sequence[str], constraints: Sequence[ConstraintSet]) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _token_ids(vocab: tuple[str, ...]) -> dict[str, int]:
+    """{token: id}, built once per vocabulary; callers only read it."""
+    return {tok: i for i, tok in enumerate(vocab)}
+
+
+def _banned_cells(vocab: tuple[str, ...], constraints: Sequence[ConstraintSet]) -> np.ndarray:
     """(S, V+1, V+1) masks of forbidden continuations, one per constraint
     set. Row: the previous token id, or V before the first token. Column: the
     next token id, or V for EOS, which is banned only before the first token."""
-    index = {tok: i for i, tok in enumerate(vocab)}
+    index = _token_ids(vocab)
     n = len(vocab)
     banned = np.zeros((len(constraints), n + 1, n + 1), dtype=bool)
     banned[:, n, n] = True

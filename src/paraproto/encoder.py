@@ -17,6 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import numerics
+
 UNK = "<unk>"
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
@@ -101,14 +103,25 @@ class TokenRows:
         return TokenRows(ids=self.ids[flat], counts=counts)
 
 
-@dataclass
 class EncoderParams:
-    """Learnable state: V x d_emb embedding table, d x d_emb projection, d bias.
-    Gradients are held in the same shapes."""
+    """Learnable state in one contiguous float64 `vector`: a V x d_emb
+    embedding table, a d x d_emb projection and a d bias are reshaped views of
+    it, `dims` = (V, d_emb, d). Gradients and Adam moments share the layout."""
 
-    embedding: np.ndarray
-    projection: np.ndarray
-    bias: np.ndarray
+    def __init__(self, embedding: np.ndarray, projection: np.ndarray, bias: np.ndarray):
+        """Copies the three arrays into one new vector."""
+        e, p, b = (np.asarray(a) for a in (embedding, projection, bias))
+        if e.ndim != 2 or b.ndim != 1 or p.shape != (len(b), e.shape[1]):
+            raise ValueError(f"parameter shapes disagree: embedding {e.shape}, projection {p.shape}, bias {b.shape}")
+        self._bind(np.concatenate([e.ravel(), p.ravel(), b], dtype=np.float64), (*e.shape, len(b)))
+
+    def _bind(self, vector: np.ndarray, dims: tuple[int, int, int]) -> "EncoderParams":
+        self.vector, self.dims = vector, dims
+        v, e, d = dims
+        self.embedding = vector[: v * e].reshape(v, e)
+        self.projection = vector[v * e : (v + d) * e].reshape(d, e)
+        self.bias = vector[(v + d) * e :]
+        return self
 
     @classmethod
     def init(
@@ -125,33 +138,22 @@ class EncoderParams:
         bias = np.zeros(output_dim)
         return cls(embedding=embedding, projection=projection, bias=bias)
 
-    @property
-    def output_dim(self) -> int:
-        return self.bias.shape[0]
-
     def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            embedding=self.embedding.copy(),
-            projection=self.projection.copy(),
-            bias=self.bias.copy(),
-        )
+        return self.with_flat(self.vector.copy())
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.embedding, self.projection, self.bias
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays()])
+        """The parameter vector itself, not a copy."""
+        return self.vector
 
     def with_flat(self, flat: np.ndarray) -> "EncoderParams":
-        """Rebuild the same shapes from a flat vector (used by gradient checks)."""
-        out = []
-        offset = 0
-        for a in self.arrays():
-            out.append(flat[offset : offset + a.size].reshape(a.shape))
-            offset += a.size
-        if offset != flat.size:
-            raise ValueError(f"flat vector has {flat.size} entries, expected {offset}")
-        return EncoderParams(*[np.asarray(x, dtype=np.float64) for x in out])
+        """Params of these dims whose arrays are views of `flat`, not copies."""
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.shape != self.vector.shape:
+            raise ValueError(f"flat vector has shape {flat.shape}, expected {self.vector.shape}")
+        return object.__new__(EncoderParams)._bind(flat, self.dims)
 
 
 @dataclass(frozen=True)
@@ -184,8 +186,9 @@ def encode_batch(
 def encode_batch_backward(
     params: EncoderParams, fwd: Forward, upstream: np.ndarray
 ) -> EncoderParams:
-    """Exact gradients of sum(upstream * fwd.out) w.r.t. all parameters,
-    shaped like them; upstream is (n, d), one row per row of the batch.
+    """Exact gradients of sum(upstream * fwd.out) w.r.t. all parameters, in
+    one new vector of the parameters' layout; upstream is (n, d), one row per
+    row of the batch.
 
     Uses the forward's intermediates; rows of tokens absent from the batch
     receive zero gradient.
@@ -196,11 +199,12 @@ def encode_batch_backward(
     counts = fwd.rows.counts
     d_pre = upstream * (1.0 - fwd.out * fwd.out)
     d_means = (d_pre @ params.projection) / counts[:, None]
-    d_embedding = np.zeros_like(params.embedding)
-    np.add.at(d_embedding, fwd.rows.ids, np.repeat(d_means, counts, axis=0))
-    return EncoderParams(
-        embedding=d_embedding, projection=d_pre.T @ fwd.means, bias=d_pre.sum(axis=0)
-    )
+    # the embedding block summed by cell, the rest of the vector zeros
+    d_rows = np.repeat(d_means, counts, axis=0)
+    grads = params.with_flat(numerics.add_rows_at(fwd.rows.ids, d_rows, params.vector.size))
+    np.matmul(d_pre.T, fwd.means, out=grads.projection)
+    d_pre.sum(axis=0, out=grads.bias)
+    return grads
 
 
 def encode(params: EncoderParams, tokens: Sequence[str], vocab: Vocabulary) -> np.ndarray:
@@ -222,40 +226,44 @@ def encode_backward(
 
 @dataclass
 class AdamState:
-    """Adam moments over the three parameter arrays, plus hyperparameters."""
+    """Adam moments `m` and `v`, each one vector in the parameters' layout,
+    plus hyperparameters, checked when built."""
 
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step_count: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    def __post_init__(self):
+        if not (0 < self.learning_rate < np.inf and 0 < self.epsilon < np.inf):
+            raise ValueError("learning_rate and epsilon must be finite and > 0")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError("beta1 and beta2 must lie in [0, 1)")
 
     @classmethod
     def for_params(cls, params: EncoderParams, learning_rate: float = 1e-3) -> "AdamState":
-        state = cls(learning_rate=learning_rate)
-        state.m = [np.zeros_like(a) for a in params.arrays()]
-        state.v = [np.zeros_like(a) for a in params.arrays()]
-        return state
+        zeros = np.zeros_like(params.vector)
+        return cls(learning_rate=learning_rate, m=zeros, v=zeros.copy())
 
 
 def optimizer_step(state: AdamState, params: EncoderParams, grads: EncoderParams) -> None:
-    """One in-place Adam update with bias correction."""
-    for g in grads.arrays():
-        if not np.all(np.isfinite(g)):
-            raise ValueError("non-finite gradient passed to optimizer")
+    """One in-place Adam update with bias correction, over the whole vector."""
+    g = grads.vector
+    if grads.dims != params.dims or state.m.shape != g.shape:
+        raise ValueError(f"gradients {grads.dims} or moments {state.m.shape} do not fit params {params.dims}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("non-finite gradient passed to optimizer")
     state.step_count += 1
     bc1 = 1.0 - state.beta1**state.step_count
     bc2 = 1.0 - state.beta2**state.step_count
-    for p, g, m, v in zip(params.arrays(), grads.arrays(), state.m, state.v):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * g
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * (g * g)
+    params.vector -= state.learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.epsilon)
 
 
 def save_checkpoint(path: str | Path, params: EncoderParams, vocab: Vocabulary) -> None:
@@ -274,12 +282,11 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderParams, Vocabulary]:
     """Read a save_checkpoint file; object arrays are refused, so loading
     never unpickles."""
     with np.load(path if str(path).endswith(".npz") else f"{path}.npz", allow_pickle=False) as data:
-        params = EncoderParams(
-            embedding=data["embedding"],
-            projection=data["projection"],
-            bias=data["bias"],
-        )
+        params = EncoderParams(data["embedding"], data["projection"], data["bias"])
         tokens = [str(t) for t in data["vocab"]]
-    if tokens[0] != UNK:
+    if not tokens or tokens[0] != UNK:
         raise ValueError("corrupt checkpoint: UNK not at index 0")
-    return params, Vocabulary(tokens[1:])
+    vocab = Vocabulary(tokens[1:])
+    if params.dims[0] != len(vocab):
+        raise ValueError(f"corrupt checkpoint: embedding has {params.dims[0]} rows, vocabulary has {len(vocab)} tokens")
+    return params, vocab

@@ -1,7 +1,7 @@
-"""Dense vector math: distance kinds, a stabilized softmax, and a
-finite-difference gradient oracle used to check every analytic backward pass
-in the package. The batched distances and the episode cross-entropy live in
-`protonet`.
+"""Dense vector math: distance kinds, row sums by index, a stabilized softmax,
+and a finite-difference gradient oracle used to check every analytic backward
+pass in the package. The batched distances and the episode cross-entropy live
+in `protonet`.
 
 All arithmetic is float64. Inputs are small (dimensions in the tens), so plain
 numpy summation order is used throughout.
@@ -27,6 +27,15 @@ class GradCheckReport:
 
     max_relative_error: float
     per_parameter_errors: np.ndarray
+
+
+def add_rows_at(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """The (k, d) `rows` summed into rows `index` of a zeroed row-major table,
+    as a flat vector of `size` cells: one weighted bincount over cell numbers,
+    each cell adding its terms to 0.0 in row order, as np.add.at does."""
+    d = rows.shape[1]
+    cells = (index[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(cells, weights=rows.ravel(), minlength=size)
 
 
 def softmax_over_neg_distances(dists: Sequence[float]) -> np.ndarray:

@@ -30,8 +30,8 @@ class EvalResult:
 def prototypes(embs: np.ndarray, groups: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-group means of embedding rows, (n_groups, d), and rows per group."""
     shots = np.bincount(groups, minlength=n_groups)
-    protos = np.zeros((n_groups, embs.shape[1]))
-    np.add.at(protos, groups, embs)
+    d = embs.shape[1]
+    protos = numerics.add_rows_at(groups, embs, n_groups * d).reshape(n_groups, d)
     protos /= shots[:, None]
     return protos, shots
 

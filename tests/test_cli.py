@@ -135,6 +135,18 @@ class TestEvaluate:
         assert code == 1
         assert message in captured.err and "accuracy" not in captured.out
 
+    def test_checkpoint_with_mismatched_vocabulary_exits_nonzero(self, corpus_path, tmp_path, capsys):
+        from paraproto.data import load_dataset
+        from paraproto.encoder import EncoderParams, Vocabulary, save_checkpoint
+
+        vocab = Vocabulary.from_texts(load_dataset(corpus_path).texts())
+        save_checkpoint(tmp_path / "ckpt.npz", EncoderParams.init(len(vocab) - 1, 4, 4), vocab)
+        code = main(["evaluate", "--checkpoint", str(tmp_path / "ckpt.npz"),
+                     "--dataset", corpus_path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "corrupt checkpoint" in captured.err and "accuracy" not in captured.out
+
 
 class TestParaphrase:
     def test_jsonl_output(self, corpus_path, tmp_path):

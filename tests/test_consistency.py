@@ -204,6 +204,12 @@ class TestAnnealWeight:
         with pytest.raises(ValueError):
             AnnealSchedule(alpha=1.0, total_steps=0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_alpha_rejected(self, alpha):
+        # NaN gave NaN weights; inf gave weight 0 until the last step
+        with pytest.raises(ValueError, match="alpha"):
+            AnnealSchedule(alpha=alpha, total_steps=10)
+
 
 def _episode_and_batch():
     episode = text_episode(
@@ -269,7 +275,7 @@ class TestCombinedTrainingStep:
         # recompute what the combined step applies by reading the Adam moment
         adam = AdamState.for_params(params)
         combined_training_step(episode, batch, params, adam, schedule, 1, vocab)
-        applied = np.concatenate([m.ravel() for m in adam.m]) / (1.0 - adam.beta1)
+        applied = adam.m / (1.0 - adam.beta1)
         np.testing.assert_allclose(applied, expected, atol=1e-10)
 
     def test_loss_linearity_over_steps(self):

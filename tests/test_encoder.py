@@ -214,6 +214,109 @@ class TestTokenRows:
             np.testing.assert_allclose(a, sum(g.arrays()[i] for g in per_row), rtol=1e-12, atol=1e-15)
 
 
+# the per-array code the flat layout replaced, kept as bit-exact references
+def _add_at_backward(params, fwd, upstream):
+    """Gradients as three arrays, the embedding's by np.add.at into zeros."""
+    counts = fwd.rows.counts
+    d_pre = upstream * (1.0 - fwd.out * fwd.out)
+    d_means = (d_pre @ params.projection) / counts[:, None]
+    d_embedding = np.zeros_like(params.embedding)
+    np.add.at(d_embedding, fwd.rows.ids, np.repeat(d_means, counts, axis=0))
+    return d_embedding, d_pre.T @ fwd.means, d_pre.sum(axis=0)
+
+
+def _per_array_adam_step(state, arrays, grads, ms, vs, step):
+    """One Adam update array by array, with the library's expression order."""
+    bc1 = 1.0 - state.beta1**step
+    bc2 = 1.0 - state.beta2**step
+    for p, g, m, v in zip(arrays, grads, ms, vs):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+
+
+# token lists with repeats, out-of-vocabulary tokens and empty (lone-UNK) rows
+_BATCHES = st.lists(
+    st.lists(st.sampled_from(["alpha", "beta", "gamma", "zeta"]), max_size=6),
+    min_size=1, max_size=8,
+)
+
+
+class TestFlatLayoutMatchesPerArray:
+    @settings(max_examples=60, deadline=None)
+    @given(_BATCHES, st.integers(min_value=0, max_value=10_000))
+    def test_backward_equals_add_at(self, batch, seed):
+        vocab, params = _small_setup(seed=seed)
+        fwd = _forward_tokens(params, batch, vocab)
+        upstream = np.random.default_rng(seed).normal(size=fwd.out.shape)
+        grads = encode_batch_backward(params, fwd, upstream)
+        for got, want in zip(grads.arrays(), _add_at_backward(params, fwd, upstream)):
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_BATCHES, st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10_000))
+    def test_adam_steps_equal_per_array_loop(self, batch, n_steps, seed):
+        vocab, params = _small_setup(seed=seed)
+        state = AdamState.for_params(params, learning_rate=0.05)
+        ref = [a.copy() for a in params.arrays()]
+        ref_m = [np.zeros_like(a) for a in ref]
+        ref_v = [np.zeros_like(a) for a in ref]
+        rng = np.random.default_rng(seed)
+        for step in range(1, n_steps + 1):
+            fwd = _forward_tokens(params, batch, vocab)
+            grads = encode_batch_backward(params, fwd, rng.normal(size=fwd.out.shape))
+            optimizer_step(state, params, grads)
+            _per_array_adam_step(state, ref, grads.arrays(), ref_m, ref_v, step)
+            for got, want in zip(params.arrays(), ref):
+                assert np.array_equal(got, want)
+        assert np.array_equal(state.m, np.concatenate([m.ravel() for m in ref_m]))
+        assert np.array_equal(state.v, np.concatenate([v.ravel() for v in ref_v]))
+
+
+class TestFlatLayout:
+    """Parameters, gradients and each Adam moment are each one vector, the
+    three arrays views of it, so per-array copies or loops over the arrays
+    cannot come back unnoticed."""
+
+    def test_params_grads_and_moments_are_one_vector_each(self):
+        vocab, params = _small_setup()
+        vector = params.vector
+        state = AdamState.for_params(params)
+        moments = state.m, state.v
+        grads = encode_backward(params, ["alpha", "beta", "beta"], vocab, np.ones(4))
+        optimizer_step(state, params, grads)
+        assert params.vector is vector and (state.m, state.v) == moments
+        for p in (params, grads, params.copy(), params.with_flat(params.flat())):
+            assert p.vector.shape == (sum(a.size for a in p.arrays()),)
+            assert all(np.shares_memory(a, p.vector) for a in p.arrays())
+        assert np.shares_memory(params.flat(), vector)
+        assert all(m.shape == vector.shape for m in moments)
+        assert not np.shares_memory(params.copy().vector, vector)
+
+    def test_built_from_arrays_copies_them(self):
+        arrays = [np.ones((3, 2)), np.ones((4, 2)), np.ones(4)]
+        params = EncoderParams(*arrays)
+        assert params.dims == (3, 2, 4)
+        assert not any(np.shares_memory(a, params.vector) for a in arrays)
+
+    @pytest.mark.parametrize("shapes", [
+        ((3, 4), (2, 5), (2,)),  # projection width differs from the embedding's
+        ((3, 4), (2, 4), (3,)),  # bias length differs from the projection's rows
+        ((12,), (2, 4), (2,)),
+        ((3, 4), (2, 4), (2, 1)),
+    ])
+    def test_disagreeing_shapes_rejected(self, shapes):
+        with pytest.raises(ValueError, match="shapes disagree"):
+            EncoderParams(*[np.zeros(shape) for shape in shapes])
+
+    def test_with_flat_size_checked(self):
+        _, params = _small_setup()
+        with pytest.raises(ValueError, match="shape"):
+            params.with_flat(np.zeros(params.vector.size + 1))
+
+
 def _zero_gradients(params):
     return params.with_flat(np.zeros(params.flat().size))
 
@@ -248,6 +351,22 @@ class TestAdam:
         grads.bias[0] = np.inf
         with pytest.raises(ValueError):
             optimizer_step(state, params, grads)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"learning_rate": np.nan}, {"learning_rate": np.inf}, {"learning_rate": 0.0},
+        {"learning_rate": -1e-3}, {"beta1": 1.0}, {"beta1": -0.1}, {"beta1": np.nan},
+        {"beta2": 1.0}, {"beta2": np.nan}, {"epsilon": 0.0}, {"epsilon": np.nan},
+        {"epsilon": np.inf},
+    ])
+    def test_bad_hyperparameters_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            AdamState(**kwargs)
+
+    def test_nan_learning_rate_rejected_before_any_step(self):
+        # a NaN rate would turn every parameter NaN even on a zero gradient
+        _, params = _small_setup()
+        with pytest.raises(ValueError, match="learning_rate"):
+            AdamState.for_params(params, learning_rate=float("nan"))
 
     def test_quadratic_loss_decreases(self):
         vocab, params = _small_setup(seed=21)
@@ -287,6 +406,23 @@ class TestCheckpoint:
         np.savez(path, embedding=params.embedding, projection=params.projection,
                  bias=params.bias, vocab=np.array(vocab.tokens, dtype=object))
         with pytest.raises(ValueError, match="allow_pickle"):
+            load_checkpoint(path)
+
+    def test_embedding_rows_must_match_vocabulary(self, tmp_path):
+        # a 2-row table under a 4-token vocabulary once loaded, then failed
+        # with an IndexError on the first out-of-range token
+        vocab = Vocabulary.from_texts(["alpha beta gamma"])
+        params = EncoderParams.init(2, 4, 3)
+        save_checkpoint(tmp_path / "ckpt.npz", params, vocab)
+        with pytest.raises(ValueError, match="2 rows, vocabulary has 4 tokens"):
+            load_checkpoint(tmp_path / "ckpt.npz")
+
+    def test_disagreeing_array_shapes_rejected(self, tmp_path):
+        vocab, params = _small_setup()
+        path = tmp_path / "ckpt.npz"
+        np.savez(path, embedding=params.embedding, projection=np.zeros((3, 6)),
+                 bias=np.zeros(3), vocab=np.array(vocab.tokens, dtype=str))
+        with pytest.raises(ValueError, match="shapes disagree"):
             load_checkpoint(path)
 
     def test_path_without_suffix(self, tmp_path):

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paraproto.data import Dataset, sample_episode, split_classes
 from paraproto.encoder import EncoderParams, Vocabulary, encode_batch, tokenize
@@ -69,6 +70,21 @@ class TestComputePrototypes:
         a = encode_episode(episode, params, vocab)[3]
         b = encode_episode(reordered, params, vocab)[3]
         np.testing.assert_allclose(a, b, rtol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=12),
+           st.integers(min_value=0, max_value=10_000))
+    def test_equal_add_at_reference(self, drawn, seed):
+        # the np.add.at group sums that the bincount replaced, kept as a bit-exact reference
+        _, groups = np.unique(drawn, return_inverse=True)
+        n_groups = int(groups.max()) + 1
+        embs = np.random.default_rng(seed).normal(size=(len(groups), 3))
+        protos, shots = prototypes(embs, groups, n_groups)
+        expected = np.zeros((n_groups, 3))
+        np.add.at(expected, groups, embs)
+        expected /= np.bincount(groups)[:, None]
+        assert np.array_equal(protos, expected)
+        assert np.array_equal(shots, np.bincount(groups))
 
 
 class TestClassify:
