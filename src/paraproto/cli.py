@@ -17,7 +17,9 @@ import numpy as np
 from . import numerics
 from .configio import dataclass_from_kv, parse_kv_text
 from .data import PARTS, load_dataset, split_classes
-from .decoding import CURVES, STRATEGIES, DecodeConfig, SynonymBigramLM, generate_paraphrase_batch
+from .decoding import (
+    CURVES, STRATEGIES, DecodeConfig, SynonymBigramLM, check_paraphrase_count, generate_paraphrase_batch,
+)
 from .encoder import load_checkpoint
 from .experiment import (
     METHODS,
@@ -67,7 +69,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     pairs = parse_kv_text(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     pairs.update(_overrides(args, RunConfig))
     pairs.update(_overrides(args, DecodeConfig, "decode."))
-    config = RunConfig.from_mapping(pairs)
+    config = dataclass_from_kv(RunConfig, pairs)
     config = replace(config, dataset_path=resolve_data_path(config.dataset_path))
 
     out_dir = Path(args.out)
@@ -90,8 +92,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     params, vocab = load_checkpoint(args.checkpoint)
     dataset = load_dataset(resolve_data_path(args.dataset))
     ratios = tuple(float(x) for x in args.ratios.split(","))
-    if len(ratios) != 3:
-        raise ValueError("--ratios needs 3 comma-separated values")
     split = split_classes(dataset, ratios, seed=args.split_seed, group_by_domain=args.group_by_domain)
     rng = np.random.default_rng(args.seed)
     result = evaluate(
@@ -103,9 +103,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_paraphrase(args: argparse.Namespace) -> int:
+    decode = dataclass_from_kv(DecodeConfig, _overrides(args, DecodeConfig))
+    n = decode.num_groups if args.n_paraphrases is None else args.n_paraphrases
+    check_paraphrase_count(n, args.strategy, decode.num_groups)
     corpus = load_dataset(resolve_data_path(args.corpus))
     lm = SynonymBigramLM(corpus.texts(), default_synonym_table())
-    decode = dataclass_from_kv(DecodeConfig, _overrides(args, DecodeConfig))
     if args.sentences == "-":
         lines = [line.strip() for line in sys.stdin if line.strip()]
     else:
@@ -114,7 +116,6 @@ def cmd_paraphrase(args: argparse.Namespace) -> int:
             for line in Path(args.sentences).read_text(encoding="utf-8").splitlines()
             if line.strip()
         ]
-    n = decode.num_groups if args.strategy != "stub_bt" else args.n_paraphrases
     decoded = generate_paraphrase_batch(
         lm, lines, n, args.strategy, decode, np.random.default_rng(args.seed)
     )
@@ -225,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_para.add_argument("--sentences", default="-", help="file of sentences, one per line (- for stdin)")
     p_para.add_argument("--out", default="-")
     p_para.add_argument("--strategy", choices=STRATEGIES, default="dbs_unigram")
-    p_para.add_argument("--paraphrases", dest="n_paraphrases", type=int, default=5)
+    p_para.add_argument("--paraphrases", dest="n_paraphrases", type=int, help="default: --num-groups")
     p_para.add_argument("--seed", type=int, default=0)
     _add_decode_args(p_para)
     p_para.set_defaults(func=cmd_paraphrase)

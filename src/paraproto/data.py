@@ -133,9 +133,14 @@ def load_dataset(path: str | Path) -> Dataset:
     return Dataset(records=records, domains=domains)
 
 
+def check_split_ratios(ratios: tuple[float, float, float]) -> None:
+    """Reject train/valid/test class ratios unless each is > 0 and they add to 1 (NaN and inf fail)."""
+    if not (len(ratios) == 3 and all(r > 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
+        raise ValueError(f"split ratios must be 3 positive values summing to 1, got {ratios}")
+
+
 def _part_sizes(n_classes: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {ratios}")
+    check_split_ratios(ratios)
     n_train = round(ratios[0] * n_classes)
     n_valid = round(ratios[1] * n_classes)
     n_test = n_classes - n_train - n_valid

@@ -82,22 +82,37 @@ class DecodeConfig:
     max_len: int = 0  # 0 -> 2 * source length + 5
 
     def __post_init__(self):
-        if self.curve not in CURVES:
-            raise ValueError(f"unknown curve {self.curve!r}, expected one of {CURVES}")
-        if not 0.0 <= self.p_mask <= 1.0:
-            raise ValueError("p_mask must be in [0, 1]")
-        if not math.isfinite(self.diversity_penalty) or self.diversity_penalty < 0:
-            raise ValueError("diversity_penalty must be finite and >= 0")
-        if self.num_groups < 1 or self.num_beams < 1 or self.num_beams % self.num_groups != 0:
-            raise ValueError(
-                f"num_beams={self.num_beams} must be a positive multiple of "
-                f"num_groups={self.num_groups} >= 1"
-            )
+        check_mask(self.p_mask, self.curve)
+        check_beams(self.num_beams, self.num_groups, self.diversity_penalty)
         if self.max_len < 0:
             raise ValueError("max_len must be >= 0 (0 means 2 * source length + 5)")
 
     def resolved_max_len(self, source_len: int) -> int:
         return self.max_len if self.max_len > 0 else 2 * source_len + 5
+
+
+def check_mask(p_mask: float, curve: str) -> None:
+    """Reject a ban probability outside [0, 1] (NaN included) or an unknown curve."""
+    if not 0.0 <= p_mask <= 1.0:
+        raise ValueError(f"p_mask must be in [0, 1], got {p_mask}")
+    if curve not in CURVES:
+        raise ValueError(f"unknown curve {curve!r}, expected one of {CURVES}")
+
+
+def check_beams(num_beams: int, num_groups: int, diversity_penalty: float) -> None:
+    """The search shape: num_beams split evenly into num_groups >= 1 groups, and a finite penalty >= 0."""
+    if num_groups < 1 or num_beams < 1 or num_beams % num_groups != 0:
+        raise ValueError(f"num_beams={num_beams} must be a positive multiple of num_groups={num_groups}")
+    if not 0 <= diversity_penalty < math.inf:
+        raise ValueError(f"diversity_penalty must be finite and >= 0, got {diversity_penalty}")
+
+
+def check_paraphrase_count(n_paraphrases: int, strategy: str, num_groups: int) -> None:
+    """Reject fewer than one paraphrase, or for a DBS strategy (one per group) not num_groups."""
+    if n_paraphrases < 1:
+        raise ValueError(f"n_paraphrases must be >= 1, got {n_paraphrases}")
+    if strategy != "stub_bt" and n_paraphrases != num_groups:
+        raise ValueError(f"DBS strategies need n_paraphrases == num_groups, got {n_paraphrases} != {num_groups}")
 
 
 def mask_probabilities(n_tokens: int, p_mask: float, curve: str) -> np.ndarray:
@@ -106,10 +121,7 @@ def mask_probabilities(n_tokens: int, p_mask: float, curve: str) -> np.ndarray:
     The ramps run between 2*p_mask - hi and hi = min(1, 2*p_mask), so all
     values stay in [0, 1] while the area under the curve is preserved.
     """
-    if not 0.0 <= p_mask <= 1.0:
-        raise ValueError("p_mask must be in [0, 1]")
-    if curve not in CURVES:
-        raise ValueError(f"unknown curve {curve!r}")
+    check_mask(p_mask, curve)
     if n_tokens == 1 or curve == "flat":
         return np.full(n_tokens, p_mask)
     hi = min(1.0, 2.0 * p_mask)
@@ -189,10 +201,7 @@ def diverse_beam_search(
     for num_beams / num_groups candidates costs less than a sort. Beams are
     (tokens, score, raw_score, finished) tuples until returned.
     """
-    if num_beams < 1 or num_groups < 1 or num_beams % num_groups != 0:
-        raise ValueError(f"num_beams={num_beams} must be a positive multiple of num_groups={num_groups}")
-    if not math.isfinite(diversity_penalty) or diversity_penalty < 0:
-        raise ValueError("diversity_penalty must be finite and >= 0")
+    check_beams(num_beams, num_groups, diversity_penalty)
     if constraints is None:
         constraints = [ConstraintSet()] * len(sources)
     if not len(sources) == len(max_lens) == len(constraints):
@@ -343,8 +352,7 @@ def generate_paraphrase_batch(
     order, and then the sentences are decoded in blocks, one search each."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if n_paraphrases < 1:
-        raise ValueError(f"n_paraphrases must be >= 1, got {n_paraphrases}")
+    check_paraphrase_count(n_paraphrases, strategy, config.num_groups)
     sources = [tokenize(sentence) for sentence in sentences]
     if not all(sources):
         raise ValueError("cannot paraphrase an empty sentence")
@@ -358,10 +366,6 @@ def generate_paraphrase_batch(
             for source in sources
         ]
 
-    if n_paraphrases != config.num_groups:
-        raise ValueError(
-            f"DBS strategies need n_paraphrases == num_groups, got {n_paraphrases} != {config.num_groups}"
-        )
     if strategy == "dbs_unigram":
         constraints = [build_unigram_constraints(s, config.p_mask, config.curve, rng) for s in sources]
     elif strategy == "dbs_bigram":

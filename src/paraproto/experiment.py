@@ -7,7 +7,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -22,9 +21,15 @@ from .consistency import (
     combined_training_step,
     format_step_log,
 )
-from .data import TRAIN, VALID, TEST, Dataset, load_dataset, restrict_low_profile, split_classes, sample_episodes
-from .decoding import STRATEGIES, DecodeConfig, SynonymBigramLM, generate_paraphrase_batch
-from .encoder import AdamState, EncoderParams, TokenRows, Vocabulary, optimizer_step, save_checkpoint
+from .data import (
+    TRAIN, VALID, TEST, Dataset, check_episode_shape, check_split_ratios, load_dataset,
+    restrict_low_profile, sample_episodes, split_classes,
+)
+from .decoding import STRATEGIES, DecodeConfig, SynonymBigramLM, check_paraphrase_count, generate_paraphrase_batch
+from .encoder import (
+    DEFAULT_EMBED_DIM, DEFAULT_OUTPUT_DIM, AdamState, EncoderParams, TokenRows, Vocabulary,
+    optimizer_step, save_checkpoint,
+)
 from .metrics import diversity_report
 from .protonet import evaluate, supervised_episode_loss
 from .synth import default_synonym_table
@@ -59,70 +64,49 @@ class RunConfig:
     split_ratios: tuple[float, float, float] = (0.5, 0.25, 0.25)
     group_by_domain: bool = False
     low_profile_n: int = 10
-    embed_dim: int = 32
-    output_dim: int = 32
+    embed_dim: int = DEFAULT_EMBED_DIM
+    output_dim: int = DEFAULT_OUTPUT_DIM
     learning_rate: float = 1e-3
     paraphrase_cache: bool = False
 
     def __post_init__(self):
+        # a rule shared with the code that uses a value is that code's check
         if self.profile not in PROFILES:
             raise ValueError(f"profile must be one of {PROFILES}")
         if self.strategy not in METHODS:
             raise ValueError(f"strategy must be one of {METHODS}")
+        check_episode_shape(self.n_way, self.k_shot, self.query_per_class)
+        check_split_ratios(self.split_ratios)
+        AdamState(learning_rate=self.learning_rate)
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
         if self.n_eval_episodes < 1:
             raise ValueError("n_eval_episodes must be >= 1")
-        if self.query_per_class < 1:
-            raise ValueError("query_per_class must be >= 1")
-        if self.strategy != "none" and (self.n_unlabeled < 1 or self.n_paraphrases < 1):
-            raise ValueError("paraphrase strategies need n_unlabeled >= 1 and n_paraphrases >= 1")
-        if self.strategy not in ("none", "stub_bt") and self.n_paraphrases != self.decode.num_groups:
-            raise ValueError(
-                f"DBS strategies need n_paraphrases == decode.num_groups, "
-                f"got {self.n_paraphrases} != {self.decode.num_groups}"
-            )
-        if self.n_way < 2:
-            raise ValueError("n_way must be >= 2")
-        if self.k_shot < 1:
-            raise ValueError("k_shot must be >= 1")
         if self.max_episodes < self.eval_every:
             raise ValueError("max_episodes must be >= eval_every")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if not self.seeds:
-            raise ValueError("need at least one seed")
+        AnnealSchedule(alpha=self.anneal_alpha, total_steps=self.max_episodes)
+        if self.strategy != "none":
+            if self.n_unlabeled < 1:
+                raise ValueError("paraphrase strategies need n_unlabeled >= 1")
+            check_paraphrase_count(self.n_paraphrases, self.strategy, self.decode.num_groups)
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError(f"seeds must be one or more integers >= 0, got {self.seeds}")
         if self.distance not in numerics.DISTANCE_KINDS:
             raise ValueError(f"distance must be one of {numerics.DISTANCE_KINDS}")
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ValueError("learning_rate must be positive and finite")
-        if not self.anneal_alpha > 0:
-            raise ValueError("anneal_alpha must be > 0")
         if min(self.embed_dim, self.output_dim, self.low_profile_n) < 1:
             raise ValueError("embed_dim, output_dim and low_profile_n must be >= 1")
-        if (
-            len(self.split_ratios) != 3
-            or min(self.split_ratios) <= 0
-            or abs(sum(self.split_ratios) - 1.0) > 1e-9
-        ):
-            raise ValueError(
-                f"split_ratios must be 3 positive values summing to 1, got {self.split_ratios}"
-            )
+        if self.profile == "low" and self.k_shot + self.query_per_class > self.low_profile_n:
+            raise ValueError(f"a low-profile training class keeps low_profile_n={self.low_profile_n} rows, "
+                             f"fewer than k_shot + query_per_class={self.k_shot + self.query_per_class}")
 
     def to_text(self) -> str:
         return format_kv(dataclass_to_kv(self))
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        return cls.from_mapping(parse_kv_text(text))
-
-    @classmethod
-    def from_mapping(cls, raw: dict[str, str], base: "RunConfig | None" = None) -> "RunConfig":
-        """Build a config from string key/value pairs, optionally overriding a
-        base config (command-line overrides on top of a config file)."""
-        if base is not None:
-            raw = {**dataclass_to_kv(base), **raw}
-        return dataclass_from_kv(cls, raw)
+        return dataclass_from_kv(cls, parse_kv_text(text))
 
 
 @dataclass

@@ -1,12 +1,14 @@
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from paraproto.cli import build_parser, main, resolve_data_path
 from paraproto.decoding import DecodeConfig
 from paraproto.experiment import RunConfig
 from paraproto.synth import generate_synthetic_dataset
+from test_experiment import rejects
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +78,17 @@ class TestTrain:
         report = json.loads((out / "report.json").read_text())
         assert (report["method"], report["n_way"]) == ("none", 3)
 
+    def test_negative_seed_fails_before_any_training(self, corpus_path, tmp_path, capsys, monkeypatch):
+        import paraproto.experiment as experiment
+
+        trained = []
+        monkeypatch.setattr(experiment, "train_single_seed", lambda *args: trained.append(args))
+        out = tmp_path / "neg"
+        code = main(["train", "--dataset", corpus_path, "--out", str(out), *TINY_TRAIN, "--seeds", "0,-1"])
+        assert code == 1
+        assert "seeds" in capsys.readouterr().err
+        assert trained == [] and not (out / "report.json").exists()
+
     def test_missing_dataset_fails(self, tmp_path, capsys):
         code = main(["train", "--dataset", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "r"), *TINY_TRAIN])
@@ -122,6 +135,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("flags, message", [
         (["--episodes", "0"], "n_episodes must be >= 1"),
         (["--query-per-class", "0"], "query_per_class must be >= 1"),
+        (["--ratios", "0.5,0.5"], "split ratios must be 3 positive values summing to 1"),
+        (["--ratios", "nan,0.5,0.5"], "split ratios must be 3 positive values summing to 1"),
     ])
     def test_degenerate_episodes_exit_nonzero(self, corpus_path, tmp_path, capsys, flags, message):
         from paraproto.data import load_dataset
@@ -173,6 +188,39 @@ class TestParaphrase:
         assert code == 0
         row = json.loads(out.read_text())
         assert len(row["paraphrases"]) == 4
+
+    def test_paraphrase_count_defaults_to_num_groups(self, corpus_path, tmp_path):
+        sentences = tmp_path / "sents.txt"
+        sentences.write_text("book the flight now\n")
+        out = tmp_path / "para.jsonl"
+        code = main(["paraphrase", "--corpus", corpus_path, "--sentences", str(sentences),
+                     "--out", str(out), "--strategy", "stub_bt", "--num-beams", "6", "--num-groups", "3"])
+        assert code == 0
+        assert len(json.loads(out.read_text())["paraphrases"]) == 3
+
+    @pytest.mark.parametrize("strategy", ["dbs", "stub_bt"])
+    @pytest.mark.parametrize("n", ["-1", "1", "3", "5", "7"])
+    def test_paraphrase_count_checked_as_the_decoder_checks_it(self, corpus_path, tmp_path, capsys, strategy, n):
+        # `--strategy dbs --paraphrases 3` once wrote 5 paraphrases per
+        # sentence, while `train` and the decoder reject 3 != num_groups
+        from paraproto.data import load_dataset
+        from paraproto.decoding import SynonymBigramLM, generate_paraphrase_batch
+        from paraproto.synth import default_synonym_table
+
+        lm = SynonymBigramLM(load_dataset(corpus_path).texts(), default_synonym_table())
+        decoder_rejects = rejects(lambda: generate_paraphrase_batch(
+            lm, ["book the flight"], int(n), strategy, DecodeConfig(), np.random.default_rng(0)
+        ))
+        sentences = tmp_path / "sents.txt"
+        sentences.write_text("book the flight\n")
+        out = tmp_path / "para.jsonl"
+        code = main(["paraphrase", "--corpus", corpus_path, "--sentences", str(sentences),
+                     "--out", str(out), "--strategy", strategy, "--paraphrases", n])
+        assert code == (1 if decoder_rejects else 0)
+        if decoder_rejects:
+            assert "n_paraphrases" in capsys.readouterr().err and not out.exists()
+        else:
+            assert len(json.loads(out.read_text())["paraphrases"]) == int(n)
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_stub_bt_without_paraphrases_exits_nonzero(self, corpus_path, tmp_path, capsys, n):

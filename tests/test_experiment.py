@@ -1,13 +1,17 @@
 import csv
+import itertools
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from paraproto import numerics
+from paraproto import data, numerics
+from paraproto.consistency import AnnealSchedule
+from paraproto.configio import dataclass_from_kv, dataclass_to_kv
 from paraproto.data import load_dataset
-from paraproto.decoding import DecodeConfig
+from paraproto.decoding import STRATEGIES, DecodeConfig, SynonymBigramLM, generate_paraphrase_batch
+from paraproto.encoder import AdamState
 from paraproto.experiment import (
     METHODS,
     PMASK_GRID,
@@ -22,7 +26,7 @@ from paraproto.experiment import (
     _rngs,
 )
 from paraproto.protonet import evaluate
-from paraproto.synth import generate_synthetic_dataset
+from paraproto.synth import default_synonym_table, generate_synthetic_dataset
 from paraproto.data import TEST, split_classes
 from rowstub import text_batch, unlabeled_texts
 from test_decoding import decode_configs
@@ -84,17 +88,18 @@ def run_configs(draw):
     dbs = strategy not in ("none", "stub_bt")
     eval_every = draw(positive)
     train, valid = draw(st.floats(0.01, 0.49)), draw(st.floats(0.01, 0.49))
+    profile, k_shot, query_per_class = draw(st.sampled_from(PROFILES)), draw(positive), draw(positive)
     return RunConfig(
         dataset_path=draw(paths),
-        profile=draw(st.sampled_from(PROFILES)),
+        profile=profile,
         n_way=draw(st.integers(2, 50)),
-        k_shot=draw(positive),
-        query_per_class=draw(positive),
+        k_shot=k_shot,
+        query_per_class=query_per_class,
         n_unlabeled=draw(positive),
         n_paraphrases=decode.num_groups if dbs else draw(positive),
         strategy=strategy,
         decode=decode,
-        anneal_alpha=draw(st.floats(min_value=0.0, exclude_min=True, allow_nan=False)),
+        anneal_alpha=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
         max_episodes=eval_every + draw(st.integers(0, 10_000)),
         eval_every=eval_every,
         patience=draw(positive),
@@ -103,7 +108,8 @@ def run_configs(draw):
         distance=draw(st.sampled_from(numerics.DISTANCE_KINDS)),
         split_ratios=(train, valid, 1.0 - train - valid),
         group_by_domain=draw(st.booleans()),
-        low_profile_n=draw(positive),
+        # a low-profile episode needs k_shot + query_per_class rows per class
+        low_profile_n=draw(st.integers(k_shot + query_per_class if profile == "low" else 1, 2000)),
         embed_dim=draw(positive),
         output_dim=draw(positive),
         learning_rate=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
@@ -130,8 +136,8 @@ class TestRunConfig:
 
     def test_mapping_overrides_base(self, corpus_path):
         base = quick_config(corpus_path)
-        merged = RunConfig.from_mapping(
-            {"strategy": "dbs", "decode.p_mask": "0.3", "seeds": "7,8"}, base=base
+        merged = dataclass_from_kv(
+            RunConfig, {**dataclass_to_kv(base), "strategy": "dbs", "decode.p_mask": "0.3", "seeds": "7,8"}
         )
         assert merged.strategy == "dbs"
         assert merged.decode.p_mask == 0.3
@@ -148,7 +154,7 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             quick_config(corpus_path, seeds=())
         with pytest.raises(ValueError):
-            RunConfig.from_mapping({"unknown_key": "1", "dataset_path": corpus_path})
+            dataclass_from_kv(RunConfig, {"unknown_key": "1", "dataset_path": corpus_path})
 
     @pytest.mark.parametrize(
         "overrides",
@@ -168,15 +174,20 @@ class TestRunConfig:
             dict(embed_dim=0),
             dict(anneal_alpha=0.0),
             dict(anneal_alpha=float("nan")),
+            dict(anneal_alpha=float("inf")),
             dict(low_profile_n=0),
+            dict(profile="low", k_shot=3, query_per_class=8, low_profile_n=10),
+            dict(seeds=(0, -1)),
             dict(split_ratios=(0.5, 0.5, 0.5)),
             dict(split_ratios=(0.6, 0.6, -0.2)),
+            dict(split_ratios=(float("nan"), 0.5, 0.5)),
         ],
         ids=["eval_every", "n_eval_episodes", "query_per_class", "n_unlabeled",
              "n_paraphrases", "dbs_unigram_groups", "dbs_groups", "learning_rate_negative",
              "learning_rate_zero", "learning_rate_nan", "learning_rate_inf", "output_dim",
-             "embed_dim", "anneal_alpha_zero", "anneal_alpha_nan", "low_profile_n",
-             "split_ratios_sum", "split_ratios_negative"],
+             "embed_dim", "anneal_alpha_zero", "anneal_alpha_nan", "anneal_alpha_inf",
+             "low_profile_n", "low_profile_too_few_rows", "seed_negative",
+             "split_ratios_sum", "split_ratios_negative", "split_ratios_nan"],
     )
     def test_invalid_config_fails_when_built(self, corpus_path, overrides):
         with pytest.raises(ValueError):
@@ -184,7 +195,20 @@ class TestRunConfig:
 
     def test_dataset_path_required(self):
         with pytest.raises(ValueError, match="dataset_path"):
-            RunConfig.from_mapping({"n_way": "5"})
+            dataclass_from_kv(RunConfig, {"n_way": "5"})
+
+    def test_negative_seed_named_when_built(self, corpus_path):
+        with pytest.raises(ValueError, match=r"^seeds must be one or more integers >= 0, got \(0, -1\)$"):
+            quick_config(corpus_path, seeds=(0, -1))
+
+    def test_low_profile_needs_an_episode_of_rows_per_class(self, corpus_path):
+        # a low-profile training class keeps low_profile_n rows, and an
+        # episode draws k_shot + query_per_class of them
+        with pytest.raises(ValueError, match="low_profile_n=10 rows, fewer than k_shot \\+ query_per_class=11"):
+            quick_config(corpus_path, profile="low", k_shot=1, query_per_class=10)
+        cfg = quick_config(corpus_path, profile="low", k_shot=1, query_per_class=9, max_episodes=10)
+        result, _, _ = train_single_seed(cfg, 0, load_dataset(corpus_path))
+        assert result.episodes_run == 10
 
     def test_protocol_defaults(self, corpus_path):
         cfg = RunConfig(dataset_path=corpus_path)
@@ -202,6 +226,64 @@ class TestRunConfig:
         assert cfg.decode.diversity_penalty == 0.5
         assert cfg.decode.p_mask == 0.7
         assert cfg.decode.curve == "flat"
+
+
+def rejects(build) -> bool:
+    try:
+        build()
+    except ValueError:
+        return True
+    return False
+
+
+def decode_one(strategy, n, num_groups):
+    corpus = ["play the music now", "check my balance please", "book a flight"]
+    lm = SynonymBigramLM(corpus, default_synonym_table())
+    config = DecodeConfig(num_beams=2 * num_groups, num_groups=num_groups)
+    generate_paraphrase_batch(lm, [corpus[0]], n, strategy, config, np.random.default_rng(0))
+
+
+INF, NAN = float("inf"), float("nan")
+FLOATS = [-INF, -1.0, -0.0, 0.0, 5e-324, 1e-3, 1.0, 7.5, 1e308, INF, NAN]
+# setting: (the check of the code that uses it, its RunConfig fields, values)
+SHARED_RULES = {
+    "anneal_alpha": (lambda a: AnnealSchedule(alpha=a), lambda a: dict(anneal_alpha=a), FLOATS),
+    "learning_rate": (lambda lr: AdamState(learning_rate=lr), lambda lr: dict(learning_rate=lr), FLOATS),
+    "split_ratios": (
+        lambda r: data.check_split_ratios(r),
+        lambda r: dict(split_ratios=r),
+        [(0.5, 0.25, 0.25), (1 / 3, 1 / 3, 1 / 3), (0.98, 0.01, 0.01), (0.5, 0.5, 0.0),
+         (0.6, 0.6, -0.2), (0.5, 0.5, 0.5), (NAN, 0.5, 0.5), (INF, -INF, 1.0), (0.5, 0.5), (0.25,) * 4],
+    ),
+    "seeds": (
+        lambda seeds: [np.random.SeedSequence(s) for s in seeds],
+        lambda seeds: dict(seeds=seeds),
+        [(0,), (0, 1), (2**32 - 1,), (2**64,), (-1,), (0, -1), (-(2**40), 3)],
+    ),
+    "episode_shape": (
+        lambda shape: data.check_episode_shape(*shape),
+        lambda shape: dict(zip(("n_way", "k_shot", "query_per_class"), shape)),
+        list(itertools.product((-1, 0, 1, 2, 3), (-1, 0, 1, 2), (-1, 0, 1, 3))),
+    ),
+    "dbs_paraphrase_count": (
+        lambda v: decode_one(*v),
+        lambda v: dict(strategy=v[0], n_paraphrases=v[1], decode=DecodeConfig(num_beams=2 * v[2], num_groups=v[2])),
+        list(itertools.product(STRATEGIES, (-1, 0, 1, 3, 5), (1, 3, 5))),
+    ),
+}
+
+
+class TestOneCheckPerSetting:
+    @pytest.mark.parametrize("setting", sorted(SHARED_RULES))
+    def test_config_rejects_exactly_what_the_user_of_the_value_rejects(self, corpus_path, setting):
+        # a restated copy of a rule drifts: RunConfig once took anneal_alpha=inf
+        # and negative seeds, which training then failed on mid-run
+        owner, overrides, values = SHARED_RULES[setting]
+        drifted = [
+            value for value in values
+            if rejects(lambda: owner(value)) != rejects(lambda: quick_config(corpus_path, **overrides(value)))
+        ]
+        assert drifted == []
 
 
 class TestEarlyStopping:
