@@ -51,12 +51,7 @@ from .experiment import (
     train_single_seed,
 )
 from .metrics import DiversityReport, bleu, distinct_2, diversity_report, mean_pairwise_similarity
-from .numerics import (
-    GradCheckReport,
-    finite_difference_gradient,
-    gradient_check,
-    softmax_over_neg_distances,
-)
+from .numerics import softmax_over_neg_distances
 from .protonet import EvalResult, classify, evaluate, prototypical_loss, supervised_episode_loss
 from .synth import default_synonym_table, generate_synthetic_dataset
 

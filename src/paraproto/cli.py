@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numerics
 from .configio import dataclass_from_kv, parse_kv_text
-from .data import PARTS, load_dataset, split_classes
+from .data import PARTS, ClassSplit, load_dataset
 from .decoding import (
     CURVES, STRATEGIES, DecodeConfig, SynonymBigramLM, check_paraphrase_count, generate_paraphrase_batch,
 )
@@ -89,14 +89,18 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    params, vocab = load_checkpoint(args.checkpoint)
+    params, vocab, run = load_checkpoint(args.checkpoint)
+    if "config" not in run:
+        raise ValueError(f"{args.checkpoint} records no run to evaluate against; retrain it")
     dataset = load_dataset(resolve_data_path(args.dataset))
-    ratios = tuple(float(x) for x in args.ratios.split(","))
-    split = split_classes(dataset, ratios, seed=args.split_seed, group_by_domain=args.group_by_domain)
-    rng = np.random.default_rng(args.seed)
+    if dataset.digest() != run["dataset_sha256"]:
+        raise ValueError(f"{args.dataset} is not the dataset {args.checkpoint} was trained on: the SHA-256 differs")
+    config = RunConfig.from_text(run["config"])
+    split = ClassSplit(*(frozenset(run[f"{part}_classes"]) for part in PARTS))
+    shape = [getattr(config, name) if getattr(args, name) is None else getattr(args, name)
+             for name in ("n_way", "k_shot", "query_per_class", "n_eval_episodes")]
     result = evaluate(
-        params, vocab, dataset, split, args.part,
-        args.n_way, args.k_shot, args.query_per_class, args.episodes, rng, args.distance,
+        params, vocab, dataset, split, args.part, *shape, np.random.default_rng(args.seed), config.distance
     )
     print(f"{args.part} accuracy over {result.episode_count} episodes: {result.mean_accuracy:.4f}")
     return 0
@@ -206,19 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--dataset", required=True)
     p_eval.add_argument("--part", choices=PARTS, default="test")
-    run_defaults = {f.name: f.default for f in fields(RunConfig)}
-    p_eval.add_argument("--n-way", type=int, default=run_defaults["n_way"])
-    p_eval.add_argument("--k-shot", type=int, default=run_defaults["k_shot"])
-    p_eval.add_argument("--query-per-class", type=int, default=run_defaults["query_per_class"])
-    p_eval.add_argument("--episodes", type=int, default=run_defaults["n_eval_episodes"])
-    p_eval.add_argument("--split-seed", type=int, default=0)
-    p_eval.add_argument("--ratios",
-                        default=",".join(repr(r) for r in run_defaults["split_ratios"]),
-                        help="train,valid,test class ratios; the default is training's")
-    p_eval.add_argument("--group-by-domain", action="store_true")
+    # the episode shape defaults to the checkpoint's run
+    p_eval.add_argument("--n-way", type=int, default=None)
+    p_eval.add_argument("--k-shot", type=int, default=None)
+    p_eval.add_argument("--query-per-class", type=int, default=None)
+    p_eval.add_argument("--episodes", dest="n_eval_episodes", metavar="EPISODES", type=int, default=None)
     p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--distance", choices=numerics.DISTANCE_KINDS,
-                        default=run_defaults["distance"])
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_para = sub.add_parser("paraphrase", help="batch-paraphrase sentences to JSONL")

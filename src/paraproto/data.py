@@ -62,6 +62,12 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.records)
 
+    def digest(self) -> str:
+        """SHA-256 of the records and domains, as hex."""
+        import hashlib  # here, so that importing the package does not load it
+
+        return hashlib.sha256(json.dumps([self.records, self.domains], sort_keys=True).encode()).hexdigest()
+
 
 @dataclass(frozen=True)
 class ClassSplit:

@@ -99,6 +99,12 @@ def check_mask(p_mask: float, curve: str) -> None:
         raise ValueError(f"unknown curve {curve!r}, expected one of {CURVES}")
 
 
+def check_strategy(strategy: str) -> None:
+    """Reject a strategy that is not one of STRATEGIES."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+
+
 def check_beams(num_beams: int, num_groups: int, diversity_penalty: float) -> None:
     """The search shape: num_beams split evenly into num_groups >= 1 groups, and a finite penalty >= 0."""
     if num_groups < 1 or num_beams < 1 or num_beams % num_groups != 0:
@@ -350,8 +356,7 @@ def generate_paraphrase_batch(
     to one `generate_paraphrases` call per sentence in order, with the same
     draws from `rng`: every sentence's unigram bans are drawn first, in input
     order, and then the sentences are decoded in blocks, one search each."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    check_strategy(strategy)
     check_paraphrase_count(n_paraphrases, strategy, config.num_groups)
     sources = [tokenize(sentence) for sentence in sentences]
     if not all(sources):

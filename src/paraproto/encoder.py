@@ -141,13 +141,6 @@ class EncoderParams:
     def copy(self) -> "EncoderParams":
         return self.with_flat(self.vector.copy())
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.embedding, self.projection, self.bias
-
-    def flat(self) -> np.ndarray:
-        """The parameter vector itself, not a copy."""
-        return self.vector
-
     def with_flat(self, flat: np.ndarray) -> "EncoderParams":
         """Params of these dims whose arrays are views of `flat`, not copies."""
         flat = np.asarray(flat, dtype=np.float64)
@@ -266,27 +259,29 @@ def optimizer_step(state: AdamState, params: EncoderParams, grads: EncoderParams
     params.vector -= state.learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.epsilon)
 
 
-def save_checkpoint(path: str | Path, params: EncoderParams, vocab: Vocabulary) -> None:
+def save_checkpoint(path: str | Path, params: EncoderParams, vocab: Vocabulary, extra: dict | None = None) -> None:
     """Write all matrices (shapes carried in the container) plus the
-    vocabulary as a unicode array."""
+    vocabulary and each opaque `extra` string or string list as unicode arrays."""
     np.savez(
         path,
         embedding=params.embedding,
         projection=params.projection,
         bias=params.bias,
         vocab=np.array(vocab.tokens, dtype=str),
+        **{name: np.array(value, dtype=str) for name, value in (extra or {}).items()},
     )
 
 
-def load_checkpoint(path: str | Path) -> tuple[EncoderParams, Vocabulary]:
-    """Read a save_checkpoint file; object arrays are refused, so loading
-    never unpickles."""
+def load_checkpoint(path: str | Path) -> tuple[EncoderParams, Vocabulary, dict[str, str | list[str]]]:
+    """Read a save_checkpoint file, with its extra fields as strings or
+    string lists; object arrays are refused, so loading never unpickles."""
     with np.load(path if str(path).endswith(".npz") else f"{path}.npz", allow_pickle=False) as data:
         params = EncoderParams(data["embedding"], data["projection"], data["bias"])
         tokens = [str(t) for t in data["vocab"]]
+        extra = {k: data[k].tolist() for k in data.files if k not in ("embedding", "projection", "bias", "vocab")}
     if not tokens or tokens[0] != UNK:
         raise ValueError("corrupt checkpoint: UNK not at index 0")
     vocab = Vocabulary(tokens[1:])
     if params.dims[0] != len(vocab):
         raise ValueError(f"corrupt checkpoint: embedding has {params.dims[0]} rows, vocabulary has {len(vocab)} tokens")
-    return params, vocab
+    return params, vocab, extra

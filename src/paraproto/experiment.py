@@ -22,10 +22,12 @@ from .consistency import (
     format_step_log,
 )
 from .data import (
-    TRAIN, VALID, TEST, Dataset, check_episode_shape, check_split_ratios, load_dataset,
+    PARTS, TRAIN, VALID, TEST, ClassSplit, Dataset, check_episode_shape, check_split_ratios, load_dataset,
     restrict_low_profile, sample_episodes, split_classes,
 )
-from .decoding import STRATEGIES, DecodeConfig, SynonymBigramLM, check_paraphrase_count, generate_paraphrase_batch
+from .decoding import (
+    STRATEGIES, DecodeConfig, SynonymBigramLM, check_paraphrase_count, check_strategy, generate_paraphrase_batch,
+)
 from .encoder import (
     DEFAULT_EMBED_DIM, DEFAULT_OUTPUT_DIM, AdamState, EncoderParams, TokenRows, Vocabulary,
     optimizer_step, save_checkpoint,
@@ -93,6 +95,8 @@ class RunConfig:
             check_paraphrase_count(self.n_paraphrases, self.strategy, self.decode.num_groups)
         if not self.seeds or min(self.seeds) < 0:
             raise ValueError(f"seeds must be one or more integers >= 0, got {self.seeds}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if self.distance not in numerics.DISTANCE_KINDS:
             raise ValueError(f"distance must be one of {numerics.DISTANCE_KINDS}")
         if min(self.embed_dim, self.output_dim, self.low_profile_n) < 1:
@@ -107,6 +111,10 @@ class RunConfig:
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
         return dataclass_from_kv(cls, parse_kv_text(text))
+
+    def split(self, dataset: Dataset, seed: int) -> ClassSplit:
+        """The classes that seed `seed` of this run trains, validates and tests on."""
+        return split_classes(dataset, self.split_ratios, seed=seed, group_by_domain=self.group_by_domain)
 
 
 @dataclass
@@ -181,9 +189,7 @@ def train_single_seed(
 ) -> tuple[SeedResult, EncoderParams, Vocabulary]:
     """Train one seeded run; returns the result plus the best-validation
     checkpoint (parameters and vocabulary)."""
-    split = split_classes(
-        dataset, config.split_ratios, seed=seed, group_by_domain=config.group_by_domain
-    )
+    split = config.split(dataset, seed)
     working = (
         restrict_low_profile(dataset, split, config.low_profile_n, seed=seed)
         if config.profile == "low"
@@ -328,7 +334,11 @@ def run_experiment(config: RunConfig, checkpoint_dir: str | Path | None = None) 
         if checkpoint_dir is not None:
             path = Path(checkpoint_dir)
             path.mkdir(parents=True, exist_ok=True)
-            save_checkpoint(path / f"seed{seed}_best.npz", best_params, vocab)
+            # the run, so that `evaluate` scores the classes this seed held out
+            split = config.split(dataset, seed)
+            run = {"config": config.to_text(), "seed": str(seed), "dataset_sha256": dataset.digest()}
+            run.update((f"{part}_classes", sorted(split.part(part))) for part in PARTS)
+            save_checkpoint(path / f"seed{seed}_best.npz", best_params, vocab, run)
     return RunReport(
         method=config.strategy,
         profile=config.profile,
@@ -375,6 +385,10 @@ def diversity_by_strategy(
     with similarity measured by an untrained encoder initialized from `seed`."""
     if n_sentences < 1:
         raise ValueError(f"n_sentences must be >= 1, got {n_sentences}")
+    if not strategies:
+        raise ValueError("no strategy given")
+    for strategy in strategies:
+        check_strategy(strategy)
     decode = decode or DecodeConfig()
     texts = dataset.texts()
     vocab = Vocabulary.from_texts(texts)

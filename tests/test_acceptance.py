@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from gradcheck import finite_difference_gradient, gradient_check
 from lmstub import RandomLM, decode_one, enumerate_sequences
 from paraproto.cli import main
 from paraproto.consistency import AnnealSchedule, anneal_weight, unsupervised_loss
@@ -33,7 +34,6 @@ from paraproto.experiment import (
     train_single_seed,
     _rngs,
 )
-from paraproto.numerics import finite_difference_gradient, gradient_check
 from paraproto.protonet import evaluate, supervised_episode_loss
 from paraproto.data import TEST, split_classes
 from paraproto.synth import default_synonym_table, generate_synthetic_dataset
@@ -137,7 +137,7 @@ def test_criterion_1_gradients_match_finite_differences():
     for trial in range(50):
         rng = np.random.default_rng(1000 + trial)
         episode, batch, vocab, params = _random_episode_and_batch(rng)
-        flat0 = params.flat()
+        flat0 = params.vector
 
         def sup_loss(flat):
             return supervised_episode_loss(episode, params.with_flat(flat), vocab)[0]
@@ -155,11 +155,11 @@ def test_criterion_1_gradients_match_finite_differences():
         def combined_loss(flat):
             return weight * unsup_loss_fn(flat) + (1.0 - weight) * sup_loss(flat)
 
-        combined_grads = weight * unsup_grads.flat() + (1.0 - weight) * sup_grads.flat()
+        combined_grads = weight * unsup_grads.vector + (1.0 - weight) * sup_grads.vector
 
         checks = [
-            (sup_grads.flat(), finite_difference_gradient(sup_loss, flat0, eps=1e-5)),
-            (unsup_grads.flat(), finite_difference_gradient(unsup_loss_fn, flat0, eps=1e-5)),
+            (sup_grads.vector, finite_difference_gradient(sup_loss, flat0, eps=1e-5)),
+            (unsup_grads.vector, finite_difference_gradient(unsup_loss_fn, flat0, eps=1e-5)),
             (combined_grads, finite_difference_gradient(combined_loss, flat0, eps=1e-5)),
         ]
         for analytic, numeric in checks:

@@ -96,59 +96,107 @@ class TestTrain:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def trained_run(corpus_path, tmp_path_factory):
+    """A tiny run's checkpoints of seeds 0 and 1."""
+    out = tmp_path_factory.mktemp("cli-run")
+    assert main(["train", "--dataset", corpus_path, "--strategy", "none", "--out", str(out),
+                 "--save-checkpoints", *TINY_TRAIN, "--seeds", "0,1"]) == 0
+    return out
+
+
+def capture_evaluate(monkeypatch):
+    """Swap the CLI's `evaluate` for one that records its inputs; returns the records."""
+    import paraproto.cli as cli
+    from paraproto.protonet import EvalResult
+
+    seen = []
+
+    def fake_evaluate(params, vocab, dataset, split, part, n_way, k_shot, query_per_class, n_episodes, rng,
+                      distance):
+        seen.append({"split": split, "part": part, "shape": (n_way, k_shot, query_per_class, n_episodes),
+                     "distance": distance})
+        return EvalResult(mean_accuracy=0.0, per_episode_accuracies=[], episode_count=0)
+
+    monkeypatch.setattr(cli, "evaluate", fake_evaluate)
+    return seen
+
+
 class TestEvaluate:
-    def test_checkpoint_evaluation(self, corpus_path, tmp_path, capsys):
-        out = tmp_path / "run"
-        assert main(["train", "--dataset", corpus_path, "--strategy", "none",
-                     "--out", str(out), "--save-checkpoints", *TINY_TRAIN]) == 0
-        code = main(["evaluate", "--checkpoint", str(out / "seed0_best.npz"),
+    def test_checkpoint_evaluation(self, corpus_path, trained_run, capsys):
+        code = main(["evaluate", "--checkpoint", str(trained_run / "seed0_best.npz"),
                      "--dataset", corpus_path, "--part", "test", "--n-way", "3",
-                     "--k-shot", "1", "--query-per-class", "3", "--episodes", "10",
-                     "--split-seed", "0"])
+                     "--k-shot", "1", "--query-per-class", "3", "--episodes", "10"])
         assert code == 0
         assert "test accuracy over 10 episodes" in capsys.readouterr().out
 
-
-    def test_default_ratios_are_training_split(self, corpus_path, tmp_path, monkeypatch):
-        import paraproto.cli as cli
+    def test_scores_the_split_its_seed_trained_on(self, corpus_path, trained_run, monkeypatch):
+        # seed s trains on split_classes(..., seed=s); evaluate once rebuilt
+        # the split from --split-seed 0, and so scored seed 1's checkpoint
+        # on classes it had trained on
         from paraproto.data import load_dataset, split_classes
-        from paraproto.encoder import EncoderParams, Vocabulary, save_checkpoint
-        from paraproto.experiment import RunConfig
-        from paraproto.protonet import EvalResult
 
+        seen = capture_evaluate(monkeypatch)
+        assert main(["evaluate", "--checkpoint", str(trained_run / "seed1_best.npz"),
+                     "--dataset", corpus_path]) == 0
         dataset = load_dataset(corpus_path)
-        vocab = Vocabulary.from_texts(dataset.texts())
-        save_checkpoint(tmp_path / "ckpt.npz", EncoderParams.init(len(vocab), 4, 4), vocab)
-        seen = []
+        ratios = RunConfig(dataset_path=corpus_path).split_ratios
+        assert split_classes(dataset, ratios, seed=1) != split_classes(dataset, ratios, seed=0)
+        assert seen == [{"split": split_classes(dataset, ratios, seed=1), "part": "test",
+                         "shape": (3, 1, 3, 6), "distance": "sqeuclidean"}]
 
-        def fake_evaluate(params, vocab, ds, split, *args):
-            seen.append(split)
-            return EvalResult(mean_accuracy=0.0, per_episode_accuracies=[], episode_count=0)
+    def test_flags_override_the_runs_episode_shape(self, corpus_path, trained_run, monkeypatch):
+        seen = capture_evaluate(monkeypatch)
+        assert main(["evaluate", "--checkpoint", str(trained_run / "seed0_best.npz"),
+                     "--dataset", corpus_path, "--part", "valid", "--n-way", "2",
+                     "--query-per-class", "4", "--episodes", "9"]) == 0
+        assert (seen[0]["part"], seen[0]["shape"]) == ("valid", (2, 1, 4, 9))
 
-        monkeypatch.setattr(cli, "evaluate", fake_evaluate)
-        assert cli.main(["evaluate", "--checkpoint", str(tmp_path / "ckpt.npz"),
-                         "--dataset", corpus_path]) == 0
-        trained = RunConfig(dataset_path=corpus_path).split_ratios
-        assert seen == [split_classes(dataset, trained, seed=0)]
+    def test_scores_with_the_trained_distance(self, corpus_path, tmp_path, monkeypatch):
+        out = tmp_path / "cosine"
+        assert main(["train", "--dataset", corpus_path, "--strategy", "none", "--out", str(out),
+                     "--save-checkpoints", "--distance", "cosine", *TINY_TRAIN]) == 0
+        seen = capture_evaluate(monkeypatch)
+        assert main(["evaluate", "--checkpoint", str(out / "seed0_best.npz"), "--dataset", corpus_path]) == 0
+        assert seen[0]["distance"] == "cosine"
 
-
-    @pytest.mark.parametrize("flags, message", [
-        (["--episodes", "0"], "n_episodes must be >= 1"),
-        (["--query-per-class", "0"], "query_per_class must be >= 1"),
-        (["--ratios", "0.5,0.5"], "split ratios must be 3 positive values summing to 1"),
-        (["--ratios", "nan,0.5,0.5"], "split ratios must be 3 positive values summing to 1"),
-    ])
-    def test_degenerate_episodes_exit_nonzero(self, corpus_path, tmp_path, capsys, flags, message):
+    def test_checkpoint_without_run_refused(self, corpus_path, tmp_path, capsys):
         from paraproto.data import load_dataset
         from paraproto.encoder import EncoderParams, Vocabulary, save_checkpoint
 
         vocab = Vocabulary.from_texts(load_dataset(corpus_path).texts())
-        save_checkpoint(tmp_path / "ckpt.npz", EncoderParams.init(len(vocab), 4, 4), vocab)
-        code = main(["evaluate", "--checkpoint", str(tmp_path / "ckpt.npz"),
+        save_checkpoint(tmp_path / "old.npz", EncoderParams.init(len(vocab), 4, 4), vocab)
+        code = main(["evaluate", "--checkpoint", str(tmp_path / "old.npz"), "--dataset", corpus_path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "records no run" in captured.err and "retrain" in captured.err
+        assert "accuracy" not in captured.out
+
+    def test_other_dataset_refused(self, trained_run, tmp_path, capsys):
+        other = tmp_path / "other.jsonl"
+        generate_synthetic_dataset(other, n_classes=12, sentences_per_class=14, seed=1)
+        code = main(["evaluate", "--checkpoint", str(trained_run / "seed0_best.npz"), "--dataset", str(other)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "SHA-256 differs" in captured.err and "accuracy" not in captured.out
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--episodes", "0"], "n_episodes must be >= 1"),
+        (["--query-per-class", "0"], "query_per_class must be >= 1"),
+    ])
+    def test_degenerate_episodes_exit_nonzero(self, corpus_path, trained_run, capsys, flags, message):
+        code = main(["evaluate", "--checkpoint", str(trained_run / "seed0_best.npz"),
                      "--dataset", corpus_path, *flags])
         captured = capsys.readouterr()
         assert code == 1
         assert message in captured.err and "accuracy" not in captured.out
+
+    def test_run_settings_are_not_flags(self):
+        # they come from the checkpoint; `--group-by-domain` and `--distance`
+        # are RunConfig fields, so the dest guard below would let them back
+        subparsers = build_parser()._subparsers._group_actions[0]
+        flags = {flag for action in subparsers.choices["evaluate"]._actions for flag in action.option_strings}
+        assert not flags & {"--split-seed", "--ratios", "--group-by-domain", "--distance"}
 
     def test_checkpoint_with_mismatched_vocabulary_exits_nonzero(self, corpus_path, tmp_path, capsys):
         from paraproto.data import load_dataset
@@ -244,6 +292,18 @@ class TestDiversity:
         summary = json.loads(out.read_text())
         assert set(summary) == {"stub_bt", "dbs"}
 
+    @pytest.mark.parametrize("strategies, message", [
+        ("dbs,dbs_unigram,zzz", "unknown strategy 'zzz'"),
+        (",", "no strategy given"),
+    ])
+    def test_bad_strategy_list_exits_nonzero(self, corpus_path, tmp_path, capsys, strategies, message):
+        out = tmp_path / "div.json"
+        code = main(["diversity", "--dataset", corpus_path, "--strategies", strategies,
+                     "--n-sentences", "5", "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_sentences_exits_nonzero(self, corpus_path, tmp_path, capsys):
         # the means over zero sentences were NaN, which is not JSON
         out = tmp_path / "div.json"
@@ -301,11 +361,11 @@ class TestDataDirEnv:
 # dests of options that configure the command itself rather than a run or decode
 NON_CONFIG_DESTS = {
     "help", "config", "out", "pmask_sweep", "save_checkpoints", "seed", "corpus",
-    "sentences", "strategies", "n_sentences",
+    "sentences", "strategies", "n_sentences", "checkpoint", "dataset", "part",
 }
 
 
-@pytest.mark.parametrize("command", ["train", "paraphrase", "diversity"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "paraphrase", "diversity"])
 def test_option_dests_are_config_fields(command):
     """Overrides are read by field name, so a flag whose dest is not a
     RunConfig or DecodeConfig field would be dropped without a word."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradcheck import finite_difference_gradient, gradient_check
 from paraproto.consistency import (
     AnnealSchedule,
     anneal_weight,
@@ -11,13 +12,7 @@ from paraproto.consistency import (
     unsupervised_loss,
 )
 from paraproto.encoder import AdamState, EncoderParams, Vocabulary, encode, optimizer_step, tokenize
-from paraproto.numerics import (
-    COSINE,
-    SQUARED_EUCLIDEAN,
-    finite_difference_gradient,
-    gradient_check,
-    softmax_over_neg_distances,
-)
+from paraproto.numerics import COSINE, SQUARED_EUCLIDEAN, softmax_over_neg_distances
 from paraproto.protonet import softmax_cross_entropy_episode, supervised_episode_loss
 from rowstub import episode_records, text_batch, text_episode
 
@@ -80,7 +75,7 @@ class TestUnlabeledPrototypes:
         a, grads_a = unsupervised_loss(batch, params)
         b, grads_b = unsupervised_loss(reversed_batch, params)
         assert a == pytest.approx(b, rel=1e-12)
-        np.testing.assert_allclose(grads_a.flat(), grads_b.flat(), atol=1e-14)
+        np.testing.assert_allclose(grads_a.vector, grads_b.vector, atol=1e-14)
 
     def test_ragged_shape_rejected(self):
         with pytest.raises(ValueError, match="M >= 1"):
@@ -165,8 +160,8 @@ class TestUnsupervisedLoss:
             return unsupervised_loss(batch, params.with_flat(flat), distance)[0]
 
         _, grads = unsupervised_loss(batch, params, distance)
-        numeric = finite_difference_gradient(loss_fn, params.flat())
-        report = gradient_check(grads.flat(), numeric)
+        numeric = finite_difference_gradient(loss_fn, params.vector)
+        report = gradient_check(grads.vector, numeric)
         assert report.max_relative_error < 1e-4
 
 
@@ -270,7 +265,7 @@ class TestCombinedTrainingStep:
 
         _, sup_grads = supervised_episode_loss(episode, params, vocab)
         _, unsup_grads = unsupervised_loss(batch, params)
-        expected = 0.5 * (sup_grads.flat() + unsup_grads.flat())
+        expected = 0.5 * (sup_grads.vector + unsup_grads.vector)
 
         # recompute what the combined step applies by reading the Adam moment
         adam = AdamState.for_params(params)

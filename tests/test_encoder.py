@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradcheck import finite_difference_gradient, gradient_check
 from paraproto.encoder import (
     UNK,
     AdamState,
@@ -18,7 +19,6 @@ from paraproto.encoder import (
     save_checkpoint,
     tokenize,
 )
-from paraproto.numerics import finite_difference_gradient, gradient_check
 
 
 class TestTokenize:
@@ -127,8 +127,8 @@ class TestEncodeBackward:
             return float(np.dot(upstream, encode(p, tokens, vocab)))
 
         grads = encode_backward(params, tokens, vocab, upstream)
-        numeric = finite_difference_gradient(loss_fn, params.flat())
-        report = gradient_check(grads.flat(), numeric)
+        numeric = finite_difference_gradient(loss_fn, params.vector)
+        report = gradient_check(grads.vector, numeric)
         assert report.max_relative_error < 1e-4
 
 
@@ -166,8 +166,8 @@ class TestEncodeBatch:
             return float(np.sum(upstream * encode_batch(params.with_flat(flat), RAGGED, vocab)))
 
         grads = encode_batch_backward(params, _forward_tokens(params, RAGGED, vocab), upstream)
-        numeric = finite_difference_gradient(loss_fn, params.flat())
-        report = gradient_check(grads.flat(), numeric)
+        numeric = finite_difference_gradient(loss_fn, params.vector)
+        report = gradient_check(grads.vector, numeric)
         assert report.max_relative_error < 1e-4
 
     def test_backward_upstream_shape_checked(self):
@@ -207,11 +207,15 @@ class TestTokenRows:
         # recomputed: a fresh forward over the token lists, as a caller
         # without the training path's intermediates would run it
         recomputed = encode_batch_backward(params, _forward_tokens(params, RAGGED, vocab), upstream)
-        for a, b in zip(handed.arrays(), recomputed.arrays()):
+        for a, b in zip(_arrays(handed), _arrays(recomputed)):
             np.testing.assert_array_equal(a, b)
         per_row = [encode_backward(params, t, vocab, u) for t, u in zip(RAGGED, upstream)]
-        for i, a in enumerate(handed.arrays()):
-            np.testing.assert_allclose(a, sum(g.arrays()[i] for g in per_row), rtol=1e-12, atol=1e-15)
+        for i, a in enumerate(_arrays(handed)):
+            np.testing.assert_allclose(a, sum(_arrays(g)[i] for g in per_row), rtol=1e-12, atol=1e-15)
+
+
+def _arrays(params):
+    return params.embedding, params.projection, params.bias
 
 
 # the per-array code the flat layout replaced, kept as bit-exact references
@@ -252,7 +256,7 @@ class TestFlatLayoutMatchesPerArray:
         fwd = _forward_tokens(params, batch, vocab)
         upstream = np.random.default_rng(seed).normal(size=fwd.out.shape)
         grads = encode_batch_backward(params, fwd, upstream)
-        for got, want in zip(grads.arrays(), _add_at_backward(params, fwd, upstream)):
+        for got, want in zip(_arrays(grads), _add_at_backward(params, fwd, upstream)):
             assert np.array_equal(got, want)
 
     @settings(max_examples=30, deadline=None)
@@ -260,7 +264,7 @@ class TestFlatLayoutMatchesPerArray:
     def test_adam_steps_equal_per_array_loop(self, batch, n_steps, seed):
         vocab, params = _small_setup(seed=seed)
         state = AdamState.for_params(params, learning_rate=0.05)
-        ref = [a.copy() for a in params.arrays()]
+        ref = [a.copy() for a in _arrays(params)]
         ref_m = [np.zeros_like(a) for a in ref]
         ref_v = [np.zeros_like(a) for a in ref]
         rng = np.random.default_rng(seed)
@@ -268,8 +272,8 @@ class TestFlatLayoutMatchesPerArray:
             fwd = _forward_tokens(params, batch, vocab)
             grads = encode_batch_backward(params, fwd, rng.normal(size=fwd.out.shape))
             optimizer_step(state, params, grads)
-            _per_array_adam_step(state, ref, grads.arrays(), ref_m, ref_v, step)
-            for got, want in zip(params.arrays(), ref):
+            _per_array_adam_step(state, ref, _arrays(grads), ref_m, ref_v, step)
+            for got, want in zip(_arrays(params), ref):
                 assert np.array_equal(got, want)
         assert np.array_equal(state.m, np.concatenate([m.ravel() for m in ref_m]))
         assert np.array_equal(state.v, np.concatenate([v.ravel() for v in ref_v]))
@@ -288,10 +292,9 @@ class TestFlatLayout:
         grads = encode_backward(params, ["alpha", "beta", "beta"], vocab, np.ones(4))
         optimizer_step(state, params, grads)
         assert params.vector is vector and (state.m, state.v) == moments
-        for p in (params, grads, params.copy(), params.with_flat(params.flat())):
-            assert p.vector.shape == (sum(a.size for a in p.arrays()),)
-            assert all(np.shares_memory(a, p.vector) for a in p.arrays())
-        assert np.shares_memory(params.flat(), vector)
+        for p in (params, grads, params.copy(), params.with_flat(params.vector)):
+            assert p.vector.shape == (sum(a.size for a in _arrays(p)),)
+            assert all(np.shares_memory(a, p.vector) for a in _arrays(p))
         assert all(m.shape == vector.shape for m in moments)
         assert not np.shares_memory(params.copy().vector, vector)
 
@@ -318,7 +321,7 @@ class TestFlatLayout:
 
 
 def _zero_gradients(params):
-    return params.with_flat(np.zeros(params.flat().size))
+    return params.with_flat(np.zeros(params.vector.size))
 
 
 class TestAdam:
@@ -393,11 +396,20 @@ class TestCheckpoint:
         vocab, params = _small_setup(seed=33)
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, params, vocab)
-        loaded_params, loaded_vocab = load_checkpoint(path)
+        loaded_params, loaded_vocab, extra = load_checkpoint(path)
         np.testing.assert_array_equal(loaded_params.embedding, params.embedding)
         np.testing.assert_array_equal(loaded_params.projection, params.projection)
         np.testing.assert_array_equal(loaded_params.bias, params.bias)
         assert loaded_vocab.tokens == vocab.tokens
+        assert extra == {}
+
+    def test_extra_fields_round_trip_as_strings(self, tmp_path):
+        vocab, params = _small_setup()
+        extra = {"note": "a=1\nb=two\n", "names": ["é", "beta", "gamma"], "one": ["x"]}
+        save_checkpoint(tmp_path / "ckpt.npz", params, vocab, extra)
+        with np.load(tmp_path / "ckpt.npz", allow_pickle=False) as data:
+            assert all(data[name].dtype.kind == "U" for name in extra)
+        assert load_checkpoint(tmp_path / "ckpt.npz")[2] == extra
 
     def test_object_array_vocab_refused(self, tmp_path):
         # an object array can only be read by unpickling, which loading never does
@@ -428,7 +440,7 @@ class TestCheckpoint:
     def test_path_without_suffix(self, tmp_path):
         vocab, params = _small_setup()
         save_checkpoint(tmp_path / "ckpt", params, vocab)
-        loaded_params, _ = load_checkpoint(tmp_path / "ckpt")
+        loaded_params, _, _ = load_checkpoint(tmp_path / "ckpt")
         np.testing.assert_array_equal(loaded_params.bias, params.bias)
 
 
@@ -436,7 +448,7 @@ class TestCheckpoint:
 @given(st.integers(min_value=0, max_value=10_000))
 def test_flat_round_trip(seed):
     vocab, params = _small_setup(seed=seed)
-    rebuilt = params.with_flat(params.flat())
+    rebuilt = params.with_flat(params.vector)
     np.testing.assert_array_equal(rebuilt.embedding, params.embedding)
     np.testing.assert_array_equal(rebuilt.projection, params.projection)
     np.testing.assert_array_equal(rebuilt.bias, params.bias)

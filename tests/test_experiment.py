@@ -104,7 +104,7 @@ def run_configs(draw):
         eval_every=eval_every,
         patience=draw(positive),
         n_eval_episodes=draw(positive),
-        seeds=tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6, unique=True))),
         distance=draw(st.sampled_from(numerics.DISTANCE_KINDS)),
         split_ratios=(train, valid, 1.0 - train - valid),
         group_by_domain=draw(st.booleans()),
@@ -178,6 +178,7 @@ class TestRunConfig:
             dict(low_profile_n=0),
             dict(profile="low", k_shot=3, query_per_class=8, low_profile_n=10),
             dict(seeds=(0, -1)),
+            dict(seeds=(0, 1, 0)),
             dict(split_ratios=(0.5, 0.5, 0.5)),
             dict(split_ratios=(0.6, 0.6, -0.2)),
             dict(split_ratios=(float("nan"), 0.5, 0.5)),
@@ -186,7 +187,7 @@ class TestRunConfig:
              "n_paraphrases", "dbs_unigram_groups", "dbs_groups", "learning_rate_negative",
              "learning_rate_zero", "learning_rate_nan", "learning_rate_inf", "output_dim",
              "embed_dim", "anneal_alpha_zero", "anneal_alpha_nan", "anneal_alpha_inf",
-             "low_profile_n", "low_profile_too_few_rows", "seed_negative",
+             "low_profile_n", "low_profile_too_few_rows", "seed_negative", "seed_repeated",
              "split_ratios_sum", "split_ratios_negative", "split_ratios_nan"],
     )
     def test_invalid_config_fails_when_built(self, corpus_path, overrides):
@@ -365,6 +366,28 @@ class TestRunExperiment:
         run_experiment(cfg, checkpoint_dir=tmp_path)
         assert (tmp_path / "seed0_best.npz").exists()
         assert (tmp_path / "seed1_best.npz").exists()
+
+    def test_checkpoints_record_their_run(self, corpus_path, tmp_path):
+        from paraproto.encoder import load_checkpoint
+
+        cfg = quick_config(corpus_path, seeds=(2, 1), distance=numerics.COSINE, max_episodes=10)
+        run_experiment(cfg, checkpoint_dir=tmp_path)
+        dataset = load_dataset(corpus_path)
+        for seed in cfg.seeds:
+            path = tmp_path / f"seed{seed}_best.npz"
+            _, _, run = load_checkpoint(path)
+            with np.load(path, allow_pickle=False) as data:
+                assert all(data[name].dtype.kind == "U" for name in run)
+            split = split_classes(dataset, cfg.split_ratios, seed=seed, group_by_domain=cfg.group_by_domain)
+            assert run == {
+                "config": cfg.to_text(),
+                "seed": str(seed),
+                "dataset_sha256": dataset.digest(),
+                "train_classes": sorted(split.train_classes),
+                "valid_classes": sorted(split.valid_classes),
+                "test_classes": sorted(split.test_classes),
+            }
+            assert RunConfig.from_text(run["config"]) == cfg
 
     def test_dataset_errors_surface_before_training(self, tmp_path):
         cfg = RunConfig(dataset_path=str(tmp_path / "missing.jsonl"), seeds=(0,),
@@ -549,6 +572,19 @@ class TestDiversityByStrategy:
         ds = load_dataset(corpus_path)
         kwargs = dict(strategies=("stub_bt",), n_sentences=4, seed=3)
         assert diversity_by_strategy(ds, **kwargs) == diversity_by_strategy(ds, **kwargs)
+
+    @pytest.mark.parametrize("strategies, message", [
+        (("dbs", "stub_bt", "zzz"), "unknown strategy 'zzz'"),
+        ((), "no strategy given"),
+    ])
+    def test_strategies_checked_before_any_decode(self, corpus_path, monkeypatch, strategies, message):
+        import paraproto.experiment as experiment
+
+        decoded = []
+        monkeypatch.setattr(experiment, "generate_paraphrase_batch", lambda *args: decoded.append(args))
+        with pytest.raises(ValueError, match=message):
+            diversity_by_strategy(load_dataset(corpus_path), strategies=strategies, n_sentences=4)
+        assert decoded == []
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_fewer_than_one_sentence_rejected(self, corpus_path, n):

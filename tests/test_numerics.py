@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from paraproto.numerics import (
-    COSINE,
-    SQUARED_EUCLIDEAN,
-    finite_difference_gradient,
-    gradient_check,
-    softmax_over_neg_distances,
-)
+from gradcheck import finite_difference_gradient, gradient_check
+from paraproto.numerics import COSINE, SQUARED_EUCLIDEAN, softmax_over_neg_distances
 from paraproto.protonet import _pairwise_distances, softmax_cross_entropy_episode
 
 finite_vectors = st.lists(

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from paraproto.data import Dataset, sample_episode, split_classes
 from paraproto.encoder import EncoderParams, Vocabulary, encode_batch, tokenize
-from paraproto.numerics import COSINE, SQUARED_EUCLIDEAN, finite_difference_gradient, gradient_check
+from gradcheck import finite_difference_gradient, gradient_check
+from paraproto.numerics import COSINE, SQUARED_EUCLIDEAN
 from paraproto.protonet import (
     EVAL_BLOCK_BYTES,
     classify,
@@ -175,8 +176,8 @@ class TestSupervisedEpisodeLoss:
             return supervised_episode_loss(episode, params.with_flat(flat), vocab, distance)[0]
 
         _, grads = supervised_episode_loss(episode, params, vocab, distance)
-        numeric = finite_difference_gradient(loss_fn, params.flat())
-        report = gradient_check(grads.flat(), numeric)
+        numeric = finite_difference_gradient(loss_fn, params.vector)
+        report = gradient_check(grads.vector, numeric)
         assert report.max_relative_error < 1e-4
 
 

@@ -65,7 +65,7 @@ def run_digests(corpus_path, dataset, method, distance):
     )
     result, best_params, _ = train_single_seed(config, 0, dataset)
     report = json.dumps(asdict(result), sort_keys=True).encode()
-    weights = b"".join(a.tobytes() for a in best_params.arrays())
+    weights = best_params.vector.tobytes()
     return hashlib.sha256(report).hexdigest(), hashlib.sha256(weights).hexdigest()
 
 
