@@ -64,6 +64,8 @@ def _overrides(args: argparse.Namespace, cls, prefix: str = "") -> dict[str, str
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if args.pmask_sweep and args.save_checkpoints:
+        raise ValueError("--save-checkpoints does not apply to --pmask-sweep, which keeps no checkpoint")
     # the flags complete the file before either is checked, so a file may
     # leave out what the command line gives, such as dataset_path
     pairs = parse_kv_text(Path(args.config).read_text(encoding="utf-8")) if args.config else {}

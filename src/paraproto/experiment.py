@@ -187,8 +187,9 @@ def _rngs(seed: int, n: int) -> list[np.random.Generator]:
 def train_single_seed(
     config: RunConfig, seed: int, dataset: Dataset
 ) -> tuple[SeedResult, EncoderParams, Vocabulary]:
-    """Train one seeded run; returns the result plus the best-validation
-    checkpoint (parameters and vocabulary)."""
+    """Train one seeded run in blocks of eval_every episodes (the last may be
+    shorter), each ending in a validation; returns the result plus the
+    best-validation checkpoint (parameters and vocabulary)."""
     split = config.split(dataset, seed)
     working = (
         restrict_low_profile(dataset, split, config.low_profile_n, seed=seed)
@@ -218,28 +219,24 @@ def train_single_seed(
         )
         return [TokenRows.from_texts(generated, vocab) for generated in decoded]
 
-    def blocks():
-        """Training episodes, eval_every at a time, each with the paraphrase
-        ids of its unlabeled rows: a block's cache misses (the first row of
-        each text not yet cached, in episode order; every row with the cache
-        off) are decoded together before its first step. A block equals its
-        episodes drawn one by one, and early stopping falls on a block's end,
-        so a run draws and decodes what per-episode draws and decodes would."""
-        for start in range(0, config.max_episodes, config.eval_every):
-            block = sample_episodes(
-                working,
-                split,
-                TRAIN,
-                config.n_way,
-                config.k_shot,
-                config.query_per_class,
-                config.n_unlabeled if lm is not None else 0,
-                min(config.eval_every, config.max_episodes - start),
-                rng_episode,
-            )
-            if lm is None:
-                yield from ((episode, None) for episode in block)
-                continue
+    def accuracy(model: EncoderParams, part: str, rng: np.random.Generator) -> float:
+        return evaluate(
+            model, vocab, working, split, part, config.n_way, config.k_shot,
+            config.query_per_class, config.n_eval_episodes, rng, config.distance,
+        ).mean_accuracy
+
+    best_eval_index = 0  # 1-based index into val_curve
+    loss_curve: list[tuple[int, float, float, float, float]] = []
+    val_curve: list[tuple[int, float]] = []
+    for start in range(0, config.max_episodes, config.eval_every):
+        # one draw equals the block's episodes drawn one by one; its cache
+        # misses in episode order (every row, cache off) decode as one batch
+        block = sample_episodes(
+            working, split, TRAIN, config.n_way, config.k_shot, config.query_per_class,
+            config.n_unlabeled if lm is not None else 0,
+            min(config.eval_every, config.max_episodes - start), rng_episode,
+        )
+        if lm is not None:
             rows = [row for episode in block for row in episode.unlabeled_rows.tolist()]
             if cache is None:
                 paraphrases = paraphrase(rows)
@@ -248,74 +245,45 @@ def train_single_seed(
                 misses = list(dict.fromkeys(key for key in keys if key not in cache))
                 cache.update(zip(misses, paraphrase(misses)))
                 paraphrases = [cache[key] for key in keys]
-            n = config.n_unlabeled
-            yield from ((episode, paraphrases[i * n : (i + 1) * n]) for i, episode in enumerate(block))
 
-    best_val = -np.inf
-    best_params = params.copy()
-    best_eval_index = 0
-    evals_since_best = 0
-    n_evaluations = 0
-    stopped_early = False
-    loss_curve: list[tuple[int, float, float, float, float]] = []
-    val_curve: list[tuple[int, float]] = []
-    episodes_run = 0
-
-    for step, (episode, paraphrases) in enumerate(blocks(), start=1):
-        episodes_run = step
-        if lm is None:
-            sup_loss, grads = supervised_episode_loss(episode, params, vocab, config.distance)
-            optimizer_step(adam, params, grads)
-            losses = StepLosses(total=sup_loss, supervised=sup_loss, unsupervised=0.0, weight=0.0)
-        else:
-            batch = UnlabeledBatch(
-                sentences=corpus.take(episode.unlabeled_rows), paraphrases=paraphrases
-            )
-            losses = combined_training_step(
-                episode, batch, params, adam, schedule, step, vocab, config.distance
-            )
-        loss_curve.append(
-            (step, losses.supervised, losses.unsupervised, losses.weight, losses.total)
-        )
-        logger.debug(format_step_log(step, losses))
-
-        if step % config.eval_every == 0:
-            result = evaluate(
-                params, vocab, working, split, VALID,
-                config.n_way, config.k_shot, config.query_per_class,
-                config.n_eval_episodes, rng_valid, config.distance,
-            )
-            n_evaluations += 1
-            val_curve.append((step, result.mean_accuracy))
-            if result.mean_accuracy > best_val:
-                best_val = result.mean_accuracy
-                best_params = params.copy()
-                best_eval_index = n_evaluations
-                evals_since_best = 0
+        n = config.n_unlabeled
+        for i, episode in enumerate(block):
+            step = start + i + 1
+            if lm is None:
+                sup_loss, grads = supervised_episode_loss(episode, params, vocab, config.distance)
+                optimizer_step(adam, params, grads)
+                losses = StepLosses(total=sup_loss, supervised=sup_loss, unsupervised=0.0, weight=0.0)
             else:
-                evals_since_best += 1
-            logger.info(
-                "eval at episode %d: valid accuracy %.4f (best %.4f)",
-                step, result.mean_accuracy, best_val,
+                batch = UnlabeledBatch(
+                    sentences=corpus.take(episode.unlabeled_rows), paraphrases=paraphrases[i * n : (i + 1) * n]
+                )
+                losses = combined_training_step(
+                    episode, batch, params, adam, schedule, step, vocab, config.distance
+                )
+            loss_curve.append(
+                (step, losses.supervised, losses.unsupervised, losses.weight, losses.total)
             )
-            if evals_since_best >= config.patience:
-                stopped_early = True
-                break
+            logger.debug(format_step_log(step, losses))
 
-    test = evaluate(
-        best_params, vocab, working, split, TEST,
-        config.n_way, config.k_shot, config.query_per_class,
-        config.n_eval_episodes, rng_test, config.distance,
-    )
+        val_curve.append((len(loss_curve), accuracy(params, VALID, rng_valid)))
+        if best_eval_index == 0 or val_curve[-1][1] > val_curve[best_eval_index - 1][1]:
+            best_params, best_eval_index = params.copy(), len(val_curve)
+        logger.info(
+            "eval at episode %d: valid accuracy %.4f (best %.4f)",
+            *val_curve[-1], val_curve[best_eval_index - 1][1],
+        )
+        if len(val_curve) - best_eval_index >= config.patience:
+            break
+
     result = SeedResult(
         seed=seed,
-        test_accuracy=test.mean_accuracy,
-        best_val_accuracy=float(best_val),
+        test_accuracy=accuracy(best_params, TEST, rng_test),
+        best_val_accuracy=val_curve[best_eval_index - 1][1],
         best_eval_index=best_eval_index,
-        episodes_run=episodes_run,
-        n_evaluations=n_evaluations,
+        episodes_run=len(loss_curve),
+        n_evaluations=len(val_curve),
         eval_episode_count=config.n_eval_episodes,
-        stopped_early=stopped_early,
+        stopped_early=len(val_curve) - best_eval_index >= config.patience,
         loss_curve=loss_curve,
         val_curve=val_curve,
     )
@@ -387,6 +355,8 @@ def diversity_by_strategy(
         raise ValueError(f"n_sentences must be >= 1, got {n_sentences}")
     if not strategies:
         raise ValueError("no strategy given")
+    if len(set(strategies)) < len(strategies):
+        raise ValueError(f"strategies must be distinct, got {strategies}")
     for strategy in strategies:
         check_strategy(strategy)
     decode = decode or DecodeConfig()
@@ -401,15 +371,21 @@ def diversity_by_strategy(
     out: dict[str, dict[str, float]] = {}
     for si, strategy in enumerate(sorted(strategies)):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, si])))
-        fields = {"dist2": [], "bleu_vs_source": [], "mean_pairwise_similarity": []}
         decoded = generate_paraphrase_batch(lm, sentences, decode.num_groups, strategy, decode, rng)
-        for sentence, paraphrases in zip(sentences, decoded):
-            report = diversity_report(sentence, paraphrases, encoder_params, vocab)
-            fields["dist2"].append(report.dist2)
-            fields["bleu_vs_source"].append(report.bleu_vs_source)
-            fields["mean_pairwise_similarity"].append(report.mean_pairwise_similarity)
-        out[strategy] = {k: float(np.mean(v)) for k, v in fields.items()}
+        reports = [
+            asdict(diversity_report(sentence, paraphrases, encoder_params, vocab))
+            for sentence, paraphrases in zip(sentences, decoded)
+        ]
+        out[strategy] = {k: float(np.mean([report[k] for report in reports])) for k in reports[0]}
     return out
+
+
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def emit_report(report: RunReport, out_dir: str | Path) -> list[Path]:
@@ -417,35 +393,15 @@ def emit_report(report: RunReport, out_dir: str | Path) -> list[Path]:
     series. Returns the written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    json_path = out / "report.json"
-    json_path.write_text(report.to_json() + "\n", encoding="utf-8")
-    written.append(json_path)
-
+    written = [out / "report.json"]
+    written[0].write_text(report.to_json() + "\n", encoding="utf-8")
     if report.seed_results:
-        csv_path = out / "results.csv"
-        with open(csv_path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["method", "profile", "k_shot", "seed_accuracies", "mean", "std"])
-            writer.writerow(
-                [
-                    report.method,
-                    report.profile,
-                    report.k_shot,
-                    " ".join(repr(a) for a in report.seed_accuracies),
-                    repr(report.mean_accuracy),
-                    repr(report.std_accuracy),
-                ]
-            )
-        written.append(csv_path)
-
+        accuracies = " ".join(repr(a) for a in report.seed_accuracies)
+        row = [report.method, report.profile, report.k_shot, accuracies,
+               repr(report.mean_accuracy), repr(report.std_accuracy)]
+        header = ["method", "profile", "k_shot", "seed_accuracies", "mean", "std"]
+        written.append(_write_csv(out / "results.csv", header, [row]))
     if report.pmask_series:
-        series_path = out / "pmask_series.csv"
-        with open(series_path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["p_mask", "mean_accuracy", "std_accuracy"])
-            for p_mask, mean, std in report.pmask_series:
-                writer.writerow([repr(p_mask), repr(mean), repr(std)])
-        written.append(series_path)
+        rows = [[repr(value) for value in point] for point in report.pmask_series]
+        written.append(_write_csv(out / "pmask_series.csv", ["p_mask", "mean_accuracy", "std_accuracy"], rows))
     return written

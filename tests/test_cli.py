@@ -32,7 +32,7 @@ class TestSynthData:
                      "--per-class", "5", "--seed", "1"])
         assert code == 0
         assert out.exists()
-        assert sum(1 for _ in open(out)) == 50
+        assert len(out.read_text().splitlines()) == 50
 
     def test_bad_args_nonzero_exit(self, tmp_path, capsys):
         code = main(["synth-data", "--out", str(tmp_path / "x.jsonl"), "--classes", "1"])
@@ -88,6 +88,18 @@ class TestTrain:
         assert code == 1
         assert "seeds" in capsys.readouterr().err
         assert trained == [] and not (out / "report.json").exists()
+
+    def test_sweep_with_checkpoints_fails_before_any_training(self, corpus_path, tmp_path, capsys, monkeypatch):
+        import paraproto.experiment as experiment
+
+        trained = []
+        monkeypatch.setattr(experiment, "train_single_seed", lambda *args: trained.append(args))
+        out = tmp_path / "sweep"
+        code = main(["train", "--dataset", corpus_path, "--out", str(out), "--pmask-sweep",
+                     "--save-checkpoints", *TINY_TRAIN])
+        assert code == 1
+        assert "--save-checkpoints does not apply to --pmask-sweep" in capsys.readouterr().err
+        assert trained == [] and not out.exists()
 
     def test_missing_dataset_fails(self, tmp_path, capsys):
         code = main(["train", "--dataset", str(tmp_path / "nope.jsonl"),
@@ -220,7 +232,7 @@ class TestParaphrase:
                      str(sentences), "--out", str(out), "--strategy", "dbs_unigram",
                      "--seed", "3"])
         assert code == 0
-        rows = [json.loads(line) for line in open(out)]
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(rows) == 2
         for row in rows:
             assert set(row) == {"source", "paraphrases"}
@@ -295,6 +307,7 @@ class TestDiversity:
     @pytest.mark.parametrize("strategies, message", [
         ("dbs,dbs_unigram,zzz", "unknown strategy 'zzz'"),
         (",", "no strategy given"),
+        ("dbs,dbs", "strategies must be distinct"),
     ])
     def test_bad_strategy_list_exits_nonzero(self, corpus_path, tmp_path, capsys, strategies, message):
         out = tmp_path / "div.json"

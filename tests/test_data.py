@@ -253,7 +253,7 @@ class TestSampleEpisode:
 class TestSynthGenerator:
     def test_line_count(self, tmp_path):
         path = generate_synthetic_dataset(tmp_path / "s.jsonl", 20, 30, seed=0)
-        assert sum(1 for _ in open(path)) == 600
+        assert len(path.read_text().splitlines()) == 600
 
     def test_deterministic(self, tmp_path):
         a = generate_synthetic_dataset(tmp_path / "a.jsonl", 10, 5, seed=4)

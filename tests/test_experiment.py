@@ -308,6 +308,13 @@ class TestEarlyStopping:
         assert result.episodes_run == 10
         assert result.best_eval_index == 1
 
+    def test_short_final_block_is_validated(self, corpus_path):
+        cfg = quick_config(corpus_path, max_episodes=25, eval_every=10, patience=10)
+        result, _, _ = train_single_seed(cfg, 0, load_dataset(corpus_path))
+        assert result.episodes_run == 25 and not result.stopped_early
+        assert result.n_evaluations == 3
+        assert [step for step, _ in result.val_curve] == [10, 20, 25]
+
     def test_patience_counts_only_non_improvements(self, corpus_path):
         ds = load_dataset(corpus_path)
         cfg = quick_config(corpus_path, max_episodes=200, eval_every=10, patience=3)
@@ -576,6 +583,8 @@ class TestDiversityByStrategy:
     @pytest.mark.parametrize("strategies, message", [
         (("dbs", "stub_bt", "zzz"), "unknown strategy 'zzz'"),
         ((), "no strategy given"),
+        (("dbs", "dbs"), "strategies must be distinct"),
+        (("stub_bt", "dbs", "stub_bt"), "strategies must be distinct"),
     ])
     def test_strategies_checked_before_any_decode(self, corpus_path, monkeypatch, strategies, message):
         import paraproto.experiment as experiment
