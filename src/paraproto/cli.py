@@ -20,7 +20,7 @@ from .data import PARTS, ClassSplit, load_dataset
 from .decoding import (
     CURVES, STRATEGIES, DecodeConfig, SynonymBigramLM, check_paraphrase_count, generate_paraphrase_batch,
 )
-from .encoder import load_checkpoint
+from .encoder import TokenRows, load_checkpoint
 from .experiment import (
     METHODS,
     PROFILES,
@@ -71,6 +71,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     pairs = parse_kv_text(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     pairs.update(_overrides(args, RunConfig))
     pairs.update(_overrides(args, DecodeConfig, "decode."))
+    if args.pmask_sweep and pairs.get("strategy", "dbs_unigram") != "dbs_unigram":
+        raise ValueError(f"--pmask-sweep trains dbs_unigram only, not strategy={pairs['strategy']}")
     config = dataclass_from_kv(RunConfig, pairs)
     config = replace(config, dataset_path=resolve_data_path(config.dataset_path))
 
@@ -101,8 +103,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     split = ClassSplit(*(frozenset(run[f"{part}_classes"]) for part in PARTS))
     shape = [getattr(config, name) if getattr(args, name) is None else getattr(args, name)
              for name in ("n_way", "k_shot", "query_per_class", "n_eval_episodes")]
+    tokens = TokenRows.from_texts(dataset.texts(), vocab)
     result = evaluate(
-        params, vocab, dataset, split, args.part, *shape, np.random.default_rng(args.seed), config.distance
+        params, tokens, dataset, split, args.part, *shape, np.random.default_rng(args.seed), config.distance
     )
     print(f"{args.part} accuracy over {result.episode_count} episodes: {result.mean_accuracy:.4f}")
     return 0

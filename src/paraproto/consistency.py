@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .data import SampledEpisode
-from .encoder import AdamState, EncoderParams, TokenRows, Vocabulary, optimizer_step
+from .encoder import AdamState, EncoderParams, TokenRows, optimizer_step
 from .protonet import prototypical_loss, supervised_episode_loss
 
 
@@ -94,13 +93,14 @@ def unsupervised_loss(
 
 
 def combined_training_step(
-    episode: SampledEpisode,
+    tokens: TokenRows,
+    n_way: int,
+    k_shot: int,
     batch: UnlabeledBatch,
     params: EncoderParams,
     optimizer_state: AdamState,
     schedule: AnnealSchedule,
     step: int,
-    vocab: Vocabulary,
     distance: str = numerics.SQUARED_EUCLIDEAN,
 ) -> StepLosses:
     """One annealed update: weight * unsupervised + (1 - weight) * supervised.
@@ -109,7 +109,7 @@ def combined_training_step(
     combined linearly before a single optimizer step (params updated in place).
     """
     weight = anneal_weight(step, schedule)
-    sup_loss, sup_grads = supervised_episode_loss(episode, params, vocab, distance)
+    sup_loss, sup_grads = supervised_episode_loss(params, tokens, n_way, k_shot, distance)
     unsup_loss, unsup_grads = unsupervised_loss(batch, params, distance)
 
     combined = params.with_flat((1.0 - weight) * sup_grads.vector + weight * unsup_grads.vector)

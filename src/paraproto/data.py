@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .encoder import TokenRows, Vocabulary, tokenize
+from .encoder import tokenize
 
 TRAIN, VALID, TEST = "train", "valid", "test"
 PARTS = (TRAIN, VALID, TEST)
@@ -38,7 +38,6 @@ class Dataset:
         for i, (_, label) in enumerate(self.records):
             by_class.setdefault(label, []).append(i)
         self._by_class = {label: np.array(rows) for label, rows in by_class.items()}
-        self._token_rows: tuple[Vocabulary, TokenRows] | None = None
 
     @property
     def classes(self) -> list[str]:
@@ -50,14 +49,6 @@ class Dataset:
     def class_rows(self, labels: Iterable[str]) -> np.ndarray:
         """Row indices of every record of the given classes."""
         return np.concatenate([self._by_class[label] for label in sorted(labels)])
-
-    def token_rows(self, vocab: Vocabulary) -> TokenRows:
-        """Every record's vocabulary ids, row i for record i. Built on the
-        first call and kept while `vocab` is the same object, so a training
-        run tokenizes its working set once."""
-        if self._token_rows is None or self._token_rows[0] is not vocab:
-            self._token_rows = (vocab, TokenRows.from_texts(self.texts(), vocab))
-        return self._token_rows[1]
 
     def __len__(self) -> int:
         return len(self.records)
@@ -93,19 +84,6 @@ class ClassSplit:
         if name == TEST:
             return self.test_classes
         raise ValueError(f"unknown split part: {name!r}")
-
-
-@dataclass
-class SampledEpisode:
-    """One C-way K-shot task as row indices into `dataset`: support rows then
-    query rows, each row's index into `episode_classes`, and unlabeled rows."""
-
-    dataset: Dataset
-    rows: np.ndarray
-    classes: np.ndarray
-    n_support: int
-    unlabeled_rows: np.ndarray
-    episode_classes: list[str]
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -227,7 +205,7 @@ def sample_episode_rows(
     n_unlabeled: int,
     n_episodes: int,
     rng: np.random.Generator,
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw the rows of `n_episodes` C-way episodes from one split part.
 
     Each episode reads one row of K uniform keys from `rng.random`, where
@@ -247,9 +225,8 @@ def sample_episode_rows(
     than per_class rows (the first in sorted order is named) and too few
     records for the unlabeled rows all fail before any draw.
 
-    Returns the part's sorted class names, the drawn class indices into
-    them (E, n_way), the dataset rows (E, n_way, per_class) in key order,
-    and the unlabeled rows (E, n_unlabeled).
+    Returns the dataset rows (E, n_way, per_class), classes and each
+    class's rows in key order, and the unlabeled rows (E, n_unlabeled).
     """
     pool = sorted(split.part(part))
     if len(pool) < n_way:
@@ -269,7 +246,6 @@ def sample_episode_rows(
     table[filled] = np.concatenate(by_class)
     n_keys = n_classes + n_way * width + (len(dataset) if n_unlabeled else 0)
 
-    chosen = np.empty((n_episodes, n_way), dtype=np.intp)
     rows = np.empty((n_episodes, n_way, per_class), dtype=np.intp)
     unlabeled = np.empty((n_episodes, n_unlabeled), dtype=np.intp)
     chunk = max(1, SAMPLE_BLOCK_BYTES // (n_keys * 8))
@@ -280,13 +256,10 @@ def sample_episode_rows(
         row_keys = keys[:, n_classes : n_classes + n_way * width].reshape(-1, n_way, width)
         row_keys[~filled[picked]] = np.inf
         order = row_keys.argsort(axis=2, kind="stable")[:, :, :per_class]
-        chosen[start:stop] = picked
         rows[start:stop] = table[picked[:, :, None], order]
-        if n_unlabeled:
-            unlabeled[start:stop] = keys[:, n_classes + n_way * width :].argsort(
-                axis=1, kind="stable"
-            )[:, :n_unlabeled]
-    return pool, chosen, rows, unlabeled
+        unlabeled_keys = keys[:, n_classes + n_way * width :]  # no columns when n_unlabeled is 0
+        unlabeled[start:stop] = unlabeled_keys.argsort(axis=1, kind="stable")[:, :n_unlabeled]
+    return rows, unlabeled
 
 
 def check_episode_shape(n_way: int, k_shot: int, query_per_class: int) -> None:
@@ -310,34 +283,21 @@ def sample_episodes(
     n_unlabeled: int,
     n_episodes: int,
     rng: np.random.Generator,
-) -> list[SampledEpisode]:
-    """Sample `n_episodes` C-way K-shot episodes from one split part, as
-    dataset rows: the draws of `sample_episode_rows`, of which each class's
-    first k_shot rows are support. The support rows come first, class by
-    class, then the query rows in the same class order. A degenerate shape
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample `n_episodes` C-way K-shot episodes from one split part: the
+    draws of `sample_episode_rows`, each class's first k_shot rows as support.
+    Returns the dataset rows (E, n_way * (k_shot + query_per_class)), support
+    rows first, class by class, then query rows in the same class order; and
+    the unlabeled rows (E, n_unlabeled). A degenerate shape
     (`check_episode_shape`) fails before any draw.
     """
     check_episode_shape(n_way, k_shot, query_per_class)
-    pool, chosen, rows, unlabeled = sample_episode_rows(
+    rows, unlabeled = sample_episode_rows(
         dataset, split, part, n_way, k_shot + query_per_class, n_unlabeled, n_episodes, rng
     )
-    rows = np.concatenate(
-        (rows[:, :, :k_shot].reshape(n_episodes, -1), rows[:, :, k_shot:].reshape(n_episodes, -1)),
-        axis=1,
-    )
-    groups = np.arange(n_way)
-    classes = np.concatenate([np.repeat(groups, k_shot), np.repeat(groups, query_per_class)])
-    return [
-        SampledEpisode(
-            dataset=dataset,
-            rows=rows[e],
-            classes=classes,
-            n_support=n_way * k_shot,
-            unlabeled_rows=unlabeled[e],
-            episode_classes=[pool[i] for i in picked],
-        )
-        for e, picked in enumerate(chosen.tolist())
-    ]
+    support, query = rows[:, :, :k_shot], rows[:, :, k_shot:]
+    rows = np.concatenate((support.reshape(n_episodes, -1), query.reshape(n_episodes, -1)), axis=1)
+    return rows, unlabeled
 
 
 def sample_episode(
@@ -349,8 +309,8 @@ def sample_episode(
     query_per_class: int,
     n_unlabeled: int,
     rng: np.random.Generator,
-) -> SampledEpisode:
-    """One episode of `sample_episodes`."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """`sample_episodes` with n_episodes = 1, as its two (1, ...) arrays."""
     return sample_episodes(
         dataset, split, part, n_way, k_shot, query_per_class, n_unlabeled, 1, rng
-    )[0]
+    )

@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +165,12 @@ class RunReport:
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"a report must be a JSON object, got {type(obj).__name__}")
+        expected = {f.name for f in fields(cls)} | {"mean_accuracy", "std_accuracy"}
+        for problem, keys in (("is missing", expected - obj.keys()), ("has unknown", obj.keys() - expected)):
+            if keys:
+                raise ValueError(f"report {problem} key {sorted(keys)[0]!r}")
         del obj["mean_accuracy"], obj["std_accuracy"]
         obj["seed_results"] = [
             SeedResult(**{**r, "loss_curve": _tuples(r["loss_curve"]),
@@ -198,7 +204,7 @@ def train_single_seed(
     )
     texts = working.texts()
     vocab = Vocabulary.from_texts(texts)
-    corpus = working.token_rows(vocab)  # every working text as ids, once per run
+    corpus = TokenRows.from_texts(texts, vocab)  # every working text as ids, once per run
     rng_init, rng_episode, rng_valid, rng_test, rng_decode = _rngs(seed, 5)
 
     params = EncoderParams.init(len(vocab), config.embed_dim, config.output_dim, rng_init)
@@ -221,7 +227,7 @@ def train_single_seed(
 
     def accuracy(model: EncoderParams, part: str, rng: np.random.Generator) -> float:
         return evaluate(
-            model, vocab, working, split, part, config.n_way, config.k_shot,
+            model, corpus, working, split, part, config.n_way, config.k_shot,
             config.query_per_class, config.n_eval_episodes, rng, config.distance,
         ).mean_accuracy
 
@@ -231,34 +237,33 @@ def train_single_seed(
     for start in range(0, config.max_episodes, config.eval_every):
         # one draw equals the block's episodes drawn one by one; its cache
         # misses in episode order (every row, cache off) decode as one batch
-        block = sample_episodes(
+        rows, unlabeled = sample_episodes(
             working, split, TRAIN, config.n_way, config.k_shot, config.query_per_class,
             config.n_unlabeled if lm is not None else 0,
             min(config.eval_every, config.max_episodes - start), rng_episode,
         )
         if lm is not None:
-            rows = [row for episode in block for row in episode.unlabeled_rows.tolist()]
             if cache is None:
-                paraphrases = paraphrase(rows)
+                paraphrases = paraphrase(unlabeled.ravel().tolist())
             else:
-                keys = [cache_key[row] for row in rows]
+                keys = [cache_key[row] for row in unlabeled.ravel().tolist()]
                 misses = list(dict.fromkeys(key for key in keys if key not in cache))
                 cache.update(zip(misses, paraphrase(misses)))
                 paraphrases = [cache[key] for key in keys]
 
         n = config.n_unlabeled
-        for i, episode in enumerate(block):
+        for i, tokens in enumerate(map(corpus.take, rows)):
             step = start + i + 1
             if lm is None:
-                sup_loss, grads = supervised_episode_loss(episode, params, vocab, config.distance)
+                sup_loss, grads = supervised_episode_loss(params, tokens, config.n_way, config.k_shot, config.distance)
                 optimizer_step(adam, params, grads)
                 losses = StepLosses(total=sup_loss, supervised=sup_loss, unsupervised=0.0, weight=0.0)
             else:
                 batch = UnlabeledBatch(
-                    sentences=corpus.take(episode.unlabeled_rows), paraphrases=paraphrases[i * n : (i + 1) * n]
+                    sentences=corpus.take(unlabeled[i]), paraphrases=paraphrases[i * n : (i + 1) * n]
                 )
                 losses = combined_training_step(
-                    episode, batch, params, adam, schedule, step, vocab, config.distance
+                    tokens, config.n_way, config.k_shot, batch, params, adam, schedule, step, config.distance
                 )
             loss_curve.append(
                 (step, losses.supervised, losses.unsupervised, losses.weight, losses.total)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .data import Dataset, ClassSplit, SampledEpisode, check_episode_shape, sample_episode_rows
-from .encoder import EncoderParams, TokenRows, Vocabulary, encode_batch_backward, forward
+from .data import Dataset, ClassSplit, sample_episodes
+from .encoder import EncoderParams, TokenRows, encode_batch_backward, forward
 
 # byte cap on one evaluation block's squared-distance difference tensor:
 # scoring every episode at once would hold all of their embeddings
@@ -138,23 +138,25 @@ def prototypical_loss(
 
 
 def supervised_episode_loss(
-    episode: SampledEpisode,
     params: EncoderParams,
-    vocab: Vocabulary,
+    tokens: TokenRows,
+    n_way: int,
+    k_shot: int,
     distance: str = numerics.SQUARED_EUCLIDEAN,
 ) -> tuple[float, EncoderParams]:
-    """Episode loss and full parameter gradients (through support and query),
-    over the episode's rows gathered from its dataset's token ids."""
-    n_support = episode.n_support
+    """Episode loss and full parameter gradients (through support and query)
+    over an episode's `tokens` in the support-then-query layout of `sample_episodes`."""
+    n_support, query_per_class = n_way * k_shot, len(tokens) // n_way - k_shot
+    classes = np.arange(n_way)
+    groups = np.concatenate([np.repeat(classes, k_shot), np.repeat(classes, query_per_class)])
     return prototypical_loss(
-        params, episode.dataset.token_rows(vocab).take(episode.rows), episode.classes,
-        slice(0, n_support), slice(n_support, None), len(episode.episode_classes), distance,
+        params, tokens, groups, slice(0, n_support), slice(n_support, None), n_way, distance
     )
 
 
 def evaluate(
     params: EncoderParams,
-    vocab: Vocabulary,
+    tokens: TokenRows,
     dataset: Dataset,
     split: ClassSplit,
     part: str,
@@ -167,40 +169,40 @@ def evaluate(
 ) -> EvalResult:
     """Mean query accuracy over freshly sampled episodes; never updates params.
 
-    Every episode's rows are drawn first, in one `sample_episode_rows` call
-    with no unlabeled rows: the draws of that many `sample_episode` calls.
-    The parameters are fixed during a call, so the rows of the part's
-    classes are encoded once, in one batch, and episodes are scored in
-    blocks that gather their embeddings from that batch. Each query is
-    assigned the class of its nearest prototype.
+    `tokens` holds the ids of every record of `dataset`, row i for record i.
+    Every episode's rows are drawn first, in one `sample_episodes` call with
+    no unlabeled rows. The parameters are fixed during a call, so the rows of
+    the part's classes are encoded once, in one batch, and episodes are
+    scored in blocks that gather their embeddings from that batch. Each query
+    is assigned the class of its nearest prototype.
     """
-    check_episode_shape(n_way, k_shot, query_per_class)
+    if len(tokens) != len(dataset):
+        raise ValueError(f"{len(tokens)} token rows for a dataset of {len(dataset)} records")
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
-    _, _, rows, _ = sample_episode_rows(
-        dataset, split, part, n_way, k_shot + query_per_class, 0, n_episodes, rng
+    rows, _ = sample_episodes(
+        dataset, split, part, n_way, k_shot, query_per_class, 0, n_episodes, rng
     )
     part_rows = dataset.class_rows(split.part(part))
-    encoded = forward(params, dataset.token_rows(vocab).take(part_rows)).out
+    encoded = forward(params, tokens.take(part_rows)).out
     position = np.zeros(len(dataset), dtype=np.intp)  # dataset row -> row of `encoded`
     position[part_rows] = np.arange(len(part_rows))
     rows = position[rows]
 
-    n_query = n_way * query_per_class
+    n_support, n_query = n_way * k_shot, n_way * query_per_class
     # episodes per block, from the size of its (episodes, queries, classes, d)
     # squared-distance difference tensor
     block = max(1, EVAL_BLOCK_BYTES // (n_query * n_way * encoded.shape[1] * encoded.itemsize))
     targets = np.repeat(np.arange(n_way), query_per_class)
     correct = np.empty(n_episodes, dtype=np.intp)
     for start in range(0, n_episodes, block):
-        embs = encoded[rows[start : start + block]]  # (episodes, n_way, k_shot + query, d)
+        embs = encoded[rows[start : start + block]]  # (episodes, support + query rows, d)
         # the support mean of `prototypes`: shots added in order, then divided
         protos = np.zeros((len(embs), n_way, encoded.shape[1]))
         for shot in range(k_shot):
-            protos += embs[:, :, shot]
+            protos += embs[:, shot:n_support:k_shot]  # each class's support row `shot`
         protos /= k_shot
-        queries = embs[:, :, k_shot:].reshape(len(embs), n_query, -1)
-        dists = _pairwise_distances(queries, protos, distance)
+        dists = _pairwise_distances(embs[:, n_support:], protos, distance)
         if not np.isfinite(dists).all():
             raise ValueError("non-finite distance between a query and a prototype")
         correct[start : start + len(embs)] = np.count_nonzero(

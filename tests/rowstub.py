@@ -1,39 +1,32 @@
-"""Episodes and unlabeled batches written as text, built into the row forms
-the losses take: a `SampledEpisode` over a `Dataset` of its own records, and
-an `UnlabeledBatch` of token ids; and an episode's rows read back as records."""
-
-import numpy as np
+"""Episodes and unlabeled batches written as text, built into the token-row
+forms the losses take; and a sampled episode's rows read back as records."""
 
 from paraproto.consistency import UnlabeledBatch
-from paraproto.data import Dataset, SampledEpisode
 from paraproto.encoder import TokenRows
 
 
-def text_episode(support, query, episode_classes):
-    """An episode of labeled (text, label) support and query records, in the
-    given order; each row's class is its label's index in episode_classes."""
-    dataset = Dataset(records=list(support) + list(query))
-    order = {label: i for i, label in enumerate(episode_classes)}
-    return SampledEpisode(
-        dataset=dataset,
-        rows=np.arange(len(dataset)),
-        classes=np.array([order[label] for _, label in dataset.records]),
-        n_support=len(support),
-        unlabeled_rows=np.empty(0, dtype=np.intp),
-        episode_classes=list(episode_classes),
-    )
+def episode_tokens(support, query, vocab):
+    """The token rows of labeled (text, label) support and query records, in
+    the given order: the losses read them as support rows class by class,
+    then query rows in the same class order."""
+    return TokenRows.from_texts([text for text, _ in list(support) + list(query)], vocab)
 
 
-def episode_records(episode):
-    """An episode's (text, label) support records and query records, read
-    from its dataset in row order."""
-    records = [episode.dataset.records[i] for i in episode.rows]
-    return records[: episode.n_support], records[episode.n_support :]
+def episode_records(dataset, rows, n_way, k_shot):
+    """One sampled episode's (text, label) support records and query
+    records, read from `dataset` in row order."""
+    records = [dataset.records[i] for i in rows]
+    return records[: n_way * k_shot], records[n_way * k_shot :]
 
 
-def unlabeled_texts(episode):
-    """An episode's unlabeled texts, read from its dataset in row order."""
-    return [episode.dataset.records[i][0] for i in episode.unlabeled_rows]
+def episode_labels(dataset, rows):
+    """The distinct labels of an episode's rows."""
+    return {dataset.records[i][1] for i in rows}
+
+
+def unlabeled_texts(dataset, unlabeled):
+    """An episode's unlabeled texts, read from `dataset` in row order."""
+    return [dataset.records[i][0] for i in unlabeled]
 
 
 def text_batch(sentences, paraphrases, vocab):

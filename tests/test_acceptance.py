@@ -25,7 +25,7 @@ from paraproto.decoding import (
     build_unigram_constraints,
     generate_paraphrases,
 )
-from paraproto.encoder import EncoderParams, Vocabulary
+from paraproto.encoder import EncoderParams, TokenRows, Vocabulary
 from paraproto.experiment import (
     RunConfig,
     diversity_by_strategy,
@@ -37,7 +37,7 @@ from paraproto.experiment import (
 from paraproto.protonet import evaluate, supervised_episode_loss
 from paraproto.data import TEST, split_classes
 from paraproto.synth import default_synonym_table, generate_synthetic_dataset
-from rowstub import text_batch, text_episode
+from rowstub import episode_tokens, text_batch
 
 
 def criterion(label):
@@ -118,7 +118,6 @@ def _random_episode_and_batch(rng):
     classes = [f"c{i}" for i in range(n_way)]
     support = [(sentence(), c) for c in classes for _ in range(k_shot)]
     query = [(sentence(), c) for c in classes for _ in range(2)]
-    episode = text_episode(support, query, classes)
     sentences = [sentence() for _ in range(n_unlabeled)]
     paraphrases = [[sentence() for _ in range(n_para)] for _ in range(n_unlabeled)]
     texts = [t for t, _ in support + query] + sentences
@@ -127,7 +126,9 @@ def _random_episode_and_batch(rng):
     d_emb = int(rng.integers(3, 9))
     d_out = int(rng.integers(3, 9))
     params = EncoderParams.init(len(vocab), d_emb, d_out, rng)
-    return episode, text_batch(sentences, paraphrases, vocab), vocab, params
+    # the arguments supervised_episode_loss takes after the parameters
+    episode = (episode_tokens(support, query, vocab), n_way, k_shot)
+    return episode, text_batch(sentences, paraphrases, vocab), params
 
 
 @criterion("1 gradient-correctness")
@@ -136,16 +137,16 @@ def test_criterion_1_gradients_match_finite_differences():
     worst = 0.0
     for trial in range(50):
         rng = np.random.default_rng(1000 + trial)
-        episode, batch, vocab, params = _random_episode_and_batch(rng)
+        episode, batch, params = _random_episode_and_batch(rng)
         flat0 = params.vector
 
         def sup_loss(flat):
-            return supervised_episode_loss(episode, params.with_flat(flat), vocab)[0]
+            return supervised_episode_loss(params.with_flat(flat), *episode)[0]
 
         def unsup_loss_fn(flat):
             return unsupervised_loss(batch, params.with_flat(flat))[0]
 
-        _, sup_grads = supervised_episode_loss(episode, params, vocab)
+        _, sup_grads = supervised_episode_loss(params, *episode)
         _, unsup_grads = unsupervised_loss(batch, params)
 
         schedule = AnnealSchedule(alpha=float(rng.choice([0.25, 1.0, 4.0])), total_steps=7)
@@ -325,9 +326,8 @@ def test_criterion_6_full_protocol_counters(corpus_path, corpus):
     from paraproto.data import restrict_low_profile
 
     working = restrict_low_profile(corpus, split, config.low_profile_n, seed=0)
-    replay = evaluate(
-        best_params, vocab, working, split, TEST, 5, 1, 5, 600, _rngs(0, 5)[3]
-    )
+    tokens = TokenRows.from_texts(working.texts(), vocab)
+    replay = evaluate(best_params, tokens, working, split, TEST, 5, 1, 5, 600, _rngs(0, 5)[3])
     assert result.test_accuracy == replay.mean_accuracy
     print(
         f"\n  episodes={result.episodes_run} evaluations={result.n_evaluations} "

@@ -36,6 +36,27 @@ def test_training_unit_passes_checks(bench, name):
     assert problems == [[]]
 
 
+def test_traced_consistency_unit_passes_checks(bench, monkeypatch):
+    # `--trace 1` wraps the library functions that bench/tracing.py LAYERS
+    # names; a traced unit must still run, and its spans must reach the
+    # episode losses through the training loop
+    workloads, pkg, path = bench
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    dataset, _ = workloads.prepare("consistency", path)
+    workload = workloads.TrainingWorkload(pkg, workloads.WORKLOADS["consistency"], SEED, path, dataset)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        _, result = workload.run_unit(0, tag=tracer.set_request)
+    problems, _ = workload.check_unit(result)
+    assert problems == [[]]
+    totals = tracing.layer_totals(tracer.spans(), set(tracer.requests))
+    for name in ("protonet.supervised_episode_loss", "consistency.combined_training_step"):
+        assert totals[name].calls == workloads.EPISODES
+
+
 def test_paraphrase_unit_passes_checks(bench):
     workloads, pkg, path = bench
     dataset, lm = workloads.prepare("paraphrase", path)

@@ -6,7 +6,7 @@ import pytest
 
 from paraproto.cli import build_parser, main, resolve_data_path
 from paraproto.decoding import DecodeConfig
-from paraproto.experiment import RunConfig
+from paraproto.experiment import RunConfig, RunReport
 from paraproto.synth import generate_synthetic_dataset
 from test_experiment import rejects
 
@@ -101,6 +101,40 @@ class TestTrain:
         assert "--save-checkpoints does not apply to --pmask-sweep" in capsys.readouterr().err
         assert trained == [] and not out.exists()
 
+    @pytest.mark.parametrize("flags, config_text", [
+        (["--strategy", "none"], None),
+        (["--strategy", "dbs"], None),
+        ([], "strategy=dbs\n"),
+    ])
+    def test_sweep_of_another_strategy_fails_before_any_training(
+        self, corpus_path, tmp_path, capsys, monkeypatch, flags, config_text
+    ):
+        # the sweep trains dbs_unigram at every p_mask; it once replaced any
+        # other strategy, from a flag or a config file, without a word
+        import paraproto.experiment as experiment
+
+        trained = []
+        monkeypatch.setattr(experiment, "train_single_seed", lambda *args: trained.append(args))
+        if config_text is not None:
+            (tmp_path / "run.conf").write_text(config_text)
+            flags = ["--config", str(tmp_path / "run.conf")]
+        out = tmp_path / "sweep"
+        code = main(["train", "--dataset", corpus_path, "--out", str(out), "--pmask-sweep", *flags, *TINY_TRAIN])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "--pmask-sweep" in err and "dbs_unigram" in err
+        assert trained == [] and not out.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--strategy", "dbs_unigram"]])
+    def test_sweep_without_another_strategy_trains_dbs_unigram(self, corpus_path, tmp_path, flags):
+        out = tmp_path / "sweep"
+        code = main(["train", "--dataset", corpus_path, "--out", str(out), "--pmask-sweep", *flags,
+                     *TINY_TRAIN, "--max-episodes", "10", "--eval-episodes", "2", "--unlabeled", "2"])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["method"] == "dbs_unigram"
+        assert [point[0] for point in report["pmask_series"]] == [round(0.1 * i, 1) for i in range(11)]
+
     def test_missing_dataset_fails(self, tmp_path, capsys):
         code = main(["train", "--dataset", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "r"), *TINY_TRAIN])
@@ -124,10 +158,10 @@ def capture_evaluate(monkeypatch):
 
     seen = []
 
-    def fake_evaluate(params, vocab, dataset, split, part, n_way, k_shot, query_per_class, n_episodes, rng,
+    def fake_evaluate(params, tokens, dataset, split, part, n_way, k_shot, query_per_class, n_episodes, rng,
                       distance):
         seen.append({"split": split, "part": part, "shape": (n_way, k_shot, query_per_class, n_episodes),
-                     "distance": distance})
+                     "distance": distance, "tokens": len(tokens), "records": len(dataset)})
         return EvalResult(mean_accuracy=0.0, per_episode_accuracies=[], episode_count=0)
 
     monkeypatch.setattr(cli, "evaluate", fake_evaluate)
@@ -155,7 +189,8 @@ class TestEvaluate:
         ratios = RunConfig(dataset_path=corpus_path).split_ratios
         assert split_classes(dataset, ratios, seed=1) != split_classes(dataset, ratios, seed=0)
         assert seen == [{"split": split_classes(dataset, ratios, seed=1), "part": "test",
-                         "shape": (3, 1, 3, 6), "distance": "sqeuclidean"}]
+                         "shape": (3, 1, 3, 6), "distance": "sqeuclidean",
+                         "tokens": len(dataset), "records": len(dataset)}]
 
     def test_flags_override_the_runs_episode_shape(self, corpus_path, trained_run, monkeypatch):
         seen = capture_evaluate(monkeypatch)
@@ -338,6 +373,21 @@ class TestReport:
         assert code == 0
         assert (out2 / "report.json").read_bytes() == (out / "report.json").read_bytes()
         assert (out2 / "results.csv").read_bytes() == (out / "results.csv").read_bytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda report: [report], "a report must be a JSON object, got list"),
+        (lambda report: {k: v for k, v in report.items() if k != "mean_accuracy"},
+         "report is missing key 'mean_accuracy'"),
+        (lambda report: {**report, "extra": 1}, "report has unknown key 'extra'"),
+    ])
+    def test_malformed_report_exits_nonzero_naming_the_problem(self, tmp_path, capsys, edit, message):
+        report = RunReport(method="none", profile="full", n_way=3, k_shot=1, seed_results=[])
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(edit(json.loads(report.to_json()))))
+        code = main(["report", "--report", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestDataDirEnv:

@@ -14,7 +14,7 @@ from paraproto.consistency import (
 from paraproto.encoder import AdamState, EncoderParams, Vocabulary, encode, optimizer_step, tokenize
 from paraproto.numerics import COSINE, SQUARED_EUCLIDEAN, softmax_over_neg_distances
 from paraproto.protonet import softmax_cross_entropy_episode, supervised_episode_loss
-from rowstub import episode_records, text_batch, text_episode
+from rowstub import episode_tokens, text_batch
 
 
 VOCAB = Vocabulary.from_texts(["a b x y z p q"])
@@ -207,23 +207,21 @@ class TestAnnealWeight:
 
 
 def _episode_and_batch():
-    episode = text_episode(
-        support=[("red apple", "a"), ("green pear", "b")],
-        query=[("red fruit apple", "a"), ("green fruit pear", "b")],
-        episode_classes=["a", "b"],
-    )
+    """A 2-way 1-shot episode's token rows, an unlabeled batch, and their
+    vocabulary."""
+    support = [("red apple", "a"), ("green pear", "b")]
+    query = [("red fruit apple", "a"), ("green fruit pear", "b")]
     unlabeled = ["blue plum", "red apple"]
     paraphrases = [["azure plum", "blue fruit"], ["crimson apple", "red fruit"]]
-    support, query = episode_records(episode)
     texts = [t for t, _ in support + query]
     texts += unlabeled + [p for row in paraphrases for p in row]
     vocab = Vocabulary.from_texts(texts)
-    return episode, text_batch(unlabeled, paraphrases, vocab), vocab
+    return episode_tokens(support, query, vocab), text_batch(unlabeled, paraphrases, vocab), vocab
 
 
 class TestCombinedTrainingStep:
     def test_step_zero_equals_pure_supervised(self):
-        episode, batch, vocab = _episode_and_batch()
+        tokens, batch, vocab = _episode_and_batch()
         schedule = AnnealSchedule(alpha=1.0, total_steps=100)
 
         params_a = EncoderParams.init(len(vocab), 4, 4, np.random.default_rng(3))
@@ -231,8 +229,8 @@ class TestCombinedTrainingStep:
         adam_a = AdamState.for_params(params_a)
         adam_b = AdamState.for_params(params_b)
 
-        losses = combined_training_step(episode, batch, params_a, adam_a, schedule, 0, vocab)
-        sup_loss, sup_grads = supervised_episode_loss(episode, params_b, vocab)
+        losses = combined_training_step(tokens, 2, 1, batch, params_a, adam_a, schedule, 0)
+        sup_loss, sup_grads = supervised_episode_loss(params_b, tokens, 2, 1)
         optimizer_step(adam_b, params_b, sup_grads)
 
         assert losses.weight == 0.0
@@ -242,7 +240,7 @@ class TestCombinedTrainingStep:
         np.testing.assert_array_equal(params_a.bias, params_b.bias)
 
     def test_final_step_equals_pure_unsupervised(self):
-        episode, batch, vocab = _episode_and_batch()
+        tokens, batch, vocab = _episode_and_batch()
         schedule = AnnealSchedule(alpha=1.0, total_steps=100)
 
         params_a = EncoderParams.init(len(vocab), 4, 4, np.random.default_rng(4))
@@ -250,7 +248,7 @@ class TestCombinedTrainingStep:
         adam_a = AdamState.for_params(params_a)
         adam_b = AdamState.for_params(params_b)
 
-        losses = combined_training_step(episode, batch, params_a, adam_a, schedule, 100, vocab)
+        losses = combined_training_step(tokens, 2, 1, batch, params_a, adam_a, schedule, 100)
         unsup_loss, unsup_grads = unsupervised_loss(batch, params_b)
         optimizer_step(adam_b, params_b, unsup_grads)
 
@@ -259,27 +257,27 @@ class TestCombinedTrainingStep:
         np.testing.assert_array_equal(params_a.embedding, params_b.embedding)
 
     def test_midpoint_gradient_is_average(self):
-        episode, batch, vocab = _episode_and_batch()
+        tokens, batch, vocab = _episode_and_batch()
         schedule = AnnealSchedule(alpha=1.0, total_steps=2)
         params = EncoderParams.init(len(vocab), 4, 4, np.random.default_rng(5))
 
-        _, sup_grads = supervised_episode_loss(episode, params, vocab)
+        _, sup_grads = supervised_episode_loss(params, tokens, 2, 1)
         _, unsup_grads = unsupervised_loss(batch, params)
         expected = 0.5 * (sup_grads.vector + unsup_grads.vector)
 
         # recompute what the combined step applies by reading the Adam moment
         adam = AdamState.for_params(params)
-        combined_training_step(episode, batch, params, adam, schedule, 1, vocab)
+        combined_training_step(tokens, 2, 1, batch, params, adam, schedule, 1)
         applied = adam.m / (1.0 - adam.beta1)
         np.testing.assert_allclose(applied, expected, atol=1e-10)
 
     def test_loss_linearity_over_steps(self):
-        episode, batch, vocab = _episode_and_batch()
+        tokens, batch, vocab = _episode_and_batch()
         schedule = AnnealSchedule(alpha=2.0, total_steps=10)
         for step in (0, 3, 7, 10):
             params = EncoderParams.init(len(vocab), 4, 4, np.random.default_rng(6))
             adam = AdamState.for_params(params)
-            losses = combined_training_step(episode, batch, params, adam, schedule, step, vocab)
+            losses = combined_training_step(tokens, 2, 1, batch, params, adam, schedule, step)
             t = (step / 10) ** 2
             assert losses.total == pytest.approx(
                 t * losses.unsupervised + (1 - t) * losses.supervised, rel=1e-12

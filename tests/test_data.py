@@ -18,7 +18,7 @@ from paraproto.data import (
     split_classes,
 )
 from paraproto.synth import generate_synthetic_dataset
-from rowstub import episode_records, unlabeled_texts
+from rowstub import episode_labels, episode_records, unlabeled_texts
 
 
 def class_size(dataset, label):
@@ -157,20 +157,32 @@ class TestSampleEpisode:
     def test_counts(self, corpus):
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
         rng = np.random.default_rng(0)
-        ep = sample_episode(corpus, split, "train", 5, 1, 5, 5, rng)
-        support, query = episode_records(ep)
+        rows, unlabeled = sample_episode(corpus, split, "train", 5, 1, 5, 5, rng)
+        assert (rows.shape, unlabeled.shape) == ((1, 30), (1, 5))
+        support, query = episode_records(corpus, rows[0], 5, 1)
         assert len(support) == 5
         assert len(query) == 25
-        assert len(unlabeled_texts(ep)) == 5
-        assert len(ep.episode_classes) == 5
+        assert len(unlabeled_texts(corpus, unlabeled[0])) == 5
+        assert len(episode_labels(corpus, rows[0])) == 5
 
     def test_exact_shots_per_class(self, corpus):
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
-        ep = sample_episode(corpus, split, "train", 3, 2, 4, 0, np.random.default_rng(1))
-        support, query = episode_records(ep)
-        for label in ep.episode_classes:
+        rows, _ = sample_episode(corpus, split, "train", 3, 2, 4, 0, np.random.default_rng(1))
+        support, query = episode_records(corpus, rows[0], 3, 2)
+        for label in episode_labels(corpus, rows[0]):
             assert sum(1 for _, l in support if l == label) == 2
             assert sum(1 for _, l in query if l == label) == 4
+
+    def test_support_then_query_in_one_class_order(self, corpus):
+        # the losses read the layout, not the labels: support rows class by
+        # class, then query rows in the same class order
+        split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
+        rows, _ = sample_episodes(corpus, split, "train", 3, 2, 4, 0, 20, np.random.default_rng(5))
+        for episode in rows:
+            support, query = episode_records(corpus, episode, 3, 2)
+            order = [label for _, label in support[::2]]
+            assert [label for _, label in support] == [label for label in order for _ in range(2)]
+            assert [label for _, label in query] == [label for label in order for _ in range(4)]
 
     def test_support_query_disjoint(self):
         # unique texts make record identity observable from the outside
@@ -180,19 +192,19 @@ class TestSampleEpisode:
         split = split_classes(ds, (0.5, 0.25, 0.25), seed=0)
         rng = np.random.default_rng(2)
         for _ in range(50):
-            ep = sample_episode(ds, split, "train", 3, 2, 5, 0, rng)
-            support, query = episode_records(ep)
+            rows, _ = sample_episode(ds, split, "train", 3, 2, 5, 0, rng)
+            support, query = episode_records(ds, rows[0], 3, 2)
             assert not set(support) & set(query)
-            assert all(l in ep.episode_classes for _, l in support)
-            assert all(l in ep.episode_classes for _, l in query)
+            assert all(l in split.train_classes for _, l in support)
+            assert all(l in split.train_classes for _, l in query)
 
     def test_monte_carlo_class_coverage(self, corpus):
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
         rng = np.random.default_rng(3)
         seen = set()
         for _ in range(1000):
-            ep = sample_episode(corpus, split, "train", 5, 1, 1, 0, rng)
-            seen.update(ep.episode_classes)
+            rows, _ = sample_episode(corpus, split, "train", 5, 1, 1, 0, rng)
+            seen.update(episode_labels(corpus, rows[0]))
         assert seen == set(split.train_classes)
 
     def test_unlabeled_spans_all_parts(self, corpus):
@@ -201,8 +213,8 @@ class TestSampleEpisode:
         text_to_label = {t: l for t, l in corpus.records}
         hit_parts = set()
         for _ in range(200):
-            ep = sample_episode(corpus, split, "train", 5, 1, 5, 5, rng)
-            for text in unlabeled_texts(ep):
+            _, unlabeled = sample_episode(corpus, split, "train", 5, 1, 5, 5, rng)
+            for text in unlabeled_texts(corpus, unlabeled[0]):
                 label = text_to_label[text]
                 for name, part in (
                     ("train", split.train_classes),
@@ -245,9 +257,11 @@ class TestSampleEpisode:
 
     def test_seed_determinism(self, corpus):
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
-        a = sample_episode(corpus, split, "train", 5, 1, 5, 5, np.random.default_rng(9))
-        b = sample_episode(corpus, split, "train", 5, 1, 5, 5, np.random.default_rng(9))
-        assert episode_records(a) == episode_records(b) and unlabeled_texts(a) == unlabeled_texts(b)
+        (rows_a, unlabeled_a), (rows_b, unlabeled_b) = (
+            sample_episode(corpus, split, "train", 5, 1, 5, 5, np.random.default_rng(9)) for _ in range(2)
+        )
+        assert episode_records(corpus, rows_a[0], 5, 1) == episode_records(corpus, rows_b[0], 5, 1)
+        assert unlabeled_texts(corpus, unlabeled_a[0]) == unlabeled_texts(corpus, unlabeled_b[0])
 
 
 class TestSynthGenerator:
@@ -339,6 +353,11 @@ def _outcome(sample, *args):
         return ("error", str(exc))
 
 
+def _failed(outcome) -> bool:
+    """Whether `_outcome` caught an error; a draw's first item is an array."""
+    return isinstance(outcome[0], str)
+
+
 RAGGED = dict(
     sizes=st.lists(st.integers(1, 9), min_size=3, max_size=8),
     order_seed=st.integers(0, 2**16),
@@ -364,16 +383,16 @@ class TestKeySampler:
         rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         got = _outcome(sample_episode_rows, *args, n_episodes, rng)
         expected = [_outcome(_key_sampler_reference, *args, rng_ref) for _ in range(n_episodes)]
-        if got[0] == "error":
+        if _failed(got):
             assert [got] * n_episodes == expected
         else:
-            pool, chosen, rows, unlabeled = got
-            assert (chosen.shape, rows.shape, unlabeled.shape) == (
-                (n_episodes, n_way), (n_episodes, n_way, per_class), (n_episodes, n_unlabeled)
+            rows, unlabeled = got
+            assert (rows.shape, unlabeled.shape) == (
+                (n_episodes, n_way, per_class), (n_episodes, n_unlabeled)
             )
             assert unlabeled.dtype == np.intp
             for e, (classes, class_rows, unlabeled_rows) in enumerate(expected):
-                assert [pool[i] for i in chosen[e]] == classes
+                assert [ds.records[r][1] for r in rows[e, :, 0]] == classes
                 assert rows[e].tolist() == class_rows
                 assert unlabeled[e].tolist() == unlabeled_rows
         assert rng.bit_generator.state == rng_ref.bit_generator.state
@@ -388,15 +407,16 @@ class TestKeySampler:
         outcome = _outcome(
             sample_episode_rows, ds, split, part, n_way, per_class, n_unlabeled, 30, rng
         )
-        if outcome[0] == "error":
+        if _failed(outcome):
             return
-        pool, chosen, rows, unlabeled = outcome
+        rows, unlabeled = outcome
         assert rows.min() >= 0
         for e in range(30):
-            for c, i in enumerate(chosen[e]):
-                assert {ds.records[r][1] for r in rows[e, c]} == {pool[i]}
+            for class_rows in rows[e]:
+                assert len(episode_labels(ds, class_rows)) == 1
+                assert episode_labels(ds, class_rows) <= split.part(part)
             assert len(set(rows[e].ravel().tolist())) == n_way * per_class
-            assert len(set(chosen[e].tolist())) == n_way
+            assert len(episode_labels(ds, rows[e, :, 0])) == n_way
             assert len(set(unlabeled[e].tolist())) == n_unlabeled
 
     @pytest.mark.parametrize("cap", [SAMPLE_BLOCK_BYTES, 1])
@@ -406,28 +426,52 @@ class TestKeySampler:
         args = (corpus, split, part, 5, 6, n_unlabeled)
         rng, rng_one = np.random.default_rng(12), np.random.default_rng(12)
         monkeypatch.setattr(data, "SAMPLE_BLOCK_BYTES", cap)
-        pool, chosen, rows, unlabeled = sample_episode_rows(*args, 60, rng)
+        rows, unlabeled = sample_episode_rows(*args, 60, rng)
         monkeypatch.undo()
         for e in range(60):
             one = sample_episode_rows(*args, 1, rng_one)
-            assert one[0] == pool
-            np.testing.assert_array_equal(one[1][0], chosen[e])
-            np.testing.assert_array_equal(one[2][0], rows[e])
-            np.testing.assert_array_equal(one[3][0], unlabeled[e])
+            np.testing.assert_array_equal(one[0][0], rows[e])
+            np.testing.assert_array_equal(one[1][0], unlabeled[e])
         assert rng.bit_generator.state == rng_one.bit_generator.state
 
     def test_episodes_equal_single_episode_calls(self, corpus):
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
         args = (corpus, split, "train", 3, 2, 4, 5)
         rng, rng_one = np.random.default_rng(13), np.random.default_rng(13)
-        block = sample_episodes(*args, 25, rng)
-        for episode in block:
-            one = sample_episode(*args, rng_one)
-            np.testing.assert_array_equal(one.rows, episode.rows)
-            np.testing.assert_array_equal(one.classes, episode.classes)
-            np.testing.assert_array_equal(one.unlabeled_rows, episode.unlabeled_rows)
-            assert (one.n_support, one.episode_classes) == (episode.n_support, episode.episode_classes)
+        rows, unlabeled = sample_episodes(*args, 25, rng)
+        assert (rows.shape, unlabeled.shape) == ((25, 3 * (2 + 4)), (25, 5))
+        for e in range(25):
+            one_rows, one_unlabeled = sample_episode(*args, rng_one)
+            np.testing.assert_array_equal(one_rows, rows[e : e + 1])
+            np.testing.assert_array_equal(one_unlabeled, unlabeled[e : e + 1])
         assert rng.bit_generator.state == rng_one.bit_generator.state
+
+    @settings(max_examples=150, deadline=None)
+    @given(k_shot=st.integers(1, 2), n_episodes=st.integers(1, 4), **{
+        **RAGGED, "sizes": st.lists(st.integers(1, 9), min_size=4, max_size=8),
+        "part": st.just("train"), "n_way": st.integers(2, 3), "per_class": st.integers(1, 3),
+    })
+    def test_episodes_are_key_sampler_rows_support_then_query(
+        self, sizes, order_seed, part, n_way, per_class, n_unlabeled, seed, k_shot, n_episodes
+    ):
+        # per_class plays query_per_class here: an episode draws k_shot + it
+        # rows of each class, of which the first k_shot are support. The
+        # train part and small shapes let about a third of the draws succeed.
+        ds, split = _ragged_dataset(sizes, order_seed)
+        rng, rng_rows = np.random.default_rng(seed), np.random.default_rng(seed)
+        args = (ds, split, part, n_way)
+        got = _outcome(sample_episodes, *args, k_shot, per_class, n_unlabeled, n_episodes, rng)
+        expected = _outcome(sample_episode_rows, *args, k_shot + per_class, n_unlabeled, n_episodes, rng_rows)
+        if _failed(got):
+            assert got == expected
+        else:
+            rows, unlabeled = got
+            class_rows, expected_unlabeled = expected
+            support = class_rows[:, :, :k_shot].reshape(n_episodes, -1)
+            query = class_rows[:, :, k_shot:].reshape(n_episodes, -1)
+            np.testing.assert_array_equal(rows, np.concatenate((support, query), axis=1))
+            np.testing.assert_array_equal(unlabeled, expected_unlabeled)
+        assert rng.bit_generator.state == rng_rows.bit_generator.state
 
     @pytest.mark.parametrize(
         "train, per_class, n_unlabeled, message",
@@ -452,9 +496,13 @@ class TestKeySampler:
         # each of a drawn class's 30 rows with probability per_class / 30;
         # binomial standard deviations over 20,000 episodes are below 0.004
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
-        pool, chosen, rows, _ = sample_episode_rows(
+        rows, _ = sample_episode_rows(
             corpus, split, "train", 5, 6, 0, 20_000, np.random.default_rng(14)
         )
+        pool = sorted(split.train_classes)
+        # each drawn class's index into the sorted train classes, read from its first row
+        class_index = np.array([pool.index(label) if label in pool else -1 for _, label in corpus.records])
+        chosen = class_index[rows[:, :, 0]]
         class_rate = np.bincount(chosen.ravel(), minlength=len(pool)) / 20_000
         np.testing.assert_allclose(class_rate, 5 / len(pool), atol=0.02)
         row_counts = np.bincount(rows.ravel(), minlength=len(corpus))
@@ -471,13 +519,13 @@ class TestKeySampler:
         rng = np.random.default_rng(15)
         tracemalloc.start()
         try:
-            _, chosen, rows, unlabeled = sample_episode_rows(
+            rows, unlabeled = sample_episode_rows(
                 working, split, "train", 5, 6, 5, 10_000, rng
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        output = chosen.nbytes + rows.nbytes + unlabeled.nbytes
+        output = rows.nbytes + unlabeled.nbytes
         assert peak < output + 4 * SAMPLE_BLOCK_BYTES
 
     def test_error_messages_unchanged(self):

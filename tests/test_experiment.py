@@ -11,7 +11,7 @@ from paraproto.consistency import AnnealSchedule
 from paraproto.configio import dataclass_from_kv, dataclass_to_kv
 from paraproto.data import load_dataset
 from paraproto.decoding import STRATEGIES, DecodeConfig, SynonymBigramLM, generate_paraphrase_batch
-from paraproto.encoder import AdamState
+from paraproto.encoder import AdamState, TokenRows
 from paraproto.experiment import (
     METHODS,
     PMASK_GRID,
@@ -332,7 +332,7 @@ class TestEarlyStopping:
         split = split_classes(ds, cfg.split_ratios, seed=0)
         rng_test = _rngs(0, 5)[3]
         replay = evaluate(
-            best_params, vocab, ds, split, TEST, cfg.n_way, cfg.k_shot,
+            best_params, TokenRows.from_texts(ds.texts(), vocab), ds, split, TEST, cfg.n_way, cfg.k_shot,
             cfg.query_per_class, cfg.n_eval_episodes, rng_test, cfg.distance,
         )
         assert result.test_accuracy == replay.mean_accuracy
@@ -464,6 +464,20 @@ class TestEmitReport:
         return RunReport(method="dbs", profile="low", n_way=5, k_shot=1,
                          seed_results=results)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: [obj], r"^a report must be a JSON object, got list$"),
+        (lambda obj: 3, r"^a report must be a JSON object, got int$"),
+        (lambda obj: {k: v for k, v in obj.items() if k != "mean_accuracy"},
+         r"^report is missing key 'mean_accuracy'$"),
+        (lambda obj: {k: v for k, v in obj.items() if k != "seed_results"},
+         r"^report is missing key 'seed_results'$"),
+        (lambda obj: {**obj, "extra": 1}, r"^report has unknown key 'extra'$"),
+    ])
+    def test_malformed_report_json_names_the_problem(self, edit, message):
+        text = json.dumps(edit(json.loads(self._report().to_json())))
+        with pytest.raises(ValueError, match=message):
+            RunReport.from_json(text)
+
     def test_csv_round_trip_bit_exact(self, tmp_path):
         report = self._report()
         emit_report(report, tmp_path)
@@ -538,8 +552,8 @@ class TestLearnability:
             held_rng = np.random.default_rng(500 + seed)
             batches = []
             for _ in range(3):
-                ep = sample_episode(ds, split, "train", 2, 1, 1, 4, held_rng)
-                sentences = unlabeled_texts(ep)
+                _, unlabeled = sample_episode(ds, split, "train", 2, 1, 1, 4, held_rng)
+                sentences = unlabeled_texts(ds, unlabeled[0])
                 paras = [
                     generate_paraphrases(lm, s, 3, "dbs", decode, held_rng)
                     for s in sentences

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paraproto.data import Dataset, sample_episode, split_classes
-from paraproto.encoder import EncoderParams, Vocabulary, encode_batch, tokenize
+from paraproto.encoder import EncoderParams, TokenRows, Vocabulary, encode_batch, tokenize
 from gradcheck import finite_difference_gradient, gradient_check
 from paraproto.numerics import COSINE, SQUARED_EUCLIDEAN
 from paraproto.protonet import (
@@ -18,26 +18,34 @@ from paraproto.protonet import (
 )
 from paraproto.synth import generate_synthetic_dataset
 from paraproto.data import load_dataset
-from rowstub import episode_records, text_episode
+from rowstub import episode_records, episode_tokens
 
 
 def _episode_setup(texts_by_class, k_shot, seed=0):
-    episode = _episode_from(texts_by_class, k_shot)
-    support, query = episode_records(episode)
+    """An episode's (support, query, labels) records, its vocabulary and
+    parameters."""
+    support, query = _episode_from(texts_by_class, k_shot)
     vocab = Vocabulary.from_texts([t for t, _ in support + query])
     params = EncoderParams.init(len(vocab), 5, 4, np.random.default_rng(seed))
-    return episode, vocab, params
+    return (support, query, list(texts_by_class)), vocab, params
 
 
 def encode_episode(episode, params, vocab):
     """Token lists, class index per row, embeddings and (prototypes, shots)
-    of an episode's support-then-query rows, each row tokenized from its text."""
-    support, query = episode_records(episode)
+    of an episode's support-then-query records, each row tokenized from its
+    text; each row's class is its label's index in the episode's labels."""
+    support, query, labels = episode
+    order = {label: i for i, label in enumerate(labels)}
     tokens = [tokenize(text) for text, _ in support + query]
-    classes, n_support = episode.classes, episode.n_support
+    classes, n_support = np.array([order[label] for _, label in support + query]), len(support)
     embs = encode_batch(params, tokens, vocab)
-    protos, shots = prototypes(embs[:n_support], classes[:n_support], len(episode.episode_classes))
+    protos, shots = prototypes(embs[:n_support], classes[:n_support], len(labels))
     return tokens, classes, embs, protos, shots
+
+
+def run_tokens(dataset, vocab):
+    """Every record's ids, row i for record i, as a training run builds them."""
+    return TokenRows.from_texts(dataset.texts(), vocab)
 
 
 class TestComputePrototypes:
@@ -54,9 +62,7 @@ class TestComputePrototypes:
             {"a": ["x y", "y", "x"], "b": ["z", "x z", "y"]}, 2
         )
         tokens, classes, embs, protos, _ = encode_episode(episode, params, vocab)
-        support = encode_batch(
-            params, [tokenize(t) for t, _ in episode_records(episode)[0]], vocab
-        )
+        support = encode_batch(params, [tokenize(t) for t, _ in episode[0]], vocab)
         np.testing.assert_allclose(protos[0], support[:2].mean(axis=0), rtol=1e-12)
         np.testing.assert_allclose(protos[1], support[2:].mean(axis=0), rtol=1e-12)
         np.testing.assert_array_equal(classes, [0, 0, 1, 1, 0, 1])
@@ -66,8 +72,8 @@ class TestComputePrototypes:
         episode, vocab, params = _episode_setup(
             {"a": ["x y", "y", "x"], "b": ["z", "x z", "y"]}, 2
         )
-        support, query = episode_records(episode)
-        reordered = text_episode(support[::-1], query, episode.episode_classes)
+        support, query, labels = episode
+        reordered = (support[::-1], query, labels)
         a = encode_episode(episode, params, vocab)[3]
         b = encode_episode(reordered, params, vocab)[3]
         np.testing.assert_allclose(a, b, rtol=1e-12)
@@ -120,62 +126,62 @@ class TestClassify:
 
 
 def _episode_from(texts_by_class: dict[str, list[str]], k_shot: int):
+    """(text, label) support and query records, class by class: each
+    class's first k_shot texts are support, the rest query."""
     support, query = [], []
     for label, texts in texts_by_class.items():
         for text in texts[:k_shot]:
             support.append((text, label))
         for text in texts[k_shot:]:
             query.append((text, label))
-    return text_episode(support, query, list(texts_by_class))
+    return support, query
 
 
 class TestSupervisedEpisodeLoss:
     def test_collapsed_encoder_gives_log_c(self):
-        episode = _episode_from(
+        support, query = _episode_from(
             {f"c{i}": [f"word{i} a", f"word{i} b"] for i in range(5)}, k_shot=1
         )
-        support, query = episode_records(episode)
         vocab = Vocabulary.from_texts([t for t, _ in support + query])
         params = EncoderParams.init(len(vocab), 4, 4, np.random.default_rng(0))
         params.embedding[:] = 0.0
         params.projection[:] = 0.0
         params.bias[:] = 0.0
-        loss, _ = supervised_episode_loss(episode, params, vocab)
+        loss, _ = supervised_episode_loss(params, episode_tokens(support, query, vocab), 5, 1)
         assert loss == pytest.approx(math.log(5.0), rel=1e-9)
 
     def test_separated_classes_give_near_zero_loss(self):
-        episode = _episode_from({"a": ["aa aa", "aa aa"], "b": ["bb bb", "bb bb"]}, k_shot=1)
+        support, query = _episode_from({"a": ["aa aa", "aa aa"], "b": ["bb bb", "bb bb"]}, k_shot=1)
         vocab = Vocabulary.from_texts(["aa bb"])
         params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(1))
         # push the two words far apart in embedding space
         params.embedding[vocab.index("aa")] = 3.0
         params.embedding[vocab.index("bb")] = -3.0
-        loss, _ = supervised_episode_loss(episode, params, vocab)
+        loss, _ = supervised_episode_loss(params, episode_tokens(support, query, vocab), 2, 1)
         assert loss < 0.01
 
     def test_loss_nonnegative(self):
-        episode = _episode_from({"a": ["x y", "y z"], "b": ["p q", "q r"]}, k_shot=1)
-        support, query = episode_records(episode)
+        support, query = _episode_from({"a": ["x y", "y z"], "b": ["p q", "q r"]}, k_shot=1)
         vocab = Vocabulary.from_texts([t for t, _ in support + query])
         params = EncoderParams.init(len(vocab), 6, 6, np.random.default_rng(2))
-        loss, _ = supervised_episode_loss(episode, params, vocab)
+        loss, _ = supervised_episode_loss(params, episode_tokens(support, query, vocab), 2, 1)
         assert loss >= 0.0
 
     @pytest.mark.parametrize("distance", [SQUARED_EUCLIDEAN, COSINE])
     def test_gradients_match_finite_differences(self, distance):
         rng = np.random.default_rng(17)
-        episode = _episode_from(
+        support, query = _episode_from(
             {"a": ["foo bar", "bar baz", "foo baz"], "b": ["qux quux", "quux foo", "qux bar"]},
             k_shot=2,
         )
-        support, query = episode_records(episode)
         vocab = Vocabulary.from_texts([t for t, _ in support + query])
         params = EncoderParams.init(len(vocab), 5, 4, rng)
+        tokens = episode_tokens(support, query, vocab)
 
         def loss_fn(flat):
-            return supervised_episode_loss(episode, params.with_flat(flat), vocab, distance)[0]
+            return supervised_episode_loss(params.with_flat(flat), tokens, 2, 2, distance)[0]
 
-        _, grads = supervised_episode_loss(episode, params, vocab, distance)
+        _, grads = supervised_episode_loss(params, tokens, 2, 2, distance)
         numeric = finite_difference_gradient(loss_fn, params.vector)
         report = gradient_check(grads.vector, numeric)
         assert report.max_relative_error < 1e-4
@@ -197,7 +203,7 @@ class TestEvaluate:
         # to index 0 and accuracy is exactly chance on average
         params.embedding[:] = 0.0
         result = evaluate(
-            params, vocab, corpus, split, "train", 5, 1, 5, 600, np.random.default_rng(1)
+            params, run_tokens(corpus, vocab), corpus, split, "train", 5, 1, 5, 600, np.random.default_rng(1)
         )
         assert result.mean_accuracy == pytest.approx(0.2, abs=0.03)
 
@@ -211,7 +217,7 @@ class TestEvaluate:
             params.embedding[vocab.index(f"kw{c}")] = 0.0
             params.embedding[vocab.index(f"kw{c}")][c % 16] = 5.0
         result = evaluate(
-            params, vocab, ds, split, "train", 2, 1, 3, 50, np.random.default_rng(2)
+            params, run_tokens(ds, vocab), ds, split, "train", 2, 1, 3, 50, np.random.default_rng(2)
         )
         assert result.mean_accuracy == 1.0
 
@@ -220,7 +226,7 @@ class TestEvaluate:
         vocab = Vocabulary.from_texts(corpus.texts())
         params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(3))
         before = params.copy()
-        evaluate(params, vocab, corpus, split, "valid", 5, 1, 5, 20, np.random.default_rng(4))
+        evaluate(params, run_tokens(corpus, vocab), corpus, split, "valid", 5, 1, 5, 20, np.random.default_rng(4))
         np.testing.assert_array_equal(params.embedding, before.embedding)
         np.testing.assert_array_equal(params.projection, before.projection)
         np.testing.assert_array_equal(params.bias, before.bias)
@@ -231,14 +237,14 @@ class TestEvaluate:
         params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(7))
         params.bias[0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            evaluate(params, vocab, corpus, split, "test", 5, 1, 5, 2, np.random.default_rng(8))
+            evaluate(params, run_tokens(corpus, vocab), corpus, split, "test", 5, 1, 5, 2, np.random.default_rng(8))
 
     def test_mean_matches_per_episode_values(self, corpus):
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
         vocab = Vocabulary.from_texts(corpus.texts())
         params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(5))
         result = evaluate(
-            params, vocab, corpus, split, "test", 5, 1, 5, 30, np.random.default_rng(6)
+            params, run_tokens(corpus, vocab), corpus, split, "test", 5, 1, 5, 30, np.random.default_rng(6)
         )
         assert result.mean_accuracy == pytest.approx(np.mean(result.per_episode_accuracies))
         assert result.episode_count == 30
@@ -250,9 +256,10 @@ def _per_episode_encode_evaluate(params, vocab, dataset, split, part, n_way, k_s
     tokenizes and encodes its own support and query rows."""
     accuracies = []
     for _ in range(n_episodes):
-        ep = sample_episode(dataset, split, part, n_way, k_shot, query_per_class, 0, rng)
-        _, classes, embs, protos, _ = encode_episode(ep, params, vocab)
-        support, query = episode_records(ep)
+        rows, _ = sample_episode(dataset, split, part, n_way, k_shot, query_per_class, 0, rng)
+        support, query = episode_records(dataset, rows[0], n_way, k_shot)
+        labels = list(dict.fromkeys(label for _, label in support))  # the drawn class order
+        _, classes, embs, protos, _ = encode_episode((support, query, labels), params, vocab)
         n_support = len(support)
         queries = embs[n_support:]
         if distance == SQUARED_EUCLIDEAN:
@@ -282,10 +289,10 @@ class TestEvaluateEncodesPartOnce:
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=seed)
         vocab = Vocabulary.from_texts(corpus.texts())
         params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(seed))
-        args = (params, vocab, corpus, split, "valid", 5, k_shot, 5, n_episodes)
+        args = (corpus, split, "valid", 5, k_shot, 5, n_episodes)
         rng, rng_oracle = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
-        result = evaluate(*args, rng, distance)
-        oracle = _per_episode_encode_evaluate(*args, rng_oracle, distance)
+        result = evaluate(params, run_tokens(corpus, vocab), *args, rng, distance)
+        oracle = _per_episode_encode_evaluate(params, vocab, *args, rng_oracle, distance)
         assert result.per_episode_accuracies == oracle
         assert result.episode_count == n_episodes
         assert rng.bit_generator.state == rng_oracle.bit_generator.state
@@ -295,7 +302,7 @@ class TestEvaluateEncodesPartOnce:
         vocab = Vocabulary.from_texts(corpus.texts())
         params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(0))
         with pytest.raises(ValueError, match="has no support examples"):
-            evaluate(params, vocab, corpus, split, "valid", 5, 0, 5, 3, np.random.default_rng(1))
+            evaluate(params, run_tokens(corpus, vocab), corpus, split, "valid", 5, 0, 5, 3, np.random.default_rng(1))
 
     @pytest.mark.parametrize(
         "n_way, k_shot, query_per_class, n_episodes, message",
@@ -316,8 +323,22 @@ class TestEvaluateEncodesPartOnce:
         rng = np.random.default_rng(1)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match=message):
-            evaluate(params, vocab, corpus, split, "valid", n_way, k_shot, query_per_class,
+            evaluate(params, run_tokens(corpus, vocab), corpus, split, "valid", n_way, k_shot, query_per_class,
                      n_episodes, rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 599, 601])
+    def test_tokens_of_another_length_rejected_before_any_draw(self, corpus, n_rows):
+        # row i of the token rows is record i, so a shorter or longer set
+        # cannot belong to this dataset
+        split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
+        vocab = Vocabulary.from_texts(corpus.texts())
+        params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(0))
+        texts = (corpus.texts() * 2)[:n_rows]
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=rf"^{n_rows} token rows for a dataset of 600 records$"):
+            evaluate(params, TokenRows.from_texts(texts, vocab), corpus, split, "valid", 5, 1, 5, 3, rng)
         assert rng.bit_generator.state == before
 
     def test_block_memory_stays_small(self, corpus):
@@ -326,10 +347,10 @@ class TestEvaluateEncodesPartOnce:
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
         vocab = Vocabulary.from_texts(corpus.texts())
         params = EncoderParams.init(len(vocab), 32, 32, np.random.default_rng(0))
-        corpus.token_rows(vocab)  # built once per training run, not per evaluation
+        tokens = run_tokens(corpus, vocab)  # built once per training run, not per evaluation
         tracemalloc.start()
         try:
-            evaluate(params, vocab, corpus, split, "valid", 5, 1, 5, 200, np.random.default_rng(1))
+            evaluate(params, tokens, corpus, split, "valid", 5, 1, 5, 200, np.random.default_rng(1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
