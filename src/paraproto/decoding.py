@@ -17,7 +17,7 @@ from typing import NamedTuple, Protocol, Sequence
 import numpy as np
 
 from .encoder import tokenize
-from .metrics import BleuReference, bleu_reference, bleu_scores
+from .metrics import bleu_by_source
 
 STRATEGIES = ("dbs", "dbs_unigram", "dbs_bigram", "stub_bt")
 CURVES = ("flat", "down", "up")
@@ -58,7 +58,7 @@ class ConstraintSet:
 
 
 class Beam(NamedTuple):
-    """One decoded hypothesis. `score` includes any diversity penalties payed
+    """One decoded hypothesis. `score` includes any diversity penalties paid
     during selection; `raw_score` is the pure cumulative LM log-probability."""
 
     tokens: tuple[int, ...]
@@ -300,19 +300,23 @@ def diverse_beam_search(
 
 
 def select_most_diverse(
-    groups: Sequence[Sequence[Beam]], reference: BleuReference, vocab: Sequence[str]
-) -> list[Beam]:
-    """Per group, the beam with the lowest BLEU against the reference (the
-    source, counted once per decode by `bleu_reference([source])`); ties ->
-    highest LM score. The beams of all groups are scored in one pass."""
-    if not groups or not all(groups):
+    decoded: Sequence[Sequence[Sequence[Beam]]], sources: Sequence[Sequence[str]], vocab: Sequence[str]
+) -> list[list[Beam]]:
+    """For each source of one search, per group, the beam with the lowest
+    BLEU against that source; ties -> highest LM score. `decoded[s]` holds
+    source s's groups, as `diverse_beam_search` returns them. The beams of
+    every source are scored in one `bleu_by_source` pass, on the token ids
+    they hold; a source token outside `vocab` matches no beam token."""
+    if not all(groups and all(groups) for groups in decoded):
         raise ValueError("empty beam group")
-    bleus = iter(bleu_scores([b.texts(vocab) for group in groups for b in group], reference, smooth=True))
-    best = []
-    for group in groups:
-        _, _, i = min((next(bleus), -beam.raw_score, i) for i, beam in enumerate(group))
-        best.append(group[i])
-    return best
+    index = _token_ids(tuple(vocab))
+    references = [[[index.get(tok, len(vocab)) for tok in source]] for source in sources]
+    beams = [(s, beam.tokens) for s, groups in enumerate(decoded) for group in groups for beam in group]
+    bleus = iter(bleu_by_source([b for _, b in beams], [s for s, _ in beams], references, smooth=True))
+    return [
+        [group[min((next(bleus), -beam.raw_score, i) for i, beam in enumerate(group))[2]] for group in groups]
+        for groups in decoded
+    ]
 
 
 def stub_backtranslate(
@@ -392,8 +396,7 @@ def generate_paraphrase_batch(
             max_lens=[config.resolved_max_len(len(s)) for s in chunk],
             constraints=None if constraints is None else constraints[i : i + cap],
         )
-        for source, groups in zip(chunk, decoded):
-            best = select_most_diverse(groups, bleu_reference([source]), lm.vocab)
+        for best in select_most_diverse(decoded, chunk, lm.vocab):
             out.append([" ".join(beam.texts(lm.vocab)) for beam in best])
     return out
 
@@ -471,11 +474,11 @@ class SynonymBigramLM:
         there, targets j + 1. The copy mass is one share per listing on the
         targets' tokens (an out-of-vocabulary one takes a share but no
         column); the synonym mass is spread over the union of their
-        synonyms. A token row with no target gets the fallback, computed
-        once: every in-vocabulary source token once, then the synonyms of
-        every source token. A table's mass is added in one `np.add.at`, which
-        adds a cell's shares one after another: its copy shares, then its
-        synonym share."""
+        synonyms. A token row with no target gets the fallback: every
+        in-vocabulary source token once, then the synonyms of every source
+        token. The targets' mass is added in one `np.add.at`, which adds a
+        cell's shares one after another, and the fallback's in two dense adds;
+        either way a cell takes its copy shares, then its synonym share."""
         key = tuple(map(tuple, sources))
         if key == self._sources:
             return
@@ -502,27 +505,21 @@ class SynonymBigramLM:
             listings = np.bincount(rows, minlength=width)
             syn = np.array(sorted({(r, a) for r, k in pairs for a in alts[k]}), dtype=np.intp).reshape(-1, 2)
             syn_rows, syn_cols = syn[:, 0], syn[:, 1]
-            # the fallback row, once, and the token rows with no target that take it
-            copy_all, syn_all = {i for i in ids[:-1] if i >= 0}, set().union(*alts)
-            fallback_cols = np.array([*copy_all, *syn_all], dtype=np.intp)
-            fallback_shares = np.repeat(
-                [COPY_WEIGHT / max(len(copy_all), 1), SYNONYM_WEIGHT / max(len(syn_all), 1)],
-                [len(copy_all), len(syn_all)],
-            )
-            fallback_rows = np.flatnonzero(listings[:n] == 0)
             copy_rows, copy_cols = rows[cols >= 0], cols[cols >= 0]
             np.add.at(
                 table,
-                (
-                    np.concatenate([copy_rows, syn_rows, np.repeat(fallback_rows, len(fallback_cols))]),
-                    np.concatenate([copy_cols, syn_cols, np.tile(fallback_cols, len(fallback_rows))]),
-                ),
+                (np.concatenate([copy_rows, syn_rows]), np.concatenate([copy_cols, syn_cols])),
                 np.concatenate([
                     COPY_WEIGHT / listings[copy_rows],
                     SYNONYM_WEIGHT / np.bincount(syn_rows, minlength=width)[syn_rows],
-                    np.tile(fallback_shares, len(fallback_rows)),
                 ]),
             )
+            # the token rows with no target, and the fallback's copy and synonym columns
+            fallback = np.flatnonzero(listings[:n] == 0)[:, None]
+            copy_all = np.array(list({i for i in ids[:-1] if i >= 0}), dtype=np.intp)
+            syn_all = np.array(list(set().union(*alts)), dtype=np.intp)
+            table[fallback, copy_all] += COPY_WEIGHT / max(len(copy_all), 1)
+            table[fallback, syn_all] += SYNONYM_WEIGHT / max(len(syn_all), 1)
         self._rows = tables.reshape(-1, width)  # row: source * (V+1) + last id
         self._eos_lo = [max(1, round(0.85 * len(s))) for s in key]
         self._eos_hi = [len(s) + max(2, round(0.5 * len(s))) for s in key]

@@ -30,69 +30,71 @@ def distinct_2(sentences: Sequence[Sequence[str]]) -> float:
     return len(bigrams) / total_tokens
 
 
-@dataclass(frozen=True)
-class BleuReference:
-    """The reference side of sentence BLEU, counted once for any number of
-    candidates. Reference tokens are numbered from 1 (`ids`); any other token
-    reads as 0, like the end of a row, and matches nothing. An n-gram's code
-    is `window @ digits[:, n-1] + offsets[n-1]`: its ids as base-R digits,
-    R = len(ids) + 1, moved into a range of its own order n. `keys` are the
-    sorted codes of every reference n-gram of orders 1..max_n; `limits[k]`
-    holds, in the column of key k's order, the most times it occurs in any
-    one reference."""
+def _clipped_counts(
+    candidates: Sequence[Sequence[int]], owners: Sequence[int], references: Sequence[Sequence[Sequence[int]]],
+    max_n: int,
+) -> np.ndarray:
+    """(C, max_n): how many of each candidate's n-grams of each order occur
+    in its own source's references, `references[owners[c]]`, each counted at
+    most as often as in the one reference that holds it most. One pass over
+    every source: the tokens (ints >= 0) the references hold are numbered
+    1..U, any other reads as 0, like a row's end, and matches nothing. An
+    n-gram's code is its ids as base-(U+1) digits, in [(U+1)**(n-1),
+    (U+1)**n) for order n when no id is 0, plus an offset per source.
+    Sources whose codes would reach 2**62 are counted in two halves."""
+    ref_rows = [row for refs in references for row in refs]
+    rows = [*ref_rows, *candidates]
+    sets = np.array([s for s, refs in enumerate(references) for _ in refs] + list(owners), dtype=np.intp)
+    lengths = np.array([len(row) for row in rows])
+    tokens = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
+    if tokens.min() < 0:
+        raise ValueError("token ids must be >= 0")
+    n_ref = int(lengths[: len(ref_rows)].sum())
+    held = np.minimum(np.bincount(tokens[:n_ref], minlength=int(tokens.max()) + 1), 1)
+    base = int(held.sum()) + 1
+    powers = [base**n for n in range(max_n + 1)]
+    span = powers[-1]  # one source's codes lie in [0, span)
+    if len(references) * span >= 2**62:
+        if len(references) == 1:
+            raise ValueError("too many distinct reference tokens to code n-grams in 64 bits")
+        counts, half = np.zeros((len(candidates), max_n), dtype=np.int64), len(references) // 2
+        for lo, hi in ((0, half), (half, len(references))):
+            picked = [c for c, o in enumerate(owners) if lo <= o < hi]
+            part = [candidates[c] for c in picked], [owners[c] - lo for c in picked], references[lo:hi]
+            counts[picked] = _clipped_counts(*part, max_n)
+        return counts
 
-    ids: dict[str, int]
-    digits: np.ndarray
-    offsets: np.ndarray
-    keys: np.ndarray
-    limits: np.ndarray
-    lengths: tuple[int, ...]
-
-
-def _windows(rows: list[list[int]], max_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The token-id rows laid end to end, each followed by a 0, as a
-    (T, max_n) array whose line t holds the ids at positions t..t+max_n-1
-    (0 past the end), and the row each position belongs to."""
-    flat = np.array([i for row in rows for i in (*row, 0)] + [0] * (max_n - 1))
-    starts = np.arange(len(flat) - max_n + 1)
-    owner = np.repeat(np.arange(len(rows)), [len(row) + 1 for row in rows])
-    return flat[starts[:, None] + np.arange(max_n)], owner
-
-
-def _key_counts(codes: np.ndarray, owner: np.ndarray, n_rows: int, keys: np.ndarray) -> np.ndarray:
-    """(n_rows, K, max_n): how often each of the sorted `keys` occurs among
-    the codes of each row's positions, in the column of the key's order (a
-    code's column in `codes`); the other columns are 0."""
-    max_n = codes.shape[1]
+    # each row's ids with a 0 after it, and from each token the next max_n ids
+    row = np.repeat(np.arange(len(rows)), lengths)
+    at = np.arange(len(tokens)) + row
+    flat = np.zeros(len(tokens) + len(rows) + max_n, dtype=np.int64)
+    flat[at] = (np.cumsum(held) * held)[tokens]
+    windows = flat[at[:, None] + np.arange(max_n)]
+    # column n-1 codes the window's first n ids
+    digits = np.array([[0] * j + [powers[j]] * (max_n - j) for j in range(max_n)])
+    codes = windows @ digits + (sets[row] * span)[:, None]
+    real = np.minimum.accumulate(windows, axis=1) > 0
+    keys = np.array(sorted(set(codes[:n_ref][real[:n_ref]].tolist())))
     pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
-    cells = ((pos + len(keys) * owner[:, None]) * max_n + np.arange(max_n))[keys[pos] == codes]
-    return np.bincount(cells, minlength=n_rows * len(keys) * max_n).reshape(n_rows, len(keys), max_n)
-
-
-def bleu_reference(references: Sequence[Sequence[str]], max_n: int = 4) -> BleuReference:
-    if not references or any(not r for r in references):
-        raise ValueError("need at least one non-empty reference")
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    ids: dict[str, int] = {}
-    rows = [[ids.setdefault(tok, len(ids) + 1) for tok in ref] for ref in references]
-    base = len(ids) + 1
-    if base**max_n >= 2**62:
-        raise ValueError("too many distinct reference tokens to code n-grams in 64 bits")
-    powers = [base**j for j in range(max_n)]
-    digits = np.array([[0] * j + [p] * (max_n - j) for j, p in enumerate(powers)])
-    offsets = np.array([0, *itertools.accumulate(powers[1:])])
-    windows, owner = _windows(rows, max_n)
-    codes = windows @ digits + offsets
-    # reference ids are >= 1, so an n-gram lies inside its reference when
-    # no id in it is 0
-    keys = np.array(sorted(set(codes[np.minimum.accumulate(windows, axis=1) > 0].tolist())))
-    limits = _key_counts(codes, owner, len(rows), keys).max(axis=0)
-    return BleuReference(ids, digits, offsets, keys, limits, tuple(len(ref) for ref in references))
+    # source s's order-n keys are keys[edges[s, n-1]:edges[s, n]]; a row has a cell per key of its source
+    edges = np.searchsorted(keys, np.arange(len(references))[:, None] * span + powers)
+    width = (edges[:, -1] - edges[:, 0])[sets]
+    shift = np.cumsum(width) - width - edges[sets, 0]  # a row's cell of key k: shift + k
+    counts = np.bincount((shift[row][:, None] + pos)[real & (keys[pos] == codes)], minlength=int(width.sum()))
+    key = np.arange(len(counts)) - np.repeat(shift, width)
+    n_ref_cells = int(width[: len(ref_rows)].sum())
+    # each key's counts in the i-th reference of its source, in row i; the
+    # clipped counts then summed over each candidate's cells of each order
+    limits = np.zeros((max(map(len, references)), len(keys)), dtype=np.int64)
+    nth = np.repeat([i for refs in references for i in range(len(refs))], width[: len(ref_rows)])
+    limits[nth, key[:n_ref_cells]] = counts[:n_ref_cells]
+    total = np.concatenate([[0], np.cumsum(np.minimum(counts, limits.max(axis=0)[key]))])
+    return np.diff(total[shift[len(ref_rows) :, None] + edges[sets[len(ref_rows) :]]], axis=1)
 
 
 def _sentence_bleu(c: int, clipped_by_order: list[int], lengths: tuple[int, ...], smooth: bool) -> float:
     """BLEU of a length-c candidate from its clipped n-gram counts."""
+    # on Python's `math`: numpy's log and exp differ from it in some last bits, which would move selection ties
     log_precisions = []
     for n, clipped in enumerate(clipped_by_order, start=1):
         total = c - n + 1
@@ -111,22 +113,34 @@ def _sentence_bleu(c: int, clipped_by_order: list[int], lengths: tuple[int, ...]
     return brevity * math.exp(sum(log_precisions) / len(log_precisions))
 
 
-def bleu_scores(
-    candidates: Sequence[Sequence[str]], reference: BleuReference, smooth: bool = False
+def bleu_by_source(
+    candidates: Sequence[Sequence[int]], owners: Sequence[int], references: Sequence[Sequence[Sequence[int]]],
+    max_n: int = 4, smooth: bool = False,
 ) -> list[float]:
-    """Sentence BLEU of each candidate against a counted reference, with the
-    n-grams of all candidates counted and clipped in one pass; see `bleu`."""
+    """Sentence BLEU of each candidate against its own source's references,
+    `references[owners[c]]`, on token ids (ints >= 0), with every source's
+    n-grams counted and clipped in one pass; see `bleu`."""
+    if not references or not all(refs and all(refs) for refs in references):
+        raise ValueError("need at least one non-empty reference")
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
     if any(not cand for cand in candidates):
         raise ValueError("empty candidate")
-    rows = [[reference.ids.get(tok, 0) for tok in cand] for cand in candidates]
-    windows, owner = _windows(rows, len(reference.offsets))
-    codes = windows @ reference.digits + reference.offsets
-    counts = _key_counts(codes, owner, len(rows), reference.keys)
-    clipped = np.minimum(counts, reference.limits).sum(axis=1)
-    return [
-        _sentence_bleu(len(cand), by_order, reference.lengths, smooth)
-        for cand, by_order in zip(candidates, clipped.tolist())
-    ]
+    if owners and not 0 <= min(owners) <= max(owners) < len(references):
+        raise ValueError(f"owners must lie in [0, {len(references)})")
+    lengths = [tuple(map(len, refs)) for refs in references]
+    counts = _clipped_counts(candidates, owners, references, max_n).tolist()
+    return [_sentence_bleu(len(cand), n, lengths[o], smooth) for cand, o, n in zip(candidates, owners, counts)]
+
+
+def bleu_scores(
+    candidates: Sequence[Sequence[str]], references: Sequence[Sequence[str]], max_n: int = 4, smooth: bool = False
+) -> list[float]:
+    """Sentence BLEU of each candidate against the same references; see `bleu`."""
+    ids: dict[str, int] = {}
+    refs = [[ids.setdefault(tok, len(ids)) for tok in ref] for ref in references]
+    cands = [[ids.setdefault(tok, len(ids)) for tok in cand] for cand in candidates]
+    return bleu_by_source(cands, [0] * len(cands), [refs], max_n, smooth)
 
 
 def bleu(
@@ -138,7 +152,7 @@ def bleu(
     """Sentence BLEU: clipped modified n-gram precision, uniform weights over
     the orders the candidate is long enough to support, brevity penalty, and
     add-one smoothing of zero-count precisions when `smooth` is set."""
-    return bleu_scores([candidate], bleu_reference(references, max_n), smooth)[0]
+    return bleu_scores([candidate], references, max_n, smooth)[0]
 
 
 def mean_pairwise_similarity(embeddings: Sequence[np.ndarray]) -> float:
@@ -168,8 +182,7 @@ def diversity_report(
         raise ValueError("need at least 2 paraphrases")
     sentences = [source, *paraphrases]
     token_lists = [tokenize(s) for s in sentences]
-    reference = bleu_reference(token_lists[:1])
-    bleus = bleu_scores(token_lists[1:], reference, smooth=True)
+    bleus = bleu_scores(token_lists[1:], token_lists[:1], smooth=True)
     embeddings = encode_batch(encoder_params, token_lists, vocab)
     return DiversityReport(
         dist2=distinct_2(token_lists),

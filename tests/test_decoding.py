@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmstub import EOS, RandomLM, TableLM, decode_one, enumerate_sequences
-from paraproto import decoding
+from paraproto import decoding, metrics
 from paraproto.decoding import (
     CURVES,
     Beam,
@@ -25,7 +25,6 @@ from paraproto.decoding import (
 from paraproto.data import load_dataset
 from paraproto.encoder import tokenize
 from paraproto.experiment import RunConfig
-from paraproto.metrics import bleu_reference
 from paraproto.synth import default_synonym_table, generate_synthetic_dataset
 
 
@@ -395,6 +394,31 @@ class TestManySourcesSearch:
         assert peak < 2.5 * capped
 
 
+class TestSelectionCounts:
+    """A batch counts BLEU n-grams once per search, over all of its sources,
+    so per-sentence counting cannot come back unnoticed."""
+
+    def test_one_bleu_count_per_search(self, synth_lm_and_texts, monkeypatch):
+        lm, texts = synth_lm_and_texts
+        searches, counts = [], []
+        search, clipped_counts = decoding.diverse_beam_search, metrics._clipped_counts
+
+        def counting_search(lm, sources, *args, **kwargs):
+            searches.append(len(sources))
+            return search(lm, sources, *args, **kwargs)
+
+        def counting_counts(candidates, owners, references, max_n):
+            counts.append(len(references))
+            return clipped_counts(candidates, owners, references, max_n)
+
+        monkeypatch.setattr(decoding, "diverse_beam_search", counting_search)
+        monkeypatch.setattr(metrics, "_clipped_counts", counting_counts)
+        generate_paraphrase_batch(lm, texts[:20], 5, "dbs_unigram", DecodeConfig(), np.random.default_rng(0))
+        # 20 sentences at V = 114, in blocks of 9
+        assert searches == [9, 9, 2]
+        assert counts == searches
+
+
 class TestParaphraseBatch:
     """The batch entry point equals one `generate_paraphrases` call per
     sentence, outputs and generator state alike."""
@@ -523,7 +547,7 @@ class TestSelectMostDiverse:
         vocab = ("x", "y", "z")
         copy = Beam(tokens=(0, 1), score=-1.0, raw_score=-1.0, finished=True)
         other = Beam(tokens=(2,), score=-2.0, raw_score=-2.0, finished=True)
-        best = select_most_diverse([[copy, other]], bleu_reference([["x", "y"]]), vocab)[0]
+        best = select_most_diverse([[[copy, other]]], [["x", "y"]], vocab)[0][0]
         assert best is other
 
     def test_all_identical_returns_that_beam(self):
@@ -531,7 +555,7 @@ class TestSelectMostDiverse:
 
         vocab = ("x", "y")
         beams = [Beam(tokens=(0,), score=-1.0, raw_score=-1.0, finished=True)] * 3
-        assert select_most_diverse([beams], bleu_reference([["x"]]), vocab)[0].tokens == (0,)
+        assert select_most_diverse([[beams]], [["x"]], vocab)[0][0].tokens == (0,)
 
     def test_lowest_bleu_wins_hand_computed(self):
         from paraproto.decoding import Beam
@@ -542,7 +566,7 @@ class TestSelectMostDiverse:
         seqs = [(0, 1, 2), (0, 3, 4), (0, 1, 4)]
         beams = [Beam(tokens=s, score=-1.0, raw_score=-1.0, finished=True) for s in seqs]
         bleus = [bleu([vocab[i] for i in s], [source], smooth=True) for s in seqs]
-        best = select_most_diverse([beams], bleu_reference([source]), vocab)[0]
+        best = select_most_diverse([[beams]], [source], vocab)[0][0]
         assert best.tokens == seqs[int(np.argmin(bleus))]
 
     def test_bleu_tie_broken_by_raw_score(self):
@@ -552,7 +576,7 @@ class TestSelectMostDiverse:
         source = ["zzz"]
         low = Beam(tokens=(0,), score=-5.0, raw_score=-5.0, finished=True)
         high = Beam(tokens=(1,), score=-1.0, raw_score=-1.0, finished=True)
-        assert select_most_diverse([[low, high]], bleu_reference([source]), vocab)[0] is high
+        assert select_most_diverse([[[low, high]]], [source], vocab)[0][0] is high
 
 
 @pytest.fixture(scope="module")

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paraproto import metrics
 from paraproto.encoder import EncoderParams, Vocabulary
 from paraproto.decoding import Beam, select_most_diverse
 from paraproto.metrics import (
     bleu,
-    bleu_reference,
     bleu_scores,
     distinct_2,
     diversity_report,
@@ -123,6 +123,17 @@ def counter_bleu(candidate, references, max_n=4, smooth=False):
     return brevity * math.exp(sum(log_precisions) / len(log_precisions))
 
 
+def assert_picks_match_oracle(decoded, sources, vocab, picks):
+    """Each source's picks equal a selection of that source alone, scored by `counter_bleu`."""
+    assert len(picks) == len(decoded)
+    for source, groups, chosen in zip(sources, decoded, picks):
+        assert len(chosen) == len(groups)
+        for group, beam in zip(groups, chosen):
+            oracle = min((counter_bleu([vocab[i] for i in b.tokens], [source], smooth=True), -b.raw_score, i)
+                         for i, b in enumerate(group))
+            assert beam is group[oracle[2]]
+
+
 # candidates draw from a vocabulary with tokens ("x", "y") no reference
 # holds, references from one with a token ("z") no candidate holds; four
 # shared letters make repeated, clipped n-grams common
@@ -136,7 +147,7 @@ class TestBatchedBleu:
            st.integers(1, 5), st.booleans())
     def test_equals_counter_bleu(self, candidates, references, max_n, smooth):
         expected = [counter_bleu(c, references, max_n, smooth) for c in candidates]
-        assert bleu_scores(candidates, bleu_reference(references, max_n), smooth) == expected
+        assert bleu_scores(candidates, references, max_n, smooth) == expected
         assert [bleu(c, references, max_n, smooth) for c in candidates] == expected
 
     @settings(max_examples=200, deadline=None)
@@ -151,17 +162,69 @@ class TestBatchedBleu:
         groups = data.draw(st.lists(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from((-1.0, -2.0))),
                                              min_size=1, max_size=4), min_size=1, max_size=4))
         beams = [[Beam(tokens, raw, raw, True) for tokens, raw in group] for group in groups]
-        best = select_most_diverse(beams, bleu_reference([source]), vocab)
+        [best] = select_most_diverse([beams], [source], vocab)
         for group, chosen in zip(beams, best):
             oracle = min((counter_bleu([vocab[i] for i in b.tokens], [source], smooth=True), -b.raw_score, i)
                          for i, b in enumerate(group))
             assert chosen is group[oracle[2]]
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_one_pass_selection_matches_per_source_oracle(self, data):
+        vocab = ("a", "and", "b", "c", "d", "x")
+        sentence = st.lists(st.sampled_from("abcd"), min_size=1, max_size=6)
+        # single sentences, joined ones (repeated tokens), and out-of-vocabulary words at both ends
+        source = st.one_of(
+            sentence,
+            st.tuples(sentence, sentence).map(lambda ab: [*ab[0], "and", *ab[1]]),
+            st.tuples(sentence, st.sampled_from(("zzz", "qqq"))).map(lambda sw: [sw[1], *sw[0], sw[1]]),
+        )
+        sources = data.draw(st.lists(source, min_size=1, max_size=12))
+        beam = st.tuples(st.lists(st.integers(0, len(vocab) - 1), min_size=1, max_size=8).map(tuple),
+                         st.sampled_from((-1.0, -2.0)))
+        decoded = [
+            [[Beam(tokens, raw, raw, True) for tokens, raw in group]
+             for group in data.draw(st.lists(st.lists(beam, min_size=1, max_size=3), min_size=1, max_size=4))]
+            for _ in sources
+        ]
+        assert_picks_match_oracle(decoded, sources, vocab, select_most_diverse(decoded, sources, vocab))
+
+    def test_selection_over_sources_that_overflow_a_shared_code(self, monkeypatch):
+        # 12 sources of 2,500 distinct tokens each: one code over all of them
+        # would need 12 * 30,001**4 >= 2**62 values, so they are counted in
+        # halves, whose 15,000 tokens fit
+        vocab = tuple(f"w{i}" for i in range(30_000))
+        sources = [list(vocab[2500 * s : 2500 * (s + 1)]) for s in range(12)]
+        decoded = []
+        for s in range(12):
+            # beams of the source's own tokens, and a copy from the next source
+            own, other = (tuple(range(2500 * k, 2500 * k + 40)) for k in (s, (s + 1) % 12))
+            decoded.append([
+                [Beam(own, -1.0, -1.0, True), Beam(own[::-1], -2.0, -2.0, True), Beam(other, -3.0, -3.0, True)],
+                [Beam(own[:20], -1.0, -1.0, True), Beam(own[::2], -1.0, -1.0, True)],
+            ])
+        calls = []
+        clipped_counts = metrics._clipped_counts
+
+        def counting(*args):
+            calls.append(len(args[2]))
+            return clipped_counts(*args)
+
+        monkeypatch.setattr(metrics, "_clipped_counts", counting)
+        picks = select_most_diverse(decoded, sources, vocab)
+        assert calls == [12, 6, 6]
+        assert_picks_match_oracle(decoded, sources, vocab, picks)
+
+    def test_one_source_too_wide_for_a_code_fails_clearly(self):
+        vocab = tuple(f"w{i}" for i in range(50_000))  # 50,001**4 >= 2**62
+        with pytest.raises(ValueError, match="too many distinct reference tokens"):
+            select_most_diverse([[[Beam((0, 1), -1.0, -1.0, True)]]], [list(vocab)], vocab)
+
     def test_rejects_empty_candidate_and_order_zero(self):
         with pytest.raises(ValueError, match="empty candidate"):
-            bleu_scores([["a"], []], bleu_reference([["a"]]))
+            bleu_scores([["a"], []], [["a"]])
         with pytest.raises(ValueError, match="max_n"):
-            bleu_reference([["a"]], max_n=0)
+            bleu_scores([["a"]], [["a"]], max_n=0)
 
 
 class TestMeanPairwiseSimilarity:
