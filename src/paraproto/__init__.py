@@ -32,7 +32,6 @@ from .encoder import (
     Vocabulary,
     encode,
     encode_backward,
-    encode_batch,
     encode_batch_backward,
     forward,
     load_checkpoint,

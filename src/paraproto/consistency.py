@@ -86,10 +86,9 @@ def unsupervised_loss(
     Gradients flow through the sentence embeddings and through every
     paraphrase embedding; there is no stop-gradient on either side.
     """
-    u, m = batch.n_sentences, batch.n_paraphrases
+    u = batch.n_sentences
     tokens = TokenRows.concat([batch.sentences, *batch.paraphrases])
-    groups = np.concatenate([np.arange(u), np.repeat(np.arange(u), m)])
-    return prototypical_loss(params, tokens, groups, slice(u, None), slice(0, u), u, distance)
+    return prototypical_loss(params, tokens, slice(u, None), slice(0, u), u, distance)
 
 
 def combined_training_step(
@@ -118,10 +117,3 @@ def combined_training_step(
     total = weight * unsup_loss + (1.0 - weight) * sup_loss
     return StepLosses(total=total, supervised=sup_loss, unsupervised=unsup_loss, weight=weight)
 
-
-def format_step_log(step: int, losses: StepLosses) -> str:
-    """Structured per-step training log line."""
-    return (
-        f"step={step} sup={losses.supervised:.6f} unsup={losses.unsupervised:.6f} "
-        f"weight={losses.weight:.6f} total={losses.total:.6f}"
-    )

@@ -144,31 +144,26 @@ def split_classes(
     n_train, n_valid, _ = _part_sizes(len(classes), ratios)
     rng = np.random.default_rng(seed)
 
-    if group_by_domain:
-        domains = sorted({dataset.domains.get(c, c) for c in classes})
-        if len(domains) < 3:
-            raise ValueError("group_by_domain needs at least 3 domains")
-        order = [domains[i] for i in rng.permutation(len(domains))]
-        by_domain = {
-            d: [c for c in classes if dataset.domains.get(c, c) == d] for d in domains
-        }
-        parts: list[list[str]] = [[], [], []]
-        quota = (n_train, n_valid)
-        current = 0
-        for i, domain in enumerate(order):
-            remaining = len(order) - i
-            # advance once the quota is met, or to keep later parts non-empty
-            while current < 2 and parts[current] and (
-                len(parts[current]) >= quota[current] or remaining <= 2 - current
-            ):
-                current += 1
-            parts[current].extend(by_domain[domain])
-        train, valid, test = parts
-    else:
-        order = [classes[i] for i in rng.permutation(len(classes))]
-        train = order[:n_train]
-        valid = order[n_train : n_train + n_valid]
-        test = order[n_train + n_valid :]
+    # without group_by_domain each class is its own domain
+    domain = {c: dataset.domains.get(c, c) if group_by_domain else c for c in classes}
+    domains = sorted(set(domain.values()))
+    if len(domains) < 3:
+        raise ValueError("group_by_domain needs at least 3 domains")
+    by_domain: dict[str, list[str]] = {d: [] for d in domains}
+    for c in classes:
+        by_domain[domain[c]].append(c)
+    parts: list[list[str]] = [[], [], []]
+    quota = (n_train, n_valid)
+    current = 0
+    for i, d in enumerate(domains[j] for j in rng.permutation(len(domains))):
+        remaining = len(domains) - i
+        # advance once the quota is met, or to keep later parts non-empty
+        while current < 2 and parts[current] and (
+            len(parts[current]) >= quota[current] or remaining <= 2 - current
+        ):
+            current += 1
+        parts[current].extend(by_domain[d])
+    train, valid, test = parts
 
     return ClassSplit(
         train_classes=frozenset(train),

@@ -168,14 +168,6 @@ def forward(params: EncoderParams, rows: TokenRows) -> Forward:
     return Forward(rows=rows, means=means, out=np.tanh(means @ params.projection.T + params.bias))
 
 
-def encode_batch(
-    params: EncoderParams, token_lists: Sequence[Sequence[str]], vocab: Vocabulary
-) -> np.ndarray:
-    """`forward` over token lists, as an (n, d) array. Empty token lists
-    encode as UNK."""
-    return forward(params, TokenRows.from_tokens(token_lists, vocab)).out
-
-
 def encode_batch_backward(
     params: EncoderParams, fwd: Forward, upstream: np.ndarray
 ) -> EncoderParams:
@@ -201,8 +193,9 @@ def encode_batch_backward(
 
 
 def encode(params: EncoderParams, tokens: Sequence[str], vocab: Vocabulary) -> np.ndarray:
-    """encode_batch for a single token list: a (d,) vector."""
-    return encode_batch(params, [tokens], vocab)[0]
+    """`forward` over a single token list, as a (d,) vector; an empty list
+    encodes as UNK."""
+    return forward(params, TokenRows.from_tokens([tokens], vocab)).out[0]
 
 
 def encode_backward(

@@ -19,7 +19,6 @@ from .consistency import (
     StepLosses,
     UnlabeledBatch,
     combined_training_step,
-    format_step_log,
 )
 from .data import (
     PARTS, TRAIN, VALID, TEST, ClassSplit, Dataset, check_episode_shape, check_split_ratios, load_dataset,
@@ -268,7 +267,7 @@ def train_single_seed(
             loss_curve.append(
                 (step, losses.supervised, losses.unsupervised, losses.weight, losses.total)
             )
-            logger.debug(format_step_log(step, losses))
+            logger.debug("step=%d sup=%.6f unsup=%.6f weight=%.6f total=%.6f", *loss_curve[-1])
 
         val_curve.append((len(loss_curve), accuracy(params, VALID, rng_valid)))
         if best_eval_index == 0 or val_curve[-1][1] > val_curve[best_eval_index - 1][1]:
@@ -365,6 +364,8 @@ def diversity_by_strategy(
     for strategy in strategies:
         check_strategy(strategy)
     decode = decode or DecodeConfig()
+    if decode.num_groups < 2:
+        raise ValueError(f"need at least 2 paraphrases per sentence, got num_groups={decode.num_groups}")
     texts = dataset.texts()
     vocab = Vocabulary.from_texts(texts)
     encoder_params = EncoderParams.init(len(vocab), rng=np.random.default_rng(seed))

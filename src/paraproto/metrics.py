@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoder import EncoderParams, Vocabulary, encode_batch, tokenize
+from .encoder import EncoderParams, TokenRows, Vocabulary, forward, tokenize
 
 
 @dataclass
@@ -183,7 +183,7 @@ def diversity_report(
     sentences = [source, *paraphrases]
     token_lists = [tokenize(s) for s in sentences]
     bleus = bleu_scores(token_lists[1:], token_lists[:1], smooth=True)
-    embeddings = encode_batch(encoder_params, token_lists, vocab)
+    embeddings = forward(encoder_params, TokenRows.from_tokens(token_lists, vocab)).out
     return DiversityReport(
         dist2=distinct_2(token_lists),
         bleu_vs_source=float(np.mean(bleus)),

@@ -1,6 +1,6 @@
 """Dense vector math: distance kinds, row sums by index and a stabilized
-softmax. The batched distances and the episode cross-entropy live in
-`protonet`.
+row-wise softmax. The batched distances and the episode cross-entropy,
+which calls this softmax, live in `protonet`.
 
 All arithmetic is float64. Inputs are small (dimensions in the tens), so plain
 numpy summation order is used throughout.
@@ -28,14 +28,15 @@ def add_rows_at(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(cells, weights=rows.ravel(), minlength=size)
 
 
-def softmax_over_neg_distances(dists: Sequence[float]) -> np.ndarray:
-    """softmax(-dists), stabilized by max-subtraction on the logits."""
+def softmax_over_neg_distances(dists: Sequence[float] | np.ndarray) -> np.ndarray:
+    """softmax(-dists) over the last axis, each row stabilized by
+    max-subtraction on its logits."""
     d = np.asarray(dists, dtype=np.float64)
     if d.size == 0:
         raise ValueError("softmax over empty distance list")
     if not np.all(np.isfinite(d)):
         raise ValueError("non-finite distance in softmax input")
     logits = -d
-    logits = logits - logits.max()
+    logits = logits - logits.max(axis=-1, keepdims=True)
     exps = np.exp(logits)
-    return exps / exps.sum()
+    return exps / exps.sum(axis=-1, keepdims=True)

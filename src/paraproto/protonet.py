@@ -8,6 +8,7 @@ batches (see `consistency`) are two row layouts of this one loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -27,51 +28,53 @@ class EvalResult:
     episode_count: int
 
 
-def prototypes(embs: np.ndarray, groups: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-group means of embedding rows, (n_groups, d), and rows per group."""
-    shots = np.bincount(groups, minlength=n_groups)
-    d = embs.shape[1]
-    protos = numerics.add_rows_at(groups, embs, n_groups * d).reshape(n_groups, d)
-    protos /= shots[:, None]
-    return protos, shots
+def prototypes(support: np.ndarray, shots: int) -> np.ndarray:
+    """(..., G, d) group means of (..., G * shots, d) support rows stored
+    group by group, leading dimensions being episodes: each group's rows
+    added in order to zeros, then divided by `shots`."""
+    *lead, rows, d = support.shape
+    grouped = support.reshape(*lead, rows // shots, shots, d)
+    protos = np.zeros(grouped.shape[:-2] + (d,))
+    for shot in range(shots):
+        protos += grouped[..., shot, :]
+    protos /= shots
+    return protos
 
 
-def _pairwise_distances(queries: np.ndarray, protos: np.ndarray, kind: str) -> np.ndarray:
+def _pairwise_distances(
+    queries: np.ndarray, protos: np.ndarray, kind: str
+) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]:
     """(..., Q, C) distances between (..., Q, d) queries and (..., C, d)
-    prototypes; leading batch dimensions are episodes."""
+    prototypes, leading batch dimensions being episodes, and for 2-D inputs
+    their `backward`: d_dist -> gradients of sum(d_dist * dist) w.r.t.
+    queries and prototypes, from the forward's intermediates."""
     if queries.shape[-1] != protos.shape[-1]:
         raise ValueError(
             f"embedding dimension mismatch: {queries.shape[-1]} vs {protos.shape[-1]}"
         )
     if kind == numerics.SQUARED_EUCLIDEAN:
         diff = queries[..., :, None, :] - protos[..., None, :, :]
-        return np.einsum("...jcd,...jcd->...jc", diff, diff)
+
+        def backward(d_dist):
+            weighted = 2.0 * d_dist[:, :, None] * diff
+            return weighted.sum(axis=1), -weighted.sum(axis=0)
+
+        return np.einsum("...jcd,...jcd->...jc", diff, diff), backward
     if kind == numerics.COSINE:
         qn = np.linalg.norm(queries, axis=-1)
         pn = np.linalg.norm(protos, axis=-1)
         if np.any(qn == 0) or np.any(pn == 0):
             raise ValueError("cosine distance undefined for zero-norm embeddings")
-        return 1.0 - (queries @ np.swapaxes(protos, -1, -2)) / (qn[..., :, None] * pn[..., None, :])
-    raise ValueError(f"unknown distance kind: {kind!r}")
 
+        def backward(d_dist):
+            inv = 1.0 / np.outer(qn, pn)
+            cos = (queries @ protos.T) * inv
+            # d(1 - cos)/dq = -p/(|q||p|) + cos * q/|q|^2, and symmetrically for p
+            d_q = -(d_dist * inv) @ protos + ((d_dist * cos).sum(axis=1) / qn**2)[:, None] * queries
+            d_p = -(d_dist * inv).T @ queries + ((d_dist * cos).sum(axis=0) / pn**2)[:, None] * protos
+            return d_q, d_p
 
-def _distance_backward(
-    queries: np.ndarray, protos: np.ndarray, kind: str, d_dist: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of sum(d_dist * dist(queries, protos)) w.r.t. both inputs."""
-    if kind == numerics.SQUARED_EUCLIDEAN:
-        diff = queries[:, None, :] - protos[None, :, :]
-        weighted = 2.0 * d_dist[:, :, None] * diff
-        return weighted.sum(axis=1), -weighted.sum(axis=0)
-    if kind == numerics.COSINE:
-        qn = np.linalg.norm(queries, axis=1)
-        pn = np.linalg.norm(protos, axis=1)
-        inv = 1.0 / np.outer(qn, pn)
-        cos = (queries @ protos.T) * inv
-        # d(1 - cos)/dq = -p/(|q||p|) + cos * q/|q|^2, and symmetrically for p
-        d_q = -(d_dist * inv) @ protos + ((d_dist * cos).sum(axis=1) / qn**2)[:, None] * queries
-        d_p = -(d_dist * inv).T @ queries + ((d_dist * cos).sum(axis=0) / pn**2)[:, None] * protos
-        return d_q, d_p
+        return 1.0 - (queries @ np.swapaxes(protos, -1, -2)) / (qn[..., :, None] * pn[..., None, :]), backward
     raise ValueError(f"unknown distance kind: {kind!r}")
 
 
@@ -84,18 +87,13 @@ def softmax_cross_entropy_episode(
     paraphrase-consistency losses, which differ only in where the prototypes
     come from.
     """
-    dists = _pairwise_distances(queries, protos, kind)
+    dists, backward = _pairwise_distances(queries, protos, kind)
     n = queries.shape[0]
-    logits = -dists
-    logits -= logits.max(axis=1, keepdims=True)
-    exps = np.exp(logits)
-    probs = exps / exps.sum(axis=1, keepdims=True)
+    probs = numerics.softmax_over_neg_distances(dists)
     picked = np.maximum(probs[np.arange(n), targets], numerics.PROB_EPS)
     loss = float(-np.log(picked).mean())
-    d_logits = probs.copy()
-    d_logits[np.arange(n), targets] -= 1.0
-    d_dist = -d_logits / n
-    d_q, d_p = _distance_backward(queries, protos, kind, d_dist)
+    probs[np.arange(n), targets] -= 1.0  # now d(loss)/d(logits), times n
+    d_q, d_p = backward(-probs / n)
     return loss, d_q, d_p
 
 
@@ -105,14 +103,13 @@ def classify(
     """Distribution over the (C, d) prototypes for one query embedding."""
     dists = _pairwise_distances(
         np.asarray(query_embedding, dtype=np.float64)[None, :], protos, distance
-    )[0]
+    )[0][0]
     return numerics.softmax_over_neg_distances(dists)
 
 
 def prototypical_loss(
     params: EncoderParams,
     tokens: TokenRows,
-    groups: np.ndarray,
     support: slice,
     query: slice,
     n_groups: int,
@@ -121,19 +118,20 @@ def prototypical_loss(
     """Prototypical-network loss over rows in the caller's order, and its
     gradients through every row (Snell et al. 2017).
 
-    `groups` gives each row's group; the `support` rows of a group average
-    into its prototype, and every `query` row is scored against all
-    prototypes with its own group as the target.
+    The `support` and the `query` rows each hold `n_groups` groups of equal
+    size, stored group by group; a group's support rows average into its
+    prototype, and every query row is scored against all prototypes with
+    its own group as the target.
     """
     fwd = forward(params, tokens)
     embs = fwd.out
-    protos, shots = prototypes(embs[support], groups[support], n_groups)
-    loss, d_query, d_proto = softmax_cross_entropy_episode(
-        embs[query], protos, groups[query], distance
-    )
+    shots = len(embs[support]) // n_groups
+    protos = prototypes(embs[support], shots)
+    targets = np.repeat(np.arange(n_groups), len(embs[query]) // n_groups)
+    loss, d_query, d_proto = softmax_cross_entropy_episode(embs[query], protos, targets, distance)
     upstream = np.zeros_like(embs)
     upstream[query] = d_query
-    upstream[support] = d_proto[groups[support]] / shots[groups[support]][:, None]
+    upstream[support] = np.repeat(d_proto / shots, shots, axis=0)
     return loss, encode_batch_backward(params, fwd, upstream)
 
 
@@ -146,12 +144,8 @@ def supervised_episode_loss(
 ) -> tuple[float, EncoderParams]:
     """Episode loss and full parameter gradients (through support and query)
     over an episode's `tokens` in the support-then-query layout of `sample_episodes`."""
-    n_support, query_per_class = n_way * k_shot, len(tokens) // n_way - k_shot
-    classes = np.arange(n_way)
-    groups = np.concatenate([np.repeat(classes, k_shot), np.repeat(classes, query_per_class)])
-    return prototypical_loss(
-        params, tokens, groups, slice(0, n_support), slice(n_support, None), n_way, distance
-    )
+    n_support = n_way * k_shot
+    return prototypical_loss(params, tokens, slice(0, n_support), slice(n_support, None), n_way, distance)
 
 
 def evaluate(
@@ -197,12 +191,8 @@ def evaluate(
     correct = np.empty(n_episodes, dtype=np.intp)
     for start in range(0, n_episodes, block):
         embs = encoded[rows[start : start + block]]  # (episodes, support + query rows, d)
-        # the support mean of `prototypes`: shots added in order, then divided
-        protos = np.zeros((len(embs), n_way, encoded.shape[1]))
-        for shot in range(k_shot):
-            protos += embs[:, shot:n_support:k_shot]  # each class's support row `shot`
-        protos /= k_shot
-        dists = _pairwise_distances(embs[:, n_support:], protos, distance)
+        protos = prototypes(embs[:, :n_support], k_shot)
+        dists = _pairwise_distances(embs[:, n_support:], protos, distance)[0]
         if not np.isfinite(dists).all():
             raise ValueError("non-finite distance between a query and a prototype")
         correct[start : start + len(embs)] = np.count_nonzero(

@@ -101,7 +101,6 @@ def generate_synthetic_dataset(
     sentences_per_class: int = 30,
     synonym_rate: float = 0.5,
     seed: int = 0,
-    templates: list[str] | None = None,
 ) -> Path:
     """Write a JSONL intent corpus and return its path.
 
@@ -115,7 +114,6 @@ def generate_synthetic_dataset(
         raise ValueError(f"at most {len(CLASS_POOL)} classes available")
     if not 0.0 <= synonym_rate <= 1.0:
         raise ValueError("synonym_rate must be in [0, 1]")
-    templates = templates or TEMPLATES
     synonyms = default_synonym_table()
     rng = np.random.default_rng(seed)
     path = Path(path)
@@ -124,7 +122,7 @@ def generate_synthetic_dataset(
     with open(path, "w", encoding="utf-8") as handle:
         for label, domain, verb, noun in CLASS_POOL[:n_classes]:
             for _ in range(sentences_per_class):
-                template = templates[rng.integers(len(templates))]
+                template = TEMPLATES[rng.integers(len(TEMPLATES))]
                 surface_verb, surface_noun = verb, noun
                 if rng.random() < synonym_rate:
                     options = synonyms[verb]

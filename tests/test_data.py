@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -126,6 +127,40 @@ class TestSplitClasses:
         ds = Dataset(records=[("one text", "only")])
         with pytest.raises(ValueError):
             split_classes(ds, (0.4, 0.3, 0.3), seed=0)
+
+    @staticmethod
+    def _split_without_domains(dataset, ratios, seed):
+        """The split's old separate path for group_by_domain=False: one
+        permutation of the sorted classes, cut at the part sizes."""
+        classes = dataset.classes
+        n_train, n_valid, _ = data._part_sizes(len(classes), ratios)
+        order = [classes[i] for i in np.random.default_rng(seed).permutation(len(classes))]
+        return ClassSplit(
+            train_classes=frozenset(order[:n_train]),
+            valid_classes=frozenset(order[n_train : n_train + n_valid]),
+            test_classes=frozenset(order[n_train + n_valid :]),
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=39),
+        st.sampled_from([(0.5, 0.25, 0.25), (0.6, 0.2, 0.2), (0.34, 0.33, 0.33), (0.8, 0.1, 0.1),
+                         (0.4, 0.3, 0.3), (0.5, 0.2, 0.2)]),
+        st.integers(min_value=0, max_value=29),
+        st.booleans(),
+    )
+    def test_classes_as_their_own_domains_equal_old_path(self, n_classes, ratios, seed, tagged):
+        # domain tags, when present, are ignored without group_by_domain
+        names = [f"c{i:02d}" for i in range(n_classes)]
+        ds = Dataset(records=[(f"text {c}", c) for c in names],
+                     domains={c: f"d{i % 3}" for i, c in enumerate(names)} if tagged else {})
+        try:
+            expected = self._split_without_domains(ds, ratios, seed)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+                split_classes(ds, ratios, seed=seed)
+        else:
+            assert split_classes(ds, ratios, seed=seed) == expected
 
 
 class TestRestrictLowProfile:

@@ -11,7 +11,6 @@ from paraproto.encoder import (
     Vocabulary,
     encode,
     encode_backward,
-    encode_batch,
     encode_batch_backward,
     forward,
     load_checkpoint,
@@ -142,7 +141,7 @@ def _forward_tokens(params, token_lists, vocab):
 class TestEncodeBatch:
     def test_ragged_batch_matches_per_row_formula(self):
         vocab, params = _small_setup(seed=15)
-        out = encode_batch(params, RAGGED, vocab)
+        out = _forward_tokens(params, RAGGED, vocab).out
         assert out.shape == (len(RAGGED), 4)
         for row, tokens in zip(out, RAGGED):
             # an empty row is a lone UNK; unknown tokens ("zeta") map to UNK
@@ -156,14 +155,14 @@ class TestEncodeBatch:
     def test_empty_batch_rejected(self):
         vocab, params = _small_setup()
         with pytest.raises(ValueError):
-            encode_batch(params, [], vocab)
+            _forward_tokens(params, [], vocab)
 
     def test_backward_matches_finite_differences(self):
         vocab, params = _small_setup(seed=17)
         upstream = np.random.default_rng(19).normal(size=(len(RAGGED), 4))
 
         def loss_fn(flat):
-            return float(np.sum(upstream * encode_batch(params.with_flat(flat), RAGGED, vocab)))
+            return float(np.sum(upstream * _forward_tokens(params.with_flat(flat), RAGGED, vocab).out))
 
         grads = encode_batch_backward(params, _forward_tokens(params, RAGGED, vocab), upstream)
         numeric = finite_difference_gradient(loss_fn, params.vector)

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -402,16 +403,17 @@ class TestRunExperiment:
         with pytest.raises(FileNotFoundError):
             run_experiment(cfg)
 
-    def test_loss_curve_and_log_line(self, corpus_path):
-        from paraproto.consistency import StepLosses, format_step_log
-
+    def test_loss_curve_and_log_line(self, corpus_path, caplog):
         cfg = quick_config(corpus_path, strategy="stub_bt", max_episodes=10, eval_every=10)
-        report = run_experiment(cfg)
+        with caplog.at_level(logging.DEBUG, logger="paraproto"):
+            report = run_experiment(cfg)
         curve = report.seed_results[0].loss_curve
         assert len(curve) == report.seed_results[0].episodes_run
+        lines = [m for m in caplog.messages if m.startswith("step=")]
+        assert len(lines) == len(curve)
         step, sup, unsup, weight, total = curve[0]
-        line = format_step_log(step, StepLosses(total=total, supervised=sup,
-                                                unsupervised=unsup, weight=weight))
+        line = lines[0]
+        assert line == f"step={step} sup={sup:.6f} unsup={unsup:.6f} weight={weight:.6f} total={total:.6f}"
         assert line.startswith("step=1 ")
         for field in ("sup=", "unsup=", "weight=", "total="):
             assert field in line
@@ -594,20 +596,22 @@ class TestDiversityByStrategy:
         kwargs = dict(strategies=("stub_bt",), n_sentences=4, seed=3)
         assert diversity_by_strategy(ds, **kwargs) == diversity_by_strategy(ds, **kwargs)
 
-    @pytest.mark.parametrize("strategies, message", [
-        (("dbs", "stub_bt", "zzz"), "unknown strategy 'zzz'"),
-        ((), "no strategy given"),
-        (("dbs", "dbs"), "strategies must be distinct"),
-        (("stub_bt", "dbs", "stub_bt"), "strategies must be distinct"),
+    @pytest.mark.parametrize("strategies, decode, message", [
+        (("dbs", "stub_bt", "zzz"), None, "unknown strategy 'zzz'"),
+        ((), None, "no strategy given"),
+        (("dbs", "dbs"), None, "strategies must be distinct"),
+        (("stub_bt", "dbs", "stub_bt"), None, "strategies must be distinct"),
+        (("dbs",), DecodeConfig(num_beams=3, num_groups=1), "need at least 2 paraphrases"),
     ])
-    def test_strategies_checked_before_any_decode(self, corpus_path, monkeypatch, strategies, message):
+    def test_strategies_checked_before_any_decode(self, corpus_path, monkeypatch, strategies, decode, message):
         import paraproto.experiment as experiment
 
-        decoded = []
+        built, decoded = [], []
+        monkeypatch.setattr(experiment, "SynonymBigramLM", lambda *args: built.append(args))
         monkeypatch.setattr(experiment, "generate_paraphrase_batch", lambda *args: decoded.append(args))
         with pytest.raises(ValueError, match=message):
-            diversity_by_strategy(load_dataset(corpus_path), strategies=strategies, n_sentences=4)
-        assert decoded == []
+            diversity_by_strategy(load_dataset(corpus_path), strategies=strategies, n_sentences=4, decode=decode)
+        assert built == [] and decoded == []
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_fewer_than_one_sentence_rejected(self, corpus_path, n):

@@ -15,11 +15,11 @@ finite_vectors = st.lists(
 
 def squared_euclidean(a, b):
     """One-pair view of the batched distance."""
-    return _pairwise_distances(np.atleast_2d(a), np.atleast_2d(b), SQUARED_EUCLIDEAN)[0, 0]
+    return _pairwise_distances(np.atleast_2d(a), np.atleast_2d(b), SQUARED_EUCLIDEAN)[0][0, 0]
 
 
 def cosine_distance(a, b):
-    return _pairwise_distances(np.atleast_2d(a), np.atleast_2d(b), COSINE)[0, 0]
+    return _pairwise_distances(np.atleast_2d(a), np.atleast_2d(b), COSINE)[0][0, 0]
 
 
 class TestSquaredEuclidean:
@@ -32,7 +32,7 @@ class TestSquaredEuclidean:
     def test_matches_per_coordinate_sum(self):
         rng = np.random.default_rng(42)
         queries, protos = rng.normal(size=(3, 8)), rng.normal(size=(4, 8))
-        dists = _pairwise_distances(queries, protos, SQUARED_EUCLIDEAN)
+        dists = _pairwise_distances(queries, protos, SQUARED_EUCLIDEAN)[0]
         assert dists.shape == (3, 4)
         for j, q in enumerate(queries):
             for c, p in enumerate(protos):
@@ -118,6 +118,21 @@ class TestSoftmaxOverNegDistances:
         base = softmax_over_neg_distances(dists)
         shifted = softmax_over_neg_distances([d + shift for d in dists])
         np.testing.assert_allclose(base, shifted, atol=1e-9)
+
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda width: st.lists(
+                st.lists(st.floats(min_value=-100, max_value=100), min_size=width, max_size=width),
+                min_size=1, max_size=8,
+            )
+        )
+    )
+    def test_rows_equal_one_row_calls(self, rows):
+        # the episode cross-entropy takes all of its queries in one call
+        out = softmax_over_neg_distances(np.array(rows))
+        assert out.shape == (len(rows), len(rows[0]))
+        for row, probs in zip(rows, out):
+            assert np.array_equal(probs, softmax_over_neg_distances(row))
 
 
 def episode_cross_entropy(dists, target):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paraproto.data import Dataset, sample_episode, split_classes
-from paraproto.encoder import EncoderParams, TokenRows, Vocabulary, encode_batch, tokenize
+from paraproto.encoder import EncoderParams, TokenRows, Vocabulary, forward, tokenize
 from gradcheck import finite_difference_gradient, gradient_check
 from paraproto.numerics import COSINE, SQUARED_EUCLIDEAN
 from paraproto.protonet import (
@@ -31,16 +31,18 @@ def _episode_setup(texts_by_class, k_shot, seed=0):
 
 
 def encode_episode(episode, params, vocab):
-    """Token lists, class index per row, embeddings and (prototypes, shots)
-    of an episode's support-then-query records, each row tokenized from its
-    text; each row's class is its label's index in the episode's labels."""
+    """Token lists, class index per row, embeddings and prototypes of an
+    episode's support-then-query records, each row tokenized from its text;
+    each row's class is its label's index in the episode's labels. The
+    support rows are put class by class, in label order, for `prototypes`."""
     support, query, labels = episode
     order = {label: i for i, label in enumerate(labels)}
     tokens = [tokenize(text) for text, _ in support + query]
     classes, n_support = np.array([order[label] for _, label in support + query]), len(support)
-    embs = encode_batch(params, tokens, vocab)
-    protos, shots = prototypes(embs[:n_support], classes[:n_support], len(labels))
-    return tokens, classes, embs, protos, shots
+    embs = forward(params, TokenRows.from_tokens(tokens, vocab)).out
+    by_class = np.argsort(classes[:n_support], kind="stable")
+    protos = prototypes(embs[by_class], n_support // len(labels))
+    return tokens, classes, embs, protos
 
 
 def run_tokens(dataset, vocab):
@@ -53,16 +55,15 @@ class TestComputePrototypes:
 
     def test_single_shot_identity(self):
         episode, vocab, params = _episode_setup({"a": ["x y", "y"], "b": ["z", "x"]}, 1)
-        _, _, embs, protos, shots = encode_episode(episode, params, vocab)
+        _, _, embs, protos = encode_episode(episode, params, vocab)
         np.testing.assert_array_equal(protos, embs[:2])
-        np.testing.assert_array_equal(shots, [1, 1])
 
     def test_arithmetic_mean(self):
         episode, vocab, params = _episode_setup(
             {"a": ["x y", "y", "x"], "b": ["z", "x z", "y"]}, 2
         )
-        tokens, classes, embs, protos, _ = encode_episode(episode, params, vocab)
-        support = encode_batch(params, [tokenize(t) for t, _ in episode[0]], vocab)
+        tokens, classes, embs, protos = encode_episode(episode, params, vocab)
+        support = forward(params, TokenRows.from_tokens([tokenize(t) for t, _ in episode[0]], vocab)).out
         np.testing.assert_allclose(protos[0], support[:2].mean(axis=0), rtol=1e-12)
         np.testing.assert_allclose(protos[1], support[2:].mean(axis=0), rtol=1e-12)
         np.testing.assert_array_equal(classes, [0, 0, 1, 1, 0, 1])
@@ -79,19 +80,19 @@ class TestComputePrototypes:
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=12),
+    @given(st.lists(st.integers(min_value=1, max_value=3), max_size=2),
+           st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=4),
            st.integers(min_value=0, max_value=10_000))
-    def test_equal_add_at_reference(self, drawn, seed):
-        # the np.add.at group sums that the bincount replaced, kept as a bit-exact reference
-        _, groups = np.unique(drawn, return_inverse=True)
-        n_groups = int(groups.max()) + 1
-        embs = np.random.default_rng(seed).normal(size=(len(groups), 3))
-        protos, shots = prototypes(embs, groups, n_groups)
-        expected = np.zeros((n_groups, 3))
-        np.add.at(expected, groups, embs)
-        expected /= np.bincount(groups)[:, None]
-        assert np.array_equal(protos, expected)
-        assert np.array_equal(shots, np.bincount(groups))
+    def test_equal_add_at_reference(self, lead, n_groups, shots, seed):
+        # np.add.at group sums, kept as a bit-exact reference: each episode's
+        # support rows stored group by group, `shots` rows per group
+        support = np.random.default_rng(seed).normal(size=(*lead, n_groups * shots, 3))
+        groups = np.repeat(np.arange(n_groups), shots)
+        expected = np.zeros((*lead, n_groups, 3))
+        for episode in np.ndindex(*lead):
+            np.add.at(expected[episode], groups, support[episode])
+        expected /= shots
+        assert np.array_equal(prototypes(support, shots), expected)
 
 
 class TestClassify:
@@ -259,7 +260,7 @@ def _per_episode_encode_evaluate(params, vocab, dataset, split, part, n_way, k_s
         rows, _ = sample_episode(dataset, split, part, n_way, k_shot, query_per_class, 0, rng)
         support, query = episode_records(dataset, rows[0], n_way, k_shot)
         labels = list(dict.fromkeys(label for _, label in support))  # the drawn class order
-        _, classes, embs, protos, _ = encode_episode((support, query, labels), params, vocab)
+        _, classes, embs, protos = encode_episode((support, query, labels), params, vocab)
         n_support = len(support)
         queries = embs[n_support:]
         if distance == SQUARED_EUCLIDEAN:
