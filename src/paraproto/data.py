@@ -2,9 +2,9 @@
 C-way K-shot episode sampling with unlabeled batches.
 
 Datasets are JSON-lines files with fields "text" (string), "label" (string)
-and an optional "domain" (string). All sampling takes explicit RNGs or seeds;
-class names are sorted before any random draw so results do not depend on
-hash ordering.
+and an optional "domain" (read as a string). All sampling takes explicit RNGs
+or seeds; class names are sorted before any random draw so results do not
+depend on hash ordering.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def load_dataset(path: str | Path) -> Dataset:
                 raise ValueError(f"{path}:{lineno}: text is empty after tokenization")
             domain = obj.get("domain")
             if domain is not None:
-                if label in domains and domains[label] != domain:
+                if label in domains and domains[label] != str(domain):
                     raise ValueError(f"{path}:{lineno}: class {label!r} has conflicting domains")
                 domains[label] = str(domain)
             records.append((text, label))
@@ -191,6 +191,25 @@ def restrict_low_profile(
     return Dataset(records=records, domains=dict(dataset.domains))
 
 
+def episode_pool(
+    dataset: Dataset, split: ClassSplit, part: str, n_way: int, per_class: int, n_unlabeled: int
+) -> tuple[list[str], list[np.ndarray]]:
+    """The part's sorted class names and each one's dataset rows, once the
+    part is known to fill an episode: too few classes, a class with fewer
+    than per_class rows (the first in sorted order is named) and too few
+    records for the unlabeled rows all fail. It draws nothing."""
+    pool = sorted(split.part(part))
+    if len(pool) < n_way:
+        raise ValueError(f"part {part!r} has {len(pool)} classes, needs {n_way}")
+    by_class = [dataset._by_class[label] for label in pool]
+    for label, class_rows in zip(pool, by_class):
+        if len(class_rows) < per_class:
+            raise ValueError(f"class {label!r} has {len(class_rows)} records, needs {per_class}")
+    if n_unlabeled > len(dataset):
+        raise ValueError(f"cannot draw {n_unlabeled} unlabeled texts from {len(dataset)} records")
+    return pool, by_class
+
+
 def sample_episode_rows(
     dataset: Dataset,
     split: ClassSplit,
@@ -216,25 +235,14 @@ def sample_episode_rows(
     An episode's keys are one contiguous row, so E episodes drawn in one
     call are the E episodes of E one-episode calls, and leave the
     generator where those calls do. Keys are drawn in chunks of at most
-    SAMPLE_BLOCK_BYTES. Too few classes, a class of the part with fewer
-    than per_class rows (the first in sorted order is named) and too few
-    records for the unlabeled rows all fail before any draw.
+    SAMPLE_BLOCK_BYTES. A part that cannot fill an episode (`episode_pool`)
+    fails before any draw.
 
     Returns the dataset rows (E, n_way, per_class), classes and each
     class's rows in key order, and the unlabeled rows (E, n_unlabeled).
     """
-    pool = sorted(split.part(part))
-    if len(pool) < n_way:
-        raise ValueError(f"part {part!r} has {len(pool)} classes, needs {n_way}")
-    by_class = [dataset._by_class[label] for label in pool]
+    pool, by_class = episode_pool(dataset, split, part, n_way, per_class, n_unlabeled)
     sizes = np.array([len(class_rows) for class_rows in by_class])
-    short = np.flatnonzero(sizes < per_class)
-    if len(short):
-        raise ValueError(
-            f"class {pool[short[0]]!r} has {sizes[short[0]]} records, needs {per_class}"
-        )
-    if n_unlabeled > len(dataset):
-        raise ValueError(f"cannot draw {n_unlabeled} unlabeled texts from {len(dataset)} records")
     n_classes, width = len(pool), int(sizes.max())
     filled = np.arange(width) < sizes[:, None]  # (P, W): cell holds a row of the class
     table = np.full((n_classes, width), -1, dtype=np.intp)

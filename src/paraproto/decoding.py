@@ -22,33 +22,31 @@ from .metrics import bleu_by_source
 STRATEGIES = ("dbs", "dbs_unigram", "dbs_bigram", "stub_bt")
 CURVES = ("flat", "down", "up")
 
-# SynonymBigramLM keeps one float64 (V+1, V+1) table per source of a search;
+# SynonymBigramLM builds one float64 (V+1, V+1) table per source of a search;
 # `generate_paraphrase_batch` searches its sentences in blocks whose tables fit
 # this many bytes (9 sources at V = 114).
 DECODE_BLOCK_BYTES = 1024 * 1024
 
 
-class ConditionalLM(Protocol):
-    """Scores continuations of generated prefixes, each conditioned on one of
-    a search's sources.
+class Scorer(Protocol):
+    """An LM conditioned on one search's sources. `next_logprobs_batch(owners,
+    prefixes)` takes B prefixes as token-id sequences (indices into the LM's
+    `vocab`), prefix i continuing source `owners[i]`, and returns one (B, V+1)
+    array of finite log-probabilities, row i over every vocabulary token and
+    then end-of-sequence in the last column, jointly normalized. It must be
+    deterministic; the decoder makes one call per step."""
 
-    `next_logprobs_batch(sources, owners, prefixes)` takes B prefixes as
-    token-id sequences (indices into `vocab`), prefix i continuing source
-    `sources[owners[i]]`, and returns one (B, V+1) array of finite
-    log-probabilities, row i over every vocabulary token and then
-    end-of-sequence in the last column, jointly normalized. It must be
-    deterministic. The decoder makes one call per step, with the same
-    `sources` throughout a search.
-    """
+    def next_logprobs_batch(self, owners: Sequence[int], prefixes: Sequence[Sequence[int]]) -> np.ndarray: ...
+
+
+class ConditionalLM(Protocol):
+    """An LM over `vocab` whose `condition(sources)` returns a search's
+    `Scorer`, called once per search; it leaves the LM as it was, so
+    searches may share one LM."""
 
     vocab: tuple[str, ...]
 
-    def next_logprobs_batch(
-        self,
-        sources: Sequence[Sequence[str]],
-        owners: Sequence[int],
-        prefixes: Sequence[Sequence[int]],
-    ) -> np.ndarray: ...
+    def condition(self, sources: Sequence[Sequence[str]]) -> Scorer: ...
 
 
 @dataclass(frozen=True)
@@ -197,15 +195,16 @@ def diverse_beam_search(
     finite candidates, finished beams first on ties, then candidates in
     row-major order.
 
-    All sources are searched together. The LM may keep state per source
-    (SynonymBigramLM keeps a table each), so callers bound how many they
-    pass, as `generate_paraphrase_batch` does. A step scores every group's
-    unfinished beams of every source with one LM call, since they depend only
-    on the previous step, in one (beams, V+1) matrix of negated scores; each
-    group then adds its penalty to its own rows and takes each source's best
-    candidates from that source's rows, one `argmin` per candidate, which
-    for num_beams / num_groups candidates costs less than a sort. Beams are
-    (tokens, score, raw_score, finished) tuples until returned.
+    All sources are searched together, under one `lm.condition` call whose
+    scorer may hold a table per source (SynonymBigramLM's does), so callers
+    bound how many they pass, as `generate_paraphrase_batch` does. A step
+    scores every group's unfinished beams of every source with one scorer
+    call, since they depend only on the previous step, in one (beams, V+1)
+    matrix of negated scores; each group then adds its penalty to its own
+    rows and takes each source's best candidates from that source's rows,
+    one `argmin` per candidate, which for num_beams / num_groups candidates
+    costs less than a sort. Beams are (tokens, score, raw_score, finished)
+    tuples until returned.
     """
     check_beams(num_beams, num_groups, diversity_penalty)
     if constraints is None:
@@ -218,7 +217,7 @@ def diverse_beam_search(
     if any(len(cs.banned_unigrams) >= n_vocab and cs.banned_unigrams.issuperset(lm.vocab) for cs in constraints):
         raise ValueError("constraints exhaust vocabulary")
 
-    sources = tuple(map(tuple, sources))
+    scorer = lm.condition(sources)
     group_size = num_beams // num_groups
     width = n_vocab + 1
     # row: source * width + previous token id
@@ -235,7 +234,7 @@ def diverse_beam_search(
     live = [[(s, [start], []) for s in range(len(sources))] for _ in range(num_groups)]
     step = 0
     while active:
-        raw = lm.next_logprobs_batch(sources, owners, [b[0] for b in active])
+        raw = scorer.next_logprobs_batch(owners, [b[0] for b in active])
         # negated scores, so the smallest ranks best and banned cells (+inf)
         # after every finite candidate
         neg = np.negative(raw)
@@ -382,7 +381,7 @@ def generate_paraphrase_batch(
     else:
         constraints = None
 
-    # one search per block of DECODE_BLOCK_BYTES, so that the LM's tables
+    # one search per block of DECODE_BLOCK_BYTES, so that the search's tables
     # stay capped and only the chosen texts outlive a block
     cap, out = max(1, DECODE_BLOCK_BYTES // (8 * (len(lm.vocab) + 1) ** 2)), []
     for i in range(0, len(sources), cap):
@@ -426,9 +425,7 @@ class SynonymBigramLM:
     into visible substitutions instead of noise.
     """
 
-    def __init__(
-        self, corpus_texts: Sequence[str], synonyms: dict[str, tuple[str, ...]] | None = None
-    ):
+    def __init__(self, corpus_texts: Sequence[str], synonyms: dict[str, tuple[str, ...]] | None = None):
         self.synonyms = dict(synonyms) if synonyms else {}
         tokens: set[str] = set()
         sentences = [tokenize(t) for t in corpus_texts]
@@ -457,16 +454,12 @@ class SynonymBigramLM:
         self._prior = BIGRAM_WEIGHT * self._bigram
         self._prior[:, :n] += UNIFORM_WEIGHT / n
 
-        # the sources of the current search and their tables; see _use_sources
-        self._sources: tuple[tuple[str, ...], ...] | None = None
-        self._buffer = np.empty((0, n + 1, n + 1))
-
-    def _use_sources(self, sources: Sequence[Sequence[str]]) -> None:
-        """On new sources, build each one's (V+1, V+1) table of base rows by
-        last prefix token id, once (a search asks for the same few rows at
-        every step), into one (S, V+1, V+1) stack, and set each one's EOS-gate
-        bounds, which keep outputs near the source length. Only the last
-        sources are kept.
+    def condition(self, sources: Sequence[Sequence[str]]) -> SourceTables:
+        """Condition on a search's sources: build each one's (V+1, V+1) table
+        of base rows by last prefix token id, once (a search asks for the same
+        few rows at every step), into one (S, V+1, V+1) stack, with each one's
+        EOS-gate bounds, which keep outputs near the source length. The LM
+        keeps none of it.
 
         A row's mass goes to target positions of its source, position
         len(source) standing for EOS: BOS targets position 0, and a token
@@ -479,21 +472,12 @@ class SynonymBigramLM:
         token. The targets' mass is added in one `np.add.at`, which adds a
         cell's shares one after another, and the fallback's in two dense adds;
         either way a cell takes its copy shares, then its synonym share."""
-        key = tuple(map(tuple, sources))
-        if key == self._sources:
-            return
-        if not all(key):
+        if not all(sources):
             raise ValueError("empty source")
-        self._sources = None  # the buffer is rebuilt in place
         n, index = len(self.vocab), self._index
         width = n + 1
-        # searches reuse one buffer, grown to the most sources seen at once
-        # (`generate_paraphrase_batch` passes at most DECODE_BLOCK_BYTES of them)
-        if len(self._buffer) < len(key):
-            self._buffer = np.empty((len(key), width, width))
-        tables = self._buffer[: len(key)]
-        tables[...] = self._prior
-        for table, source in zip(tables, key):
+        tables = np.tile(self._prior, (len(sources), 1, 1))
+        for table, source in zip(tables, sources):
             # each target position's column (-1 out of vocabulary, EOS past
             # the end) and in-vocabulary synonyms
             ids = [index.get(tok, -1) for tok in source] + [n]
@@ -520,40 +504,43 @@ class SynonymBigramLM:
             syn_all = np.array(list(set().union(*alts)), dtype=np.intp)
             table[fallback, copy_all] += COPY_WEIGHT / max(len(copy_all), 1)
             table[fallback, syn_all] += SYNONYM_WEIGHT / max(len(syn_all), 1)
-        self._rows = tables.reshape(-1, width)  # row: source * (V+1) + last id
-        self._eos_lo = [max(1, round(0.85 * len(s))) for s in key]
-        self._eos_hi = [len(s) + max(2, round(0.5 * len(s))) for s in key]
-        self._sources = key
+        eos_lo = [max(1, round(0.85 * len(s))) for s in sources]
+        eos_hi = [len(s) + max(2, round(0.5 * len(s))) for s in sources]
+        return SourceTables(tables.reshape(-1, width), eos_lo, eos_hi)
 
-    def next_logprobs(
-        self, source: Sequence[str], prefix: Sequence[str]
-    ) -> tuple[np.ndarray, float]:
-        """The one-prefix case of `next_logprobs_batch`, on token strings: the
-        log-probabilities of every vocabulary token, and of EOS, after
-        `prefix`. A prefix token outside `vocab` raises `ValueError`."""
+    def next_logprobs(self, source: Sequence[str], prefix: Sequence[str]) -> tuple[np.ndarray, float]:
+        """The one-prefix case of `SourceTables.next_logprobs_batch`, on token
+        strings: the log-probabilities of every vocabulary token, and of EOS,
+        after `prefix`. A prefix token outside `vocab` raises `ValueError`."""
         try:
             ids = [self._index[tok] for tok in prefix]
         except KeyError as exc:
             raise ValueError(f"prefix token {exc.args[0]!r} is not in the vocabulary") from None
-        logs = self.next_logprobs_batch([source], [0], [ids])
+        logs = self.condition([source]).next_logprobs_batch([0], [ids])
         return logs[0, :-1], float(logs[0, -1])
 
-    def next_logprobs_batch(
-        self,
-        sources: Sequence[Sequence[str]],
-        owners: Sequence[int],
-        prefixes: Sequence[Sequence[int]],
-    ) -> np.ndarray:
+
+@dataclass(frozen=True, eq=False)
+class SourceTables:
+    """A `SynonymBigramLM` conditioned on one search's S sources, as
+    `SynonymBigramLM.condition` builds it: every source's base rows, stacked
+    (row: source * (V+1) + last prefix token id, or V before the first), and
+    each source's EOS-gate bounds on the prefix length."""
+
+    rows: np.ndarray
+    eos_lo: list[int]
+    eos_hi: list[int]
+
+    def next_logprobs_batch(self, owners: Sequence[int], prefixes: Sequence[Sequence[int]]) -> np.ndarray:
         """Scores B token-id prefixes (integer indices into `vocab`), prefix i
-        continuing source `sources[owners[i]]`: a (B, V+1) array of
-        log-probabilities, EOS in the last column. An owner outside [0, S), or
-        an id outside [0, V) or not an integer, raises `ValueError`."""
-        if owners and not 0 <= min(owners) <= max(owners) < len(sources):
-            raise ValueError(f"owners must lie in [0, {len(sources)})")
-        self._use_sources(sources)
-        n = len(self.vocab)
+        continuing source `owners[i]`: a (B, V+1) array of log-probabilities,
+        EOS in the last column. An owner outside [0, S), or an id outside
+        [0, V) or not an integer, raises `ValueError`."""
+        n_sources, n = len(self.eos_lo), self.rows.shape[1] - 1
+        if owners and not 0 <= min(owners) <= max(owners) < n_sources:
+            raise ValueError(f"owners must lie in [0, {n_sources})")
         try:
-            probs = self._rows[[o * (n + 1) + (p[-1] if len(p) else n) for o, p in zip(owners, prefixes)]]
+            probs = self.rows[[o * (n + 1) + (p[-1] if len(p) else n) for o, p in zip(owners, prefixes)]]
         except IndexError:  # a last id that indexes no row: a float, or far out of range
             raise _bad_prefix_ids(n) from None
         # damp tokens already generated, so decodes do not loop: `multiply.at`
@@ -571,7 +558,7 @@ class SynonymBigramLM:
             raise _bad_prefix_ids(n)
         np.multiply.at(probs, (owner, ids), REPEAT_DECAY)
 
-        lo, hi = self._eos_lo, self._eos_hi
+        lo, hi = self.eos_lo, self.eos_hi
         probs[:, n] *= [1e-4 if len(p) < lo[o] else 1.0 if len(p) <= hi[o] else 25.0 for p, o in zip(prefixes, owners)]
         probs /= probs.sum(axis=1, keepdims=True)
         return np.log(probs, out=probs)

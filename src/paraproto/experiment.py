@@ -22,7 +22,7 @@ from .consistency import (
 )
 from .data import (
     PARTS, TRAIN, VALID, TEST, ClassSplit, Dataset, check_episode_shape, check_split_ratios, load_dataset,
-    restrict_low_profile, sample_episodes, split_classes,
+    episode_pool, restrict_low_profile, sample_episodes, split_classes,
 )
 from .decoding import (
     STRATEGIES, DecodeConfig, SynonymBigramLM, check_paraphrase_count, check_strategy, generate_paraphrase_batch,
@@ -141,7 +141,6 @@ class RunReport:
     k_shot: int
     seed_results: list[SeedResult]
     pmask_series: list[tuple[float, float, float]] | None = None
-    diversity: dict[str, dict[str, float]] | None = None
 
     @property
     def seed_accuracies(self) -> list[float]:
@@ -204,6 +203,10 @@ def train_single_seed(
     texts = working.texts()
     vocab = Vocabulary.from_texts(texts)
     corpus = TokenRows.from_texts(texts, vocab)  # every working text as ids, once per run
+    # a part that cannot fill an episode fails here, in the order the run draws from the parts
+    n_unlabeled = config.n_unlabeled if config.strategy != "none" else 0
+    for part, part_unlabeled in ((TRAIN, n_unlabeled), (VALID, 0), (TEST, 0)):
+        episode_pool(working, split, part, config.n_way, config.k_shot + config.query_per_class, part_unlabeled)
     rng_init, rng_episode, rng_valid, rng_test, rng_decode = _rngs(seed, 5)
 
     params = EncoderParams.init(len(vocab), config.embed_dim, config.output_dim, rng_init)
@@ -238,8 +241,7 @@ def train_single_seed(
         # misses in episode order (every row, cache off) decode as one batch
         rows, unlabeled = sample_episodes(
             working, split, TRAIN, config.n_way, config.k_shot, config.query_per_class,
-            config.n_unlabeled if lm is not None else 0,
-            min(config.eval_every, config.max_episodes - start), rng_episode,
+            n_unlabeled, min(config.eval_every, config.max_episodes - start), rng_episode,
         )
         if lm is not None:
             if cache is None:
@@ -250,7 +252,6 @@ def train_single_seed(
                 cache.update(zip(misses, paraphrase(misses)))
                 paraphrases = [cache[key] for key in keys]
 
-        n = config.n_unlabeled
         for i, tokens in enumerate(map(corpus.take, rows)):
             step = start + i + 1
             if lm is None:
@@ -259,7 +260,8 @@ def train_single_seed(
                 losses = StepLosses(total=sup_loss, supervised=sup_loss, unsupervised=0.0, weight=0.0)
             else:
                 batch = UnlabeledBatch(
-                    sentences=corpus.take(unlabeled[i]), paraphrases=paraphrases[i * n : (i + 1) * n]
+                    sentences=corpus.take(unlabeled[i]),
+                    paraphrases=paraphrases[i * n_unlabeled : (i + 1) * n_unlabeled],
                 )
                 losses = combined_training_step(
                     tokens, config.n_way, config.k_shot, batch, params, adam, schedule, step, config.distance

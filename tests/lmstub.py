@@ -23,9 +23,20 @@ class PrefixLM:
     """A test LM scored one text prefix at a time by `next_logprobs`, with
     the decoder's batch step built from those rows."""
 
-    def next_logprobs_batch(self, sources, owners, prefixes):
+    def condition(self, sources):
+        return PrefixScorer(self, sources)
+
+
+class PrefixScorer:
+    """A `PrefixLM` conditioned on a search's sources: one `next_logprobs`
+    row per prefix, stacked."""
+
+    def __init__(self, lm, sources):
+        self.lm, self.sources = lm, sources
+
+    def next_logprobs_batch(self, owners, prefixes):
         rows = [
-            self.next_logprobs(sources[o], [self.vocab[i] for i in p])
+            self.lm.next_logprobs(self.sources[o], [self.lm.vocab[i] for i in p])
             for o, p in zip(owners, prefixes)
         ]
         return np.array([np.append(logprobs, eos) for logprobs, eos in rows])

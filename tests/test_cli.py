@@ -101,6 +101,21 @@ class TestTrain:
         assert "--save-checkpoints does not apply to --pmask-sweep" in capsys.readouterr().err
         assert trained == [] and not out.exists()
 
+    def test_part_too_small_for_an_episode_fails_before_any_episode(self, tmp_path, capsys, monkeypatch):
+        # 6 classes split 3/2/1, so the test part has one class; the run once
+        # trained every block before its test episodes found that out
+        import paraproto.experiment as experiment
+
+        steps = []
+        monkeypatch.setattr(experiment, "supervised_episode_loss", lambda *args: steps.append(args))
+        data, out = tmp_path / "small.jsonl", tmp_path / "run"
+        assert main(["synth-data", "--out", str(data), "--classes", "6", "--per-class", "10"]) == 0
+        code = main(["train", "--dataset", str(data), "--out", str(out), "--strategy", "none", "--n-way", "2",
+                     "--max-episodes", "200", "--eval-every", "100", "--eval-episodes", "5", "--seeds", "0"])
+        assert code == 1
+        assert "part 'test' has 1 classes, needs 2" in capsys.readouterr().err
+        assert steps == [] and not out.exists()
+
     @pytest.mark.parametrize("flags, config_text", [
         (["--strategy", "none"], None),
         (["--strategy", "dbs"], None),

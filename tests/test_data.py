@@ -86,6 +86,13 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="conflicting"):
             load_dataset(path)
 
+    def test_integer_domain_loads_as_text(self, tmp_path):
+        rows = [{"text": "x y", "label": "x", "domain": 7}, {"text": "y z", "label": "x", "domain": 7}]
+        assert load_dataset(write_jsonl(tmp_path / "same.jsonl", rows)).domains == {"x": "7"}
+        rows[1]["domain"] = 8
+        with pytest.raises(ValueError, match="class 'x' has conflicting domains"):
+            load_dataset(write_jsonl(tmp_path / "other.jsonl", rows))
+
     def test_synthetic_corpus_class_count(self, corpus):
         assert len(corpus.classes) == 20
         assert len(corpus) == 600

@@ -12,6 +12,7 @@ from paraproto.decoding import (
     Beam,
     ConstraintSet,
     DecodeConfig,
+    SourceTables,
     SynonymBigramLM,
     build_bigram_constraints,
     build_unigram_constraints,
@@ -209,7 +210,7 @@ def per_beam_diverse_beam_search(lm, source, num_beams, num_groups, diversity_pe
 class TestBatchedStepMatchesPerBeam:
     """The batched decoder gives exactly the groups of the per-beam reference:
     with a test LM whose batch step stacks its per-prefix rows, and with
-    `SynonymBigramLM.next_logprobs_batch`."""
+    `SourceTables.next_logprobs_batch`."""
 
     def test_random_lm(self):
         lm = RandomLM(tuple("abcdef"), seed=21, eos_weight=0.3)
@@ -261,48 +262,85 @@ class TestBatchedStepMatchesPerBeam:
 
 
 class TestLMCallCounts:
-    """A seeded decode makes one batched LM call per step and builds its
-    source's table of base rows once, so per-beam LM calls and per-step
-    table rebuilds cannot come back unnoticed."""
+    """A seeded decode conditions the LM once per search and makes one scorer
+    call per step, so per-beam LM calls and per-step table rebuilds cannot
+    come back unnoticed."""
 
-    def test_one_batch_call_per_step_and_one_table_build_per_source(self, monkeypatch):
+    def test_one_condition_per_search_and_one_scorer_call_per_step(self, monkeypatch):
         lm = SynonymBigramLM(
             ["can you play the music", "book the flight now please", "check my balance"],
             default_synonym_table(),
         )
-        batch_lengths, builds = [], []
-        batch, use_sources = SynonymBigramLM.next_logprobs_batch, SynonymBigramLM._use_sources
+        conditioned, scorers, callers, batch_lengths = [], [], [], []
+        condition, batch = SynonymBigramLM.condition, SourceTables.next_logprobs_batch
 
-        def counting_batch(self, sources, owners, prefixes):
+        def counting_condition(self, sources):
+            conditioned.append([tuple(s) for s in sources])
+            scorers.append(condition(self, sources))
+            return scorers[-1]
+
+        def counting_batch(self, owners, prefixes):
+            callers.append(self)
             batch_lengths.append({len(p) for p in prefixes})
-            return batch(self, sources, owners, prefixes)
-
-        def counting_use_sources(self, sources):
-            # a table build: only a build sets a new view of the table rows
-            rows = getattr(self, "_rows", None)
-            out = use_sources(self, sources)
-            if self._rows is not rows:
-                builds.extend(self._sources)
-            return out
+            return batch(self, owners, prefixes)
 
         def no_single_calls(self, source, prefix):
             raise AssertionError("per-beam next_logprobs call")
 
-        monkeypatch.setattr(SynonymBigramLM, "next_logprobs_batch", counting_batch)
-        monkeypatch.setattr(SynonymBigramLM, "_use_sources", counting_use_sources)
+        monkeypatch.setattr(SynonymBigramLM, "condition", counting_condition)
+        monkeypatch.setattr(SourceTables, "next_logprobs_batch", counting_batch)
         monkeypatch.setattr(SynonymBigramLM, "next_logprobs", no_single_calls)
         rng = np.random.default_rng(4)
         for sentence in ("can you play the music and book the flight now please",
                          "check my balance"):
             for strategy in ("dbs", "dbs_unigram", "dbs_bigram"):
-                batch_lengths.clear()
-                builds.clear()
+                for found in (conditioned, scorers, callers, batch_lengths):
+                    found.clear()
                 generate_paraphrases(lm, sentence, 5, strategy, DecodeConfig(), rng)
-                # every unfinished beam has as many tokens as steps taken
+                # one table build per search, none per step
+                assert conditioned == [[tuple(tokenize(sentence))]]
+                # every step calls that search's scorer once: every
+                # unfinished beam has as many tokens as steps taken
+                assert all(caller is scorers[0] for caller in callers)
                 assert batch_lengths == [{step} for step in range(len(batch_lengths))]
-                # one build when the source changes, none per step; a decode
-                # of the same source again reuses the table
-                assert builds == ([tuple(tokenize(sentence))] if strategy == "dbs" else [])
+
+
+class TestConditioning:
+    """Conditioning returns a scorer and leaves the LM as it was, so searches
+    may share one LM and interleave."""
+
+    def test_lm_unchanged_by_a_batch(self, toy_lm):
+        before = copy.deepcopy(vars(toy_lm))
+        generate_paraphrase_batch(toy_lm, ["can you play the music", "check my balance please"] * 3, 5,
+                                  "dbs_unigram", DecodeConfig(), np.random.default_rng(0))
+        after = vars(toy_lm)
+        assert after.keys() == before.keys()
+        for name, value in before.items():
+            same = np.array_equal(after[name], value) if isinstance(value, np.ndarray) else after[name] == value
+            assert same, name
+
+    def test_interleaved_scorers_equal_each_alone(self, toy_lm):
+        index = {tok: i for i, tok in enumerate(toy_lm.vocab)}
+        searches = [[tokenize("can you play the music"), tokenize("book the flight now")],
+                    [tokenize("check my balance please")]]
+        # step t: every source's first t tokens, as ids
+        steps = [
+            [(list(range(len(sources))), [[index[tok] for tok in source[:t]] for source in sources])
+             for t in range(4)]
+            for sources in searches
+        ]
+        alone = []
+        for sources, search_steps in zip(searches, steps):
+            scorer = toy_lm.condition(sources)
+            alone.append([scorer.next_logprobs_batch(*step) for step in search_steps])
+        scorers = [toy_lm.condition(sources) for sources in searches]
+        interleaved = [[], []]
+        for step_pair in zip(*steps):
+            for k in (1, 0):
+                interleaved[k].append(scorers[k].next_logprobs_batch(*step_pair[k]))
+        for found, expected in zip(interleaved, alone):
+            assert all(np.array_equal(f, e) for f, e in zip(found, expected))
+            assert len(found) == len(expected)
 
 
 @pytest.fixture(scope="module")
@@ -361,13 +399,13 @@ class TestManySourcesSearch:
     def test_one_lm_call_per_step_over_every_source(self, synth_lm_and_texts, monkeypatch):
         lm, texts = synth_lm_and_texts
         calls = []
-        batch = SynonymBigramLM.next_logprobs_batch
+        batch = SourceTables.next_logprobs_batch
 
-        def counting_batch(self, sources, owners, prefixes):
-            calls.append((len(sources), set(owners)))
-            return batch(self, sources, owners, prefixes)
+        def counting_batch(self, owners, prefixes):
+            calls.append((len(self.eos_lo), set(owners)))
+            return batch(self, owners, prefixes)
 
-        monkeypatch.setattr(SynonymBigramLM, "next_logprobs_batch", counting_batch)
+        monkeypatch.setattr(SourceTables, "next_logprobs_batch", counting_batch)
         sources = [tokenize(t) for t in texts[:3]]
         max_lens = [2 * len(s) + 5 for s in sources]
         diverse_beam_search(lm, sources, 15, 5, 0.5, max_lens)
@@ -641,7 +679,7 @@ class TestSynonymBigramLM:
         # EOS-gate thresholds, and a last token with no source alignment
         prefixes += [[], [pool[0]] * 3, [pool[0]] * (lo - 1), [pool[0]] * lo,
                      [pool[-1]] * hi, [pool[-1]] * (hi + 1), pool + [unaligned[0]]]
-        batch = toy_lm.next_logprobs_batch([source], [0] * len(prefixes), prefixes)
+        batch = toy_lm.condition([source]).next_logprobs_batch([0] * len(prefixes), prefixes)
         assert batch.shape == (len(prefixes), len(vocab) + 1)
         logprobs, eos = batch[:, :-1], batch[:, -1]
         for row, prefix in enumerate(prefixes):
@@ -674,7 +712,7 @@ class TestSynonymBigramLM:
         with pytest.raises(ValueError, match="empty source"):
             toy_lm.next_logprobs([], [])
         with pytest.raises(ValueError, match="empty source"):
-            toy_lm.next_logprobs_batch([[]], [0], [()])
+            toy_lm.condition([[]]).next_logprobs_batch([0], [()])
 
     def test_out_of_range_token_ids_rejected(self, toy_lm):
         # id V and id -1 would both read the BOS row of the table; as unsigned
@@ -682,10 +720,10 @@ class TestSynonymBigramLM:
         source, n = ["play", "music"], len(toy_lm.vocab)
         for bad in ((n,), (-1,), (0, n), (np.intp(-1),), (0, np.int64(-1))):
             with pytest.raises(ValueError, match=rf"token ids must lie in \[0, {n}\)"):
-                toy_lm.next_logprobs_batch([source], [0, 0], [(0,), bad])
+                toy_lm.condition([source]).next_logprobs_batch([0, 0], [(0,), bad])
         valid = (toy_lm.vocab.index("play"), n - 1)
         logprobs, eos = toy_lm.next_logprobs(source, [toy_lm.vocab[i] for i in valid])
-        row = toy_lm.next_logprobs_batch([source], [0], [valid])[0]
+        row = toy_lm.condition([source]).next_logprobs_batch([0], [valid])[0]
         assert np.array_equal(row[:-1], logprobs) and row[-1] == eos
 
     @pytest.mark.parametrize("last", [-200, 10**30, 0.5])
@@ -694,13 +732,13 @@ class TestSynonymBigramLM:
         # below -(V+1), one past any index and a non-integer fail there
         n = len(toy_lm.vocab)
         with pytest.raises(ValueError, match=rf"^prefix token ids must lie in \[0, {n}\)$"):
-            toy_lm.next_logprobs_batch([["play", "music"]], [0, 0], [(0,), (last,)])
+            toy_lm.condition([["play", "music"]]).next_logprobs_batch([0, 0], [(0,), (last,)])
 
     @pytest.mark.parametrize("owner", [-1, 2])
     def test_owner_outside_sources_rejected(self, toy_lm, owner):
         # a negative owner would read another source's table rows
         with pytest.raises(ValueError, match=r"^owners must lie in \[0, 2\)$"):
-            toy_lm.next_logprobs_batch([["play"], ["music"]], [0, owner], [(0,), (1,)])
+            toy_lm.condition([["play"], ["music"]]).next_logprobs_batch([0, owner], [(0,), (1,)])
 
     @pytest.mark.parametrize("prefix", [(0.5, 1), (1.0, 1)])
     def test_non_integer_id_before_the_last_rejected(self, toy_lm, prefix):
@@ -708,7 +746,7 @@ class TestSynonymBigramLM:
         # position, not only where the table gather reads it
         n = len(toy_lm.vocab)
         with pytest.raises(ValueError, match=rf"^prefix token ids must lie in \[0, {n}\)$"):
-            toy_lm.next_logprobs_batch([["play", "music"]], [0, 0], [(0,), prefix])
+            toy_lm.condition([["play", "music"]]).next_logprobs_batch([0, 0], [(0,), prefix])
 
 
 def reference_base_row(lm, source, last):
@@ -747,10 +785,10 @@ def reference_base_row(lm, source, last):
 
 def assert_table_matches_reference(lm, source):
     """Every row of `source`'s table equals its reference base row."""
-    lm._use_sources([source])
+    rows = lm.condition([source]).rows
     for i in range(len(lm.vocab) + 1):
         last = lm.vocab[i] if i < len(lm.vocab) else None
-        assert np.array_equal(lm._rows[i], reference_base_row(lm, source, last)), (source, last)
+        assert np.array_equal(rows[i], reference_base_row(lm, source, last)), (source, last)
 
 
 def per_token_next_logprobs(lm, source, prefix):

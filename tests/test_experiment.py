@@ -442,9 +442,6 @@ run_reports = st.builds(
     k_shot=st.integers(1, 20),
     seed_results=st.lists(seed_results, max_size=3),
     pmask_series=st.none() | st.lists(st.tuples(st.floats(0.0, 1.0), finite, finite), max_size=4),
-    diversity=st.none() | st.dictionaries(
-        st.text(max_size=8), st.dictionaries(st.text(max_size=8), finite, max_size=3), max_size=3
-    ),
 )
 
 
@@ -474,6 +471,8 @@ class TestEmitReport:
         (lambda obj: {k: v for k, v in obj.items() if k != "seed_results"},
          r"^report is missing key 'seed_results'$"),
         (lambda obj: {**obj, "extra": 1}, r"^report has unknown key 'extra'$"),
+        # reports written before `diversity` left RunReport
+        (lambda obj: {**obj, "diversity": None}, r"^report has unknown key 'diversity'$"),
     ])
     def test_malformed_report_json_names_the_problem(self, edit, message):
         text = json.dumps(edit(json.loads(self._report().to_json())))
