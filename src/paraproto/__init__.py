@@ -10,7 +10,7 @@ from .consistency import (
     combined_training_step,
     unsupervised_loss,
 )
-from .data import ClassSplit, Dataset, load_dataset, restrict_low_profile, sample_episode, split_classes
+from .data import ClassSplit, Dataset, EpisodeSource, load_dataset, restrict_low_profile, sample_episode, split_classes
 from .decoding import (
     Beam,
     ConditionalLM,

@@ -16,11 +16,11 @@ import numpy as np
 
 from . import numerics
 from .configio import dataclass_from_kv, parse_kv_text
-from .data import PARTS, ClassSplit, load_dataset
+from .data import PARTS, EpisodeSource, load_dataset
 from .decoding import (
     CURVES, STRATEGIES, DecodeConfig, SynonymBigramLM, check_paraphrase_count, generate_paraphrase_batch,
 )
-from .encoder import TokenRows, load_checkpoint
+from .encoder import TokenRows
 from .experiment import (
     METHODS,
     PROFILES,
@@ -28,6 +28,7 @@ from .experiment import (
     RunReport,
     diversity_by_strategy,
     emit_report,
+    load_run_checkpoint,
     run_experiment,
     run_pmask_sweep,
 )
@@ -93,20 +94,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    params, vocab, run = load_checkpoint(args.checkpoint)
-    if "config" not in run:
-        raise ValueError(f"{args.checkpoint} records no run to evaluate against; retrain it")
     dataset = load_dataset(resolve_data_path(args.dataset))
-    if dataset.digest() != run["dataset_sha256"]:
-        raise ValueError(f"{args.dataset} is not the dataset {args.checkpoint} was trained on: the SHA-256 differs")
-    config = RunConfig.from_text(run["config"])
-    split = ClassSplit(*(frozenset(run[f"{part}_classes"]) for part in PARTS))
-    shape = [getattr(config, name) if getattr(args, name) is None else getattr(args, name)
-             for name in ("n_way", "k_shot", "query_per_class", "n_eval_episodes")]
-    tokens = TokenRows.from_texts(dataset.texts(), vocab)
-    result = evaluate(
-        params, tokens, dataset, split, args.part, *shape, np.random.default_rng(args.seed), config.distance
+    params, vocab, config, split = load_run_checkpoint(args.checkpoint, dataset)
+    n_way, k_shot, query_per_class, n_episodes = (
+        getattr(config, name) if getattr(args, name) is None else getattr(args, name)
+        for name in ("n_way", "k_shot", "query_per_class", "n_eval_episodes")
     )
+    source = EpisodeSource(dataset, split, args.part, n_way, k_shot, query_per_class)
+    tokens = TokenRows.from_texts(dataset.texts(), vocab)
+    result = evaluate(params, tokens, source, n_episodes, np.random.default_rng(args.seed), config.distance)
     print(f"{args.part} accuracy over {result.episode_count} episodes: {result.mean_accuracy:.4f}")
     return 0
 

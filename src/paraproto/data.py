@@ -191,80 +191,6 @@ def restrict_low_profile(
     return Dataset(records=records, domains=dict(dataset.domains))
 
 
-def episode_pool(
-    dataset: Dataset, split: ClassSplit, part: str, n_way: int, per_class: int, n_unlabeled: int
-) -> tuple[list[str], list[np.ndarray]]:
-    """The part's sorted class names and each one's dataset rows, once the
-    part is known to fill an episode: too few classes, a class with fewer
-    than per_class rows (the first in sorted order is named) and too few
-    records for the unlabeled rows all fail. It draws nothing."""
-    pool = sorted(split.part(part))
-    if len(pool) < n_way:
-        raise ValueError(f"part {part!r} has {len(pool)} classes, needs {n_way}")
-    by_class = [dataset._by_class[label] for label in pool]
-    for label, class_rows in zip(pool, by_class):
-        if len(class_rows) < per_class:
-            raise ValueError(f"class {label!r} has {len(class_rows)} records, needs {per_class}")
-    if n_unlabeled > len(dataset):
-        raise ValueError(f"cannot draw {n_unlabeled} unlabeled texts from {len(dataset)} records")
-    return pool, by_class
-
-
-def sample_episode_rows(
-    dataset: Dataset,
-    split: ClassSplit,
-    part: str,
-    n_way: int,
-    per_class: int,
-    n_unlabeled: int,
-    n_episodes: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the rows of `n_episodes` C-way episodes from one split part.
-
-    Each episode reads one row of K uniform keys from `rng.random`, where
-    P is the part's class count and W its largest class size:
-    - keys [0, P) rank the part's sorted class names; the n_way smallest
-      (stable `argsort`) are the episode's classes, in key order;
-    - keys [P, P + n_way * W) give each drawn class, in order, W keys, one
-      per row of the class in dataset order (cells past the class's size
-      count as +inf); the per_class smallest pick its rows, in key order;
-    - only when n_unlabeled > 0, keys [P + n_way * W, K) rank every dataset
-      row and the n_unlabeled smallest are the unlabeled rows. They may
-      come from any class, including test classes.
-    An episode's keys are one contiguous row, so E episodes drawn in one
-    call are the E episodes of E one-episode calls, and leave the
-    generator where those calls do. Keys are drawn in chunks of at most
-    SAMPLE_BLOCK_BYTES. A part that cannot fill an episode (`episode_pool`)
-    fails before any draw.
-
-    Returns the dataset rows (E, n_way, per_class), classes and each
-    class's rows in key order, and the unlabeled rows (E, n_unlabeled).
-    """
-    pool, by_class = episode_pool(dataset, split, part, n_way, per_class, n_unlabeled)
-    sizes = np.array([len(class_rows) for class_rows in by_class])
-    n_classes, width = len(pool), int(sizes.max())
-    filled = np.arange(width) < sizes[:, None]  # (P, W): cell holds a row of the class
-    table = np.full((n_classes, width), -1, dtype=np.intp)
-    table[filled] = np.concatenate(by_class)
-    n_keys = n_classes + n_way * width + (len(dataset) if n_unlabeled else 0)
-
-    rows = np.empty((n_episodes, n_way, per_class), dtype=np.intp)
-    unlabeled = np.empty((n_episodes, n_unlabeled), dtype=np.intp)
-    chunk = max(1, SAMPLE_BLOCK_BYTES // (n_keys * 8))
-    for start in range(0, n_episodes, chunk):
-        keys = rng.random((min(chunk, n_episodes - start), n_keys))
-        stop = start + len(keys)
-        picked = keys[:, :n_classes].argsort(axis=1, kind="stable")[:, :n_way]
-        row_keys = keys[:, n_classes : n_classes + n_way * width].reshape(-1, n_way, width)
-        row_keys[~filled[picked]] = np.inf
-        order = row_keys.argsort(axis=2, kind="stable")[:, :, :per_class]
-        rows[start:stop] = table[picked[:, :, None], order]
-        unlabeled_keys = keys[:, n_classes + n_way * width :]  # no columns when n_unlabeled is 0
-        unlabeled[start:stop] = unlabeled_keys.argsort(axis=1, kind="stable")[:, :n_unlabeled]
-    return rows, unlabeled
-
-
 def check_episode_shape(n_way: int, k_shot: int, query_per_class: int) -> None:
     """Reject an episode shape whose loss or accuracy is undefined: fewer than
     two classes, or a class with no support or no query rows."""
@@ -276,44 +202,89 @@ def check_episode_shape(n_way: int, k_shot: int, query_per_class: int) -> None:
         raise ValueError("n_way must be >= 2")
 
 
-def sample_episodes(
-    dataset: Dataset,
-    split: ClassSplit,
-    part: str,
-    n_way: int,
-    k_shot: int,
-    query_per_class: int,
-    n_unlabeled: int,
-    n_episodes: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample `n_episodes` C-way K-shot episodes from one split part: the
-    draws of `sample_episode_rows`, each class's first k_shot rows as support.
-    Returns the dataset rows (E, n_way * (k_shot + query_per_class)), support
-    rows first, class by class, then query rows in the same class order; and
-    the unlabeled rows (E, n_unlabeled). A degenerate shape
-    (`check_episode_shape`) fails before any draw.
-    """
-    check_episode_shape(n_way, k_shot, query_per_class)
-    rows, unlabeled = sample_episode_rows(
-        dataset, split, part, n_way, k_shot + query_per_class, n_unlabeled, n_episodes, rng
-    )
-    support, query = rows[:, :, :k_shot], rows[:, :, k_shot:]
-    rows = np.concatenate((support.reshape(n_episodes, -1), query.reshape(n_episodes, -1)), axis=1)
-    return rows, unlabeled
+@dataclass(frozen=True, eq=False)
+class EpisodeSource:
+    """C-way K-shot episodes of one split part, checked when built, before any
+    draw: a degenerate shape (`check_episode_shape`), too few classes, a class
+    with fewer than k_shot + query_per_class rows (the first in sorted order
+    is named) and too few records for the unlabeled rows all fail. It keeps
+    the part's sorted class names, a (classes, W) table of each class's
+    dataset rows, padded with -1 to the largest class, and the part's
+    dataset `rows` in `class_rows` order."""
+
+    dataset: Dataset
+    split: ClassSplit
+    part: str
+    n_way: int
+    k_shot: int
+    query_per_class: int
+    n_unlabeled: int = 0
+    classes: tuple[str, ...] = field(init=False)
+    table: np.ndarray = field(init=False)
+    rows: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        check_episode_shape(self.n_way, self.k_shot, self.query_per_class)
+        per_class = self.k_shot + self.query_per_class
+        classes = tuple(sorted(self.split.part(self.part)))
+        if len(classes) < self.n_way:
+            raise ValueError(f"part {self.part!r} has {len(classes)} classes, needs {self.n_way}")
+        by_class = [self.dataset._by_class[label] for label in classes]
+        for label, class_rows in zip(classes, by_class):
+            if len(class_rows) < per_class:
+                raise ValueError(f"class {label!r} has {len(class_rows)} records, needs {per_class}")
+        if self.n_unlabeled > len(self.dataset):
+            raise ValueError(f"cannot draw {self.n_unlabeled} unlabeled texts from {len(self.dataset)} records")
+        sizes = np.array([len(class_rows) for class_rows in by_class])
+        rows = np.concatenate(by_class)
+        table = np.full((len(classes), int(sizes.max())), -1, dtype=np.intp)
+        table[np.arange(table.shape[1]) < sizes[:, None]] = rows
+        for name, value in (("classes", classes), ("table", table), ("rows", rows)):
+            object.__setattr__(self, name, value)
+
+    def draw(self, n_episodes: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Draw `n_episodes` episodes. Each reads one row of uniform keys from
+        `rng.random`, ranked by stable `argsort`:
+        - the first P (the part's class count) rank the sorted class names;
+          the n_way smallest are the episode's classes, in key order;
+        - the next n_way * W give each drawn class, in order, one key per cell
+          of its table row (padding counts as +inf); the k_shot +
+          query_per_class smallest pick its rows, the first k_shot as support;
+        - only when n_unlabeled > 0, one key per dataset row; the n_unlabeled
+          smallest are the unlabeled rows, from any class, test classes too.
+        An episode's keys are one contiguous row, so E episodes drawn at once
+        equal, and leave the generator where, E one-episode draws do. Keys are
+        drawn in chunks of at most SAMPLE_BLOCK_BYTES.
+
+        Returns the rows (E, n_way * (k_shot + query_per_class)), support rows
+        class by class, then query rows in the same class order; and the
+        unlabeled rows (E, n_unlabeled).
+        """
+        n_way, k_shot = self.n_way, self.k_shot
+        n_classes, width = self.table.shape
+        filled = self.table >= 0
+        n_keys = n_classes + n_way * width + (len(self.dataset) if self.n_unlabeled else 0)
+
+        rows = np.empty((n_episodes, n_way * (k_shot + self.query_per_class)), dtype=np.intp)
+        support = rows[:, : n_way * k_shot].reshape(n_episodes, n_way, k_shot)  # views of `rows`
+        query = rows[:, n_way * k_shot :].reshape(n_episodes, n_way, self.query_per_class)
+        unlabeled = np.empty((n_episodes, self.n_unlabeled), dtype=np.intp)
+        chunk = max(1, SAMPLE_BLOCK_BYTES // (n_keys * 8))
+        for start in range(0, n_episodes, chunk):
+            keys = rng.random((min(chunk, n_episodes - start), n_keys))
+            stop = start + len(keys)
+            picked = keys[:, :n_classes].argsort(axis=1, kind="stable")[:, :n_way]
+            row_keys = keys[:, n_classes : n_classes + n_way * width].reshape(-1, n_way, width)
+            row_keys[~filled[picked]] = np.inf
+            order = row_keys.argsort(axis=2, kind="stable")[:, :, : k_shot + self.query_per_class]
+            class_rows = self.table[picked[:, :, None], order]
+            support[start:stop], query[start:stop] = class_rows[:, :, :k_shot], class_rows[:, :, k_shot:]
+            unlabeled_keys = keys[:, n_classes + n_way * width :]  # no columns when n_unlabeled is 0
+            unlabeled[start:stop] = unlabeled_keys.argsort(axis=1, kind="stable")[:, : self.n_unlabeled]
+        return rows, unlabeled
 
 
-def sample_episode(
-    dataset: Dataset,
-    split: ClassSplit,
-    part: str,
-    n_way: int,
-    k_shot: int,
-    query_per_class: int,
-    n_unlabeled: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """`sample_episodes` with n_episodes = 1, as its two (1, ...) arrays."""
-    return sample_episodes(
-        dataset, split, part, n_way, k_shot, query_per_class, n_unlabeled, 1, rng
-    )
+def sample_episode(dataset: Dataset, split: ClassSplit, part: str, n_way: int, k_shot: int, query_per_class: int,
+                   n_unlabeled: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One episode of `EpisodeSource.draw`, as its two (1, ...) arrays."""
+    return EpisodeSource(dataset, split, part, n_way, k_shot, query_per_class, n_unlabeled).draw(1, rng)

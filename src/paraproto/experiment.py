@@ -5,6 +5,7 @@ p_mask sweep, per-strategy diversity summaries, and report emission."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -21,15 +22,15 @@ from .consistency import (
     combined_training_step,
 )
 from .data import (
-    PARTS, TRAIN, VALID, TEST, ClassSplit, Dataset, check_episode_shape, check_split_ratios, load_dataset,
-    episode_pool, restrict_low_profile, sample_episodes, split_classes,
+    PARTS, TRAIN, VALID, TEST, ClassSplit, Dataset, EpisodeSource, check_episode_shape, check_split_ratios,
+    load_dataset, restrict_low_profile, split_classes,
 )
 from .decoding import (
     STRATEGIES, DecodeConfig, SynonymBigramLM, check_paraphrase_count, check_strategy, generate_paraphrase_batch,
 )
 from .encoder import (
     DEFAULT_EMBED_DIM, DEFAULT_OUTPUT_DIM, AdamState, EncoderParams, TokenRows, Vocabulary,
-    optimizer_step, save_checkpoint,
+    load_checkpoint, optimizer_step, save_checkpoint,
 )
 from .metrics import diversity_report
 from .protonet import evaluate, supervised_episode_loss
@@ -111,10 +112,6 @@ class RunConfig:
     def from_text(cls, text: str) -> "RunConfig":
         return dataclass_from_kv(cls, parse_kv_text(text))
 
-    def split(self, dataset: Dataset, seed: int) -> ClassSplit:
-        """The classes that seed `seed` of this run trains, validates and tests on."""
-        return split_classes(dataset, self.split_ratios, seed=seed, group_by_domain=self.group_by_domain)
-
 
 @dataclass
 class SeedResult:
@@ -163,13 +160,10 @@ class RunReport:
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
         obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise ValueError(f"a report must be a JSON object, got {type(obj).__name__}")
-        expected = {f.name for f in fields(cls)} | {"mean_accuracy", "std_accuracy"}
-        for problem, keys in (("is missing", expected - obj.keys()), ("has unknown", obj.keys() - expected)):
-            if keys:
-                raise ValueError(f"report {problem} key {sorted(keys)[0]!r}")
+        _check_keys("report", obj, {f.name for f in fields(cls)} | {"mean_accuracy", "std_accuracy"})
         del obj["mean_accuracy"], obj["std_accuracy"]
+        for i, r in enumerate(obj["seed_results"]):
+            _check_keys(f"seed result {i}", r, {f.name for f in fields(SeedResult)})
         obj["seed_results"] = [
             SeedResult(**{**r, "loss_curve": _tuples(r["loss_curve"]),
                           "val_curve": _tuples(r["val_curve"])})
@@ -180,6 +174,15 @@ class RunReport:
         return cls(**obj)
 
 
+def _check_keys(what: str, obj, expected: set[str]) -> None:
+    """Name the first missing, then the first unknown, key of a JSON object."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a {what} must be a JSON object, got {type(obj).__name__}")
+    for problem, keys in (("is missing", expected - obj.keys()), ("has unknown", obj.keys() - expected)):
+        if keys:
+            raise ValueError(f"{what} {problem} key {sorted(keys)[0]!r}")
+
+
 def _tuples(rows: list[list]) -> list[tuple]:
     return [tuple(row) for row in rows]
 
@@ -188,26 +191,48 @@ def _rngs(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def train_single_seed(
-    config: RunConfig, seed: int, dataset: Dataset
-) -> tuple[SeedResult, EncoderParams, Vocabulary]:
-    """Train one seeded run in blocks of eval_every episodes (the last may be
-    shorter), each ending in a validation; returns the result plus the
-    best-validation checkpoint (parameters and vocabulary)."""
-    split = config.split(dataset, seed)
-    working = (
-        restrict_low_profile(dataset, split, config.low_profile_n, seed=seed)
-        if config.profile == "low"
-        else dataset
-    )
-    texts = working.texts()
+@dataclass(frozen=True)
+class SeedPlan:
+    """What one seed trains and scores on: its class split, its working set
+    (the dataset, training classes capped under the low profile) and a
+    checked episode source for each part."""
+
+    seed: int
+    split: ClassSplit
+    working: Dataset
+    train: EpisodeSource
+    valid: EpisodeSource
+    test: EpisodeSource
+
+
+def plan_seed(config: RunConfig, dataset: Dataset, seed: int) -> SeedPlan:
+    """Seed `seed`'s plan; a part that cannot fill an episode fails here, in
+    the order the run draws from the parts."""
+    split = split_classes(dataset, config.split_ratios, seed=seed, group_by_domain=config.group_by_domain)
+    working = dataset
+    if config.profile == "low":
+        working = restrict_low_profile(dataset, split, config.low_profile_n, seed=seed)
+    shape = (config.n_way, config.k_shot, config.query_per_class)
+    n_unlabeled = config.n_unlabeled if config.strategy != "none" else 0
+    return SeedPlan(seed, split, working, EpisodeSource(working, split, TRAIN, *shape, n_unlabeled),
+                    EpisodeSource(working, split, VALID, *shape), EpisodeSource(working, split, TEST, *shape))
+
+
+def train_single_seed(config: RunConfig, seed: int, dataset: Dataset) -> tuple[SeedResult, EncoderParams, Vocabulary]:
+    """Plan seed `seed` and train that plan."""
+    return train_plan(config, plan_seed(config, dataset, seed))
+
+
+def train_plan(config: RunConfig, plan: SeedPlan) -> tuple[SeedResult, EncoderParams, Vocabulary]:
+    """Train one seed's plan, made by `plan_seed` from a config that differs
+    from `config` at most in its decoding, in blocks of eval_every episodes
+    (the last may be shorter), each ending in a validation; returns the result
+    plus the best-validation checkpoint (parameters and vocabulary)."""
+    texts = plan.working.texts()
     vocab = Vocabulary.from_texts(texts)
     corpus = TokenRows.from_texts(texts, vocab)  # every working text as ids, once per run
-    # a part that cannot fill an episode fails here, in the order the run draws from the parts
-    n_unlabeled = config.n_unlabeled if config.strategy != "none" else 0
-    for part, part_unlabeled in ((TRAIN, n_unlabeled), (VALID, 0), (TEST, 0)):
-        episode_pool(working, split, part, config.n_way, config.k_shot + config.query_per_class, part_unlabeled)
-    rng_init, rng_episode, rng_valid, rng_test, rng_decode = _rngs(seed, 5)
+    n_unlabeled = plan.train.n_unlabeled
+    rng_init, rng_episode, rng_valid, rng_test, rng_decode = _rngs(plan.seed, 5)
 
     params = EncoderParams.init(len(vocab), config.embed_dim, config.output_dim, rng_init)
     adam = AdamState.for_params(params, config.learning_rate)
@@ -227,11 +252,8 @@ def train_single_seed(
         )
         return [TokenRows.from_texts(generated, vocab) for generated in decoded]
 
-    def accuracy(model: EncoderParams, part: str, rng: np.random.Generator) -> float:
-        return evaluate(
-            model, corpus, working, split, part, config.n_way, config.k_shot,
-            config.query_per_class, config.n_eval_episodes, rng, config.distance,
-        ).mean_accuracy
+    def accuracy(model: EncoderParams, source: EpisodeSource, rng: np.random.Generator) -> float:
+        return evaluate(model, corpus, source, config.n_eval_episodes, rng, config.distance).mean_accuracy
 
     best_eval_index = 0  # 1-based index into val_curve
     loss_curve: list[tuple[int, float, float, float, float]] = []
@@ -239,10 +261,7 @@ def train_single_seed(
     for start in range(0, config.max_episodes, config.eval_every):
         # one draw equals the block's episodes drawn one by one; its cache
         # misses in episode order (every row, cache off) decode as one batch
-        rows, unlabeled = sample_episodes(
-            working, split, TRAIN, config.n_way, config.k_shot, config.query_per_class,
-            n_unlabeled, min(config.eval_every, config.max_episodes - start), rng_episode,
-        )
+        rows, unlabeled = plan.train.draw(min(config.eval_every, config.max_episodes - start), rng_episode)
         if lm is not None:
             if cache is None:
                 paraphrases = paraphrase(unlabeled.ravel().tolist())
@@ -271,7 +290,7 @@ def train_single_seed(
             )
             logger.debug("step=%d sup=%.6f unsup=%.6f weight=%.6f total=%.6f", *loss_curve[-1])
 
-        val_curve.append((len(loss_curve), accuracy(params, VALID, rng_valid)))
+        val_curve.append((len(loss_curve), accuracy(params, plan.valid, rng_valid)))
         if best_eval_index == 0 or val_curve[-1][1] > val_curve[best_eval_index - 1][1]:
             best_params, best_eval_index = params.copy(), len(val_curve)
         logger.info(
@@ -282,8 +301,8 @@ def train_single_seed(
             break
 
     result = SeedResult(
-        seed=seed,
-        test_accuracy=accuracy(best_params, TEST, rng_test),
+        seed=plan.seed,
+        test_accuracy=accuracy(best_params, plan.test, rng_test),
         best_val_accuracy=val_curve[best_eval_index - 1][1],
         best_eval_index=best_eval_index,
         episodes_run=len(loss_curve),
@@ -293,33 +312,52 @@ def train_single_seed(
         loss_curve=loss_curve,
         val_curve=val_curve,
     )
+    logger.info("seed %d: test accuracy %.4f", plan.seed, result.test_accuracy)
     return result, best_params, vocab
 
 
 def run_experiment(config: RunConfig, checkpoint_dir: str | Path | None = None) -> RunReport:
-    """Train every seed and aggregate test accuracies at the best-validation
-    checkpoints. Configuration and dataset errors surface before training."""
+    """Plan every seed, then train each plan and aggregate test accuracies at
+    the best-validation checkpoints. Configuration, dataset and run-shape
+    errors surface before the first episode."""
     dataset = load_dataset(config.dataset_path)
     seed_results = []
-    for seed in config.seeds:
-        result, best_params, vocab = train_single_seed(config, seed, dataset)
+    for plan in [plan_seed(config, dataset, seed) for seed in config.seeds]:
+        result, best_params, vocab = train_plan(config, plan)
         seed_results.append(result)
-        logger.info("seed %d: test accuracy %.4f", seed, result.test_accuracy)
         if checkpoint_dir is not None:
-            path = Path(checkpoint_dir)
-            path.mkdir(parents=True, exist_ok=True)
-            # the run, so that `evaluate` scores the classes this seed held out
-            split = config.split(dataset, seed)
-            run = {"config": config.to_text(), "seed": str(seed), "dataset_sha256": dataset.digest()}
-            run.update((f"{part}_classes", sorted(split.part(part))) for part in PARTS)
-            save_checkpoint(path / f"seed{seed}_best.npz", best_params, vocab, run)
-    return RunReport(
-        method=config.strategy,
-        profile=config.profile,
-        n_way=config.n_way,
-        k_shot=config.k_shot,
-        seed_results=seed_results,
-    )
+            save_run_checkpoint(Path(checkpoint_dir) / f"seed{plan.seed}_best.npz", best_params, vocab,
+                                config, plan, dataset.digest())
+    return RunReport(method=config.strategy, profile=config.profile, n_way=config.n_way, k_shot=config.k_shot,
+                     seed_results=seed_results)
+
+
+def save_run_checkpoint(path: Path, params: EncoderParams, vocab: Vocabulary, config: RunConfig, plan: SeedPlan,
+                        dataset_sha256: str) -> None:
+    """Write a seed's checkpoint with its run (config text, seed, dataset
+    digest and each part's sorted classes), so that `evaluate` scores the
+    classes this seed held out."""
+    run = {"config": config.to_text(), "seed": str(plan.seed), "dataset_sha256": dataset_sha256}
+    run.update((f"{part}_classes", sorted(plan.split.part(part))) for part in PARTS)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(path, params, vocab, run)
+
+
+def load_run_checkpoint(
+    path: str | Path, dataset: Dataset
+) -> tuple[EncoderParams, Vocabulary, RunConfig, ClassSplit]:
+    """Read a `save_run_checkpoint` file: the parameters, vocabulary, config
+    and class split of its run, which must have been trained on `dataset`."""
+    params, vocab, run = load_checkpoint(path)
+    if "config" not in run:
+        raise ValueError(f"{path} records no run to evaluate against; retrain it")
+    for key in ("seed", "dataset_sha256", *(f"{part}_classes" for part in PARTS)):
+        if key not in run:
+            raise ValueError(f"{path} records a run with no {key!r}")
+    if dataset.digest() != run["dataset_sha256"]:
+        raise ValueError(f"the dataset is not the one {path} was trained on: the SHA-256 differs")
+    split = ClassSplit(*(frozenset(run[f"{part}_classes"]) for part in PARTS))
+    return params, vocab, RunConfig.from_text(run["config"]), split
 
 
 PMASK_GRID = tuple(round(0.1 * i, 1) for i in range(11))
@@ -327,25 +365,19 @@ PMASK_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 
 def run_pmask_sweep(config: RunConfig) -> RunReport:
     """Accuracy-versus-p_mask series over the 0.0..1.0 grid (step 0.1),
-    using the unigram masking strategy throughout."""
+    using the unigram masking strategy throughout; every point trains the
+    same seed plans, made once."""
+    config = replace(config, strategy="dbs_unigram")
+    dataset = load_dataset(config.dataset_path)
+    plans = [plan_seed(config, dataset, seed) for seed in config.seeds]
     series = []
     for p_mask in PMASK_GRID:
-        cfg = replace(
-            config,
-            strategy="dbs_unigram",
-            decode=replace(config.decode, p_mask=p_mask),
-        )
-        report = run_experiment(cfg)
-        series.append((p_mask, report.mean_accuracy, report.std_accuracy))
-        logger.info("p_mask %.1f: mean accuracy %.4f", p_mask, report.mean_accuracy)
-    return RunReport(
-        method="dbs_unigram",
-        profile=config.profile,
-        n_way=config.n_way,
-        k_shot=config.k_shot,
-        seed_results=[],
-        pmask_series=series,
-    )
+        point = replace(config, decode=replace(config.decode, p_mask=p_mask))
+        accuracies = [train_plan(point, plan)[0].test_accuracy for plan in plans]
+        series.append((p_mask, float(np.mean(accuracies)), float(np.std(accuracies))))
+        logger.info("p_mask %.1f: mean accuracy %.4f", p_mask, series[-1][1])
+    return RunReport(method="dbs_unigram", profile=config.profile, n_way=config.n_way, k_shot=config.k_shot,
+                     seed_results=[], pmask_series=series)
 
 
 def diversity_by_strategy(
@@ -388,28 +420,29 @@ def diversity_by_strategy(
     return out
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
+def _csv_text(header: list[str], rows: list[list]) -> str:
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
 
 
 def emit_report(report: RunReport, out_dir: str | Path) -> list[Path]:
     """Write report.json, a results CSV, and (when present) the p_mask plot
-    series. Returns the written paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = [out / "report.json"]
-    written[0].write_text(report.to_json() + "\n", encoding="utf-8")
+    series. Every text is built before the directory is made, so a report
+    that cannot be written leaves nothing behind. Returns the written paths."""
+    texts = {"report.json": report.to_json() + "\n"}
     if report.seed_results:
         accuracies = " ".join(repr(a) for a in report.seed_accuracies)
         row = [report.method, report.profile, report.k_shot, accuracies,
                repr(report.mean_accuracy), repr(report.std_accuracy)]
-        header = ["method", "profile", "k_shot", "seed_accuracies", "mean", "std"]
-        written.append(_write_csv(out / "results.csv", header, [row]))
+        texts["results.csv"] = _csv_text(["method", "profile", "k_shot", "seed_accuracies", "mean", "std"], [row])
     if report.pmask_series:
         rows = [[repr(value) for value in point] for point in report.pmask_series]
-        written.append(_write_csv(out / "pmask_series.csv", ["p_mask", "mean_accuracy", "std_accuracy"], rows))
-    return written
+        texts["pmask_series.csv"] = _csv_text(["p_mask", "mean_accuracy", "std_accuracy"], rows)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8", newline="")
+    return [out / name for name in texts]

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from . import numerics
-from .data import Dataset, ClassSplit, sample_episodes
+from .data import EpisodeSource
 from .encoder import EncoderParams, TokenRows, encode_batch_backward, forward
 
 # byte cap on one evaluation block's squared-distance difference tensor:
@@ -143,7 +143,7 @@ def supervised_episode_loss(
     distance: str = numerics.SQUARED_EUCLIDEAN,
 ) -> tuple[float, EncoderParams]:
     """Episode loss and full parameter gradients (through support and query)
-    over an episode's `tokens` in the support-then-query layout of `sample_episodes`."""
+    over an episode's `tokens` in the support-then-query layout of `EpisodeSource.draw`."""
     n_support = n_way * k_shot
     return prototypical_loss(params, tokens, slice(0, n_support), slice(n_support, None), n_way, distance)
 
@@ -151,38 +151,33 @@ def supervised_episode_loss(
 def evaluate(
     params: EncoderParams,
     tokens: TokenRows,
-    dataset: Dataset,
-    split: ClassSplit,
-    part: str,
-    n_way: int,
-    k_shot: int,
-    query_per_class: int,
+    source: EpisodeSource,
     n_episodes: int,
     rng: np.random.Generator,
     distance: str = numerics.SQUARED_EUCLIDEAN,
 ) -> EvalResult:
-    """Mean query accuracy over freshly sampled episodes; never updates params.
+    """Mean query accuracy over freshly drawn episodes; never updates params.
 
-    `tokens` holds the ids of every record of `dataset`, row i for record i.
-    Every episode's rows are drawn first, in one `sample_episodes` call with
-    no unlabeled rows. The parameters are fixed during a call, so the rows of
-    the part's classes are encoded once, in one batch, and episodes are
+    `tokens` holds the ids of every record of `source`'s dataset, row i for
+    record i. Every episode's rows are drawn first, in one `source.draw`, so
+    `source` draws no unlabeled rows. The parameters are fixed during a call,
+    so the source's rows are encoded once, in one batch, and episodes are
     scored in blocks that gather their embeddings from that batch. Each query
     is assigned the class of its nearest prototype.
     """
-    if len(tokens) != len(dataset):
-        raise ValueError(f"{len(tokens)} token rows for a dataset of {len(dataset)} records")
+    if len(tokens) != len(source.dataset):
+        raise ValueError(f"{len(tokens)} token rows for a dataset of {len(source.dataset)} records")
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
-    rows, _ = sample_episodes(
-        dataset, split, part, n_way, k_shot, query_per_class, 0, n_episodes, rng
-    )
-    part_rows = dataset.class_rows(split.part(part))
-    encoded = forward(params, tokens.take(part_rows)).out
-    position = np.zeros(len(dataset), dtype=np.intp)  # dataset row -> row of `encoded`
-    position[part_rows] = np.arange(len(part_rows))
+    if source.n_unlabeled:
+        raise ValueError("an evaluation source draws no unlabeled rows")
+    rows, _ = source.draw(n_episodes, rng)
+    encoded = forward(params, tokens.take(source.rows)).out
+    position = np.zeros(len(tokens), dtype=np.intp)  # dataset row -> row of `encoded`
+    position[source.rows] = np.arange(len(source.rows))
     rows = position[rows]
 
+    n_way, k_shot, query_per_class = source.n_way, source.k_shot, source.query_per_class
     n_support, n_query = n_way * k_shot, n_way * query_per_class
     # episodes per block, from the size of its (episodes, queries, classes, d)
     # squared-distance difference tensor

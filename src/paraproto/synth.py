@@ -112,6 +112,8 @@ def generate_synthetic_dataset(
         raise ValueError("need at least 2 classes")
     if n_classes > len(CLASS_POOL):
         raise ValueError(f"at most {len(CLASS_POOL)} classes available")
+    if sentences_per_class < 1:
+        raise ValueError(f"need at least 1 sentence per class, got {sentences_per_class}")
     if not 0.0 <= synonym_rate <= 1.0:
         raise ValueError("synonym_rate must be in [0, 1]")
     synonyms = default_synonym_table()

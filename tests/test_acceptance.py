@@ -35,7 +35,7 @@ from paraproto.experiment import (
     _rngs,
 )
 from paraproto.protonet import evaluate, supervised_episode_loss
-from paraproto.data import TEST, split_classes
+from paraproto.data import TEST, EpisodeSource, split_classes
 from paraproto.synth import default_synonym_table, generate_synthetic_dataset
 from rowstub import episode_tokens, text_batch
 
@@ -327,7 +327,7 @@ def test_criterion_6_full_protocol_counters(corpus_path, corpus):
 
     working = restrict_low_profile(corpus, split, config.low_profile_n, seed=0)
     tokens = TokenRows.from_texts(working.texts(), vocab)
-    replay = evaluate(best_params, tokens, working, split, TEST, 5, 1, 5, 600, _rngs(0, 5)[3])
+    replay = evaluate(best_params, tokens, EpisodeSource(working, split, TEST, 5, 1, 5), 600, _rngs(0, 5)[3])
     assert result.test_accuracy == replay.mean_accuracy
     print(
         f"\n  episodes={result.episodes_run} evaluations={result.n_evaluations} "

@@ -39,6 +39,15 @@ class TestSynthData:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("per_class", ["0", "-3"])
+    def test_no_sentences_per_class_exits_nonzero_writing_nothing(self, tmp_path, capsys, per_class):
+        # the file came out empty, and training on it failed later
+        out = tmp_path / "corpus.jsonl"
+        code = main(["synth-data", "--out", str(out), "--per-class", per_class])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: need at least 1 sentence per class, got {per_class}\n"
+        assert not out.exists()
+
 
 class TestTrain:
     def test_baseline_run_writes_reports(self, corpus_path, tmp_path, capsys):
@@ -82,7 +91,7 @@ class TestTrain:
         import paraproto.experiment as experiment
 
         trained = []
-        monkeypatch.setattr(experiment, "train_single_seed", lambda *args: trained.append(args))
+        monkeypatch.setattr(experiment, "train_plan", lambda *args: trained.append(args))
         out = tmp_path / "neg"
         code = main(["train", "--dataset", corpus_path, "--out", str(out), *TINY_TRAIN, "--seeds", "0,-1"])
         assert code == 1
@@ -93,7 +102,7 @@ class TestTrain:
         import paraproto.experiment as experiment
 
         trained = []
-        monkeypatch.setattr(experiment, "train_single_seed", lambda *args: trained.append(args))
+        monkeypatch.setattr(experiment, "train_plan", lambda *args: trained.append(args))
         out = tmp_path / "sweep"
         code = main(["train", "--dataset", corpus_path, "--out", str(out), "--pmask-sweep",
                      "--save-checkpoints", *TINY_TRAIN])
@@ -101,19 +110,29 @@ class TestTrain:
         assert "--save-checkpoints does not apply to --pmask-sweep" in capsys.readouterr().err
         assert trained == [] and not out.exists()
 
-    def test_part_too_small_for_an_episode_fails_before_any_episode(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("classes, flags, message", [
         # 6 classes split 3/2/1, so the test part has one class; the run once
         # trained every block before its test episodes found that out
+        pytest.param(6, ["--n-way", "2", "--max-episodes", "200", "--eval-every", "100", "--seeds", "0"],
+                     "part 'test' has 1 classes, needs 2", id="one-test-class"),
+        # domain splits give 6/4/4 classes at seed 0 and 8/2/4 at seed 2; the
+        # run once trained all of seed 0 before it split seed 2's classes
+        pytest.param(14, ["--group-by-domain", "--n-way", "3", "--max-episodes", "20", "--eval-every", "10",
+                          "--seeds", "0,2"], "part 'valid' has 2 classes, needs 3", id="later-seed-valid-part"),
+    ])
+    def test_part_too_small_for_an_episode_fails_before_any_episode(
+        self, tmp_path, capsys, monkeypatch, classes, flags, message
+    ):
         import paraproto.experiment as experiment
 
         steps = []
         monkeypatch.setattr(experiment, "supervised_episode_loss", lambda *args: steps.append(args))
         data, out = tmp_path / "small.jsonl", tmp_path / "run"
-        assert main(["synth-data", "--out", str(data), "--classes", "6", "--per-class", "10"]) == 0
-        code = main(["train", "--dataset", str(data), "--out", str(out), "--strategy", "none", "--n-way", "2",
-                     "--max-episodes", "200", "--eval-every", "100", "--eval-episodes", "5", "--seeds", "0"])
+        assert main(["synth-data", "--out", str(data), "--classes", str(classes), "--per-class", "10"]) == 0
+        code = main(["train", "--dataset", str(data), "--out", str(out), "--strategy", "none",
+                     "--eval-episodes", "5", *flags])
         assert code == 1
-        assert "part 'test' has 1 classes, needs 2" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert steps == [] and not out.exists()
 
     @pytest.mark.parametrize("flags, config_text", [
@@ -129,7 +148,7 @@ class TestTrain:
         import paraproto.experiment as experiment
 
         trained = []
-        monkeypatch.setattr(experiment, "train_single_seed", lambda *args: trained.append(args))
+        monkeypatch.setattr(experiment, "train_plan", lambda *args: trained.append(args))
         if config_text is not None:
             (tmp_path / "run.conf").write_text(config_text)
             flags = ["--config", str(tmp_path / "run.conf")]
@@ -173,10 +192,10 @@ def capture_evaluate(monkeypatch):
 
     seen = []
 
-    def fake_evaluate(params, tokens, dataset, split, part, n_way, k_shot, query_per_class, n_episodes, rng,
-                      distance):
-        seen.append({"split": split, "part": part, "shape": (n_way, k_shot, query_per_class, n_episodes),
-                     "distance": distance, "tokens": len(tokens), "records": len(dataset)})
+    def fake_evaluate(params, tokens, source, n_episodes, rng, distance):
+        shape = (source.n_way, source.k_shot, source.query_per_class, n_episodes)
+        seen.append({"split": source.split, "part": source.part, "shape": shape,
+                     "distance": distance, "tokens": len(tokens), "records": len(source.dataset)})
         return EvalResult(mean_accuracy=0.0, per_episode_accuracies=[], episode_count=0)
 
     monkeypatch.setattr(cli, "evaluate", fake_evaluate)
@@ -232,6 +251,19 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert code == 1
         assert "records no run" in captured.err and "retrain" in captured.err
+        assert "accuracy" not in captured.out
+
+    @pytest.mark.parametrize("field", ["dataset_sha256", "valid_classes"])
+    def test_checkpoint_run_missing_a_field_named(self, corpus_path, trained_run, tmp_path, capsys, field):
+        from paraproto.encoder import load_checkpoint, save_checkpoint
+
+        params, vocab, run = load_checkpoint(trained_run / "seed0_best.npz")
+        del run[field]
+        save_checkpoint(tmp_path / "partial.npz", params, vocab, run)
+        code = main(["evaluate", "--checkpoint", str(tmp_path / "partial.npz"), "--dataset", corpus_path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {tmp_path / 'partial.npz'} records a run with no {field!r}\n"
         assert "accuracy" not in captured.out
 
     def test_other_dataset_refused(self, trained_run, tmp_path, capsys):
@@ -377,6 +409,27 @@ class TestDiversity:
         assert not out.exists()
 
 
+def _numpy_error(fn, *args) -> str:
+    try:
+        fn(*args)
+    except TypeError as exc:
+        return str(exc)
+    raise AssertionError("no error")
+
+
+def _seed_result(edit=None):
+    """A seed result as report.json holds it; an `edit` value of None drops that key."""
+    from dataclasses import asdict
+
+    from paraproto.experiment import SeedResult
+
+    result = asdict(SeedResult(seed=0, test_accuracy=0.5, best_val_accuracy=0.5, best_eval_index=1,
+                               episodes_run=1, n_evaluations=1, eval_episode_count=1, stopped_early=False,
+                               loss_curve=[(1, 0.1, 0.0, 0.0, 0.1)], val_curve=[(1, 0.5)]))
+    result.update(edit or {})
+    return {k: v for k, v in result.items() if v is not None}
+
+
 class TestReport:
     def test_reemission_is_identical(self, corpus_path, tmp_path):
         out = tmp_path / "run"
@@ -394,6 +447,15 @@ class TestReport:
         (lambda report: {k: v for k, v in report.items() if k != "mean_accuracy"},
          "report is missing key 'mean_accuracy'"),
         (lambda report: {**report, "extra": 1}, "report has unknown key 'extra'"),
+        (lambda report: {**report, "seed_results": [_seed_result({"loss_curve": None})]},
+         "seed result 0 is missing key 'loss_curve'"),
+        (lambda report: {**report, "seed_results": [_seed_result(), _seed_result(), _seed_result({"extra": 1})]},
+         "seed result 2 has unknown key 'extra'"),
+        (lambda report: {**report, "seed_results": [[]]}, "a seed result 0 must be a JSON object, got list"),
+        # loads, then fails when its mean is taken; the output directory once
+        # was made before that
+        pytest.param(lambda report: {**report, "seed_results": [_seed_result({"test_accuracy": "x"})]},
+                     _numpy_error(np.mean, ["x"]), id="non-numeric-test-accuracy"),
     ])
     def test_malformed_report_exits_nonzero_naming_the_problem(self, tmp_path, capsys, edit, message):
         report = RunReport(method="none", profile="full", n_way=3, k_shot=1, seed_results=[])

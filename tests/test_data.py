@@ -11,11 +11,11 @@ from paraproto.data import (
     SAMPLE_BLOCK_BYTES,
     ClassSplit,
     Dataset,
+    EpisodeSource,
+    check_episode_shape,
     load_dataset,
     restrict_low_profile,
     sample_episode,
-    sample_episode_rows,
-    sample_episodes,
     split_classes,
 )
 from paraproto.synth import generate_synthetic_dataset
@@ -219,7 +219,7 @@ class TestSampleEpisode:
         # the losses read the layout, not the labels: support rows class by
         # class, then query rows in the same class order
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
-        rows, _ = sample_episodes(corpus, split, "train", 3, 2, 4, 0, 20, np.random.default_rng(5))
+        rows, _ = EpisodeSource(corpus, split, "train", 3, 2, 4).draw(20, np.random.default_rng(5))
         for episode in rows:
             support, query = episode_records(corpus, episode, 3, 2)
             order = [label for _, label in support[::2]]
@@ -339,13 +339,16 @@ class TestSynthGenerator:
             generate_synthetic_dataset(tmp_path / "x.jsonl", 99, 5)
 
 
-def _key_sampler_reference(dataset, split, part, n_way, per_class, n_unlabeled, rng):
+def _key_sampler_reference(dataset, split, part, n_way, k_shot, query_per_class, n_unlabeled, rng):
     """One episode of the uniform-key scheme in plain Python, the oracle for
-    `sample_episode_rows`: the same checks before any draw, then one row of
+    `EpisodeSource.draw`: the same checks before any draw, then one row of
     keys; the smallest class keys pick the classes, each drawn class's W-wide
-    key segment picks its rows (cells past its size would be +inf, so only
-    its own cells are ranked), and the tail ranks every dataset row.
-    Returns the drawn class names, each class's rows and the unlabeled rows."""
+    key segment picks its k_shot + query_per_class rows (cells past its size
+    would be +inf, so only its own cells are ranked), and the tail ranks
+    every dataset row. Returns the drawn class names, each class's rows in
+    key order and the unlabeled rows."""
+    check_episode_shape(n_way, k_shot, query_per_class)
+    per_class = k_shot + query_per_class
     pool = sorted(split.part(part))
     if len(pool) < n_way:
         raise ValueError(f"part {part!r} has {len(pool)} classes, needs {n_way}")
@@ -388,6 +391,17 @@ def _ragged_dataset(sizes, order_seed):
     return ds, split
 
 
+def _class_rows(dataset, split, part, n_way, k_shot, query_per_class, n_unlabeled, n_episodes, rng):
+    """`EpisodeSource.draw` with each drawn class's rows put back together,
+    support then query: rows (E, n_way, k_shot + query_per_class) in key
+    order, and the unlabeled rows."""
+    source = EpisodeSource(dataset, split, part, n_way, k_shot, query_per_class, n_unlabeled)
+    rows, unlabeled = source.draw(n_episodes, rng)
+    support = rows[:, : n_way * k_shot].reshape(n_episodes, n_way, k_shot)
+    query = rows[:, n_way * k_shot :].reshape(n_episodes, n_way, query_per_class)
+    return np.concatenate((support, query), axis=2), unlabeled
+
+
 def _outcome(sample, *args):
     try:
         return sample(*args)
@@ -412,8 +426,10 @@ RAGGED = dict(
 
 
 class TestKeySampler:
-    """`sample_episode_rows` draws one contiguous row of uniform keys per
-    episode and ranks classes, rows and unlabeled rows by key."""
+    """`EpisodeSource.draw` draws one contiguous row of uniform keys per
+    episode and ranks classes, rows and unlabeled rows by key. Where a test
+    names a class's row count `per_class`, the source draws 1 support and
+    per_class - 1 query rows of it."""
 
     @settings(max_examples=150, deadline=None)
     @given(n_episodes=st.integers(1, 4), **RAGGED)
@@ -421,9 +437,9 @@ class TestKeySampler:
         self, sizes, order_seed, part, n_way, per_class, n_unlabeled, seed, n_episodes
     ):
         ds, split = _ragged_dataset(sizes, order_seed)
-        args = (ds, split, part, n_way, per_class, n_unlabeled)
+        args = (ds, split, part, n_way, 1, per_class - 1, n_unlabeled)
         rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _outcome(sample_episode_rows, *args, n_episodes, rng)
+        got = _outcome(_class_rows, *args, n_episodes, rng)
         expected = [_outcome(_key_sampler_reference, *args, rng_ref) for _ in range(n_episodes)]
         if _failed(got):
             assert [got] * n_episodes == expected
@@ -447,7 +463,7 @@ class TestKeySampler:
         ds, split = _ragged_dataset(sizes, order_seed)
         rng = np.random.default_rng(seed)
         outcome = _outcome(
-            sample_episode_rows, ds, split, part, n_way, per_class, n_unlabeled, 30, rng
+            _class_rows, ds, split, part, n_way, 1, per_class - 1, n_unlabeled, 30, rng
         )
         if _failed(outcome):
             return
@@ -465,13 +481,13 @@ class TestKeySampler:
     @pytest.mark.parametrize("part, n_unlabeled", [("train", 5), ("valid", 0), ("test", 3)])
     def test_block_equals_single_episode_calls(self, corpus, monkeypatch, cap, part, n_unlabeled):
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
-        args = (corpus, split, part, 5, 6, n_unlabeled)
+        source = EpisodeSource(corpus, split, part, 5, 1, 5, n_unlabeled)
         rng, rng_one = np.random.default_rng(12), np.random.default_rng(12)
         monkeypatch.setattr(data, "SAMPLE_BLOCK_BYTES", cap)
-        rows, unlabeled = sample_episode_rows(*args, 60, rng)
+        rows, unlabeled = source.draw(60, rng)
         monkeypatch.undo()
         for e in range(60):
-            one = sample_episode_rows(*args, 1, rng_one)
+            one = source.draw(1, rng_one)
             np.testing.assert_array_equal(one[0][0], rows[e])
             np.testing.assert_array_equal(one[1][0], unlabeled[e])
         assert rng.bit_generator.state == rng_one.bit_generator.state
@@ -480,7 +496,7 @@ class TestKeySampler:
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
         args = (corpus, split, "train", 3, 2, 4, 5)
         rng, rng_one = np.random.default_rng(13), np.random.default_rng(13)
-        rows, unlabeled = sample_episodes(*args, 25, rng)
+        rows, unlabeled = EpisodeSource(*args).draw(25, rng)
         assert (rows.shape, unlabeled.shape) == ((25, 3 * (2 + 4)), (25, 5))
         for e in range(25):
             one_rows, one_unlabeled = sample_episode(*args, rng_one)
@@ -500,20 +516,20 @@ class TestKeySampler:
         # rows of each class, of which the first k_shot are support. The
         # train part and small shapes let about a third of the draws succeed.
         ds, split = _ragged_dataset(sizes, order_seed)
-        rng, rng_rows = np.random.default_rng(seed), np.random.default_rng(seed)
-        args = (ds, split, part, n_way)
-        got = _outcome(sample_episodes, *args, k_shot, per_class, n_unlabeled, n_episodes, rng)
-        expected = _outcome(sample_episode_rows, *args, k_shot + per_class, n_unlabeled, n_episodes, rng_rows)
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        args = (ds, split, part, n_way, k_shot, per_class, n_unlabeled)
+        got = _outcome(lambda *a: EpisodeSource(*a).draw(n_episodes, rng), *args)
+        expected = [_outcome(_key_sampler_reference, *args, rng_ref) for _ in range(n_episodes)]
         if _failed(got):
-            assert got == expected
+            assert [got] * n_episodes == expected
         else:
             rows, unlabeled = got
-            class_rows, expected_unlabeled = expected
-            support = class_rows[:, :, :k_shot].reshape(n_episodes, -1)
-            query = class_rows[:, :, k_shot:].reshape(n_episodes, -1)
-            np.testing.assert_array_equal(rows, np.concatenate((support, query), axis=1))
-            np.testing.assert_array_equal(unlabeled, expected_unlabeled)
-        assert rng.bit_generator.state == rng_rows.bit_generator.state
+            for e, (_, class_rows, unlabeled_rows) in enumerate(expected):
+                support = [row for rows_of_class in class_rows for row in rows_of_class[:k_shot]]
+                query = [row for rows_of_class in class_rows for row in rows_of_class[k_shot:]]
+                assert rows[e].tolist() == support + query
+                assert unlabeled[e].tolist() == unlabeled_rows
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
 
     @pytest.mark.parametrize(
         "train, per_class, n_unlabeled, message",
@@ -530,7 +546,7 @@ class TestKeySampler:
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match=message):
-            sample_episode_rows(ds, split, "train", 2, per_class, n_unlabeled, 5, rng)
+            EpisodeSource(ds, split, "train", 2, 1, per_class - 1, n_unlabeled).draw(5, rng)
         assert rng.bit_generator.state == before
 
     def test_class_and_row_draw_rates(self, corpus):
@@ -538,9 +554,7 @@ class TestKeySampler:
         # each of a drawn class's 30 rows with probability per_class / 30;
         # binomial standard deviations over 20,000 episodes are below 0.004
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
-        rows, _ = sample_episode_rows(
-            corpus, split, "train", 5, 6, 0, 20_000, np.random.default_rng(14)
-        )
+        rows, _ = _class_rows(corpus, split, "train", 5, 1, 5, 0, 20_000, np.random.default_rng(14))
         pool = sorted(split.train_classes)
         # each drawn class's index into the sorted train classes, read from its first row
         class_index = np.array([pool.index(label) if label in pool else -1 for _, label in corpus.records])
@@ -561,9 +575,7 @@ class TestKeySampler:
         rng = np.random.default_rng(15)
         tracemalloc.start()
         try:
-            rows, unlabeled = sample_episode_rows(
-                working, split, "train", 5, 6, 5, 10_000, rng
-            )
+            rows, unlabeled = EpisodeSource(working, split, "train", 5, 1, 5, 5).draw(10_000, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -28,7 +28,7 @@ from paraproto.experiment import (
 )
 from paraproto.protonet import evaluate
 from paraproto.synth import default_synonym_table, generate_synthetic_dataset
-from paraproto.data import TEST, split_classes
+from paraproto.data import TEST, EpisodeSource, split_classes
 from rowstub import text_batch, unlabeled_texts
 from test_decoding import decode_configs
 
@@ -54,6 +54,19 @@ def corpus_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "synth.jsonl"
     generate_synthetic_dataset(path, n_classes=12, sentences_per_class=14, seed=0)
     return str(path)
+
+
+def record_calls(monkeypatch, module, name):
+    """Wrap `module.name` for the test; returns the list of (args, kwargs)
+    that each call appends before it runs the original."""
+    calls, original = [], getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
 
 
 def quick_config(corpus_path, **overrides):
@@ -332,9 +345,9 @@ class TestEarlyStopping:
         result, best_params, vocab = train_single_seed(cfg, 0, ds)
         split = split_classes(ds, cfg.split_ratios, seed=0)
         rng_test = _rngs(0, 5)[3]
+        source = EpisodeSource(ds, split, TEST, cfg.n_way, cfg.k_shot, cfg.query_per_class)
         replay = evaluate(
-            best_params, TokenRows.from_texts(ds.texts(), vocab), ds, split, TEST, cfg.n_way, cfg.k_shot,
-            cfg.query_per_class, cfg.n_eval_episodes, rng_test, cfg.distance,
+            best_params, TokenRows.from_texts(ds.texts(), vocab), source, cfg.n_eval_episodes, rng_test, cfg.distance
         )
         assert result.test_accuracy == replay.mean_accuracy
         best_val = max(acc for _, acc in result.val_curve)
@@ -396,6 +409,39 @@ class TestRunExperiment:
                 "test_classes": sorted(split.test_classes),
             }
             assert RunConfig.from_text(run["config"]) == cfg
+
+    def test_checkpoint_run_reads_back(self, corpus_path, tmp_path):
+        from paraproto.experiment import load_run_checkpoint
+
+        cfg = quick_config(corpus_path, seeds=(3,), max_episodes=10)
+        run_experiment(cfg, checkpoint_dir=tmp_path)
+        dataset = load_dataset(corpus_path)
+        _, _, config, split = load_run_checkpoint(tmp_path / "seed3_best.npz", dataset)
+        assert config == cfg
+        assert split == split_classes(dataset, cfg.split_ratios, seed=3)
+
+    @pytest.mark.parametrize("checkpoints", [False, True])
+    def test_split_runs_once_per_seed(self, corpus_path, tmp_path, monkeypatch, checkpoints):
+        # writing a checkpoint once split the seed's classes a second time
+        import paraproto.experiment as experiment
+
+        splits = record_calls(monkeypatch, experiment, "split_classes")
+        run_experiment(quick_config(corpus_path, seeds=(2, 0), max_episodes=10),
+                       checkpoint_dir=tmp_path if checkpoints else None)
+        assert [kwargs["seed"] for _, kwargs in splits] == [2, 0]
+
+    def test_pmask_sweep_loads_and_plans_once(self, corpus_path, monkeypatch):
+        # the sweep once ran a whole experiment, load and splits included, per point
+        import paraproto.experiment as experiment
+
+        loads = record_calls(monkeypatch, experiment, "load_dataset")
+        splits = record_calls(monkeypatch, experiment, "split_classes")
+        cfg = quick_config(corpus_path, strategy="dbs_unigram", seeds=(1, 0), max_episodes=10,
+                           n_eval_episodes=2, n_unlabeled=2)
+        report = experiment.run_pmask_sweep(cfg)
+        assert len(report.pmask_series) == len(PMASK_GRID)
+        assert len(loads) == 1
+        assert [kwargs["seed"] for _, kwargs in splits] == [1, 0]
 
     def test_dataset_errors_surface_before_training(self, tmp_path):
         cfg = RunConfig(dataset_path=str(tmp_path / "missing.jsonl"), seeds=(0,),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paraproto.data import Dataset, sample_episode, split_classes
+from paraproto.data import Dataset, EpisodeSource, sample_episode, split_classes
 from paraproto.encoder import EncoderParams, TokenRows, Vocabulary, forward, tokenize
 from gradcheck import finite_difference_gradient, gradient_check
 from paraproto.numerics import COSINE, SQUARED_EUCLIDEAN
@@ -204,7 +204,8 @@ class TestEvaluate:
         # to index 0 and accuracy is exactly chance on average
         params.embedding[:] = 0.0
         result = evaluate(
-            params, run_tokens(corpus, vocab), corpus, split, "train", 5, 1, 5, 600, np.random.default_rng(1)
+            params, run_tokens(corpus, vocab), EpisodeSource(corpus, split, "train", 5, 1, 5), 600,
+            np.random.default_rng(1),
         )
         assert result.mean_accuracy == pytest.approx(0.2, abs=0.03)
 
@@ -218,7 +219,7 @@ class TestEvaluate:
             params.embedding[vocab.index(f"kw{c}")] = 0.0
             params.embedding[vocab.index(f"kw{c}")][c % 16] = 5.0
         result = evaluate(
-            params, run_tokens(ds, vocab), ds, split, "train", 2, 1, 3, 50, np.random.default_rng(2)
+            params, run_tokens(ds, vocab), EpisodeSource(ds, split, "train", 2, 1, 3), 50, np.random.default_rng(2)
         )
         assert result.mean_accuracy == 1.0
 
@@ -227,7 +228,8 @@ class TestEvaluate:
         vocab = Vocabulary.from_texts(corpus.texts())
         params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(3))
         before = params.copy()
-        evaluate(params, run_tokens(corpus, vocab), corpus, split, "valid", 5, 1, 5, 20, np.random.default_rng(4))
+        evaluate(params, run_tokens(corpus, vocab), EpisodeSource(corpus, split, "valid", 5, 1, 5), 20,
+                 np.random.default_rng(4))
         np.testing.assert_array_equal(params.embedding, before.embedding)
         np.testing.assert_array_equal(params.projection, before.projection)
         np.testing.assert_array_equal(params.bias, before.bias)
@@ -238,14 +240,16 @@ class TestEvaluate:
         params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(7))
         params.bias[0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            evaluate(params, run_tokens(corpus, vocab), corpus, split, "test", 5, 1, 5, 2, np.random.default_rng(8))
+            evaluate(params, run_tokens(corpus, vocab), EpisodeSource(corpus, split, "test", 5, 1, 5), 2,
+                     np.random.default_rng(8))
 
     def test_mean_matches_per_episode_values(self, corpus):
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
         vocab = Vocabulary.from_texts(corpus.texts())
         params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(5))
         result = evaluate(
-            params, run_tokens(corpus, vocab), corpus, split, "test", 5, 1, 5, 30, np.random.default_rng(6)
+            params, run_tokens(corpus, vocab), EpisodeSource(corpus, split, "test", 5, 1, 5), 30,
+            np.random.default_rng(6),
         )
         assert result.mean_accuracy == pytest.approx(np.mean(result.per_episode_accuracies))
         assert result.episode_count == 30
@@ -290,10 +294,10 @@ class TestEvaluateEncodesPartOnce:
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=seed)
         vocab = Vocabulary.from_texts(corpus.texts())
         params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(seed))
-        args = (corpus, split, "valid", 5, k_shot, 5, n_episodes)
+        args = (corpus, split, "valid", 5, k_shot, 5)
         rng, rng_oracle = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
-        result = evaluate(params, run_tokens(corpus, vocab), *args, rng, distance)
-        oracle = _per_episode_encode_evaluate(params, vocab, *args, rng_oracle, distance)
+        result = evaluate(params, run_tokens(corpus, vocab), EpisodeSource(*args), n_episodes, rng, distance)
+        oracle = _per_episode_encode_evaluate(params, vocab, *args, n_episodes, rng_oracle, distance)
         assert result.per_episode_accuracies == oracle
         assert result.episode_count == n_episodes
         assert rng.bit_generator.state == rng_oracle.bit_generator.state
@@ -303,7 +307,8 @@ class TestEvaluateEncodesPartOnce:
         vocab = Vocabulary.from_texts(corpus.texts())
         params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(0))
         with pytest.raises(ValueError, match="has no support examples"):
-            evaluate(params, run_tokens(corpus, vocab), corpus, split, "valid", 5, 0, 5, 3, np.random.default_rng(1))
+            evaluate(params, run_tokens(corpus, vocab), EpisodeSource(corpus, split, "valid", 5, 0, 5), 3,
+                     np.random.default_rng(1))
 
     @pytest.mark.parametrize(
         "n_way, k_shot, query_per_class, n_episodes, message",
@@ -324,8 +329,19 @@ class TestEvaluateEncodesPartOnce:
         rng = np.random.default_rng(1)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match=message):
-            evaluate(params, run_tokens(corpus, vocab), corpus, split, "valid", n_way, k_shot, query_per_class,
-                     n_episodes, rng)
+            evaluate(params, run_tokens(corpus, vocab), EpisodeSource(corpus, split, "valid", n_way, k_shot,
+                     query_per_class), n_episodes, rng)
+        assert rng.bit_generator.state == before
+
+    def test_source_with_unlabeled_rows_rejected_before_any_draw(self, corpus):
+        # its draw would take one more key per record, and so other episodes
+        split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
+        vocab = Vocabulary.from_texts(corpus.texts())
+        params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^an evaluation source draws no unlabeled rows$"):
+            evaluate(params, run_tokens(corpus, vocab), EpisodeSource(corpus, split, "valid", 5, 1, 5, 3), 3, rng)
         assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("n_rows", [0, 1, 599, 601])
@@ -339,7 +355,7 @@ class TestEvaluateEncodesPartOnce:
         rng = np.random.default_rng(1)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match=rf"^{n_rows} token rows for a dataset of 600 records$"):
-            evaluate(params, TokenRows.from_texts(texts, vocab), corpus, split, "valid", 5, 1, 5, 3, rng)
+            evaluate(params, TokenRows.from_texts(texts, vocab), EpisodeSource(corpus, split, "valid", 5, 1, 5), 3, rng)
         assert rng.bit_generator.state == before
 
     def test_block_memory_stays_small(self, corpus):
@@ -351,7 +367,7 @@ class TestEvaluateEncodesPartOnce:
         tokens = run_tokens(corpus, vocab)  # built once per training run, not per evaluation
         tracemalloc.start()
         try:
-            evaluate(params, tokens, corpus, split, "valid", 5, 1, 5, 200, np.random.default_rng(1))
+            evaluate(params, tokens, EpisodeSource(corpus, split, "valid", 5, 1, 5), 200, np.random.default_rng(1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
