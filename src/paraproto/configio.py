@@ -3,7 +3,8 @@ configurations. Lines starting with # and blank lines are ignored.
 
 The dataclass fields are the schema: `dataclass_to_kv` and
 `dataclass_from_kv` derive the keys and value types from them, so a new
-field needs no serializer edit."""
+field needs no serializer edit, and `check_json_values` checks values read
+from JSON against the same annotations."""
 
 from __future__ import annotations
 
@@ -65,6 +66,36 @@ def _parse_value(name: str, hint, value: str):
             raise ValueError(f"{name} needs {len(args)} comma-separated values")
         return tuple(t(s) for t, s in zip(args, items))
     return hint(value)
+
+
+_JSON_KINDS = {bool: "boolean", int: "integer", float: "number"}
+
+
+def _json_fits(value, hint) -> bool:
+    """Whether a value read from JSON has the annotated type: a bool for
+    bool, any other int for int, an int or float for float, a list for a
+    list, and a list of the same length for a tuple."""
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_json_fits(v, get_args(hint)[0]) for v in value)
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        return isinstance(value, list) and len(value) == len(args) and all(map(_json_fits, value, args))
+    if hint is bool or isinstance(value, bool):
+        return hint is bool and isinstance(value, bool)
+    return isinstance(value, (int, float) if hint is float else int)
+
+
+def check_json_values(what: str, cls, obj: dict) -> None:
+    """Name the first field of dataclass `cls` whose value in `obj`, a JSON
+    object with every field's key, does not have the field's annotated type:
+    a bool, int or float, or a list of tuples of those."""
+    for name, hint in get_type_hints(cls).items():
+        if not _json_fits(obj[name], hint):
+            if get_origin(hint) is list:
+                kind = f"a list of [{', '.join(_JSON_KINDS[t] for t in get_args(get_args(hint)[0]))}] rows"
+            else:
+                kind = f"{'an' if hint is int else 'a'} {_JSON_KINDS[hint]}"
+            raise ValueError(f"{what} field {name!r} must be {kind}, got {type(obj[name]).__name__}")
 
 
 def dataclass_from_kv(cls, raw: dict[str, str]):

@@ -244,7 +244,7 @@ class EpisodeSource:
 
     def draw(self, n_episodes: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Draw `n_episodes` episodes. Each reads one row of uniform keys from
-        `rng.random`, ranked by stable `argsort`:
+        `rng.random`, ranked in stable `argsort` order (see `_smallest`):
         - the first P (the part's class count) rank the sorted class names;
           the n_way smallest are the episode's classes, in key order;
         - the next n_way * W give each drawn class, in order, one key per cell
@@ -273,15 +273,33 @@ class EpisodeSource:
         for start in range(0, n_episodes, chunk):
             keys = rng.random((min(chunk, n_episodes - start), n_keys))
             stop = start + len(keys)
-            picked = keys[:, :n_classes].argsort(axis=1, kind="stable")[:, :n_way]
+            picked = _smallest(keys[:, :n_classes], n_way)
             row_keys = keys[:, n_classes : n_classes + n_way * width].reshape(-1, n_way, width)
             row_keys[~filled[picked]] = np.inf
-            order = row_keys.argsort(axis=2, kind="stable")[:, :, : k_shot + self.query_per_class]
+            order = _smallest(row_keys, k_shot + self.query_per_class)
             class_rows = self.table[picked[:, :, None], order]
             support[start:stop], query[start:stop] = class_rows[:, :, :k_shot], class_rows[:, :, k_shot:]
             unlabeled_keys = keys[:, n_classes + n_way * width :]  # no columns when n_unlabeled is 0
-            unlabeled[start:stop] = unlabeled_keys.argsort(axis=1, kind="stable")[:, : self.n_unlabeled]
+            unlabeled[start:stop] = _smallest(unlabeled_keys, self.n_unlabeled)
         return rows, unlabeled
+
+
+def _smallest(keys: np.ndarray, m: int) -> np.ndarray:
+    """`keys.argsort(axis=-1, kind="stable")[..., :m]`: the indices of each
+    row's m smallest keys, in (key, index) order. An unstable sort puts the
+    same m first unless two of a row's m + 1 smallest keys are equal (or one
+    is NaN); only such rows are sorted again, stably. Rows of at most m keys
+    are sorted stably at once."""
+    if m >= keys.shape[-1]:
+        return keys.argsort(axis=-1, kind="stable")[..., :m]
+    rows = keys.reshape(-1, keys.shape[-1])
+    order = rows.argsort(axis=1)[:, : m + 1]
+    values = rows[np.arange(len(rows))[:, None], order]
+    increasing = values[:, 1:] > values[:, :-1]
+    if not increasing.all():
+        tied = ~increasing.all(axis=1)
+        order[tied] = rows[tied].argsort(axis=1, kind="stable")[:, : m + 1]
+    return order[:, :m].reshape(*keys.shape[:-1], m)
 
 
 def sample_episode(dataset: Dataset, split: ClassSplit, part: str, n_way: int, k_shot: int, query_per_class: int,

@@ -102,6 +102,15 @@ class TokenRows:
         flat = np.repeat(offsets, counts) + np.arange(counts.sum())
         return TokenRows(ids=self.ids[flat], counts=counts)
 
+    def split(self, n: int) -> list["TokenRows"]:
+        """These rows in `n` consecutive parts of equal size, each over views
+        of `ids` and `counts`."""
+        if n < 1 or len(self) % n:
+            raise ValueError(f"cannot split {len(self)} rows into {n} equal parts")
+        counts = self.counts.reshape(n, -1)
+        ends = np.cumsum(counts.sum(axis=1)).tolist()
+        return [TokenRows(ids=self.ids[a:b], counts=c) for a, b, c in zip([0, *ends], ends, counts)]
+
 
 class EncoderParams:
     """Learnable state in one contiguous float64 `vector`: a V x d_emb

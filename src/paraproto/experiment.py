@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics
-from .configio import dataclass_from_kv, dataclass_to_kv, format_kv, parse_kv_text
+from .configio import check_json_values, dataclass_from_kv, dataclass_to_kv, format_kv, parse_kv_text
 from .consistency import (
     AnnealSchedule,
     StepLosses,
@@ -164,6 +164,7 @@ class RunReport:
         del obj["mean_accuracy"], obj["std_accuracy"]
         for i, r in enumerate(obj["seed_results"]):
             _check_keys(f"seed result {i}", r, {f.name for f in fields(SeedResult)})
+            check_json_values(f"seed result {i}", SeedResult, r)
         obj["seed_results"] = [
             SeedResult(**{**r, "loss_curve": _tuples(r["loss_curve"]),
                           "val_curve": _tuples(r["val_curve"])})
@@ -206,16 +207,19 @@ class SeedPlan:
 
 
 def plan_seed(config: RunConfig, dataset: Dataset, seed: int) -> SeedPlan:
-    """Seed `seed`'s plan; a part that cannot fill an episode fails here, in
-    the order the run draws from the parts."""
-    split = split_classes(dataset, config.split_ratios, seed=seed, group_by_domain=config.group_by_domain)
-    working = dataset
-    if config.profile == "low":
-        working = restrict_low_profile(dataset, split, config.low_profile_n, seed=seed)
-    shape = (config.n_way, config.k_shot, config.query_per_class)
-    n_unlabeled = config.n_unlabeled if config.strategy != "none" else 0
-    return SeedPlan(seed, split, working, EpisodeSource(working, split, TRAIN, *shape, n_unlabeled),
-                    EpisodeSource(working, split, VALID, *shape), EpisodeSource(working, split, TEST, *shape))
+    """Seed `seed`'s plan; a split, or a part that cannot fill an episode,
+    fails here with the seed named, in the order the run draws from the parts."""
+    try:
+        split = split_classes(dataset, config.split_ratios, seed=seed, group_by_domain=config.group_by_domain)
+        working = dataset
+        if config.profile == "low":
+            working = restrict_low_profile(dataset, split, config.low_profile_n, seed=seed)
+        shape = (config.n_way, config.k_shot, config.query_per_class)
+        n_unlabeled = config.n_unlabeled if config.strategy != "none" else 0
+        return SeedPlan(seed, split, working, EpisodeSource(working, split, TRAIN, *shape, n_unlabeled),
+                        EpisodeSource(working, split, VALID, *shape), EpisodeSource(working, split, TEST, *shape))
+    except ValueError as exc:
+        raise ValueError(f"seed {seed}: {exc}") from exc
 
 
 def train_single_seed(config: RunConfig, seed: int, dataset: Dataset) -> tuple[SeedResult, EncoderParams, Vocabulary]:
@@ -259,10 +263,13 @@ def train_plan(config: RunConfig, plan: SeedPlan) -> tuple[SeedResult, EncoderPa
     loss_curve: list[tuple[int, float, float, float, float]] = []
     val_curve: list[tuple[int, float]] = []
     for start in range(0, config.max_episodes, config.eval_every):
-        # one draw equals the block's episodes drawn one by one; its cache
-        # misses in episode order (every row, cache off) decode as one batch
+        # one draw equals the block's episodes drawn one by one, and one
+        # gather gives every step its ids; the cache misses in episode order
+        # (every row, cache off) decode as one batch
         rows, unlabeled = plan.train.draw(min(config.eval_every, config.max_episodes - start), rng_episode)
+        episodes = corpus.take(rows.ravel()).split(len(rows))
         if lm is not None:
+            sentences = corpus.take(unlabeled.ravel()).split(len(rows))
             if cache is None:
                 paraphrases = paraphrase(unlabeled.ravel().tolist())
             else:
@@ -271,7 +278,7 @@ def train_plan(config: RunConfig, plan: SeedPlan) -> tuple[SeedResult, EncoderPa
                 cache.update(zip(misses, paraphrase(misses)))
                 paraphrases = [cache[key] for key in keys]
 
-        for i, tokens in enumerate(map(corpus.take, rows)):
+        for i, tokens in enumerate(episodes):
             step = start + i + 1
             if lm is None:
                 sup_loss, grads = supervised_episode_loss(params, tokens, config.n_way, config.k_shot, config.distance)
@@ -279,7 +286,7 @@ def train_plan(config: RunConfig, plan: SeedPlan) -> tuple[SeedResult, EncoderPa
                 losses = StepLosses(total=sup_loss, supervised=sup_loss, unsupervised=0.0, weight=0.0)
             else:
                 batch = UnlabeledBatch(
-                    sentences=corpus.take(unlabeled[i]),
+                    sentences=sentences[i],
                     paraphrases=paraphrases[i * n_unlabeled : (i + 1) * n_unlabeled],
                 )
                 losses = combined_training_step(

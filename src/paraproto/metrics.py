@@ -4,6 +4,7 @@ pairwise cosine similarity of sentence embeddings."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -92,8 +93,10 @@ def _clipped_counts(
     return np.diff(total[shift[len(ref_rows) :, None] + edges[sets[len(ref_rows) :]]], axis=1)
 
 
-def _sentence_bleu(c: int, clipped_by_order: list[int], lengths: tuple[int, ...], smooth: bool) -> float:
-    """BLEU of a length-c candidate from its clipped n-gram counts."""
+@functools.lru_cache(maxsize=1024)
+def _sentence_bleu(c: int, clipped_by_order: tuple[int, ...], lengths: tuple[int, ...], smooth: bool) -> float:
+    """BLEU of a length-c candidate from its clipped n-gram counts; memoized,
+    since a search's candidates repeat few distinct arguments."""
     # on Python's `math`: numpy's log and exp differ from it in some last bits, which would move selection ties
     log_precisions = []
     for n, clipped in enumerate(clipped_by_order, start=1):
@@ -130,7 +133,7 @@ def bleu_by_source(
         raise ValueError(f"owners must lie in [0, {len(references)})")
     lengths = [tuple(map(len, refs)) for refs in references]
     counts = _clipped_counts(candidates, owners, references, max_n).tolist()
-    return [_sentence_bleu(len(cand), n, lengths[o], smooth) for cand, o, n in zip(candidates, owners, counts)]
+    return [_sentence_bleu(len(cand), tuple(n), lengths[o], smooth) for cand, o, n in zip(candidates, owners, counts)]
 
 
 def bleu_scores(

@@ -17,8 +17,11 @@ from .data import EpisodeSource
 from .encoder import EncoderParams, TokenRows, encode_batch_backward, forward
 
 # byte cap on one evaluation block's squared-distance difference tensor:
-# scoring every episode at once would hold all of their embeddings
-EVAL_BLOCK_BYTES = 128 * 1024
+# scoring every episode at once would hold all of their embeddings. Blocks
+# of 384-512 KB scored 200 5-way 5-query episodes at d = 32 fastest: smaller
+# ones pay more Python iterations, larger ones fall out of the core's cache
+# (ROADMAP perf notes); 384 KB holds less memory
+EVAL_BLOCK_BYTES = 384 * 1024
 
 
 @dataclass

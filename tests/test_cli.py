@@ -114,11 +114,12 @@ class TestTrain:
         # 6 classes split 3/2/1, so the test part has one class; the run once
         # trained every block before its test episodes found that out
         pytest.param(6, ["--n-way", "2", "--max-episodes", "200", "--eval-every", "100", "--seeds", "0"],
-                     "part 'test' has 1 classes, needs 2", id="one-test-class"),
+                     "seed 0: part 'test' has 1 classes, needs 2", id="one-test-class"),
         # domain splits give 6/4/4 classes at seed 0 and 8/2/4 at seed 2; the
         # run once trained all of seed 0 before it split seed 2's classes
         pytest.param(14, ["--group-by-domain", "--n-way", "3", "--max-episodes", "20", "--eval-every", "10",
-                          "--seeds", "0,2"], "part 'valid' has 2 classes, needs 3", id="later-seed-valid-part"),
+                          "--seeds", "0,2"], "seed 2: part 'valid' has 2 classes, needs 3",
+                     id="later-seed-valid-part"),
     ])
     def test_part_too_small_for_an_episode_fails_before_any_episode(
         self, tmp_path, capsys, monkeypatch, classes, flags, message
@@ -409,14 +410,6 @@ class TestDiversity:
         assert not out.exists()
 
 
-def _numpy_error(fn, *args) -> str:
-    try:
-        fn(*args)
-    except TypeError as exc:
-        return str(exc)
-    raise AssertionError("no error")
-
-
 def _seed_result(edit=None):
     """A seed result as report.json holds it; an `edit` value of None drops that key."""
     from dataclasses import asdict
@@ -452,10 +445,17 @@ class TestReport:
         (lambda report: {**report, "seed_results": [_seed_result(), _seed_result(), _seed_result({"extra": 1})]},
          "seed result 2 has unknown key 'extra'"),
         (lambda report: {**report, "seed_results": [[]]}, "a seed result 0 must be a JSON object, got list"),
-        # loads, then fails when its mean is taken; the output directory once
-        # was made before that
+        # once loaded, then failed with numpy's message when its mean was
+        # taken; the output directory once was made before that
         pytest.param(lambda report: {**report, "seed_results": [_seed_result({"test_accuracy": "x"})]},
-                     _numpy_error(np.mean, ["x"]), id="non-numeric-test-accuracy"),
+                     "seed result 0 field 'test_accuracy' must be a number, got str", id="non-numeric-test-accuracy"),
+        pytest.param(lambda report: {**report, "seed_results": [_seed_result({"seed": True})]},
+                     "seed result 0 field 'seed' must be an integer, got bool", id="boolean-seed"),
+        pytest.param(lambda report: {**report, "seed_results": [_seed_result(), _seed_result({"stopped_early": 0})]},
+                     "seed result 1 field 'stopped_early' must be a boolean, got int", id="integer-stopped-early"),
+        pytest.param(lambda report: {**report, "seed_results": [_seed_result({"val_curve": [[1, 0.5, 0.5]]})]},
+                     "seed result 0 field 'val_curve' must be a list of [integer, number] rows, got list",
+                     id="val-curve-row-too-long"),
     ])
     def test_malformed_report_exits_nonzero_naming_the_problem(self, tmp_path, capsys, edit, message):
         report = RunReport(method="none", profile="full", n_way=3, k_shot=1, seed_results=[])

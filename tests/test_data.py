@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tracemalloc
 
@@ -454,6 +455,26 @@ class TestKeySampler:
                 assert rows[e].tolist() == class_rows
                 assert unlabeled[e].tolist() == unlabeled_rows
         assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lead=st.lists(st.integers(0, 4), min_size=1, max_size=2),
+        width=st.integers(0, 12),
+        m=st.sampled_from(["zero", "one", "full", "any"]),
+        drawn=st.data(),
+    )
+    def test_smallest_equals_stable_argsort_prefix(self, lead, width, m, drawn):
+        # a few distinct values and +inf, so most rows hold ties, some of
+        # them at the m-th smallest key
+        size = math.prod(lead) * width
+        keys = np.array(drawn.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, np.inf]), min_size=size,
+                                            max_size=size)), dtype=np.float64).reshape(*lead, width)
+        m = {"zero": 0, "one": min(1, width), "full": width, "any": None}[m]
+        if m is None:
+            m = drawn.draw(st.integers(0, width))
+        got = data._smallest(keys, m)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, keys.argsort(axis=-1, kind="stable")[..., :m])
 
     @settings(max_examples=60, deadline=None)
     @given(**RAGGED)

@@ -197,6 +197,23 @@ class TestTokenRows:
         for name in ("ids", "starts", "counts"):
             np.testing.assert_array_equal(getattr(taken, name), getattr(direct, name))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_split_parts_equal_takes_of_consecutive_rows(self, n):
+        vocab, _ = _small_setup()
+        rows = np.array([4, 1, 6, 3, 5, 0])
+        parts = self._corpus(vocab).take(rows).split(n)
+        assert len(parts) == n
+        for part, part_rows in zip(parts, rows.reshape(n, -1)):
+            direct = self._corpus(vocab).take(part_rows)
+            for name in ("ids", "starts", "counts"):
+                np.testing.assert_array_equal(getattr(part, name), getattr(direct, name))
+
+    @pytest.mark.parametrize("n", [0, 4, 7])
+    def test_split_into_unequal_parts_rejected(self, n):
+        vocab, _ = _small_setup()
+        with pytest.raises(ValueError, match=rf"^cannot split 6 rows into {n} equal parts$"):
+            self._corpus(vocab).take(np.arange(6)).split(n)
+
     def test_backward_from_handed_in_forward_equals_recomputed(self):
         vocab, params = _small_setup(seed=29)
         upstream = np.random.default_rng(31).normal(size=(len(RAGGED), 4))

@@ -740,3 +740,43 @@ class TestBlockDecoding:
     def test_no_cache_decodes_every_drawn_row(self, monkeypatch, corpus_path):
         batches = self._batches(monkeypatch, load_dataset(corpus_path), cache=False)
         assert [len(batch) for batch in batches] == [10 * 4] * 3
+
+
+class TestBlockGather:
+    """Training gathers a block's token rows, and its unlabeled rows, in one
+    `TokenRows.take` each; every step still gets its own episode's rows."""
+
+    @pytest.mark.parametrize("strategy", ["none", "dbs"])
+    def test_step_rows_equal_per_episode_take(self, monkeypatch, corpus_path, strategy):
+        import paraproto.experiment as experiment
+        from paraproto.encoder import Vocabulary
+
+        draws = []
+        original_draw = EpisodeSource.draw
+
+        def recorded_draw(source, n_episodes, rng):
+            drawn = original_draw(source, n_episodes, rng)
+            if source.part == "train":
+                draws.append(drawn)
+            return drawn
+
+        monkeypatch.setattr(EpisodeSource, "draw", recorded_draw)
+        step = "supervised_episode_loss" if strategy == "none" else "combined_training_step"
+        calls = record_calls(monkeypatch, experiment, step)
+        # the last block of 5 episodes is shorter than the others
+        cfg = quick_config(corpus_path, strategy=strategy, max_episodes=25, n_paraphrases=3, n_unlabeled=2,
+                           decode=DecodeConfig(num_beams=6, num_groups=3))
+        ds = load_dataset(corpus_path)
+        train_single_seed(cfg, 0, ds)
+
+        texts = experiment.plan_seed(cfg, ds, 0).working.texts()
+        corpus = TokenRows.from_texts(texts, Vocabulary.from_texts(texts))
+        rows = np.concatenate([r for r, _ in draws])
+        unlabeled = np.concatenate([u for _, u in draws])
+        assert [len(r) for r, _ in draws] == [10, 10, 5] and len(calls) == 25
+        for i, (args, _) in enumerate(calls):
+            got = [args[1]] if strategy == "none" else [args[0], args[3].sentences]
+            expected = [corpus.take(rows[i])] + ([] if strategy == "none" else [corpus.take(unlabeled[i])])
+            for tokens, oracle in zip(got, expected, strict=True):
+                np.testing.assert_array_equal(tokens.ids, oracle.ids)
+                np.testing.assert_array_equal(tokens.counts, oracle.counts)

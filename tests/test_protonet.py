@@ -289,7 +289,7 @@ class TestEvaluateEncodesPartOnce:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("distance", [SQUARED_EUCLIDEAN, COSINE])
     @pytest.mark.parametrize("k_shot", [1, 2])
-    @pytest.mark.parametrize("n_episodes", [1, 7, BLOCK + 1, 40])
+    @pytest.mark.parametrize("n_episodes", [1, 7, BLOCK + 1, 40, 2 * BLOCK + 1])
     def test_matches_per_episode_encode_oracle(self, corpus, seed, distance, k_shot, n_episodes):
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=seed)
         vocab = Vocabulary.from_texts(corpus.texts())
