@@ -9,6 +9,7 @@ from JSON against the same annotations."""
 from __future__ import annotations
 
 from dataclasses import MISSING, fields, is_dataclass
+from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 
@@ -68,34 +69,48 @@ def _parse_value(name: str, hint, value: str):
     return hint(value)
 
 
-_JSON_KINDS = {bool: "boolean", int: "integer", float: "number"}
+_JSON_KINDS = {bool: "boolean", int: "integer", float: "number", str: "string"}
 
 
 def _json_fits(value, hint) -> bool:
     """Whether a value read from JSON has the annotated type: a bool for
-    bool, any other int for int, an int or float for float, a list for a
-    list, and a list of the same length for a tuple."""
+    bool, any other int for int, an int or float for float, a str for str,
+    null or a fit for `X | None`, a list for a list (of anything, for a list
+    of dataclass objects, whose caller checks them), and a list of the same
+    length for a tuple."""
+    if get_origin(hint) is UnionType:
+        return any(value is None if arg is type(None) else _json_fits(value, arg) for arg in get_args(hint))
     if get_origin(hint) is list:
-        return isinstance(value, list) and all(_json_fits(v, get_args(hint)[0]) for v in value)
+        (item,) = get_args(hint)
+        return isinstance(value, list) and (is_dataclass(item) or all(_json_fits(v, item) for v in value))
     if get_origin(hint) is tuple:
         args = get_args(hint)
         return isinstance(value, list) and len(value) == len(args) and all(map(_json_fits, value, args))
     if hint is bool or isinstance(value, bool):
         return hint is bool and isinstance(value, bool)
-    return isinstance(value, (int, float) if hint is float else int)
+    return isinstance(value, {float: (int, float), str: str}.get(hint, int))
+
+
+def _json_kind(hint) -> str:
+    """How an error names the annotated type, e.g. `a list of [integer, number] rows`."""
+    if get_origin(hint) is UnionType:
+        return " or ".join("null" if arg is type(None) else _json_kind(arg) for arg in get_args(hint))
+    if get_origin(hint) is list:
+        (item,) = get_args(hint)
+        if is_dataclass(item):
+            return f"a list of {item.__name__} objects"
+        return f"a list of [{', '.join(_JSON_KINDS[t] for t in get_args(item))}] rows"
+    return f"{'an' if hint is int else 'a'} {_JSON_KINDS[hint]}"
 
 
 def check_json_values(what: str, cls, obj: dict) -> None:
     """Name the first field of dataclass `cls` whose value in `obj`, a JSON
     object with every field's key, does not have the field's annotated type:
-    a bool, int or float, or a list of tuples of those."""
+    a bool, int, float or str, a list of tuples of those or of dataclass
+    objects, or any of these or null."""
     for name, hint in get_type_hints(cls).items():
         if not _json_fits(obj[name], hint):
-            if get_origin(hint) is list:
-                kind = f"a list of [{', '.join(_JSON_KINDS[t] for t in get_args(get_args(hint)[0]))}] rows"
-            else:
-                kind = f"{'an' if hint is int else 'a'} {_JSON_KINDS[hint]}"
-            raise ValueError(f"{what} field {name!r} must be {kind}, got {type(obj[name]).__name__}")
+            raise ValueError(f"{what} field {name!r} must be {_json_kind(hint)}, got {type(obj[name]).__name__}")
 
 
 def dataclass_from_kv(cls, raw: dict[str, str]):

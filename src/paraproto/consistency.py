@@ -38,10 +38,6 @@ class UnlabeledBatch:
     def n_sentences(self) -> int:
         return len(self.sentences)
 
-    @property
-    def n_paraphrases(self) -> int:
-        return len(self.paraphrases[0])
-
 
 @dataclass(frozen=True)
 class AnnealSchedule:
@@ -95,7 +91,7 @@ def combined_training_step(
     tokens: TokenRows,
     n_way: int,
     k_shot: int,
-    batch: UnlabeledBatch,
+    batch: UnlabeledBatch | None,
     params: EncoderParams,
     optimizer_state: AdamState,
     schedule: AnnealSchedule,
@@ -106,9 +102,14 @@ def combined_training_step(
 
     Both losses are evaluated at the current parameters and their gradients
     combined linearly before a single optimizer step (params updated in place).
+    With no unlabeled batch the step is plain ProtoNet: the supervised
+    gradient alone, at weight 0.
     """
-    weight = anneal_weight(step, schedule)
     sup_loss, sup_grads = supervised_episode_loss(params, tokens, n_way, k_shot, distance)
+    if batch is None:
+        optimizer_step(optimizer_state, params, sup_grads)
+        return StepLosses(total=sup_loss, supervised=sup_loss, unsupervised=0.0, weight=0.0)
+    weight = anneal_weight(step, schedule)
     unsup_loss, unsup_grads = unsupervised_loss(batch, params, distance)
 
     combined = params.with_flat((1.0 - weight) * sup_grads.vector + weight * unsup_grads.vector)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -45,10 +44,6 @@ class Dataset:
 
     def texts(self) -> list[str]:
         return [text for text, _ in self.records]
-
-    def class_rows(self, labels: Iterable[str]) -> np.ndarray:
-        """Row indices of every record of the given classes."""
-        return np.concatenate([self._by_class[label] for label in sorted(labels)])
 
     def __len__(self) -> int:
         return len(self.records)
@@ -210,7 +205,7 @@ class EpisodeSource:
     is named) and too few records for the unlabeled rows all fail. It keeps
     the part's sorted class names, a (classes, W) table of each class's
     dataset rows, padded with -1 to the largest class, and the part's
-    dataset `rows` in `class_rows` order."""
+    dataset `rows`, class by class in that order."""
 
     dataset: Dataset
     split: ClassSplit

@@ -219,24 +219,23 @@ def encode_backward(
     return encode_batch_backward(params, fwd, np.asarray(upstream)[None])
 
 
+# Adam's moment decay rates and denominator term (Kingma and Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam moments `m` and `v`, each one vector in the parameters' layout,
-    plus hyperparameters, checked when built."""
+    plus the learning rate, checked when built."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        if not (0 < self.learning_rate < np.inf and 0 < self.epsilon < np.inf):
-            raise ValueError("learning_rate and epsilon must be finite and > 0")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0")
 
     @classmethod
     def for_params(cls, params: EncoderParams, learning_rate: float = 1e-3) -> "AdamState":
@@ -252,13 +251,13 @@ def optimizer_step(state: AdamState, params: EncoderParams, grads: EncoderParams
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite gradient passed to optimizer")
     state.step_count += 1
-    bc1 = 1.0 - state.beta1**state.step_count
-    bc2 = 1.0 - state.beta2**state.step_count
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * g
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * (g * g)
-    params.vector -= state.learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.epsilon)
+    bc1 = 1.0 - ADAM_BETA1**state.step_count
+    bc2 = 1.0 - ADAM_BETA2**state.step_count
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * g
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * (g * g)
+    params.vector -= state.learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPSILON)
 
 
 def save_checkpoint(path: str | Path, params: EncoderParams, vocab: Vocabulary, extra: dict | None = None) -> None:

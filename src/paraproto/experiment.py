@@ -15,12 +15,7 @@ import numpy as np
 
 from . import numerics
 from .configio import check_json_values, dataclass_from_kv, dataclass_to_kv, format_kv, parse_kv_text
-from .consistency import (
-    AnnealSchedule,
-    StepLosses,
-    UnlabeledBatch,
-    combined_training_step,
-)
+from .consistency import AnnealSchedule, UnlabeledBatch, combined_training_step
 from .data import (
     PARTS, TRAIN, VALID, TEST, ClassSplit, Dataset, EpisodeSource, check_episode_shape, check_split_ratios,
     load_dataset, restrict_low_profile, split_classes,
@@ -29,11 +24,11 @@ from .decoding import (
     STRATEGIES, DecodeConfig, SynonymBigramLM, check_paraphrase_count, check_strategy, generate_paraphrase_batch,
 )
 from .encoder import (
-    DEFAULT_EMBED_DIM, DEFAULT_OUTPUT_DIM, AdamState, EncoderParams, TokenRows, Vocabulary,
-    load_checkpoint, optimizer_step, save_checkpoint,
+    DEFAULT_EMBED_DIM, DEFAULT_OUTPUT_DIM, AdamState, EncoderParams, TokenRows, Vocabulary, load_checkpoint,
+    save_checkpoint,
 )
 from .metrics import diversity_report
-from .protonet import evaluate, supervised_episode_loss
+from .protonet import evaluate
 from .synth import default_synonym_table
 
 logger = logging.getLogger("paraproto")
@@ -162,6 +157,7 @@ class RunReport:
         obj = json.loads(text)
         _check_keys("report", obj, {f.name for f in fields(cls)} | {"mean_accuracy", "std_accuracy"})
         del obj["mean_accuracy"], obj["std_accuracy"]
+        check_json_values("report", cls, obj)
         for i, r in enumerate(obj["seed_results"]):
             _check_keys(f"seed result {i}", r, {f.name for f in fields(SeedResult)})
             check_json_values(f"seed result {i}", SeedResult, r)
@@ -242,18 +238,13 @@ def train_plan(config: RunConfig, plan: SeedPlan) -> tuple[SeedResult, EncoderPa
     adam = AdamState.for_params(params, config.learning_rate)
     schedule = AnnealSchedule(alpha=config.anneal_alpha, total_steps=config.max_episodes)
     lm = SynonymBigramLM(texts, default_synonym_table()) if config.strategy != "none" else None
-    # paraphrase ids by working-set row, keyed by the first row with the same
-    # text, so duplicate sentences share one decode
-    cache: dict[int, TokenRows] | None = None
-    if config.paraphrase_cache:
-        cache, first_rows = {}, {}
-        cache_key = [first_rows.setdefault(text, row) for row, text in enumerate(texts)]
+    # paraphrase ids by text, so duplicate sentences share one decode
+    cache: dict[str, TokenRows] | None = {} if config.paraphrase_cache else None
 
-    def paraphrase(rows: list[int]) -> list[TokenRows]:
-        """The paraphrase ids of these rows' texts, from one batch decode."""
-        decoded = generate_paraphrase_batch(
-            lm, [texts[r] for r in rows], config.n_paraphrases, config.strategy, config.decode, rng_decode
-        )
+    def paraphrase(sources: list[str]) -> list[TokenRows]:
+        """The paraphrase ids of these texts, from one batch decode."""
+        decoded = generate_paraphrase_batch(lm, sources, config.n_paraphrases, config.strategy, config.decode,
+                                            rng_decode)
         return [TokenRows.from_texts(generated, vocab) for generated in decoded]
 
     def accuracy(model: EncoderParams, source: EpisodeSource, rng: np.random.Generator) -> float:
@@ -270,31 +261,23 @@ def train_plan(config: RunConfig, plan: SeedPlan) -> tuple[SeedResult, EncoderPa
         episodes = corpus.take(rows.ravel()).split(len(rows))
         if lm is not None:
             sentences = corpus.take(unlabeled.ravel()).split(len(rows))
+            drawn = [texts[row] for row in unlabeled.ravel().tolist()]
             if cache is None:
-                paraphrases = paraphrase(unlabeled.ravel().tolist())
+                paraphrases = paraphrase(drawn)
             else:
-                keys = [cache_key[row] for row in unlabeled.ravel().tolist()]
-                misses = list(dict.fromkeys(key for key in keys if key not in cache))
+                misses = list(dict.fromkeys(text for text in drawn if text not in cache))
                 cache.update(zip(misses, paraphrase(misses)))
-                paraphrases = [cache[key] for key in keys]
+                paraphrases = [cache[text] for text in drawn]
 
         for i, tokens in enumerate(episodes):
             step = start + i + 1
-            if lm is None:
-                sup_loss, grads = supervised_episode_loss(params, tokens, config.n_way, config.k_shot, config.distance)
-                optimizer_step(adam, params, grads)
-                losses = StepLosses(total=sup_loss, supervised=sup_loss, unsupervised=0.0, weight=0.0)
-            else:
-                batch = UnlabeledBatch(
-                    sentences=sentences[i],
-                    paraphrases=paraphrases[i * n_unlabeled : (i + 1) * n_unlabeled],
-                )
-                losses = combined_training_step(
-                    tokens, config.n_way, config.k_shot, batch, params, adam, schedule, step, config.distance
-                )
-            loss_curve.append(
-                (step, losses.supervised, losses.unsupervised, losses.weight, losses.total)
+            batch = None if lm is None else UnlabeledBatch(
+                sentences[i], paraphrases[i * n_unlabeled : (i + 1) * n_unlabeled]
             )
+            losses = combined_training_step(
+                tokens, config.n_way, config.k_shot, batch, params, adam, schedule, step, config.distance
+            )
+            loss_curve.append((step, losses.supervised, losses.unsupervised, losses.weight, losses.total))
             logger.debug("step=%d sup=%.6f unsup=%.6f weight=%.6f total=%.6f", *loss_curve[-1])
 
         val_curve.append((len(loss_curve), accuracy(params, plan.valid, rng_valid)))

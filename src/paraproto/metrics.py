@@ -136,16 +136,6 @@ def bleu_by_source(
     return [_sentence_bleu(len(cand), tuple(n), lengths[o], smooth) for cand, o, n in zip(candidates, owners, counts)]
 
 
-def bleu_scores(
-    candidates: Sequence[Sequence[str]], references: Sequence[Sequence[str]], max_n: int = 4, smooth: bool = False
-) -> list[float]:
-    """Sentence BLEU of each candidate against the same references; see `bleu`."""
-    ids: dict[str, int] = {}
-    refs = [[ids.setdefault(tok, len(ids)) for tok in ref] for ref in references]
-    cands = [[ids.setdefault(tok, len(ids)) for tok in cand] for cand in candidates]
-    return bleu_by_source(cands, [0] * len(cands), [refs], max_n, smooth)
-
-
 def bleu(
     candidate: Sequence[str],
     references: Sequence[Sequence[str]],
@@ -155,7 +145,9 @@ def bleu(
     """Sentence BLEU: clipped modified n-gram precision, uniform weights over
     the orders the candidate is long enough to support, brevity penalty, and
     add-one smoothing of zero-count precisions when `smooth` is set."""
-    return bleu_scores([candidate], references, max_n, smooth)[0]
+    ids: dict[str, int] = {}
+    refs = [[ids.setdefault(tok, len(ids)) for tok in ref] for ref in references]
+    return bleu_by_source([[ids.setdefault(tok, len(ids)) for tok in candidate]], [0], [refs], max_n, smooth)[0]
 
 
 def mean_pairwise_similarity(embeddings: Sequence[np.ndarray]) -> float:
@@ -185,7 +177,7 @@ def diversity_report(
         raise ValueError("need at least 2 paraphrases")
     sentences = [source, *paraphrases]
     token_lists = [tokenize(s) for s in sentences]
-    bleus = bleu_scores(token_lists[1:], token_lists[:1], smooth=True)
+    bleus = [bleu(tokens, token_lists[:1], smooth=True) for tokens in token_lists[1:]]
     embeddings = forward(encoder_params, TokenRows.from_tokens(token_lists, vocab)).out
     return DiversityReport(
         dist2=distinct_2(token_lists),

@@ -16,7 +16,12 @@ def test_tracer_installs_every_traced_name(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
 
-    original = paraproto.encoder.encode
+    # the package and every module that binds `tokenize` from `encoder`
+    holders = [paraproto, paraproto.encoder, paraproto.data, paraproto.decoding, paraproto.metrics]
+    original = paraproto.encoder.tokenize
+    assert all(module.tokenize is original for module in holders)
     with tracing.Tracer().installed():
-        assert paraproto.encoder.encode is not original
-    assert paraproto.encoder.encode is original
+        patched = paraproto.encoder.tokenize
+        assert patched is not original
+        assert all(module.tokenize is patched for module in holders)
+    assert all(module.tokenize is original for module in holders)

@@ -127,7 +127,7 @@ class TestTrain:
         import paraproto.experiment as experiment
 
         steps = []
-        monkeypatch.setattr(experiment, "supervised_episode_loss", lambda *args: steps.append(args))
+        monkeypatch.setattr(experiment, "combined_training_step", lambda *args: steps.append(args))
         data, out = tmp_path / "small.jsonl", tmp_path / "run"
         assert main(["synth-data", "--out", str(data), "--classes", str(classes), "--per-class", "10"]) == 0
         code = main(["train", "--dataset", str(data), "--out", str(out), "--strategy", "none",
@@ -456,6 +456,26 @@ class TestReport:
         pytest.param(lambda report: {**report, "seed_results": [_seed_result({"val_curve": [[1, 0.5, 0.5]]})]},
                      "seed result 0 field 'val_curve' must be a list of [integer, number] rows, got list",
                      id="val-curve-row-too-long"),
+        # the report's own fields: a string integer and a numeric method once
+        # loaded; a non-numeric p_mask row was written to pmask_series.csv;
+        # a non-list series or seed list failed with "'int' object is not iterable"
+        pytest.param(lambda report: {**report, "n_way": "x"},
+                     "report field 'n_way' must be an integer, got str", id="string-n-way"),
+        pytest.param(lambda report: {**report, "k_shot": 1.0},
+                     "report field 'k_shot' must be an integer, got float", id="float-k-shot"),
+        pytest.param(lambda report: {**report, "method": 7},
+                     "report field 'method' must be a string, got int", id="integer-method"),
+        pytest.param(lambda report: {**report, "profile": None},
+                     "report field 'profile' must be a string, got NoneType", id="null-profile"),
+        pytest.param(lambda report: {**report, "pmask_series": [[0.1, "a", 0.2]]},
+                     "report field 'pmask_series' must be a list of [number, number, number] rows or null, got list",
+                     id="non-numeric-pmask-row"),
+        pytest.param(lambda report: {**report, "pmask_series": 5},
+                     "report field 'pmask_series' must be a list of [number, number, number] rows or null, got int",
+                     id="integer-pmask-series"),
+        pytest.param(lambda report: {**report, "seed_results": 5},
+                     "report field 'seed_results' must be a list of SeedResult objects, got int",
+                     id="integer-seed-results"),
     ])
     def test_malformed_report_exits_nonzero_naming_the_problem(self, tmp_path, capsys, edit, message):
         report = RunReport(method="none", profile="full", n_way=3, k_shot=1, seed_results=[])

@@ -11,7 +11,7 @@ from paraproto.consistency import (
     combined_training_step,
     unsupervised_loss,
 )
-from paraproto.encoder import AdamState, EncoderParams, Vocabulary, encode, optimizer_step, tokenize
+from paraproto.encoder import ADAM_BETA1, AdamState, EncoderParams, Vocabulary, encode, optimizer_step, tokenize
 from paraproto.numerics import COSINE, SQUARED_EUCLIDEAN, softmax_over_neg_distances
 from paraproto.protonet import softmax_cross_entropy_episode, supervised_episode_loss
 from rowstub import episode_tokens, text_batch
@@ -28,7 +28,7 @@ class TestUnlabeledBatch:
     def test_counts(self):
         batch = text_batch(["a", "b"], [["x", "y"], ["p", "q"]], VOCAB)
         assert batch.n_sentences == 2
-        assert batch.n_paraphrases == 2
+        assert len(batch.paraphrases[0]) == 2
 
 
 def _oracle_unsupervised_loss(sentences, paraphrases, params, vocab):
@@ -220,7 +220,11 @@ def _episode_and_batch():
 
 
 class TestCombinedTrainingStep:
-    def test_step_zero_equals_pure_supervised(self):
+    @pytest.mark.parametrize("unlabeled", [True, False], ids=["step-zero", "no-unlabeled-batch"])
+    def test_step_zero_equals_pure_supervised(self, monkeypatch, unlabeled):
+        # with no unlabeled batch, every step is the plain ProtoNet step
+        import paraproto.consistency as consistency
+
         tokens, batch, vocab = _episode_and_batch()
         schedule = AnnealSchedule(alpha=1.0, total_steps=100)
 
@@ -229,12 +233,19 @@ class TestCombinedTrainingStep:
         adam_a = AdamState.for_params(params_a)
         adam_b = AdamState.for_params(params_b)
 
-        losses = combined_training_step(tokens, 2, 1, batch, params_a, adam_a, schedule, 0)
+        unsupervised_calls = []
+        monkeypatch.setattr(consistency, "unsupervised_loss",
+                            lambda *args: unsupervised_calls.append(args) or unsupervised_loss(*args))
+        batch, step = (batch, 0) if unlabeled else (None, 50)
+        losses = combined_training_step(tokens, 2, 1, batch, params_a, adam_a, schedule, step)
         sup_loss, sup_grads = supervised_episode_loss(params_b, tokens, 2, 1)
         optimizer_step(adam_b, params_b, sup_grads)
 
         assert losses.weight == 0.0
         assert losses.total == losses.supervised == sup_loss
+        assert len(unsupervised_calls) == int(unlabeled)
+        if not unlabeled:
+            assert losses.unsupervised == 0.0
         np.testing.assert_array_equal(params_a.embedding, params_b.embedding)
         np.testing.assert_array_equal(params_a.projection, params_b.projection)
         np.testing.assert_array_equal(params_a.bias, params_b.bias)
@@ -268,7 +279,7 @@ class TestCombinedTrainingStep:
         # recompute what the combined step applies by reading the Adam moment
         adam = AdamState.for_params(params)
         combined_training_step(tokens, 2, 1, batch, params, adam, schedule, 1)
-        applied = adam.m / (1.0 - adam.beta1)
+        applied = adam.m / (1.0 - ADAM_BETA1)
         np.testing.assert_allclose(applied, expected, atol=1e-10)
 
     def test_loss_linearity_over_steps(self):

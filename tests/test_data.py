@@ -583,8 +583,8 @@ class TestKeySampler:
         class_rate = np.bincount(chosen.ravel(), minlength=len(pool)) / 20_000
         np.testing.assert_allclose(class_rate, 5 / len(pool), atol=0.02)
         row_counts = np.bincount(rows.ravel(), minlength=len(corpus))
-        for i, label in enumerate(pool):
-            members = corpus.class_rows([label])
+        by_class = EpisodeSource(corpus, split, "train", 5, 1, 5).rows.reshape(len(pool), 30)
+        for i, members in enumerate(by_class):
             row_rate = row_counts[members] / np.count_nonzero(chosen == i)
             np.testing.assert_allclose(row_rate, 6 / 30, atol=0.03)
 

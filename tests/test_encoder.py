@@ -4,6 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from gradcheck import finite_difference_gradient, gradient_check
 from paraproto.encoder import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     UNK,
     AdamState,
     EncoderParams,
@@ -247,14 +250,14 @@ def _add_at_backward(params, fwd, upstream):
 
 def _per_array_adam_step(state, arrays, grads, ms, vs, step):
     """One Adam update array by array, with the library's expression order."""
-    bc1 = 1.0 - state.beta1**step
-    bc2 = 1.0 - state.beta2**step
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
     for p, g, m, v in zip(arrays, grads, ms, vs):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
 
 
 # token lists with repeats, out-of-vocabulary tokens and empty (lone-UNK) rows
@@ -359,7 +362,7 @@ class TestAdam:
         grads.bias[0] = 2.0
         optimizer_step(state, params, grads)
         # m = 0.2, v = 0.004, m_hat = 2.0, v_hat = 4.0
-        expected = -0.1 * 2.0 / (np.sqrt(4.0) + state.epsilon)
+        expected = -0.1 * 2.0 / (np.sqrt(4.0) + ADAM_EPSILON)
         assert params.bias[0] == pytest.approx(expected, rel=1e-12)
         assert state.step_count == 1
 
@@ -373,9 +376,7 @@ class TestAdam:
 
     @pytest.mark.parametrize("kwargs", [
         {"learning_rate": np.nan}, {"learning_rate": np.inf}, {"learning_rate": 0.0},
-        {"learning_rate": -1e-3}, {"beta1": 1.0}, {"beta1": -0.1}, {"beta1": np.nan},
-        {"beta2": 1.0}, {"beta2": np.nan}, {"epsilon": 0.0}, {"epsilon": np.nan},
-        {"epsilon": np.inf},
+        {"learning_rate": -1e-3},
     ])
     def test_bad_hyperparameters_rejected(self, kwargs):
         with pytest.raises(ValueError):

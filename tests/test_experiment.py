@@ -707,8 +707,8 @@ class TestTokenizeOncePerRun:
 
 class TestBlockDecoding:
     """Training decodes a block's paraphrase misses in one batch call: with
-    the cache, each text once per run, keyed by the first row holding it;
-    without it, every drawn row."""
+    the cache, each text once per run, keyed by the text itself; without it,
+    every drawn row."""
 
     def _batches(self, monkeypatch, dataset, cache):
         import paraproto.experiment as experiment
@@ -741,6 +741,40 @@ class TestBlockDecoding:
         batches = self._batches(monkeypatch, load_dataset(corpus_path), cache=False)
         assert [len(batch) for batch in batches] == [10 * 4] * 3
 
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_duplicate_texts_at_different_rows(self, monkeypatch, corpus_path, cache):
+        # with the cache, a text drawn at two rows is decoded once, when it is
+        # first drawn, and every row holding it trains on that one decode;
+        # without it, every drawn row is decoded, duplicates included
+        import paraproto.experiment as experiment
+        from paraproto.data import Dataset
+
+        ds = load_dataset(corpus_path)
+        doubled = Dataset(ds.records + ds.records)  # every text on two rows
+        draws, original_draw = [], EpisodeSource.draw
+
+        def recorded_draw(source, n_episodes, rng):
+            drawn = original_draw(source, n_episodes, rng)
+            if source.part == "train":
+                draws.append(drawn[1])
+            return drawn
+
+        monkeypatch.setattr(EpisodeSource, "draw", recorded_draw)
+        steps = record_calls(monkeypatch, experiment, "combined_training_step")
+        batches = self._batches(monkeypatch, doubled, cache)
+
+        rows = np.concatenate(draws).ravel().tolist()
+        drawn = [doubled.records[row][0] for row in rows]
+        assert len(set(rows)) > len(set(drawn))  # some text was drawn at two different rows
+        assert [text for batch in batches for text in batch] == (list(dict.fromkeys(drawn)) if cache else drawn)
+        used = [paraphrases for args, _ in steps for paraphrases in args[3].paraphrases]
+        assert len(used) == len(drawn)
+        if cache:
+            first = {}
+            assert all(first.setdefault(text, p) is p for text, p in zip(drawn, used))
+        else:
+            assert len({id(p) for p in used}) == len(used)
+
 
 class TestBlockGather:
     """Training gathers a block's token rows, and its unlabeled rows, in one
@@ -761,8 +795,7 @@ class TestBlockGather:
             return drawn
 
         monkeypatch.setattr(EpisodeSource, "draw", recorded_draw)
-        step = "supervised_episode_loss" if strategy == "none" else "combined_training_step"
-        calls = record_calls(monkeypatch, experiment, step)
+        calls = record_calls(monkeypatch, experiment, "combined_training_step")
         # the last block of 5 episodes is shorter than the others
         cfg = quick_config(corpus_path, strategy=strategy, max_episodes=25, n_paraphrases=3, n_unlabeled=2,
                            decode=DecodeConfig(num_beams=6, num_groups=3))
@@ -775,7 +808,8 @@ class TestBlockGather:
         unlabeled = np.concatenate([u for _, u in draws])
         assert [len(r) for r, _ in draws] == [10, 10, 5] and len(calls) == 25
         for i, (args, _) in enumerate(calls):
-            got = [args[1]] if strategy == "none" else [args[0], args[3].sentences]
+            assert (args[3] is None) == (strategy == "none")
+            got = [args[0]] + ([] if strategy == "none" else [args[3].sentences])
             expected = [corpus.take(rows[i])] + ([] if strategy == "none" else [corpus.take(unlabeled[i])])
             for tokens, oracle in zip(got, expected, strict=True):
                 np.testing.assert_array_equal(tokens.ids, oracle.ids)

@@ -10,7 +10,6 @@ from paraproto.encoder import EncoderParams, Vocabulary
 from paraproto.decoding import Beam, select_most_diverse
 from paraproto.metrics import (
     bleu,
-    bleu_scores,
     distinct_2,
     diversity_report,
     mean_pairwise_similarity,
@@ -147,7 +146,6 @@ class TestBatchedBleu:
            st.integers(1, 5), st.booleans())
     def test_equals_counter_bleu(self, candidates, references, max_n, smooth):
         expected = [counter_bleu(c, references, max_n, smooth) for c in candidates]
-        assert bleu_scores(candidates, references, max_n, smooth) == expected
         assert [bleu(c, references, max_n, smooth) for c in candidates] == expected
 
     @settings(max_examples=200, deadline=None)
@@ -222,9 +220,9 @@ class TestBatchedBleu:
 
     def test_rejects_empty_candidate_and_order_zero(self):
         with pytest.raises(ValueError, match="empty candidate"):
-            bleu_scores([["a"], []], [["a"]])
+            bleu([], [["a"]])
         with pytest.raises(ValueError, match="max_n"):
-            bleu_scores([["a"]], [["a"]], max_n=0)
+            bleu(["a"], [["a"]], max_n=0)
 
 
 class TestMeanPairwiseSimilarity:
