@@ -64,21 +64,14 @@ class ClassSplit:
     test_classes: frozenset[str]
 
     def __post_init__(self):
-        if (
-            self.train_classes & self.valid_classes
-            or self.train_classes & self.test_classes
-            or self.valid_classes & self.test_classes
-        ):
+        parts = [self.part(name) for name in PARTS]
+        if sum(map(len, parts)) != len(frozenset().union(*parts)):
             raise ValueError("split parts must be pairwise disjoint")
 
     def part(self, name: str) -> frozenset[str]:
-        if name == TRAIN:
-            return self.train_classes
-        if name == VALID:
-            return self.valid_classes
-        if name == TEST:
-            return self.test_classes
-        raise ValueError(f"unknown split part: {name!r}")
+        if name not in PARTS:
+            raise ValueError(f"unknown split part: {name!r}")
+        return getattr(self, f"{name}_classes")
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -158,13 +151,7 @@ def split_classes(
         ):
             current += 1
         parts[current].extend(by_domain[d])
-    train, valid, test = parts
-
-    return ClassSplit(
-        train_classes=frozenset(train),
-        valid_classes=frozenset(valid),
-        test_classes=frozenset(test),
-    )
+    return ClassSplit(*map(frozenset, parts))
 
 
 def restrict_low_profile(

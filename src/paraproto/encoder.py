@@ -36,22 +36,13 @@ class Vocabulary:
     """Dense token -> index map with a reserved UNK entry at index 0."""
 
     def __init__(self, tokens: Iterable[str]):
-        ordered = [UNK]
-        seen = {UNK}
-        for tok in tokens:
-            if tok not in seen:
-                seen.add(tok)
-                ordered.append(tok)
-        self._index = {tok: i for i, tok in enumerate(ordered)}
-        self.tokens = ordered
+        self.tokens = list(dict.fromkeys([UNK, *tokens]))  # first occurrences, in order
+        self._index = {tok: i for i, tok in enumerate(self.tokens)}
 
     @classmethod
     def from_texts(cls, texts: Iterable[str]) -> "Vocabulary":
         # sorted union keeps the index assignment independent of text order
-        seen: set[str] = set()
-        for text in texts:
-            seen.update(tokenize(text))
-        return cls(sorted(seen))
+        return cls(sorted({tok for text in texts for tok in tokenize(text)}))
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -156,7 +156,7 @@ class RunReport:
     def from_json(cls, text: str) -> "RunReport":
         obj = json.loads(text)
         _check_keys("report", obj, {f.name for f in fields(cls)} | {"mean_accuracy", "std_accuracy"})
-        del obj["mean_accuracy"], obj["std_accuracy"]
+        summary = {name: obj.pop(name) for name in ("mean_accuracy", "std_accuracy")}
         check_json_values("report", cls, obj)
         for i, r in enumerate(obj["seed_results"]):
             _check_keys(f"seed result {i}", r, {f.name for f in fields(SeedResult)})
@@ -168,7 +168,13 @@ class RunReport:
         ]
         if obj["pmask_series"] is not None:
             obj["pmask_series"] = _tuples(obj["pmask_series"])
-        return cls(**obj)
+        report = cls(**obj)
+        written = json.loads(report.to_json())  # the summary as its seeds give it
+        for name, stored in summary.items():
+            if json.dumps(stored) != json.dumps(written[name]):
+                raise ValueError(f"report field {name!r} must be {json.dumps(written[name])} (recomputed from its "
+                                 f"seed results), got {json.dumps(stored)}")
+        return report
 
 
 def _check_keys(what: str, obj, expected: set[str]) -> None:

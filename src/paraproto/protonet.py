@@ -16,12 +16,12 @@ from . import numerics
 from .data import EpisodeSource
 from .encoder import EncoderParams, TokenRows, encode_batch_backward, forward
 
-# byte cap on one evaluation block's squared-distance difference tensor:
-# scoring every episode at once would hold all of their embeddings. Blocks
-# of 384-512 KB scored 200 5-way 5-query episodes at d = 32 fastest: smaller
-# ones pay more Python iterations, larger ones fall out of the core's cache
-# (ROADMAP perf notes); 384 KB holds less memory
-EVAL_BLOCK_BYTES = 384 * 1024
+# byte cap on one evaluation block's gathered support and query embeddings
+# and (queries, classes) distances: scoring every episode at once would hold
+# all of them. Of 128 KB, 384 KB and 1 MB, 128 KB (15 five-way 1-shot 5-query
+# episodes at d = 32) scored 200 episodes fastest and held the least memory
+# (ROADMAP perf notes)
+EVAL_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass
@@ -48,21 +48,27 @@ def _pairwise_distances(
     queries: np.ndarray, protos: np.ndarray, kind: str
 ) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]:
     """(..., Q, C) distances between (..., Q, d) queries and (..., C, d)
-    prototypes, leading batch dimensions being episodes, and for 2-D inputs
-    their `backward`: d_dist -> gradients of sum(d_dist * dist) w.r.t.
-    queries and prototypes, from the forward's intermediates."""
+    prototypes, leading batch dimensions being episodes, and their `backward`:
+    d_dist -> gradients of sum(d_dist * dist) w.r.t. queries and prototypes,
+    batched for squared Euclidean, for 2-D inputs for cosine. Squared
+    Euclidean is |q|^2 + |p|^2 - 2 q.p, one matrix product, clamped at 0."""
     if queries.shape[-1] != protos.shape[-1]:
         raise ValueError(
             f"embedding dimension mismatch: {queries.shape[-1]} vs {protos.shape[-1]}"
         )
     if kind == numerics.SQUARED_EUCLIDEAN:
-        diff = queries[..., :, None, :] - protos[..., None, :, :]
+        dists = queries @ np.swapaxes(protos, -1, -2)
+        dists *= -2.0
+        dists += np.einsum("...qd,...qd->...q", queries, queries)[..., :, None]
+        dists += np.einsum("...cd,...cd->...c", protos, protos)[..., None, :]
+        np.maximum(dists, 0.0, out=dists)  # rounding can leave a coincident pair below 0; nan stays nan
 
         def backward(d_dist):
-            weighted = 2.0 * d_dist[:, :, None] * diff
-            return weighted.sum(axis=1), -weighted.sum(axis=0)
+            d_q = d_dist.sum(axis=-1)[..., None] * queries - d_dist @ protos
+            d_p = d_dist.sum(axis=-2)[..., None] * protos - np.swapaxes(d_dist, -1, -2) @ queries
+            return 2.0 * d_q, 2.0 * d_p
 
-        return np.einsum("...jcd,...jcd->...jc", diff, diff), backward
+        return dists, backward
     if kind == numerics.COSINE:
         qn = np.linalg.norm(queries, axis=-1)
         pn = np.linalg.norm(protos, axis=-1)
@@ -182,9 +188,10 @@ def evaluate(
 
     n_way, k_shot, query_per_class = source.n_way, source.k_shot, source.query_per_class
     n_support, n_query = n_way * k_shot, n_way * query_per_class
-    # episodes per block, from the size of its (episodes, queries, classes, d)
-    # squared-distance difference tensor
-    block = max(1, EVAL_BLOCK_BYTES // (n_query * n_way * encoded.shape[1] * encoded.itemsize))
+    # episodes per block, from what a block holds: each episode's gathered
+    # support and query embeddings and its (queries, classes) distances
+    block = max(1, EVAL_BLOCK_BYTES // (((n_support + n_query) * encoded.shape[1] + n_query * n_way)
+                                        * encoded.itemsize))
     targets = np.repeat(np.arange(n_way), query_per_class)
     correct = np.empty(n_episodes, dtype=np.intp)
     for start in range(0, n_episodes, block):

@@ -476,6 +476,27 @@ class TestReport:
         pytest.param(lambda report: {**report, "seed_results": 5},
                      "report field 'seed_results' must be a list of SeedResult objects, got int",
                      id="integer-seed-results"),
+        # the stored summary once was dropped unread, and the CSV written
+        # from the seeds alone
+        pytest.param(lambda report: {**report, "mean_accuracy": "x", "std_accuracy": [1],
+                                     "seed_results": [_seed_result()]},
+                     'report field \'mean_accuracy\' must be 0.5 (recomputed from its seed results), got "x"',
+                     id="non-numeric-summary"),
+        pytest.param(lambda report: {**report, "mean_accuracy": 0.5, "std_accuracy": [1],
+                                     "seed_results": [_seed_result()]},
+                     "report field 'std_accuracy' must be 0.0 (recomputed from its seed results), got [1]",
+                     id="list-std"),
+        pytest.param(lambda report: {**report, "mean_accuracy": 0.4, "std_accuracy": 0.0,
+                                     "seed_results": [_seed_result()]},
+                     "report field 'mean_accuracy' must be 0.5 (recomputed from its seed results), got 0.4",
+                     id="mean-disagrees-with-seeds"),
+        pytest.param(lambda report: {**report, "mean_accuracy": 1, "std_accuracy": 0.0,
+                                     "seed_results": [_seed_result({"test_accuracy": 1.0})]},
+                     "report field 'mean_accuracy' must be 1.0 (recomputed from its seed results), got 1",
+                     id="integer-mean"),
+        pytest.param(lambda report: {**report, "std_accuracy": 0.0},
+                     "report field 'std_accuracy' must be null (recomputed from its seed results), got 0.0",
+                     id="summary-without-seeds"),
     ])
     def test_malformed_report_exits_nonzero_naming_the_problem(self, tmp_path, capsys, edit, message):
         report = RunReport(method="none", profile="full", n_way=3, k_shot=1, seed_results=[])

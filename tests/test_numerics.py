@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from gradcheck import finite_difference_gradient, gradient_check
+from paraproto import encoder, protonet
+from paraproto.data import ClassSplit, Dataset, EpisodeSource
 from paraproto.numerics import COSINE, SQUARED_EUCLIDEAN, softmax_over_neg_distances
 from paraproto.protonet import _pairwise_distances, softmax_cross_entropy_episode
 
@@ -51,6 +53,89 @@ class TestSquaredEuclidean:
             squared_euclidean(other, values)
         )
         assert squared_euclidean(values, other) >= 0.0
+
+
+def difference_form(queries, protos):
+    """The (..., Q, C) squared distances from the (..., Q, C, d) difference tensor."""
+    return ((queries[..., :, None, :] - protos[..., None, :, :]) ** 2).sum(axis=-1)
+
+
+class TestMatrixProductForm:
+    """The squared-Euclidean distance is |q|^2 + |p|^2 - 2 q.p by one matrix
+    product, clamped at 0; it is checked against the difference form."""
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 3), (1, 25, 5, 32), (12, 25, 5, 32), (3, 4, 2, 5)])
+    def test_batched_matches_difference_form(self, shape):
+        e, q, c, d = shape
+        rng = np.random.default_rng(sum(shape))
+        queries, protos = rng.normal(size=(e, q, d)), rng.normal(size=(e, c, d))
+        dists = _pairwise_distances(queries, protos, SQUARED_EUCLIDEAN)[0]
+        assert dists.shape == (e, q, c)
+        np.testing.assert_allclose(dists, difference_form(queries, protos), rtol=1e-12)
+        np.testing.assert_allclose(_pairwise_distances(queries[0], protos[0], SQUARED_EUCLIDEAN)[0],
+                                   difference_form(queries[0], protos[0]), rtol=1e-12)
+
+    @pytest.mark.parametrize("lead, q, c, d", [((), 1, 1, 3), ((), 5, 3, 4), ((3,), 4, 2, 5), ((2, 2), 3, 3, 2)])
+    def test_backward_matches_finite_differences(self, lead, q, c, d):
+        rng = np.random.default_rng(q * c * d)
+        queries, protos = rng.normal(size=(*lead, q, d)), rng.normal(size=(*lead, c, d))
+        d_dist = rng.normal(size=(*lead, q, c))
+        split = queries.size
+
+        def loss(theta):
+            dists = _pairwise_distances(theta[:split].reshape(queries.shape), theta[split:].reshape(protos.shape),
+                                        SQUARED_EUCLIDEAN)[0]
+            return float((d_dist * dists).sum())
+
+        d_q, d_p = _pairwise_distances(queries, protos, SQUARED_EUCLIDEAN)[1](d_dist)
+        assert d_q.shape == queries.shape and d_p.shape == protos.shape
+        theta = np.concatenate([queries.ravel(), protos.ravel()])
+        numeric = finite_difference_gradient(loss, theta)
+        assert gradient_check(np.concatenate([d_q.ravel(), d_p.ravel()]), numeric).max_relative_error < 1e-6
+
+    @given(finite_vectors, st.integers(min_value=0, max_value=2**32 - 1))
+    def test_coincident_rows_never_negative(self, values, seed):
+        # |v|^2 + |v|^2 - 2 v.v, each term rounded on its own, can fall
+        # below 0; the clamp holds the distance at >= 0
+        v = np.array(values)
+        rng = np.random.default_rng(seed)
+        queries = np.stack([v, rng.uniform(-50, 50, size=len(v)), v])
+        protos = np.stack([rng.uniform(-50, 50, size=len(v)), v])
+        dists = _pairwise_distances(queries, protos, SQUARED_EUCLIDEAN)[0]
+        assert (dists >= 0.0).all()
+        assert dists[[0, 2], 1] == pytest.approx([0.0, 0.0], abs=1e-12 * (4.0 * v @ v + 1.0))
+
+    # In the matrix-product form an inf coordinate gives inf - inf = nan
+    # where q.p is +inf or nan, and numpy's "invalid value" warning, which
+    # this suite turns into an error; the non-finite distance is what counts.
+    # (An encoder output is a tanh, so it is never inf itself.)
+    def test_inf_embedding_gives_non_finite_distances(self):
+        queries = np.array([[np.inf, 1.0], [0.5, -1.0]])
+        protos = np.array([[1.0, 2.0], [-1.0, 0.0], [0.0, 0.0]])
+        with np.errstate(invalid="ignore"):
+            dists = _pairwise_distances(queries, protos, SQUARED_EUCLIDEAN)[0]
+        assert np.isnan(dists[0, [0, 2]]).all() and dists[0, 1] == np.inf
+        np.testing.assert_allclose(dists[1], difference_form(queries[1:], protos)[0], rtol=1e-12)
+
+    def test_inf_embedding_fails_evaluate(self, monkeypatch):
+        # two test classes of two rows each: every 2-way 1-shot 1-query
+        # episode holds every row, the one with an inf too
+        records = [(f"word{i} other{i % 3}", f"c{i // 2}") for i in range(12)]
+        dataset = Dataset(records)
+        split = ClassSplit(frozenset({"c0", "c1"}), frozenset({"c2", "c3"}), frozenset({"c4", "c5"}))
+        vocab = encoder.Vocabulary.from_texts(dataset.texts())
+        params = encoder.EncoderParams.init(len(vocab), 4, 4, np.random.default_rng(0))
+
+        def forward_with_inf(params, rows):
+            fwd = encoder.forward(params, rows)
+            fwd.out[0, 0] = np.inf
+            return fwd
+
+        monkeypatch.setattr(protonet, "forward", forward_with_inf)
+        tokens = encoder.TokenRows.from_texts(dataset.texts(), vocab)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^non-finite distance between"):
+            protonet.evaluate(params, tokens, EpisodeSource(dataset, split, "test", 2, 1, 1), 3,
+                              np.random.default_rng(0))
 
 
 class TestCosineDistance:

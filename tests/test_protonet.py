@@ -9,6 +9,7 @@ from paraproto.data import Dataset, EpisodeSource, sample_episode, split_classes
 from paraproto.encoder import EncoderParams, TokenRows, Vocabulary, forward, tokenize
 from gradcheck import finite_difference_gradient, gradient_check
 from paraproto.numerics import COSINE, SQUARED_EUCLIDEAN
+from paraproto import protonet
 from paraproto.protonet import (
     EVAL_BLOCK_BYTES,
     classify,
@@ -283,20 +284,38 @@ class TestEvaluateEncodesPartOnce:
     blocks, gives the per-episode accuracies of encoding and scoring every
     episode on its own, and leaves the generator where the oracle does."""
 
-    # 5-way, 5 queries per class, output_dim 8: episodes per scoring block
-    BLOCK = EVAL_BLOCK_BYTES // (25 * 5 * 8 * 8)
+    @staticmethod
+    def block(k_shot):
+        """Episodes per scoring block at 5-way, 5 queries per class and
+        output_dim 8: each holds its (5 * k_shot + 25, 8) gathered embeddings
+        and (25, 5) distances, in float64."""
+        return EVAL_BLOCK_BYTES // (((5 * k_shot + 25) * 8 + 25 * 5) * 8)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("distance", [SQUARED_EUCLIDEAN, COSINE])
     @pytest.mark.parametrize("k_shot", [1, 2])
-    @pytest.mark.parametrize("n_episodes", [1, 7, BLOCK + 1, 40, 2 * BLOCK + 1])
-    def test_matches_per_episode_encode_oracle(self, corpus, seed, distance, k_shot, n_episodes):
+    @pytest.mark.parametrize("size", [
+        pytest.param(lambda block: 1, id="1"),
+        pytest.param(lambda block: 7, id="7"),
+        pytest.param(lambda block: block, id="block"),
+        pytest.param(lambda block: block + 1, id="block+1"),
+        pytest.param(lambda block: 2 * block + 1, id="2block+1"),
+    ])
+    def test_matches_per_episode_encode_oracle(self, corpus, monkeypatch, seed, distance, k_shot, size):
+        block = self.block(k_shot)
+        n_episodes = size(block)
+        scored = []  # episodes per call of the distance, one call per block
+        distances = protonet._pairwise_distances
+        monkeypatch.setattr(protonet, "_pairwise_distances",
+                            lambda queries, protos, kind: scored.append(len(queries)) or distances(queries, protos, kind))
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=seed)
         vocab = Vocabulary.from_texts(corpus.texts())
         params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(seed))
         args = (corpus, split, "valid", 5, k_shot, 5)
         rng, rng_oracle = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
         result = evaluate(params, run_tokens(corpus, vocab), EpisodeSource(*args), n_episodes, rng, distance)
+        assert scored == [block] * (n_episodes // block) + [n_episodes % block] * (n_episodes % block > 0)
+        monkeypatch.undo()
         oracle = _per_episode_encode_evaluate(params, vocab, *args, n_episodes, rng_oracle, distance)
         assert result.per_episode_accuracies == oracle
         assert result.episode_count == n_episodes
@@ -359,8 +378,8 @@ class TestEvaluateEncodesPartOnce:
         assert rng.bit_generator.state == before
 
     def test_block_memory_stays_small(self, corpus):
-        # materializing all 200 episodes' embeddings and distance differences
-        # at output_dim 32 would take about 7.7 MB
+        # gathering all 200 episodes' embeddings and distances at output_dim
+        # 32 at once would take about 1.7 MB
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
         vocab = Vocabulary.from_texts(corpus.texts())
         params = EncoderParams.init(len(vocab), 32, 32, np.random.default_rng(0))
