@@ -19,8 +19,8 @@ from .protonet import prototypical_loss, supervised_episode_loss
 class UnlabeledBatch:
     """U unlabeled sentences, each with exactly M paraphrases, as vocabulary
     ids: one TokenRows of the U sentences and one of each sentence's M
-    paraphrases, as the training loop gathers them from the working set and
-    the paraphrase cache."""
+    paraphrases, as the training loop gathers them from the train source's
+    pool rows and the paraphrase cache."""
 
     sentences: TokenRows
     paraphrases: list[TokenRows]

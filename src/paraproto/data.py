@@ -156,21 +156,16 @@ def split_classes(
 
 def restrict_low_profile(
     dataset: Dataset, split: ClassSplit, n_per_class: int = 10, seed: int = 0
-) -> Dataset:
-    """Cap training-class records at n_per_class; valid/test classes untouched."""
+) -> np.ndarray:
+    """The dataset rows the low profile keeps, ascending: each training class
+    capped at n_per_class rows drawn by `seed`, valid/test classes whole."""
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
     rng = np.random.default_rng(seed)
-    keep: set[int] = set()
-    for label in dataset.classes:
-        indices = dataset._by_class[label]
-        if label in split.train_classes and len(indices) > n_per_class:
-            chosen = rng.choice(len(indices), size=n_per_class, replace=False)
-            keep.update(indices[chosen].tolist())
-        else:
-            keep.update(indices.tolist())
-    records = [rec for i, rec in enumerate(dataset.records) if i in keep]
-    return Dataset(records=records, domains=dict(dataset.domains))
+    keep = [rows[rng.choice(len(rows), size=n_per_class, replace=False)]
+            if label in split.train_classes and len(rows) > n_per_class else rows
+            for label, rows in sorted(dataset._by_class.items())]  # one draw per capped class, in class order
+    return np.sort(np.concatenate(keep))
 
 
 def check_episode_shape(n_way: int, k_shot: int, query_per_class: int) -> None:
@@ -186,13 +181,14 @@ def check_episode_shape(n_way: int, k_shot: int, query_per_class: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class EpisodeSource:
-    """C-way K-shot episodes of one split part, checked when built, before any
-    draw: a degenerate shape (`check_episode_shape`), too few classes, a class
-    with fewer than k_shot + query_per_class rows (the first in sorted order
-    is named) and too few records for the unlabeled rows all fail. It keeps
-    the part's sorted class names, a (classes, W) table of each class's
-    dataset rows, padded with -1 to the largest class, and the part's
-    dataset `rows`, class by class in that order."""
+    """C-way K-shot episodes of one split part from the dataset rows in `pool`
+    (ascending and distinct; every row when None), checked when built, before
+    any draw: a bad pool, a degenerate shape (`check_episode_shape`), too few
+    classes, a class with fewer than k_shot + query_per_class pool rows (the
+    first in sorted order is named) and too few pool rows for the unlabeled
+    rows all fail. It keeps the pool as an array, the part's sorted class
+    names, a (classes, W) table of each class's pool rows, ascending, padded
+    with -1 to the largest class, and the part's pool `rows`, class by class."""
 
     dataset: Dataset
     split: ClassSplit
@@ -201,27 +197,31 @@ class EpisodeSource:
     k_shot: int
     query_per_class: int
     n_unlabeled: int = 0
+    pool: np.ndarray | None = None
     classes: tuple[str, ...] = field(init=False)
     table: np.ndarray = field(init=False)
     rows: np.ndarray = field(init=False)
 
     def __post_init__(self):
         check_episode_shape(self.n_way, self.k_shot, self.query_per_class)
+        pool = np.arange(len(self.dataset)) if self.pool is None else np.asarray(self.pool, dtype=np.intp)
+        if pool.ndim != 1 or len(pool) and (pool[0] < 0 or pool[-1] >= len(self.dataset) or (np.diff(pool) <= 0).any()):
+            raise ValueError(f"pool must be ascending, distinct rows of the {len(self.dataset)}-record dataset")
         per_class = self.k_shot + self.query_per_class
         classes = tuple(sorted(self.split.part(self.part)))
         if len(classes) < self.n_way:
             raise ValueError(f"part {self.part!r} has {len(classes)} classes, needs {self.n_way}")
-        by_class = [self.dataset._by_class[label] for label in classes]
+        by_class = [np.intersect1d(self.dataset._by_class[label], pool, assume_unique=True) for label in classes]
         for label, class_rows in zip(classes, by_class):
             if len(class_rows) < per_class:
                 raise ValueError(f"class {label!r} has {len(class_rows)} records, needs {per_class}")
-        if self.n_unlabeled > len(self.dataset):
-            raise ValueError(f"cannot draw {self.n_unlabeled} unlabeled texts from {len(self.dataset)} records")
+        if self.n_unlabeled > len(pool):
+            raise ValueError(f"cannot draw {self.n_unlabeled} unlabeled texts from {len(pool)} records")
         sizes = np.array([len(class_rows) for class_rows in by_class])
         rows = np.concatenate(by_class)
         table = np.full((len(classes), int(sizes.max())), -1, dtype=np.intp)
         table[np.arange(table.shape[1]) < sizes[:, None]] = rows
-        for name, value in (("classes", classes), ("table", table), ("rows", rows)):
+        for name, value in (("pool", pool), ("classes", classes), ("table", table), ("rows", rows)):
             object.__setattr__(self, name, value)
 
     def draw(self, n_episodes: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +232,7 @@ class EpisodeSource:
         - the next n_way * W give each drawn class, in order, one key per cell
           of its table row (padding counts as +inf); the k_shot +
           query_per_class smallest pick its rows, the first k_shot as support;
-        - only when n_unlabeled > 0, one key per dataset row; the n_unlabeled
+        - only when n_unlabeled > 0, one key per pool row; the n_unlabeled
           smallest are the unlabeled rows, from any class, test classes too.
         An episode's keys are one contiguous row, so E episodes drawn at once
         equal, and leave the generator where, E one-episode draws do. Keys are
@@ -245,7 +245,7 @@ class EpisodeSource:
         n_way, k_shot = self.n_way, self.k_shot
         n_classes, width = self.table.shape
         filled = self.table >= 0
-        n_keys = n_classes + n_way * width + (len(self.dataset) if self.n_unlabeled else 0)
+        n_keys = n_classes + n_way * width + (len(self.pool) if self.n_unlabeled else 0)
 
         rows = np.empty((n_episodes, n_way * (k_shot + self.query_per_class)), dtype=np.intp)
         support = rows[:, : n_way * k_shot].reshape(n_episodes, n_way, k_shot)  # views of `rows`
@@ -262,7 +262,7 @@ class EpisodeSource:
             class_rows = self.table[picked[:, :, None], order]
             support[start:stop], query[start:stop] = class_rows[:, :, :k_shot], class_rows[:, :, k_shot:]
             unlabeled_keys = keys[:, n_classes + n_way * width :]  # no columns when n_unlabeled is 0
-            unlabeled[start:stop] = _smallest(unlabeled_keys, self.n_unlabeled)
+            unlabeled[start:stop] = self.pool[_smallest(unlabeled_keys, self.n_unlabeled)]
         return rows, unlabeled
 
 

@@ -196,13 +196,13 @@ def _rngs(seed: int, n: int) -> list[np.random.Generator]:
 
 @dataclass(frozen=True)
 class SeedPlan:
-    """What one seed trains and scores on: its class split, its working set
-    (the dataset, training classes capped under the low profile) and a
-    checked episode source for each part."""
+    """What one seed trains and scores on: its class split and a checked
+    episode source for each part, all three over the loaded dataset. The
+    train source's pool is every row, or under the low profile the rows
+    `restrict_low_profile` keeps; its labeled and unlabeled rows come from it."""
 
     seed: int
     split: ClassSplit
-    working: Dataset
     train: EpisodeSource
     valid: EpisodeSource
     test: EpisodeSource
@@ -213,13 +213,12 @@ def plan_seed(config: RunConfig, dataset: Dataset, seed: int) -> SeedPlan:
     fails here with the seed named, in the order the run draws from the parts."""
     try:
         split = split_classes(dataset, config.split_ratios, seed=seed, group_by_domain=config.group_by_domain)
-        working = dataset
-        if config.profile == "low":
-            working = restrict_low_profile(dataset, split, config.low_profile_n, seed=seed)
+        pool = (restrict_low_profile(dataset, split, config.low_profile_n, seed=seed)
+                if config.profile == "low" else None)
         shape = (config.n_way, config.k_shot, config.query_per_class)
         n_unlabeled = config.n_unlabeled if config.strategy != "none" else 0
-        return SeedPlan(seed, split, working, EpisodeSource(working, split, TRAIN, *shape, n_unlabeled),
-                        EpisodeSource(working, split, VALID, *shape), EpisodeSource(working, split, TEST, *shape))
+        return SeedPlan(seed, split, EpisodeSource(dataset, split, TRAIN, *shape, n_unlabeled, pool),
+                        EpisodeSource(dataset, split, VALID, *shape), EpisodeSource(dataset, split, TEST, *shape))
     except ValueError as exc:
         raise ValueError(f"seed {seed}: {exc}") from exc
 
@@ -234,9 +233,10 @@ def train_plan(config: RunConfig, plan: SeedPlan) -> tuple[SeedResult, EncoderPa
     from `config` at most in its decoding, in blocks of eval_every episodes
     (the last may be shorter), each ending in a validation; returns the result
     plus the best-validation checkpoint (parameters and vocabulary)."""
-    texts = plan.working.texts()
+    all_texts = plan.train.dataset.texts()
+    texts = [all_texts[row] for row in plan.train.pool.tolist()]  # the vocabulary's and the LM's, in pool order
     vocab = Vocabulary.from_texts(texts)
-    corpus = TokenRows.from_texts(texts, vocab)  # every working text as ids, once per run
+    corpus = TokenRows.from_texts(all_texts, vocab)  # every loaded text as ids, once per run
     n_unlabeled = plan.train.n_unlabeled
     rng_init, rng_episode, rng_valid, rng_test, rng_decode = _rngs(plan.seed, 5)
 
@@ -267,7 +267,7 @@ def train_plan(config: RunConfig, plan: SeedPlan) -> tuple[SeedResult, EncoderPa
         episodes = corpus.take(rows.ravel()).split(len(rows))
         if lm is not None:
             sentences = corpus.take(unlabeled.ravel()).split(len(rows))
-            drawn = [texts[row] for row in unlabeled.ravel().tolist()]
+            drawn = [all_texts[row] for row in unlabeled.ravel().tolist()]
             if cache is None:
                 paraphrases = paraphrase(drawn)
             else:

@@ -30,12 +30,12 @@ from paraproto.experiment import (
     RunConfig,
     diversity_by_strategy,
     emit_report,
+    plan_seed,
     run_experiment,
     train_single_seed,
     _rngs,
 )
 from paraproto.protonet import evaluate, supervised_episode_loss
-from paraproto.data import TEST, EpisodeSource, split_classes
 from paraproto.synth import default_synonym_table, generate_synthetic_dataset
 from rowstub import episode_tokens, text_batch
 
@@ -320,14 +320,10 @@ def test_criterion_6_full_protocol_counters(corpus_path, corpus):
     assert result.best_val_accuracy == max(acc for _, acc in result.val_curve)
 
     # the reported number is the test accuracy of the best-validation
-    # checkpoint, reproduced here from the returned parameters
-    split = split_classes(corpus, config.split_ratios, seed=0)
-    working = corpus
-    from paraproto.data import restrict_low_profile
-
-    working = restrict_low_profile(corpus, split, config.low_profile_n, seed=0)
-    tokens = TokenRows.from_texts(working.texts(), vocab)
-    replay = evaluate(best_params, tokens, EpisodeSource(working, split, TEST, 5, 1, 5), 600, _rngs(0, 5)[3])
+    # checkpoint, replayed here from the returned parameters on the seed's
+    # test source, whose rows number the loaded records
+    tokens = TokenRows.from_texts(corpus.texts(), vocab)
+    replay = evaluate(best_params, tokens, plan_seed(config, corpus, 0).test, 600, _rngs(0, 5)[3])
     assert result.test_accuracy == replay.mean_accuracy
     print(
         f"\n  episodes={result.episodes_run} evaluations={result.n_evaluations} "

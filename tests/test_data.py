@@ -172,13 +172,22 @@ class TestSplitClasses:
 
 
 class TestRestrictLowProfile:
+    """The low profile is a row array over the dataset: the rows it keeps,
+    ascending, every training class capped at n_per_class."""
+
     def test_train_classes_capped(self, corpus):
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
-        low = restrict_low_profile(corpus, split, n_per_class=10, seed=0)
-        for label in split.train_classes:
-            assert class_size(low, label) == 10
-        for label in split.valid_classes | split.test_classes:
-            assert class_size(low, label) == class_size(corpus, label)
+        for n_per_class in (1, 10, 29, 30, 31):  # each class has 30 rows
+            low = restrict_low_profile(corpus, split, n_per_class=n_per_class, seed=0)
+            assert low.dtype.kind == "i"
+            assert (np.diff(low) > 0).all() and 0 <= low[0] and low[-1] < len(corpus)
+            kept = {label: [] for label in corpus.classes}
+            for row in low.tolist():
+                kept[corpus.records[row][1]].append(row)
+            for label in split.train_classes:
+                assert len(kept[label]) == min(n_per_class, class_size(corpus, label))
+            for label in split.valid_classes | split.test_classes:
+                assert kept[label] == [i for i, (_, record) in enumerate(corpus.records) if record == label]
 
     def test_cap_at_availability(self):
         ds = Dataset(records=[(f"text {i}", "small") for i in range(7)]
@@ -187,13 +196,25 @@ class TestRestrictLowProfile:
         split = split_classes(ds, (0.34, 0.33, 0.33), seed=1)
         low = restrict_low_profile(ds, split, n_per_class=10, seed=0)
         for label in split.train_classes:
-            assert class_size(low, label) == min(10, class_size(ds, label))
+            assert sum(ds.records[row][1] == label for row in low.tolist()) == min(10, class_size(ds, label))
+
+    def test_same_draws_as_one_choice_per_capped_class(self, corpus):
+        # one rng.choice per training class over its rows, in sorted class order
+        split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
+        rng = np.random.default_rng(3)
+        expected = set()
+        for label in corpus.classes:
+            rows = [i for i, (_, record_label) in enumerate(corpus.records) if record_label == label]
+            if label in split.train_classes:
+                rows = [rows[j] for j in rng.choice(len(rows), size=10, replace=False).tolist()]
+            expected.update(rows)
+        assert restrict_low_profile(corpus, split, 10, seed=3).tolist() == sorted(expected)
 
     def test_deterministic(self, corpus):
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
         a = restrict_low_profile(corpus, split, 10, seed=5)
-        b = restrict_low_profile(corpus, split, 10, seed=5)
-        assert a.records == b.records
+        np.testing.assert_array_equal(a, restrict_low_profile(corpus, split, 10, seed=5))
+        assert a.tolist() != restrict_low_profile(corpus, split, 10, seed=6).tolist()
 
 
 class TestSampleEpisode:
@@ -340,40 +361,42 @@ class TestSynthGenerator:
             generate_synthetic_dataset(tmp_path / "x.jsonl", 99, 5)
 
 
-def _key_sampler_reference(dataset, split, part, n_way, k_shot, query_per_class, n_unlabeled, rng):
+def _key_sampler_reference(dataset, split, part, n_way, k_shot, query_per_class, n_unlabeled, rng, pool=None):
     """One episode of the uniform-key scheme in plain Python, the oracle for
-    `EpisodeSource.draw`: the same checks before any draw, then one row of
-    keys; the smallest class keys pick the classes, each drawn class's W-wide
-    key segment picks its k_shot + query_per_class rows (cells past its size
-    would be +inf, so only its own cells are ranked), and the tail ranks
-    every dataset row. Returns the drawn class names, each class's rows in
-    key order and the unlabeled rows."""
+    `EpisodeSource.draw` over the dataset rows in `pool` (every row when
+    None): the same checks before any draw, then one row of keys; the
+    smallest class keys pick the classes, each drawn class's W-wide key
+    segment picks its k_shot + query_per_class rows among its pool rows
+    (cells past its size would be +inf, so only its own cells are ranked),
+    and the tail ranks every pool row. Returns the drawn class names, each
+    class's rows in key order and the unlabeled rows."""
     check_episode_shape(n_way, k_shot, query_per_class)
+    pool = list(range(len(dataset))) if pool is None else list(pool)
     per_class = k_shot + query_per_class
-    pool = sorted(split.part(part))
-    if len(pool) < n_way:
-        raise ValueError(f"part {part!r} has {len(pool)} classes, needs {n_way}")
-    members = [[i for i, (_, label) in enumerate(dataset.records) if label == name] for name in pool]
-    for name, rows in zip(pool, members):
+    names = sorted(split.part(part))
+    if len(names) < n_way:
+        raise ValueError(f"part {part!r} has {len(names)} classes, needs {n_way}")
+    members = [[i for i in pool if dataset.records[i][1] == name] for name in names]
+    for name, rows in zip(names, members):
         if len(rows) < per_class:
             raise ValueError(f"class {name!r} has {len(rows)} records, needs {per_class}")
-    if n_unlabeled > len(dataset):
-        raise ValueError(f"cannot draw {n_unlabeled} unlabeled texts from {len(dataset)} records")
+    if n_unlabeled > len(pool):
+        raise ValueError(f"cannot draw {n_unlabeled} unlabeled texts from {len(pool)} records")
     width = max(len(rows) for rows in members)
-    n_keys = len(pool) + n_way * width + (len(dataset) if n_unlabeled else 0)
+    n_keys = len(names) + n_way * width + (len(pool) if n_unlabeled else 0)
     keys = rng.random(n_keys).tolist()
 
     def smallest(segment, n):
         return sorted(range(len(segment)), key=segment.__getitem__)[:n]
 
-    chosen = smallest(keys[: len(pool)], n_way)
+    chosen = smallest(keys[: len(names)], n_way)
     rows = []
     for c, i in enumerate(chosen):
-        start = len(pool) + c * width
+        start = len(names) + c * width
         cells = keys[start : start + len(members[i])]
         rows.append([members[i][j] for j in smallest(cells, per_class)])
-    unlabeled = smallest(keys[len(pool) + n_way * width :], n_unlabeled)
-    return [pool[i] for i in chosen], rows, unlabeled
+    unlabeled = [pool[j] for j in smallest(keys[len(names) + n_way * width :], n_unlabeled)]
+    return [names[i] for i in chosen], rows, unlabeled
 
 
 def _ragged_dataset(sizes, order_seed):
@@ -392,11 +415,11 @@ def _ragged_dataset(sizes, order_seed):
     return ds, split
 
 
-def _class_rows(dataset, split, part, n_way, k_shot, query_per_class, n_unlabeled, n_episodes, rng):
+def _class_rows(dataset, split, part, n_way, k_shot, query_per_class, n_unlabeled, n_episodes, rng, pool=None):
     """`EpisodeSource.draw` with each drawn class's rows put back together,
     support then query: rows (E, n_way, k_shot + query_per_class) in key
     order, and the unlabeled rows."""
-    source = EpisodeSource(dataset, split, part, n_way, k_shot, query_per_class, n_unlabeled)
+    source = EpisodeSource(dataset, split, part, n_way, k_shot, query_per_class, n_unlabeled, pool)
     rows, unlabeled = source.draw(n_episodes, rng)
     support = rows[:, : n_way * k_shot].reshape(n_episodes, n_way, k_shot)
     query = rows[:, n_way * k_shot :].reshape(n_episodes, n_way, query_per_class)
@@ -415,6 +438,14 @@ def _failed(outcome) -> bool:
     return isinstance(outcome[0], str)
 
 
+def _twelve_rows():
+    """Training classes c1 (rows 0-4) and c2 (rows 5-9), then one valid row
+    and one test row."""
+    ds = Dataset(records=[(f"{label} {i}", label) for label, n in (("c1", 5), ("c2", 5), ("v", 1), ("t", 1))
+                          for i in range(n)])
+    return ds, ClassSplit(frozenset({"c1", "c2"}), frozenset({"v"}), frozenset({"t"}))
+
+
 RAGGED = dict(
     sizes=st.lists(st.integers(1, 9), min_size=3, max_size=8),
     order_seed=st.integers(0, 2**16),
@@ -425,6 +456,15 @@ RAGGED = dict(
     seed=st.integers(0, 2**32 - 1),
 )
 
+# RAGGED shapes that lean to ones that can draw (the train part, n_way >= 2, a
+# query row, classes of 3+ rows): under RAGGED itself fewer than 1% of the
+# examples draw, so a property of the drawn rows would go unchecked
+DRAWABLE = {
+    **RAGGED, "sizes": st.lists(st.integers(3, 9), min_size=4, max_size=8),
+    "part": st.sampled_from(["train", "train", "valid", "test"]), "n_way": st.sampled_from([2, 3, 1]),
+    "per_class": st.sampled_from([3, 2, 4, 1]),
+}
+
 
 class TestKeySampler:
     """`EpisodeSource.draw` draws one contiguous row of uniform keys per
@@ -432,16 +472,20 @@ class TestKeySampler:
     names a class's row count `per_class`, the source draws 1 support and
     per_class - 1 query rows of it."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(n_episodes=st.integers(1, 4), **RAGGED)
+    @settings(max_examples=300, deadline=None)
+    @given(n_episodes=st.integers(1, 4), dropped=st.none() | st.sets(st.integers(0, 71), max_size=12), **DRAWABLE)
     def test_matches_per_episode_reference(
-        self, sizes, order_seed, part, n_way, per_class, n_unlabeled, seed, n_episodes
+        self, sizes, order_seed, part, n_way, per_class, n_unlabeled, seed, n_episodes, dropped
     ):
+        # the pool is every row but the `dropped` ones, a subset of the rows
+        # of every part, or None for every row; a pool draws in about one
+        # example of ten
         ds, split = _ragged_dataset(sizes, order_seed)
+        pool = None if dropped is None else np.array([i for i in range(len(ds)) if i not in dropped], dtype=np.intp)
         args = (ds, split, part, n_way, 1, per_class - 1, n_unlabeled)
         rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _outcome(_class_rows, *args, n_episodes, rng)
-        expected = [_outcome(_key_sampler_reference, *args, rng_ref) for _ in range(n_episodes)]
+        got = _outcome(_class_rows, *args, n_episodes, rng, pool)
+        expected = [_outcome(_key_sampler_reference, *args, rng_ref, pool) for _ in range(n_episodes)]
         if _failed(got):
             assert [got] * n_episodes == expected
         else:
@@ -454,6 +498,8 @@ class TestKeySampler:
                 assert [ds.records[r][1] for r in rows[e, :, 0]] == classes
                 assert rows[e].tolist() == class_rows
                 assert unlabeled[e].tolist() == unlabeled_rows
+            if pool is not None:
+                assert np.isin(rows, pool).all() and np.isin(unlabeled, pool).all()
         assert rng.bit_generator.state == rng_ref.bit_generator.state
 
     @settings(max_examples=300, deadline=None)
@@ -477,7 +523,7 @@ class TestKeySampler:
         np.testing.assert_array_equal(got, keys.argsort(axis=-1, kind="stable")[..., :m])
 
     @settings(max_examples=60, deadline=None)
-    @given(**RAGGED)
+    @given(**DRAWABLE)
     def test_no_padding_row_and_distinct_rows(
         self, sizes, order_seed, part, n_way, per_class, n_unlabeled, seed
     ):
@@ -570,6 +616,26 @@ class TestKeySampler:
             EpisodeSource(ds, split, "train", 2, 1, per_class - 1, n_unlabeled).draw(5, rng)
         assert rng.bit_generator.state == before
 
+    def test_unlabeled_error_counts_pool_rows(self):
+        # the pool keeps two rows of each training class and the valid and
+        # test rows, 6 of 12
+        ds, split = _twelve_rows()
+        pool = np.array([0, 1, 5, 6, 10, 11])
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"^cannot draw 7 unlabeled texts from 6 records$"):
+            EpisodeSource(ds, split, "train", 2, 1, 1, 7, pool)
+        assert rng.bit_generator.state == before
+        _, unlabeled = EpisodeSource(ds, split, "train", 2, 1, 1, 6, pool).draw(3, rng)
+        assert [sorted(row) for row in unlabeled.tolist()] == [pool.tolist()] * 3
+        EpisodeSource(ds, split, "train", 2, 1, 1, 7)  # every row: 12 records
+
+    @pytest.mark.parametrize("pool", [[1, 0], [0, 0, 1], [-1, 0, 1], [0, 1, 12], [[0, 1, 5, 6]]])
+    def test_pool_must_be_ascending_distinct_dataset_rows(self, pool):
+        ds, split = _twelve_rows()
+        with pytest.raises(ValueError, match=r"^pool must be ascending, distinct rows of the 12-record dataset$"):
+            EpisodeSource(ds, split, "train", 2, 1, 1, 0, np.array(pool))
+
     def test_class_and_row_draw_rates(self, corpus):
         # each of the P train classes is drawn with probability n_way / P, and
         # each of a drawn class's 30 rows with probability per_class / 30;
@@ -589,14 +655,14 @@ class TestKeySampler:
             np.testing.assert_allclose(row_rate, 6 / 30, atol=0.03)
 
     def test_peak_memory_is_output_plus_capped_chunks(self, corpus):
-        # the bench's working set: low profile, 5-way, 1 + 5 rows per class,
-        # 5 unlabeled rows ranked over all 400 working rows
+        # the bench's train source: low profile, 5-way, 1 + 5 rows per class,
+        # 5 unlabeled rows ranked over its 400 pool rows of 600
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=0)
-        working = restrict_low_profile(corpus, split, 10, seed=0)
+        pool = restrict_low_profile(corpus, split, 10, seed=0)
         rng = np.random.default_rng(15)
         tracemalloc.start()
         try:
-            rows, unlabeled = EpisodeSource(working, split, "train", 5, 1, 5, 5).draw(10_000, rng)
+            rows, unlabeled = EpisodeSource(corpus, split, "train", 5, 1, 5, 5, pool).draw(10_000, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

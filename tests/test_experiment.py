@@ -22,13 +22,14 @@ from paraproto.experiment import (
     SeedResult,
     diversity_by_strategy,
     emit_report,
+    plan_seed,
     run_experiment,
     train_single_seed,
     _rngs,
 )
 from paraproto.protonet import evaluate
 from paraproto.synth import default_synonym_table, generate_synthetic_dataset
-from paraproto.data import TEST, EpisodeSource, split_classes
+from paraproto.data import TEST, EpisodeSource, restrict_low_profile, split_classes
 from rowstub import text_batch, unlabeled_texts
 from test_decoding import decode_configs
 
@@ -67,6 +68,21 @@ def record_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, recorded)
     return calls
+
+
+def record_train_draws(monkeypatch):
+    """Record every train-source `EpisodeSource.draw` for the test; returns
+    the list of (rows, unlabeled) pairs that each such draw appends."""
+    draws, original_draw = [], EpisodeSource.draw
+
+    def recorded_draw(source, n_episodes, rng):
+        drawn = original_draw(source, n_episodes, rng)
+        if source.part == "train":
+            draws.append(drawn)
+        return drawn
+
+    monkeypatch.setattr(EpisodeSource, "draw", recorded_draw)
+    return draws
 
 
 def quick_config(corpus_path, **overrides):
@@ -751,19 +767,11 @@ class TestBlockDecoding:
 
         ds = load_dataset(corpus_path)
         doubled = Dataset(ds.records + ds.records)  # every text on two rows
-        draws, original_draw = [], EpisodeSource.draw
-
-        def recorded_draw(source, n_episodes, rng):
-            drawn = original_draw(source, n_episodes, rng)
-            if source.part == "train":
-                draws.append(drawn[1])
-            return drawn
-
-        monkeypatch.setattr(EpisodeSource, "draw", recorded_draw)
+        draws = record_train_draws(monkeypatch)
         steps = record_calls(monkeypatch, experiment, "combined_training_step")
         batches = self._batches(monkeypatch, doubled, cache)
 
-        rows = np.concatenate(draws).ravel().tolist()
+        rows = np.concatenate([u for _, u in draws]).ravel().tolist()
         drawn = [doubled.records[row][0] for row in rows]
         assert len(set(rows)) > len(set(drawn))  # some text was drawn at two different rows
         assert [text for batch in batches for text in batch] == (list(dict.fromkeys(drawn)) if cache else drawn)
@@ -785,16 +793,7 @@ class TestBlockGather:
         import paraproto.experiment as experiment
         from paraproto.encoder import Vocabulary
 
-        draws = []
-        original_draw = EpisodeSource.draw
-
-        def recorded_draw(source, n_episodes, rng):
-            drawn = original_draw(source, n_episodes, rng)
-            if source.part == "train":
-                draws.append(drawn)
-            return drawn
-
-        monkeypatch.setattr(EpisodeSource, "draw", recorded_draw)
+        draws = record_train_draws(monkeypatch)
         calls = record_calls(monkeypatch, experiment, "combined_training_step")
         # the last block of 5 episodes is shorter than the others
         cfg = quick_config(corpus_path, strategy=strategy, max_episodes=25, n_paraphrases=3, n_unlabeled=2,
@@ -802,8 +801,9 @@ class TestBlockGather:
         ds = load_dataset(corpus_path)
         train_single_seed(cfg, 0, ds)
 
-        texts = experiment.plan_seed(cfg, ds, 0).working.texts()
-        corpus = TokenRows.from_texts(texts, Vocabulary.from_texts(texts))
+        # the vocabulary is the pool's texts, in pool order; the token rows are every loaded record
+        pool = experiment.plan_seed(cfg, ds, 0).train.pool
+        corpus = TokenRows.from_texts(ds.texts(), Vocabulary.from_texts([ds.records[row][0] for row in pool]))
         rows = np.concatenate([r for r, _ in draws])
         unlabeled = np.concatenate([u for _, u in draws])
         assert [len(r) for r, _ in draws] == [10, 10, 5] and len(calls) == 25
@@ -814,3 +814,44 @@ class TestBlockGather:
             for tokens, oracle in zip(got, expected, strict=True):
                 np.testing.assert_array_equal(tokens.ids, oracle.ids)
                 np.testing.assert_array_equal(tokens.counts, oracle.counts)
+
+
+class TestPlanSeed:
+    """One row numbering per seed: all three sources are over the loaded
+    dataset, and the low profile is the train source's pool."""
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_sources_hold_the_loaded_dataset_and_the_profile_pool(self, corpus_path, profile):
+        ds = load_dataset(corpus_path)
+        cfg = quick_config(corpus_path, profile=profile, seeds=(4,))
+        plan = plan_seed(cfg, ds, 4)
+        assert plan.train.dataset is ds and plan.valid.dataset is ds and plan.test.dataset is ds
+        every_row = np.arange(len(ds))
+        if profile == "low":
+            split = split_classes(ds, cfg.split_ratios, seed=4)
+            np.testing.assert_array_equal(plan.train.pool, restrict_low_profile(ds, split, cfg.low_profile_n, 4))
+            assert len(plan.train.pool) < len(ds)  # 6 training classes of 14 rows keep 10 each
+        else:
+            np.testing.assert_array_equal(plan.train.pool, every_row)
+        for source in (plan.valid, plan.test):
+            np.testing.assert_array_equal(source.pool, every_row)
+
+    def test_low_profile_trains_on_pool_rows_only(self, monkeypatch, corpus_path):
+        import paraproto.experiment as experiment
+        from paraproto.encoder import Vocabulary
+
+        draws = record_train_draws(monkeypatch)
+        batches = record_calls(monkeypatch, experiment, "generate_paraphrase_batch")
+        ds = load_dataset(corpus_path)
+        cfg = quick_config(corpus_path, profile="low", strategy="dbs", n_paraphrases=3, n_unlabeled=4,
+                           decode=DecodeConfig(num_beams=6, num_groups=3))
+        _, _, vocab = train_single_seed(cfg, 0, ds)
+
+        pool = plan_seed(cfg, ds, 0).train.pool
+        rows = np.concatenate([r for r, _ in draws])
+        unlabeled = np.concatenate([u for _, u in draws])
+        assert rows.shape == (30, 3 * 4) and unlabeled.shape == (30, 4)
+        assert np.isin(rows, pool).all() and np.isin(unlabeled, pool).all()
+        # the decoded texts are the drawn rows' texts
+        assert [text for args, _ in batches for text in args[1]] == [ds.records[row][0] for row in unlabeled.ravel()]
+        assert vocab.tokens == Vocabulary.from_texts([ds.records[row][0] for row in pool]).tokens

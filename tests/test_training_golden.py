@@ -7,12 +7,15 @@ of the raw bytes of the best-validation parameters. The cosine digests below
 were taken when episodes were first drawn from blocks of uniform keys, the
 squared-Euclidean ones when that distance became one matrix product,
 |q|^2 + |p|^2 - 2 q.p, which moved the last bits of its losses; a change to
-any training number fails here.
+any training number fails here. Two more paths, squared Euclidean, are pinned
+in `PATHS`: `dbs_unigram` with the paraphrase cache off (every drawn row
+decodes by its text) and `none` under the `full` profile; their digests were
+taken before the low profile became the train source's row pool.
 """
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -39,6 +42,19 @@ GOLDEN = {
     ),
 }
 
+PATHS = {
+    "dbs_unigram-cache_off": (
+        "dbs_unigram", {"paraphrase_cache": False},
+        "dd576e7d2a14c16ed08fb98130a5ef72a9cc57abe616009a7a35427e8a734f7d",
+        "4db73237aaf1b1b3901736f2829d56b705755657de0995d814a57849eb25958c",
+    ),
+    "none-full": (
+        "none", {"profile": "full"},
+        "d6c35be3e6e1b3b7fac12d9b051be8d448f95611d42056ffc2f520d958a8d383",
+        "3648b98b2c65317ec9ad1e5499586aae0075c5ea8bde92495092810f929d0060",
+    ),
+}
+
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
@@ -48,7 +64,7 @@ def corpus(tmp_path_factory):
     return str(path), load_dataset(path)
 
 
-def run_digests(corpus_path, dataset, method, distance):
+def run_digests(corpus_path, dataset, method, distance, **overrides):
     config = RunConfig(
         dataset_path=corpus_path,
         profile="low",
@@ -65,7 +81,7 @@ def run_digests(corpus_path, dataset, method, distance):
         distance=distance,
         paraphrase_cache=True,
     )
-    result, best_params, _ = train_single_seed(config, 0, dataset)
+    result, best_params, _ = train_single_seed(replace(config, **overrides), 0, dataset)
     report = json.dumps(asdict(result), sort_keys=True).encode()
     weights = best_params.vector.tobytes()
     return hashlib.sha256(report).hexdigest(), hashlib.sha256(weights).hexdigest()
@@ -75,5 +91,13 @@ def run_digests(corpus_path, dataset, method, distance):
 def test_training_run_matches_golden_digests(corpus, method, distance):
     result_digest, params_digest = run_digests(*corpus, method, distance)
     expected_result, expected_params = GOLDEN[(method, distance)]
+    assert result_digest == expected_result, "SeedResult of the seeded run changed"
+    assert params_digest == expected_params, "best parameters of the seeded run changed"
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_training_path_matches_golden_digests(corpus, path):
+    method, overrides, expected_result, expected_params = PATHS[path]
+    result_digest, params_digest = run_digests(*corpus, method, "sqeuclidean", **overrides)
     assert result_digest == expected_result, "SeedResult of the seeded run changed"
     assert params_digest == expected_params, "best parameters of the seeded run changed"
