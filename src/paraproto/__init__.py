@@ -5,7 +5,6 @@ constrained diverse beam search over a pluggable conditional LM."""
 from .consistency import (
     AnnealSchedule,
     StepLosses,
-    UnlabeledBatch,
     anneal_weight,
     combined_training_step,
     unsupervised_loss,

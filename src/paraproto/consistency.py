@@ -15,30 +15,6 @@ from .encoder import AdamState, EncoderParams, TokenRows, optimizer_step
 from .protonet import prototypical_loss, supervised_episode_loss
 
 
-@dataclass
-class UnlabeledBatch:
-    """U unlabeled sentences, each with exactly M paraphrases, as vocabulary
-    ids: one TokenRows of the U sentences and one of each sentence's M
-    paraphrases, as the training loop gathers them from the train source's
-    pool rows and the paraphrase cache."""
-
-    sentences: TokenRows
-    paraphrases: list[TokenRows]
-
-    def __post_init__(self):
-        if not self.sentences:
-            raise ValueError("unlabeled batch is empty")
-        if len(self.paraphrases) != len(self.sentences):
-            raise ValueError("one paraphrase list per sentence required")
-        m = len(self.paraphrases[0])
-        if m < 1 or any(len(p) != m for p in self.paraphrases):
-            raise ValueError("ragged paraphrase lists: every sentence needs the same M >= 1")
-
-    @property
-    def n_sentences(self) -> int:
-        return len(self.sentences)
-
-
 @dataclass(frozen=True)
 class AnnealSchedule:
     """Weight t^alpha on the unsupervised loss, t = step / total_steps."""
@@ -71,27 +47,30 @@ def anneal_weight(step: int, schedule: AnnealSchedule) -> float:
 
 
 def unsupervised_loss(
-    batch: UnlabeledBatch,
+    rows: TokenRows,
+    n_sentences: int,
     params: EncoderParams,
     distance: str = numerics.SQUARED_EUCLIDEAN,
 ) -> tuple[float, EncoderParams]:
-    """Mean cross-entropy of each sentence against its own paraphrase mean:
-    the prototypical loss with one group per sentence, its paraphrases as
-    support and the sentence itself as the one query.
+    """Mean cross-entropy of each sentence against its own paraphrase mean,
+    over `rows` that hold the `n_sentences` sentences, then each one's M >= 1
+    paraphrases in turn: the prototypical loss with one group per sentence,
+    its paraphrases as support and the sentence itself as the one query.
 
     Gradients flow through the sentence embeddings and through every
     paraphrase embedding; there is no stop-gradient on either side.
     """
-    u = batch.n_sentences
-    tokens = TokenRows.concat([batch.sentences, *batch.paraphrases])
-    return prototypical_loss(params, tokens, slice(u, None), slice(0, u), u, distance)
+    if n_sentences < 1 or len(rows) < 2 * n_sentences or len(rows) % n_sentences:
+        raise ValueError(f"{len(rows)} unlabeled rows are not {n_sentences} sentences with M >= 1 paraphrases each")
+    return prototypical_loss(params, rows, slice(n_sentences, None), slice(0, n_sentences), n_sentences, distance)
 
 
 def combined_training_step(
     tokens: TokenRows,
     n_way: int,
     k_shot: int,
-    batch: UnlabeledBatch | None,
+    unlabeled: TokenRows | None,
+    n_unlabeled: int,
     params: EncoderParams,
     optimizer_state: AdamState,
     schedule: AnnealSchedule,
@@ -102,15 +81,16 @@ def combined_training_step(
 
     Both losses are evaluated at the current parameters and their gradients
     combined linearly before a single optimizer step (params updated in place).
-    With no unlabeled batch the step is plain ProtoNet: the supervised
-    gradient alone, at weight 0.
+    `unlabeled` is the step's `n_unlabeled` sentences and their paraphrases
+    in `unsupervised_loss`'s layout; with none the step is plain ProtoNet:
+    the supervised gradient alone, at weight 0.
     """
     sup_loss, sup_grads = supervised_episode_loss(params, tokens, n_way, k_shot, distance)
-    if batch is None:
+    if unlabeled is None:
         optimizer_step(optimizer_state, params, sup_grads)
         return StepLosses(total=sup_loss, supervised=sup_loss, unsupervised=0.0, weight=0.0)
     weight = anneal_weight(step, schedule)
-    unsup_loss, unsup_grads = unsupervised_loss(batch, params, distance)
+    unsup_loss, unsup_grads = unsupervised_loss(unlabeled, n_unlabeled, params, distance)
 
     combined = params.with_flat((1.0 - weight) * sup_grads.vector + weight * unsup_grads.vector)
     optimizer_step(optimizer_state, params, combined)

@@ -222,7 +222,7 @@ def diverse_beam_search(
     width = n_vocab + 1
     # row: source * width + previous token id
     banned = _banned_cells(lm.vocab, constraints).reshape(-1, width)
-    counts = np.zeros((len(sources), n_vocab))  # tokens chosen by earlier groups this step
+    counts = np.zeros((len(sources), width))  # tokens earlier groups chose this step; EOS's column stays 0
     source_counts = list(counts)  # its rows as views, once, not one counts[s] per pick
     start = ((), 0.0, 0.0, False)
     beams = [[[start] for _ in sources] for _ in range(num_groups)]
@@ -252,7 +252,7 @@ def diverse_beam_search(
             for s, parents, finished in entries:
                 block = neg[row : row + len(parents)]
                 if penalized:
-                    block[:, :n_vocab] += penalties[s]
+                    block += penalties[s]
                 # the source's best group_size candidates in (score, index)
                 # order, as a stable sort ranks them: argmin takes the first
                 # of equal minima, and each pick is then set to +inf

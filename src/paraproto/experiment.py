@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numerics
 from .configio import check_json_values, dataclass_from_kv, dataclass_to_kv, format_kv, parse_kv_text
-from .consistency import AnnealSchedule, UnlabeledBatch, combined_training_step
+from .consistency import AnnealSchedule, combined_training_step
 from .data import (
     PARTS, TRAIN, VALID, TEST, ClassSplit, Dataset, EpisodeSource, check_episode_shape, check_split_ratios,
     load_dataset, restrict_low_profile, split_classes,
@@ -25,7 +25,7 @@ from .decoding import (
 )
 from .encoder import (
     DEFAULT_EMBED_DIM, DEFAULT_OUTPUT_DIM, AdamState, EncoderParams, TokenRows, Vocabulary, load_checkpoint,
-    save_checkpoint,
+    save_checkpoint, tokenize,
 )
 from .metrics import diversity_report
 from .protonet import evaluate
@@ -236,7 +236,9 @@ def train_plan(config: RunConfig, plan: SeedPlan) -> tuple[SeedResult, EncoderPa
     all_texts = plan.train.dataset.texts()
     texts = [all_texts[row] for row in plan.train.pool.tolist()]  # the vocabulary's and the LM's, in pool order
     vocab = Vocabulary.from_texts(texts)
-    corpus = TokenRows.from_texts(all_texts, vocab)  # every loaded text as ids, once per run
+    # every loaded row as ids, once per run; a row no source can draw is never read, and stays empty
+    drawable = set(np.concatenate([plan.train.pool, plan.valid.rows, plan.test.rows]).tolist())
+    corpus = TokenRows.from_tokens([tokenize(t) if row in drawable else () for row, t in enumerate(all_texts)], vocab)
     n_unlabeled = plan.train.n_unlabeled
     rng_init, rng_episode, rng_valid, rng_test, rng_decode = _rngs(plan.seed, 5)
 
@@ -262,11 +264,13 @@ def train_plan(config: RunConfig, plan: SeedPlan) -> tuple[SeedResult, EncoderPa
     for start in range(0, config.max_episodes, config.eval_every):
         # one draw equals the block's episodes drawn one by one, and one
         # gather gives every step its ids; the cache misses in episode order
-        # (every row, cache off) decode as one batch
-        rows, unlabeled = plan.train.draw(min(config.eval_every, config.max_episodes - start), rng_episode)
-        episodes = corpus.take(rows.ravel()).split(len(rows))
+        # (every row, cache off) decode as one batch, and each step's
+        # unlabeled rows are its sentences, then each one's paraphrases
+        n_steps = min(config.eval_every, config.max_episodes - start)
+        rows, unlabeled = plan.train.draw(n_steps, rng_episode)
+        episodes = corpus.take(rows.ravel()).split(n_steps)
+        unlabeled_rows = [None] * n_steps
         if lm is not None:
-            sentences = corpus.take(unlabeled.ravel()).split(len(rows))
             drawn = [all_texts[row] for row in unlabeled.ravel().tolist()]
             if cache is None:
                 paraphrases = paraphrase(drawn)
@@ -274,14 +278,15 @@ def train_plan(config: RunConfig, plan: SeedPlan) -> tuple[SeedResult, EncoderPa
                 misses = list(dict.fromkeys(text for text in drawn if text not in cache))
                 cache.update(zip(misses, paraphrase(misses)))
                 paraphrases = [cache[text] for text in drawn]
+            unlabeled_rows = TokenRows.concat([
+                part for i, sentences in enumerate(corpus.take(unlabeled.ravel()).split(n_steps))
+                for part in (sentences, *paraphrases[i * n_unlabeled : (i + 1) * n_unlabeled])
+            ]).split(n_steps)
 
-        for i, tokens in enumerate(episodes):
+        for i, (tokens, batch) in enumerate(zip(episodes, unlabeled_rows)):
             step = start + i + 1
-            batch = None if lm is None else UnlabeledBatch(
-                sentences[i], paraphrases[i * n_unlabeled : (i + 1) * n_unlabeled]
-            )
             losses = combined_training_step(
-                tokens, config.n_way, config.k_shot, batch, params, adam, schedule, step, config.distance
+                tokens, config.n_way, config.k_shot, batch, n_unlabeled, params, adam, schedule, step, config.distance
             )
             loss_curve.append((step, losses.supervised, losses.unsupervised, losses.weight, losses.total))
             logger.debug("step=%d sup=%.6f unsup=%.6f weight=%.6f total=%.6f", *loss_curve[-1])

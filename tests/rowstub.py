@@ -1,7 +1,6 @@
 """Episodes and unlabeled batches written as text, built into the token-row
 forms the losses take; and a sampled episode's rows read back as records."""
 
-from paraproto.consistency import UnlabeledBatch
 from paraproto.encoder import TokenRows
 
 
@@ -30,8 +29,9 @@ def unlabeled_texts(dataset, unlabeled):
 
 
 def text_batch(sentences, paraphrases, vocab):
-    """An unlabeled batch of sentences and each one's paraphrase texts."""
-    return UnlabeledBatch(
-        sentences=TokenRows.from_texts(sentences, vocab),
-        paraphrases=[TokenRows.from_texts(row, vocab) for row in paraphrases],
-    )
+    """An unlabeled batch of sentences and each one's paraphrase texts, as
+    the arguments `unsupervised_loss` takes before the parameters: the
+    sentences' token rows, then each sentence's paraphrase rows, sentence by
+    sentence, and the sentence count."""
+    texts = list(sentences) + [text for row in paraphrases for text in row]
+    return TokenRows.from_texts(texts, vocab), len(sentences)

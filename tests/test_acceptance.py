@@ -144,10 +144,10 @@ def test_criterion_1_gradients_match_finite_differences():
             return supervised_episode_loss(params.with_flat(flat), *episode)[0]
 
         def unsup_loss_fn(flat):
-            return unsupervised_loss(batch, params.with_flat(flat))[0]
+            return unsupervised_loss(*batch, params.with_flat(flat))[0]
 
         _, sup_grads = supervised_episode_loss(params, *episode)
-        _, unsup_grads = unsupervised_loss(batch, params)
+        _, unsup_grads = unsupervised_loss(*batch, params)
 
         schedule = AnnealSchedule(alpha=float(rng.choice([0.25, 1.0, 4.0])), total_steps=7)
         step = int(rng.integers(0, 8))

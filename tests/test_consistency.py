@@ -20,15 +20,19 @@ from rowstub import episode_tokens, text_batch
 VOCAB = Vocabulary.from_texts(["a b x y z p q"])
 
 
-class TestUnlabeledBatch:
-    def test_ragged_rejected(self):
-        with pytest.raises(ValueError, match="ragged"):
-            text_batch(["a", "b"], [["x"], ["y", "z"]], VOCAB)
+class TestUnlabeledRowCount:
+    """unsupervised_loss takes U sentences and M >= 1 paraphrases of each,
+    U * (1 + M) rows, and refuses any other row count."""
 
-    def test_counts(self):
-        batch = text_batch(["a", "b"], [["x", "y"], ["p", "q"]], VOCAB)
-        assert batch.n_sentences == 2
-        assert len(batch.paraphrases[0]) == 2
+    @pytest.mark.parametrize("sentences, paraphrases", [
+        (["a", "b"], [["x"], ["y", "z"]]),
+        ([], []),
+        (["a", "b"], [[], []]),
+    ], ids=["ragged", "empty", "no-paraphrases"])
+    def test_rejected(self, sentences, paraphrases):
+        params = EncoderParams.init(len(VOCAB), 3, 3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="M >= 1 paraphrases"):
+            unsupervised_loss(*text_batch(sentences, paraphrases, VOCAB), params)
 
 
 def _oracle_unsupervised_loss(sentences, paraphrases, params, vocab):
@@ -57,14 +61,14 @@ class TestUnlabeledPrototypes:
         sentences, paraphrases = ["a b", "c", "d a"], [["b"], ["c d"], ["a"]]
         batch, vocab = _batch_and_vocab(sentences, paraphrases)
         params = self._params(vocab, 0)
-        loss, _ = unsupervised_loss(batch, params)
+        loss, _ = unsupervised_loss(*batch, params)
         oracle = _oracle_unsupervised_loss(sentences, paraphrases, params, vocab)
         assert loss == pytest.approx(oracle, rel=1e-12)
 
     def test_mean(self):
         batch, vocab = _batch_and_vocab()
         params = self._params(vocab, 1)
-        loss, _ = unsupervised_loss(batch, params)
+        loss, _ = unsupervised_loss(*batch, params)
         oracle = _oracle_unsupervised_loss(SENTENCES, PARAPHRASES, params, vocab)
         assert loss == pytest.approx(oracle, rel=1e-12)
 
@@ -72,14 +76,10 @@ class TestUnlabeledPrototypes:
         batch, vocab = _batch_and_vocab()
         params = self._params(vocab, 2)
         reversed_batch = text_batch(SENTENCES, [row[::-1] for row in PARAPHRASES], vocab)
-        a, grads_a = unsupervised_loss(batch, params)
-        b, grads_b = unsupervised_loss(reversed_batch, params)
+        a, grads_a = unsupervised_loss(*batch, params)
+        b, grads_b = unsupervised_loss(*reversed_batch, params)
         assert a == pytest.approx(b, rel=1e-12)
         np.testing.assert_allclose(grads_a.vector, grads_b.vector, atol=1e-14)
-
-    def test_ragged_shape_rejected(self):
-        with pytest.raises(ValueError, match="M >= 1"):
-            text_batch(["a", "b"], [[], []], VOCAB)
 
 
 def _consistency_probs(query, paraphrase_embs):
@@ -134,7 +134,7 @@ class TestUnsupervisedLoss:
         params = EncoderParams.init(len(vocab), 4, 4, np.random.default_rng(0))
         params.embedding[:] = 0.0
         params.projection[:] = 0.0
-        loss, _ = unsupervised_loss(batch, params)
+        loss, _ = unsupervised_loss(*batch, params)
         assert loss == pytest.approx(math.log(3.0), rel=1e-9)
 
     def test_perfect_consistency_near_zero(self):
@@ -148,7 +148,7 @@ class TestUnsupervisedLoss:
         signs = {"aa": np.ones(8), "bb": -np.ones(8), "cc": np.tile([1.0, -1.0], 4)}
         for tok, pattern in signs.items():
             params.embedding[vocab.index(tok)] = 3.0 * pattern
-        loss, _ = unsupervised_loss(batch, params)
+        loss, _ = unsupervised_loss(*batch, params)
         assert loss < 0.01
 
     @pytest.mark.parametrize("distance", [SQUARED_EUCLIDEAN, COSINE])
@@ -157,9 +157,9 @@ class TestUnsupervisedLoss:
         params = EncoderParams.init(len(vocab), 5, 4, np.random.default_rng(2))
 
         def loss_fn(flat):
-            return unsupervised_loss(batch, params.with_flat(flat), distance)[0]
+            return unsupervised_loss(*batch, params.with_flat(flat), distance)[0]
 
-        _, grads = unsupervised_loss(batch, params, distance)
+        _, grads = unsupervised_loss(*batch, params, distance)
         numeric = finite_difference_gradient(loss_fn, params.vector)
         report = gradient_check(grads.vector, numeric)
         assert report.max_relative_error < 1e-4
@@ -236,8 +236,8 @@ class TestCombinedTrainingStep:
         unsupervised_calls = []
         monkeypatch.setattr(consistency, "unsupervised_loss",
                             lambda *args: unsupervised_calls.append(args) or unsupervised_loss(*args))
-        batch, step = (batch, 0) if unlabeled else (None, 50)
-        losses = combined_training_step(tokens, 2, 1, batch, params_a, adam_a, schedule, step)
+        batch, step = (batch, 0) if unlabeled else ((None, 0), 50)
+        losses = combined_training_step(tokens, 2, 1, *batch, params_a, adam_a, schedule, step)
         sup_loss, sup_grads = supervised_episode_loss(params_b, tokens, 2, 1)
         optimizer_step(adam_b, params_b, sup_grads)
 
@@ -259,8 +259,8 @@ class TestCombinedTrainingStep:
         adam_a = AdamState.for_params(params_a)
         adam_b = AdamState.for_params(params_b)
 
-        losses = combined_training_step(tokens, 2, 1, batch, params_a, adam_a, schedule, 100)
-        unsup_loss, unsup_grads = unsupervised_loss(batch, params_b)
+        losses = combined_training_step(tokens, 2, 1, *batch, params_a, adam_a, schedule, 100)
+        unsup_loss, unsup_grads = unsupervised_loss(*batch, params_b)
         optimizer_step(adam_b, params_b, unsup_grads)
 
         assert losses.weight == 1.0
@@ -273,12 +273,12 @@ class TestCombinedTrainingStep:
         params = EncoderParams.init(len(vocab), 4, 4, np.random.default_rng(5))
 
         _, sup_grads = supervised_episode_loss(params, tokens, 2, 1)
-        _, unsup_grads = unsupervised_loss(batch, params)
+        _, unsup_grads = unsupervised_loss(*batch, params)
         expected = 0.5 * (sup_grads.vector + unsup_grads.vector)
 
         # recompute what the combined step applies by reading the Adam moment
         adam = AdamState.for_params(params)
-        combined_training_step(tokens, 2, 1, batch, params, adam, schedule, 1)
+        combined_training_step(tokens, 2, 1, *batch, params, adam, schedule, 1)
         applied = adam.m / (1.0 - ADAM_BETA1)
         np.testing.assert_allclose(applied, expected, atol=1e-10)
 
@@ -288,7 +288,7 @@ class TestCombinedTrainingStep:
         for step in (0, 3, 7, 10):
             params = EncoderParams.init(len(vocab), 4, 4, np.random.default_rng(6))
             adam = AdamState.for_params(params)
-            losses = combined_training_step(tokens, 2, 1, batch, params, adam, schedule, step)
+            losses = combined_training_step(tokens, 2, 1, *batch, params, adam, schedule, step)
             t = (step / 10) ** 2
             assert losses.total == pytest.approx(
                 t * losses.unsupervised + (1 - t) * losses.supervised, rel=1e-12

@@ -85,6 +85,15 @@ def record_train_draws(monkeypatch):
     return draws
 
 
+def step_paraphrases(args):
+    """Each unlabeled sentence's paraphrase rows in the arguments of one
+    `combined_training_step` call: its unlabeled rows hold the U sentences,
+    then each sentence's M paraphrases, sentence by sentence."""
+    rows, n_sentences = args[3], args[4]
+    m = len(rows) // n_sentences - 1
+    return [rows.take(np.arange(n_sentences + j * m, n_sentences + (j + 1) * m)) for j in range(n_sentences)]
+
+
 def quick_config(corpus_path, **overrides):
     defaults = dict(
         dataset_path=corpus_path,
@@ -630,11 +639,11 @@ class TestLearnability:
             )
             init_params = EncoderParams.init(len(vocab), 32, 32, _rngs(seed, 5)[0])
             before = np.mean(
-                [unsupervised_loss(text_batch(*b, vocab), init_params)[0] for b in batches]
+                [unsupervised_loss(*text_batch(*b, vocab), init_params)[0] for b in batches]
             )
             _, trained, trained_vocab = train_single_seed(cfg, seed, ds)
             after = np.mean(
-                [unsupervised_loss(text_batch(*b, trained_vocab), trained)[0] for b in batches]
+                [unsupervised_loss(*text_batch(*b, trained_vocab), trained)[0] for b in batches]
             )
             deltas.append(after - before)
         assert np.mean(deltas) < 0.0
@@ -775,13 +784,11 @@ class TestBlockDecoding:
         drawn = [doubled.records[row][0] for row in rows]
         assert len(set(rows)) > len(set(drawn))  # some text was drawn at two different rows
         assert [text for batch in batches for text in batch] == (list(dict.fromkeys(drawn)) if cache else drawn)
-        used = [paraphrases for args, _ in steps for paraphrases in args[3].paraphrases]
+        used = [(p.ids.tolist(), p.counts.tolist()) for args, _ in steps for p in step_paraphrases(args)]
         assert len(used) == len(drawn)
         if cache:
             first = {}
-            assert all(first.setdefault(text, p) is p for text, p in zip(drawn, used))
-        else:
-            assert len({id(p) for p in used}) == len(used)
+            assert all(first.setdefault(text, p) == p for text, p in zip(drawn, used))
 
 
 class TestBlockGather:
@@ -809,11 +816,48 @@ class TestBlockGather:
         assert [len(r) for r, _ in draws] == [10, 10, 5] and len(calls) == 25
         for i, (args, _) in enumerate(calls):
             assert (args[3] is None) == (strategy == "none")
-            got = [args[0]] + ([] if strategy == "none" else [args[3].sentences])
+            got = [args[0]] + ([] if strategy == "none" else [args[3].take(np.arange(args[4]))])
             expected = [corpus.take(rows[i])] + ([] if strategy == "none" else [corpus.take(unlabeled[i])])
             for tokens, oracle in zip(got, expected, strict=True):
                 np.testing.assert_array_equal(tokens.ids, oracle.ids)
                 np.testing.assert_array_equal(tokens.counts, oracle.counts)
+
+    @pytest.mark.parametrize("cache", [True, False], ids=["cache_on", "cache_off"])
+    def test_unlabeled_rows_equal_per_step_concat(self, monkeypatch, corpus_path, cache):
+        # each step's unlabeled rows are the rows one concat per step built:
+        # its sentences' ids, then each sentence's decoded paraphrase ids
+        import paraproto.experiment as experiment
+        from paraproto.encoder import Vocabulary
+
+        draws = record_train_draws(monkeypatch)
+        calls = record_calls(monkeypatch, experiment, "combined_training_step")
+        original, decodes = experiment.generate_paraphrase_batch, []
+
+        def recording(lm, sources, *args):
+            decodes.append((list(sources), original(lm, sources, *args)))
+            return decodes[-1][1]
+
+        monkeypatch.setattr(experiment, "generate_paraphrase_batch", recording)
+        cfg = quick_config(corpus_path, strategy="dbs", max_episodes=25, n_paraphrases=3, n_unlabeled=2,
+                           decode=DecodeConfig(num_beams=6, num_groups=3), paraphrase_cache=cache)
+        ds = load_dataset(corpus_path)
+        train_single_seed(cfg, 0, ds)
+
+        vocab = Vocabulary.from_texts([ds.records[row][0] for row in experiment.plan_seed(cfg, ds, 0).train.pool])
+        corpus = TokenRows.from_texts(ds.texts(), vocab)
+        unlabeled = np.concatenate([u for _, u in draws])
+        drawn = [ds.records[row][0] for row in unlabeled.ravel().tolist()]
+        decoded = [(text, generated) for sources, outputs in decodes for text, generated in zip(sources, outputs)]
+        by_text = dict(decoded)
+        per_row = [by_text[text] for text in drawn] if cache else [generated for _, generated in decoded]
+        assert len(calls) == 25 and len(per_row) == len(drawn) == 25 * 2
+        for i, (args, _) in enumerate(calls):
+            oracle = TokenRows.concat(
+                [corpus.take(unlabeled[i]), *[TokenRows.from_texts(g, vocab) for g in per_row[2 * i : 2 * i + 2]]]
+            )
+            assert args[4] == 2
+            np.testing.assert_array_equal(args[3].ids, oracle.ids)
+            np.testing.assert_array_equal(args[3].counts, oracle.counts)
 
 
 class TestPlanSeed:
@@ -855,3 +899,25 @@ class TestPlanSeed:
         # the decoded texts are the drawn rows' texts
         assert [text for args, _ in batches for text in args[1]] == [ds.records[row][0] for row in unlabeled.ravel()]
         assert vocab.tokens == Vocabulary.from_texts([ds.records[row][0] for row in pool]).tokens
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_token_rows_tokenize_drawable_rows_only(self, monkeypatch, corpus_path, profile):
+        # evaluate gets one token row per loaded record; a row the low profile
+        # drops, which no source draws, is an empty row (a lone UNK)
+        import paraproto.experiment as experiment
+        from paraproto.encoder import Vocabulary
+
+        evaluations = record_calls(monkeypatch, experiment, "evaluate")
+        ds = load_dataset(corpus_path)
+        cfg = quick_config(corpus_path, profile=profile)
+        train_single_seed(cfg, 0, ds)
+
+        pool = set(plan_seed(cfg, ds, 0).train.pool.tolist())
+        assert (len(pool) < len(ds)) == (profile == "low")
+        vocab = Vocabulary.from_texts([ds.records[row][0] for row in sorted(pool)])
+        texts = [text if row in pool else "" for row, (text, _) in enumerate(ds.records)]
+        expected = TokenRows.from_texts(texts, vocab)
+        assert len(evaluations) == 4  # three validations and the test
+        for args, _ in evaluations:
+            np.testing.assert_array_equal(args[1].ids, expected.ids)
+            np.testing.assert_array_equal(args[1].counts, expected.counts)
