@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -41,8 +40,12 @@ class Vocabulary:
 
     @classmethod
     def from_texts(cls, texts: Iterable[str]) -> "Vocabulary":
+        return cls.from_tokens(tokenize(text) for text in texts)
+
+    @classmethod
+    def from_tokens(cls, token_lists: Iterable[Sequence[str]]) -> "Vocabulary":
         # sorted union keeps the index assignment independent of text order
-        return cls(sorted({tok for text in texts for tok in tokenize(text)}))
+        return cls(sorted({tok for tokens in token_lists for tok in tokens}))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -78,9 +81,9 @@ class TokenRows:
             counts=np.concatenate([p.counts for p in parts]),
         )
 
-    @cached_property
+    @property
     def starts(self) -> np.ndarray:
-        return np.cumsum(self.counts) - self.counts
+        return self.counts.cumsum() - self.counts
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -89,8 +92,8 @@ class TokenRows:
         """The given rows, in the given order, as one contiguous batch: one
         vectorized ragged gather."""
         counts = self.counts[rows]
-        offsets = self.starts[rows] - (np.cumsum(counts) - counts)
-        flat = np.repeat(offsets, counts) + np.arange(counts.sum())
+        offsets = self.starts[rows] - (counts.cumsum() - counts)
+        flat = offsets.repeat(counts) + np.arange(np.add.reduce(counts))
         return TokenRows(ids=self.ids[flat], counts=counts)
 
     def split(self, n: int) -> list["TokenRows"]:
@@ -185,10 +188,10 @@ def encode_batch_backward(
     d_pre = upstream * (1.0 - fwd.out * fwd.out)
     d_means = (d_pre @ params.projection) / counts[:, None]
     # the embedding block summed by cell, the rest of the vector zeros
-    d_rows = np.repeat(d_means, counts, axis=0)
+    d_rows = d_means.repeat(counts, axis=0)
     grads = params.with_flat(numerics.add_rows_at(fwd.rows.ids, d_rows, params.vector.size))
     np.matmul(d_pre.T, fwd.means, out=grads.projection)
-    d_pre.sum(axis=0, out=grads.bias)
+    np.add.reduce(d_pre, axis=0, out=grads.bias)
     return grads
 
 
@@ -239,7 +242,7 @@ def optimizer_step(state: AdamState, params: EncoderParams, grads: EncoderParams
     g = grads.vector
     if grads.dims != params.dims or state.m.shape != g.shape:
         raise ValueError(f"gradients {grads.dims} or moments {state.m.shape} do not fit params {params.dims}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ValueError("non-finite gradient passed to optimizer")
     state.step_count += 1
     bc1 = 1.0 - ADAM_BETA1**state.step_count

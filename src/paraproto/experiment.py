@@ -234,11 +234,13 @@ def train_plan(config: RunConfig, plan: SeedPlan) -> tuple[SeedResult, EncoderPa
     (the last may be shorter), each ending in a validation; returns the result
     plus the best-validation checkpoint (parameters and vocabulary)."""
     all_texts = plan.train.dataset.texts()
-    texts = [all_texts[row] for row in plan.train.pool.tolist()]  # the vocabulary's and the LM's, in pool order
-    vocab = Vocabulary.from_texts(texts)
-    # every loaded row as ids, once per run; a row no source can draw is never read, and stays empty
+    pool = plan.train.pool.tolist()
+    texts = [all_texts[row] for row in pool]  # the vocabulary's and the LM's, in pool order
+    # every loaded row tokenized once per run; a row no source can draw is never read, and stays empty
     drawable = set(np.concatenate([plan.train.pool, plan.valid.rows, plan.test.rows]).tolist())
-    corpus = TokenRows.from_tokens([tokenize(t) if row in drawable else () for row, t in enumerate(all_texts)], vocab)
+    token_lists = [tokenize(t) if row in drawable else () for row, t in enumerate(all_texts)]
+    vocab = Vocabulary.from_tokens(token_lists[row] for row in pool)
+    corpus = TokenRows.from_tokens(token_lists, vocab)
     n_unlabeled = plan.train.n_unlabeled
     rng_init, rng_episode, rng_valid, rng_test, rng_decode = _rngs(plan.seed, 5)
 

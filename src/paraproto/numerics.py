@@ -30,13 +30,14 @@ def add_rows_at(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
 
 def softmax_over_neg_distances(dists: Sequence[float] | np.ndarray) -> np.ndarray:
     """softmax(-dists) over the last axis, each row stabilized by
-    max-subtraction on its logits."""
+    max-subtraction on its logits, computed in place in one new array."""
     d = np.asarray(dists, dtype=np.float64)
     if d.size == 0:
         raise ValueError("softmax over empty distance list")
-    if not np.all(np.isfinite(d)):
+    if not np.isfinite(d).all():
         raise ValueError("non-finite distance in softmax input")
-    logits = -d
-    logits = logits - logits.max(axis=-1, keepdims=True)
-    exps = np.exp(logits)
-    return exps / exps.sum(axis=-1, keepdims=True)
+    probs = -d
+    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
+    return probs
