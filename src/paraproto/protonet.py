@@ -16,12 +16,12 @@ from . import numerics
 from .data import EpisodeSource
 from .encoder import EncoderParams, TokenRows, encode_batch_backward, forward
 
-# byte cap on one evaluation block's product of its support rows with the
-# rows it touches, plus its episodes' gathered products and distances: every
-# episode of a large part at once would need nearly every pair of its rows.
-# Of caps from 192 KB to 1 MB, 384-512 KB scored the bench's 200 episodes of
-# a 150-row part fastest, in two blocks (ROADMAP perf notes)
-EVAL_BLOCK_BYTES = 384 * 1024
+# byte cap on one evaluation block's gathered support and query embeddings
+# and (queries, classes) distances: scoring every episode at once would hold
+# all of them. Of 128 KB, 384 KB and 1 MB, 128 KB (15 five-way 1-shot 5-query
+# episodes at d = 32) scored 200 episodes fastest and held the least memory
+# (ROADMAP perf notes)
+EVAL_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass
@@ -44,62 +44,47 @@ def prototypes(support: np.ndarray, shots: int) -> np.ndarray:
     return protos
 
 
-def _distances(qp: np.ndarray, qq: np.ndarray, pp: np.ndarray, kind: str) -> np.ndarray:
-    """(..., Q, C) distances from the query-prototype dot products `qp` and
-    the squared norms of the (..., Q) queries `qq` and the (..., C) prototypes
-    `pp`, overwriting `qp`. Squared Euclidean is |q|^2 + |p|^2 - 2 q.p,
-    clamped at 0; cosine is 1 - q.p / (|q| |p|)."""
-    if kind == numerics.SQUARED_EUCLIDEAN:
-        qp *= -2.0
-        qp += qq[..., :, None]
-        qp += pp[..., None, :]
-        return np.maximum(qp, 0.0, out=qp)  # rounding can leave a coincident pair below 0; nan stays nan
-    if kind == numerics.COSINE:
-        qn, pn = np.sqrt(qq), np.sqrt(pp)
-        if (qn == 0).any() or (pn == 0).any():
-            raise ValueError("cosine distance undefined for zero-norm embeddings")
-        return 1.0 - qp / (qn[..., :, None] * pn[..., None, :])
-    raise ValueError(f"unknown distance kind: {kind!r}")
-
-
 def _pairwise_distances(
     queries: np.ndarray, protos: np.ndarray, kind: str
 ) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]:
     """(..., Q, C) distances between (..., Q, d) queries and (..., C, d)
-    prototypes, leading batch dimensions being episodes, by `_distances` from
-    one matrix product, and their `backward`: d_dist -> gradients of
-    sum(d_dist * dist) w.r.t. queries and prototypes, batched for squared
-    Euclidean, for 2-D inputs for cosine."""
+    prototypes, leading batch dimensions being episodes, and their `backward`:
+    d_dist -> gradients of sum(d_dist * dist) w.r.t. queries and prototypes,
+    batched for squared Euclidean, for 2-D inputs for cosine. Squared
+    Euclidean is |q|^2 + |p|^2 - 2 q.p, one matrix product, clamped at 0."""
     if queries.shape[-1] != protos.shape[-1]:
         raise ValueError(
             f"embedding dimension mismatch: {queries.shape[-1]} vs {protos.shape[-1]}"
         )
     if kind == numerics.SQUARED_EUCLIDEAN:
-        qq = np.einsum("...qd,...qd->...q", queries, queries)
-        pp = np.einsum("...cd,...cd->...c", protos, protos)
-    else:  # the squares of np.linalg.norm's norms
-        qq = np.add.reduce(queries * queries, axis=-1)
-        pp = np.add.reduce(protos * protos, axis=-1)
-    dists = _distances(queries @ protos.swapaxes(-1, -2), qq, pp, kind)
+        dists = queries @ protos.swapaxes(-1, -2)
+        dists *= -2.0
+        dists += np.einsum("...qd,...qd->...q", queries, queries)[..., :, None]
+        dists += np.einsum("...cd,...cd->...c", protos, protos)[..., None, :]
+        np.maximum(dists, 0.0, out=dists)  # rounding can leave a coincident pair below 0; nan stays nan
 
-    if kind == numerics.SQUARED_EUCLIDEAN:
         def backward(d_dist):
             d_q = np.add.reduce(d_dist, axis=-1)[..., None] * queries - d_dist @ protos
             d_p = np.add.reduce(d_dist, axis=-2)[..., None] * protos - d_dist.swapaxes(-1, -2) @ queries
             return 2.0 * d_q, 2.0 * d_p
 
         return dists, backward
+    if kind == numerics.COSINE:
+        qn = np.linalg.norm(queries, axis=-1)
+        pn = np.linalg.norm(protos, axis=-1)
+        if np.any(qn == 0) or np.any(pn == 0):
+            raise ValueError("cosine distance undefined for zero-norm embeddings")
 
-    def backward(d_dist):
-        qn, pn = np.sqrt(qq), np.sqrt(pp)
-        inv = 1.0 / np.outer(qn, pn)
-        cos = (queries @ protos.T) * inv
-        # d(1 - cos)/dq = -p/(|q||p|) + cos * q/|q|^2, and symmetrically for p
-        d_q = -(d_dist * inv) @ protos + (np.add.reduce(d_dist * cos, axis=1) / qn**2)[:, None] * queries
-        d_p = -(d_dist * inv).T @ queries + (np.add.reduce(d_dist * cos, axis=0) / pn**2)[:, None] * protos
-        return d_q, d_p
+        def backward(d_dist):
+            inv = 1.0 / np.outer(qn, pn)
+            cos = (queries @ protos.T) * inv
+            # d(1 - cos)/dq = -p/(|q||p|) + cos * q/|q|^2, and symmetrically for p
+            d_q = -(d_dist * inv) @ protos + ((d_dist * cos).sum(axis=1) / qn**2)[:, None] * queries
+            d_p = -(d_dist * inv).T @ queries + ((d_dist * cos).sum(axis=0) / pn**2)[:, None] * protos
+            return d_q, d_p
 
-    return dists, backward
+        return 1.0 - (queries @ np.swapaxes(protos, -1, -2)) / (qn[..., :, None] * pn[..., None, :]), backward
+    raise ValueError(f"unknown distance kind: {kind!r}")
 
 
 def softmax_cross_entropy_episode(
@@ -186,10 +171,9 @@ def evaluate(
     `tokens` holds the ids of every record of `source`'s dataset, row i for
     record i. Every episode's rows are drawn first, in one `source.draw`, so
     `source` draws no unlabeled rows. The parameters are fixed during a call,
-    so the source's rows are encoded once, in one batch. Episodes are scored
-    in blocks, each from one matrix product of the support rows it draws with
-    every row it draws, distances coming from `_distances` as in training.
-    Each query is assigned the class of its nearest prototype.
+    so the source's rows are encoded once, in one batch, and episodes are
+    scored in blocks that gather their embeddings from that batch. Each query
+    is assigned the class of its nearest prototype.
     """
     if len(tokens) != len(source.dataset):
         raise ValueError(f"{len(tokens)} token rows for a dataset of {len(source.dataset)} records")
@@ -205,39 +189,21 @@ def evaluate(
 
     n_way, k_shot, query_per_class = source.n_way, source.k_shot, source.query_per_class
     n_support, n_query = n_way * k_shot, n_way * query_per_class
-    # episodes per block: the most for which the product (support rows by
-    # drawn rows, each at most every row of the part) and every episode's
-    # gathered products and distances fit EVAL_BLOCK_BYTES
-    episodes = np.arange(1, n_episodes + 1)
-    cells = np.minimum(len(encoded), episodes * n_support) * np.minimum(len(encoded), episodes * rows.shape[1])
-    held = (cells + episodes * n_query * (n_support + n_way)) * encoded.itemsize
-    block = max(1, int(np.count_nonzero(held <= EVAL_BLOCK_BYTES)))
-    norms = np.add.reduce(encoded * encoded, axis=1)  # |q|^2 of every row
-    targets = np.arange(n_way).repeat(query_per_class)
+    # episodes per block, from what a block holds: each episode's gathered
+    # support and query embeddings and its (queries, classes) distances
+    block = max(1, EVAL_BLOCK_BYTES // (((n_support + n_query) * encoded.shape[1] + n_query * n_way)
+                                        * encoded.itemsize))
+    targets = np.repeat(np.arange(n_way), query_per_class)
     correct = np.empty(n_episodes, dtype=np.intp)
     for start in range(0, n_episodes, block):
-        drawn = rows[start : start + block]
-        touched, supports = np.zeros((2, len(encoded)), dtype=bool)
-        touched[drawn] = True
-        supports[drawn[:, :n_support]] = True
-        # a part row's row and column of `products` are its ranks among the
-        # support rows and among the touched rows
-        products = encoded[supports] @ encoded[touched].T
-        n = products.shape[1]
-        support = (supports.cumsum() - 1)[drawn[:, :n_support]]
-        col = (touched.cumsum() - 1)[drawn]
-        support_col, query_col = col[:, :n_support], col[:, n_support:]
-        # a prototype's products are the means of its support rows' products:
-        # q.p from the (support, query) products, |p|^2 as the mean over shots
-        # of s.s', then of p.s'
-        qp = prototypes(products.take(support[:, :, None] * n + query_col[:, None, :]), k_shot).swapaxes(1, 2)
-        by_class, by_class_col = (a.reshape(len(drawn), n_way, k_shot, 1) for a in (support, support_col))
-        ss = products.take(by_class * n + by_class_col.swapaxes(-1, -2))
-        pp = prototypes(prototypes(ss, k_shot).swapaxes(-1, -2), k_shot)[..., 0, 0]
-        dists = _distances(qp, norms[drawn[:, n_support:]], pp, distance)
+        embs = encoded[rows[start : start + block]]  # (episodes, support + query rows, d)
+        protos = prototypes(embs[:, :n_support], k_shot)
+        dists = _pairwise_distances(embs[:, n_support:], protos, distance)[0]
         if not np.isfinite(dists).all():
             raise ValueError("non-finite distance between a query and a prototype")
-        correct[start : start + len(drawn)] = np.count_nonzero(dists.argmin(axis=2) == targets, axis=1)
+        correct[start : start + len(embs)] = np.count_nonzero(
+            dists.argmin(axis=2) == targets, axis=1
+        )
     accuracies = (correct / n_query).tolist()
     return EvalResult(
         mean_accuracy=float(np.mean(accuracies)),

@@ -286,11 +286,10 @@ class TestEvaluateEncodesPartOnce:
 
     @staticmethod
     def block(k_shot):
-        """Episodes per scoring block at 5-way, 5 queries per class on a
-        150-row part: a block holds the (150, 150) product of the support rows
-        and the rows it may touch and, per episode, its (5 * k_shot, 25)
-        support-query products and (25, 5) distances, in float64."""
-        return (EVAL_BLOCK_BYTES // 8 - 150 * 150) // (25 * (5 * k_shot + 5))
+        """Episodes per scoring block at 5-way, 5 queries per class and
+        output_dim 8: each holds its (5 * k_shot + 25, 8) gathered embeddings
+        and (25, 5) distances, in float64."""
+        return EVAL_BLOCK_BYTES // (((5 * k_shot + 25) * 8 + 25 * 5) * 8)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("distance", [SQUARED_EUCLIDEAN, COSINE])
@@ -306,9 +305,9 @@ class TestEvaluateEncodesPartOnce:
         block = self.block(k_shot)
         n_episodes = size(block)
         scored = []  # episodes per call of the distance, one call per block
-        distances = protonet._distances
-        monkeypatch.setattr(protonet, "_distances",
-                            lambda qp, qq, pp, kind: scored.append(len(qp)) or distances(qp, qq, pp, kind))
+        distances = protonet._pairwise_distances
+        monkeypatch.setattr(protonet, "_pairwise_distances",
+                            lambda queries, protos, kind: scored.append(len(queries)) or distances(queries, protos, kind))
         split = split_classes(corpus, (0.5, 0.25, 0.25), seed=seed)
         vocab = Vocabulary.from_texts(corpus.texts())
         params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(seed))
@@ -325,8 +324,8 @@ class TestEvaluateEncodesPartOnce:
     @pytest.mark.parametrize("distance", [SQUARED_EUCLIDEAN, COSINE])
     @pytest.mark.parametrize("k_shot", [1, 2])
     def test_blocks_of_a_large_part_stay_within_the_cap(self, corpus, monkeypatch, distance, k_shot):
-        # the 0.8 test part holds 480 rows: the product of all of them alone
-        # would take 1.8 MB, so a block holds the rows of fewer episodes
+        # the 0.8 test part holds 480 rows, whose (480, 480) pairwise products
+        # would take 1.8 MB: a block gathers its episodes' embeddings instead
         split = split_classes(corpus, (0.1, 0.1, 0.8), seed=0)
         vocab = Vocabulary.from_texts(corpus.texts())
         params = EncoderParams.init(len(vocab), 8, 8, np.random.default_rng(0))
@@ -334,21 +333,17 @@ class TestEvaluateEncodesPartOnce:
         source = EpisodeSource(*args)
         assert len(source.rows) ** 2 * 8 > EVAL_BLOCK_BYTES
         scored = []  # episodes per call of the distance, one call per block
-        distances = protonet._distances
-        monkeypatch.setattr(protonet, "_distances",
-                            lambda qp, qq, pp, kind: scored.append(len(qp)) or distances(qp, qq, pp, kind))
-        rng, rng_rows, rng_oracle = (np.random.default_rng(9) for _ in range(3))
+        distances = protonet._pairwise_distances
+        monkeypatch.setattr(protonet, "_pairwise_distances",
+                            lambda queries, protos, kind: scored.append(len(queries)) or distances(queries, protos, kind))
+        rng, rng_oracle = np.random.default_rng(9), np.random.default_rng(9)
         result = evaluate(params, run_tokens(corpus, vocab), source, 60, rng, distance)
         monkeypatch.undo()
         assert len(scored) > 1 and sum(scored) == 60
-        rows, _ = source.draw(60, rng_rows)  # the episodes evaluate drew, block by block
-        for start, size in zip(np.cumsum([0, *scored]), scored):
-            # the product of the distinct support rows and the distinct rows,
-            # and each episode's (5 * k_shot, 25) support-query products and
+        for size in scored:
+            # each episode's (5 * k_shot + 25, 8) gathered embeddings and
             # (25, 5) distances, in float64
-            block = rows[start : start + size]
-            cells = len(np.unique(block[:, : 5 * k_shot])) * len(np.unique(block))
-            assert (cells + size * 25 * (5 * k_shot + 5)) * 8 <= EVAL_BLOCK_BYTES
+            assert size * ((5 * k_shot + 25) * 8 + 25 * 5) * 8 <= EVAL_BLOCK_BYTES
         oracle = _per_episode_encode_evaluate(params, vocab, *args, 60, rng_oracle, distance)
         assert result.per_episode_accuracies == oracle
 
