@@ -214,8 +214,6 @@ def diverse_beam_search(
     if any(m < 1 for m in max_lens):
         raise ValueError("max_len must be >= 1")
     n_vocab = len(lm.vocab)
-    if any(len(cs.banned_unigrams) >= n_vocab and cs.banned_unigrams.issuperset(lm.vocab) for cs in constraints):
-        raise ValueError("constraints exhaust vocabulary")
 
     scorer = lm.condition(sources)
     group_size = num_beams // num_groups
@@ -439,16 +437,9 @@ class SynonymBigramLM:
             raise ValueError("empty corpus")
         self._index = {tok: i for i, tok in enumerate(self.vocab)}
         n = len(self.vocab)
-        # rows: previous token (plus BOS); cols: next token (plus EOS)
-        counts = np.zeros((n + 1, n + 1))
-        for sent in sentences:
-            ids = [self._index[t] for t in sent]
-            prev = n  # BOS
-            for i in ids:
-                counts[prev, i] += 1.0
-                prev = i
-            counts[prev, n] += 1.0
-        counts += SMOOTHING
+        # rows: previous token or BOS = n; cols: next token or EOS = n; an n joins two sentences
+        ids = np.array([i for sent in sentences for i in (n, *map(self._index.__getitem__, sent))] + [n])
+        counts = np.bincount(ids[:-1] * (n + 1) + ids[1:], minlength=(n + 1) ** 2).reshape(n + 1, n + 1) + SMOOTHING
         self._bigram = counts / counts.sum(axis=1, keepdims=True)
         # base rows before any source mass: bigram plus uniform
         self._prior = BIGRAM_WEIGHT * self._bigram

@@ -41,8 +41,7 @@ def _clipped_counts(
     every source: the tokens (ints >= 0) the references hold are numbered
     1..U, any other reads as 0, like a row's end, and matches nothing. An
     n-gram's code is its ids as base-(U+1) digits, in [(U+1)**(n-1),
-    (U+1)**n) for order n when no id is 0, plus an offset per source.
-    Sources whose codes would reach 2**62 are counted in two halves."""
+    (U+1)**n) for order n when no id is 0; it must stay below 2**62."""
     ref_rows = [row for refs in references for row in refs]
     rows = [*ref_rows, *candidates]
     sets = np.array([s for s, refs in enumerate(references) for _ in refs] + list(owners), dtype=np.intp)
@@ -54,43 +53,33 @@ def _clipped_counts(
     held = np.minimum(np.bincount(tokens[:n_ref], minlength=int(tokens.max()) + 1), 1)
     base = int(held.sum()) + 1
     powers = [base**n for n in range(max_n + 1)]
-    span = powers[-1]  # one source's codes lie in [0, span)
-    if len(references) * span >= 2**62:
-        if len(references) == 1:
-            raise ValueError("too many distinct reference tokens to code n-grams in 64 bits")
-        counts, half = np.zeros((len(candidates), max_n), dtype=np.int64), len(references) // 2
-        for lo, hi in ((0, half), (half, len(references))):
-            picked = [c for c, o in enumerate(owners) if lo <= o < hi]
-            part = [candidates[c] for c in picked], [owners[c] - lo for c in picked], references[lo:hi]
-            counts[picked] = _clipped_counts(*part, max_n)
-        return counts
-
+    if powers[-1] >= 2**62:
+        raise ValueError("too many distinct reference tokens to code n-grams in 64 bits")
     # each row's ids with a 0 after it, and from each token the next max_n ids
     row = np.repeat(np.arange(len(rows)), lengths)
     at = np.arange(len(tokens)) + row
     flat = np.zeros(len(tokens) + len(rows) + max_n, dtype=np.int64)
     flat[at] = (np.cumsum(held) * held)[tokens]
     windows = flat[at[:, None] + np.arange(max_n)]
-    # column n-1 codes the window's first n ids
+    # column n-1 codes the window's first n ids, or is -1 if one is 0
     digits = np.array([[0] * j + [powers[j]] * (max_n - j) for j in range(max_n)])
-    codes = windows @ digits + (sets[row] * span)[:, None]
-    real = np.minimum.accumulate(windows, axis=1) > 0
-    keys = np.array(sorted(set(codes[:n_ref][real[:n_ref]].tolist())))
-    pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
-    # source s's order-n keys are keys[edges[s, n-1]:edges[s, n]]; a row has a cell per key of its source
-    edges = np.searchsorted(keys, np.arange(len(references))[:, None] * span + powers)
-    width = (edges[:, -1] - edges[:, 0])[sets]
-    shift = np.cumsum(width) - width - edges[sets, 0]  # a row's cell of key k: shift + k
-    counts = np.bincount((shift[row][:, None] + pos)[real & (keys[pos] == codes)], minlength=int(width.sum()))
-    key = np.arange(len(counts)) - np.repeat(shift, width)
-    n_ref_cells = int(width[: len(ref_rows)].sum())
-    # each key's counts in the i-th reference of its source, in row i; the
-    # clipped counts then summed over each candidate's cells of each order
-    limits = np.zeros((max(map(len, references)), len(keys)), dtype=np.int64)
-    nth = np.repeat([i for refs in references for i in range(len(refs))], width[: len(ref_rows)])
-    limits[nth, key[:n_ref_cells]] = counts[:n_ref_cells]
-    total = np.concatenate([[0], np.cumsum(np.minimum(counts, limits.max(axis=0)[key]))])
-    return np.diff(total[shift[len(ref_rows) :, None] + edges[sets[len(ref_rows) :]]], axis=1)
+    codes = np.where(np.minimum.accumulate(windows, axis=1) > 0, windows @ digits, -1)
+    # an n-gram's number is where it first occurs among the references',
+    # sorted; one sort counts each (row, order) slot's n-grams
+    keys = np.sort(codes[:n_ref][codes[:n_ref] >= 0])
+    gram = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
+    slots = (row * max_n)[:, None] + np.arange(max_n)
+    cells, counts = np.unique((slots * len(keys) + gram)[keys[gram] == codes], return_counts=True)
+    cell_slot, cell_gram = np.divmod(cells, len(keys))
+    # a (source, n-gram) pair's limit: its largest count in one reference, or 0
+    n_ref_cells = int(np.searchsorted(cell_slot, len(ref_rows) * max_n))
+    pairs = sets[cell_slot // max_n] * len(keys) + cell_gram
+    ref_pairs = np.sort(pairs[:n_ref_cells])
+    pair = np.minimum(np.searchsorted(ref_pairs, pairs), n_ref_cells - 1)
+    limits = np.zeros(n_ref_cells, dtype=np.int64)
+    np.maximum.at(limits, pair[:n_ref_cells], counts[:n_ref_cells])
+    clipped = np.minimum(counts, limits[pair] * (ref_pairs[pair] == pairs))
+    return np.bincount(cell_slot, clipped, len(rows) * max_n).astype(np.int64).reshape(-1, max_n)[len(ref_rows) :]
 
 
 @functools.lru_cache(maxsize=1024)

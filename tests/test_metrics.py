@@ -187,10 +187,23 @@ class TestBatchedBleu:
         ]
         assert_picks_match_oracle(decoded, sources, vocab, select_most_diverse(decoded, sources, vocab))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sources_with_several_references_equal_counter_bleu(self, data):
+        # every source's references draw from ids 0-3, so one n-gram is often
+        # held by several sources, at different counts; no reference holds 4
+        reference = st.lists(st.integers(0, 3), min_size=1, max_size=8)
+        references = data.draw(st.lists(st.lists(reference, min_size=2, max_size=3), min_size=2, max_size=5))
+        candidate = st.tuples(st.integers(0, len(references) - 1), st.lists(st.integers(0, 4), min_size=1, max_size=10))
+        owners, candidates = zip(*data.draw(st.lists(candidate, min_size=1, max_size=12)))
+        max_n, smooth = data.draw(st.integers(1, 4)), data.draw(st.booleans())
+        expected = [counter_bleu(c, references[o], max_n, smooth) for c, o in zip(candidates, owners)]
+        assert metrics.bleu_by_source(candidates, owners, references, max_n, smooth) == expected
+
     def test_selection_over_sources_that_overflow_a_shared_code(self, monkeypatch):
-        # 12 sources of 2,500 distinct tokens each: one code over all of them
-        # would need 12 * 30,001**4 >= 2**62 values, so they are counted in
-        # halves, whose 15,000 tokens fit
+        # 12 sources of 2,500 distinct tokens each: an n-gram of their 30,000
+        # tokens codes below 30,001**4 < 2**62, so one pass counts them all,
+        # though 12 * 30,001**4 codes, a range per source, would not fit
         vocab = tuple(f"w{i}" for i in range(30_000))
         sources = [list(vocab[2500 * s : 2500 * (s + 1)]) for s in range(12)]
         decoded = []
@@ -210,7 +223,7 @@ class TestBatchedBleu:
 
         monkeypatch.setattr(metrics, "_clipped_counts", counting)
         picks = select_most_diverse(decoded, sources, vocab)
-        assert calls == [12, 6, 6]
+        assert calls == [12]
         assert_picks_match_oracle(decoded, sources, vocab, picks)
 
     def test_one_source_too_wide_for_a_code_fails_clearly(self):
