@@ -9,28 +9,18 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
-from . import numerics
-from .configio import dataclass_from_kv, parse_kv_text
+from .configio import dataclass_from_kv, parse_kv_text, text_kind
 from .data import PARTS, EpisodeSource, load_dataset
-from .decoding import (
-    CURVES, STRATEGIES, DecodeConfig, SynonymBigramLM, check_paraphrase_count, generate_paraphrase_batch,
-)
+from .decoding import STRATEGIES, DecodeConfig, SynonymBigramLM, check_paraphrase_count, generate_paraphrase_batch
 from .encoder import TokenRows
 from .experiment import (
-    METHODS,
-    PROFILES,
-    RunConfig,
-    RunReport,
-    diversity_by_strategy,
-    emit_report,
-    load_run_checkpoint,
-    run_experiment,
-    run_pmask_sweep,
+    RunConfig, RunReport, diversity_by_strategy, emit_report, load_run_checkpoint, run_experiment, run_pmask_sweep,
 )
 from .protonet import evaluate
 from .synth import default_synonym_table, generate_synthetic_dataset
@@ -48,18 +38,26 @@ def resolve_data_path(path: str) -> str:
     return str(candidate)
 
 
-def _add_decode_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--num-beams", type=int, default=None)
-    parser.add_argument("--num-groups", type=int, default=None)
-    parser.add_argument("--diversity-penalty", type=float, default=None)
-    parser.add_argument("--p-mask", type=float, default=None)
-    parser.add_argument("--curve", choices=CURVES, default=None)
-    parser.add_argument("--max-len", type=int, default=None)
+# flags spelled otherwise than their field, `--` + the name with `-` for `_`
+FLAG_NAMES = {
+    "dataset_path": "--dataset", "n_unlabeled": "--unlabeled", "n_paraphrases": "--paraphrases",
+    "anneal_alpha": "--alpha", "n_eval_episodes": "--eval-episodes", "paraphrase_cache": "--cache",
+}
+
+
+def _add_field_args(parser: argparse.ArgumentParser, cls) -> None:
+    """One flag per plain field of dataclass `cls`, the field as its dest. A bool's flag sets it
+    true; any other value stays a string, parsed and checked as a config line's value is."""
+    for name, hint in get_type_hints(cls).items():
+        flag = FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+        if hint is bool:
+            parser.add_argument(flag, dest=name, action="store_const", const=True, help=f"sets {name}=True")
+        elif not is_dataclass(hint):
+            parser.add_argument(flag, dest=name, help=text_kind(hint))
 
 
 def _overrides(args: argparse.Namespace, cls, prefix: str = "") -> dict[str, str]:
-    """The flags set on the command line whose dest is a field of `cls`, as
-    `prefix + field` string pairs."""
+    """The flags set whose dest is a field of `cls`, as `prefix + field` string pairs."""
     values = {f.name: getattr(args, f.name, None) for f in fields(cls)}
     return {prefix + name: str(v) for name, v in values.items() if v is not None}
 
@@ -179,32 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="run a multi-seed training experiment")
-    p_train.add_argument("--dataset", dest="dataset_path", default=None)
     p_train.add_argument("--config", default=None, help="key=value config file")
-    p_train.add_argument("--strategy", choices=METHODS, default=None)
-    p_train.add_argument("--profile", choices=PROFILES, default=None)
-    p_train.add_argument("--n-way", type=int, default=None)
-    p_train.add_argument("--k-shot", type=int, default=None)
-    p_train.add_argument("--query-per-class", type=int, default=None)
-    p_train.add_argument("--unlabeled", dest="n_unlabeled", type=int, default=None)
-    p_train.add_argument("--paraphrases", dest="n_paraphrases", type=int, default=None)
-    p_train.add_argument("--alpha", dest="anneal_alpha", type=float, default=None)
-    p_train.add_argument("--max-episodes", type=int, default=None)
-    p_train.add_argument("--eval-every", type=int, default=None)
-    p_train.add_argument("--patience", type=int, default=None)
-    p_train.add_argument("--eval-episodes", dest="n_eval_episodes", type=int, default=None)
-    p_train.add_argument("--seeds", default=None, help="comma-separated seed list")
-    p_train.add_argument("--distance", choices=numerics.DISTANCE_KINDS, default=None)
-    p_train.add_argument("--learning-rate", type=float, default=None)
-    p_train.add_argument("--group-by-domain", action="store_const", const=True, default=None,
-                         help="keep each domain's classes within one split part")
-    p_train.add_argument("--cache", dest="paraphrase_cache", action="store_const", const=True,
-                         default=None, help="cache paraphrases per sentence within a run")
     p_train.add_argument("--pmask-sweep", action="store_true",
                          help="sweep p_mask over 0.0..1.0 instead of a single run")
     p_train.add_argument("--save-checkpoints", action="store_true")
     p_train.add_argument("--out", default="runs/latest")
-    _add_decode_args(p_train)
+    _add_field_args(p_train, RunConfig)
+    _add_field_args(p_train, DecodeConfig)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="episodic evaluation of a checkpoint")
@@ -226,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_para.add_argument("--strategy", choices=STRATEGIES, default="dbs_unigram")
     p_para.add_argument("--paraphrases", dest="n_paraphrases", type=int, help="default: --num-groups")
     p_para.add_argument("--seed", type=int, default=0)
-    _add_decode_args(p_para)
+    _add_field_args(p_para, DecodeConfig)
     p_para.set_defaults(func=cmd_paraphrase)
 
     p_div = sub.add_parser("diversity", help="per-strategy paraphrase diversity summary")
@@ -235,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_div.add_argument("--n-sentences", type=int, default=200)
     p_div.add_argument("--seed", type=int, default=0)
     p_div.add_argument("--out", default="-")
-    _add_decode_args(p_div)
+    _add_field_args(p_div, DecodeConfig)
     p_div.set_defaults(func=cmd_diversity)
 
     p_synth = sub.add_parser("synth-data", help="generate the synthetic intent corpus")

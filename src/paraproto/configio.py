@@ -14,29 +14,25 @@ from typing import get_args, get_origin, get_type_hints
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
+    """The key=value pairs of config text; a key set on two lines is an error."""
     out: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected key=value, got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        out[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key in set_on:
+            raise ValueError(f"line {lineno}: {key!r} is already set on line {set_on[key]}")
+        set_on[key] = lineno
+        out[key] = value
     return out
 
 
 def format_kv(pairs: dict[str, object]) -> str:
     return "".join(f"{key}={value}\n" for key, value in pairs.items())
-
-
-def parse_bool(value: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
 
 
 def dataclass_to_kv(obj) -> dict[str, str]:
@@ -55,21 +51,35 @@ def dataclass_to_kv(obj) -> dict[str, str]:
     return {**plain, **nested}
 
 
+_JSON_KINDS = {bool: "boolean", int: "integer", float: "number", str: "string"}
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 def _parse_value(name: str, hint, value: str):
+    """`value` as the annotated type, or a ValueError naming the key and `text_kind(hint)`."""
+    try:
+        if hint is bool:
+            return _BOOLS[value.strip().lower()]
+        if get_origin(hint) is tuple:
+            args = get_args(hint)
+            items = [s for s in value.split(",") if s.strip()]
+            if args[-1] is Ellipsis:
+                args = (args[0],) * len(items)
+            return tuple(t(s) for t, s in zip(args, items, strict=True))
+        return hint(value)
+    except (KeyError, ValueError):
+        raise ValueError(f"{name} must be {text_kind(hint)}, got {value!r}") from None
+
+
+def text_kind(hint) -> str:
+    """How a config value of the annotated type is named, e.g. `an integer` or `3 comma-separated numbers`."""
     if hint is bool:
-        return parse_bool(value)
+        return "a boolean (true or false)"
     if get_origin(hint) is tuple:
         args = get_args(hint)
-        items = [s for s in value.split(",") if s.strip()]
-        if args[-1] is Ellipsis:
-            return tuple(args[0](s) for s in items)
-        if len(items) != len(args):
-            raise ValueError(f"{name} needs {len(args)} comma-separated values")
-        return tuple(t(s) for t, s in zip(args, items))
-    return hint(value)
-
-
-_JSON_KINDS = {bool: "boolean", int: "integer", float: "number", str: "string"}
+        count = "" if args[-1] is Ellipsis else f"{len(args)} "
+        return f"{count}comma-separated {_JSON_KINDS[args[0]]}s"
+    return _json_kind(hint)
 
 
 def _json_fits(value, hint) -> bool:
@@ -115,16 +125,15 @@ def check_json_values(what: str, cls, obj: dict) -> None:
 
 def dataclass_from_kv(cls, raw: dict[str, str]):
     """Build `cls` from string pairs as written by `dataclass_to_kv`, typing
-    each value from the field annotations. Unknown keys and missing required
-    fields raise ValueError."""
+    each value from the field annotations. Unknown keys, values that do not
+    parse and missing required fields raise ValueError."""
     hints = get_type_hints(cls)
-    names = {f.name for f in fields(cls)}
     kwargs: dict = {}
     nested: dict[str, dict[str, str]] = {}
     for key, value in raw.items():
         name, dot, rest = key.partition(".")
         hint = hints.get(name)
-        if name not in names or bool(dot) != is_dataclass(hint):
+        if name not in hints or bool(dot) != is_dataclass(hint):
             raise ValueError(f"unknown {cls.__name__} key: {key!r}")
         if dot:
             nested.setdefault(name, {})[rest] = value

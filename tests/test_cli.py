@@ -1,14 +1,18 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, is_dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given
 
+from paraproto import cli
 from paraproto.cli import build_parser, main, resolve_data_path
+from paraproto.configio import dataclass_to_kv
 from paraproto.decoding import DecodeConfig
 from paraproto.experiment import RunConfig, RunReport
 from paraproto.synth import generate_synthetic_dataset
-from test_experiment import rejects
+from test_experiment import rejects, run_configs
 
 
 @pytest.fixture(scope="module")
@@ -537,6 +541,118 @@ class TestDataDirEnv:
     def test_absolute_path_wins(self, corpus_path, monkeypatch):
         monkeypatch.setenv("PARAPROTO_DATA_DIR", "/nonexistent")
         assert resolve_data_path(corpus_path) == corpus_path
+
+
+# the flags spelled otherwise than `--` + the field name with `-` for `_`
+RENAMED = {
+    "dataset_path": "--dataset", "n_unlabeled": "--unlabeled", "n_paraphrases": "--paraphrases",
+    "anneal_alpha": "--alpha", "n_eval_episodes": "--eval-episodes", "paraphrase_cache": "--cache",
+}
+
+
+def field_flag(name: str) -> str:
+    return RENAMED.get(name, "--" + name.replace("_", "-"))
+
+
+def plain_fields(cls) -> dict:
+    return {name: hint for name, hint in get_type_hints(cls).items() if not is_dataclass(hint)}
+
+
+def run_flags(cfg: RunConfig) -> list[str]:
+    """`cfg` as `train` flags: `--flag=value` per config key, and a bool
+    field's bare flag when it is true."""
+    hints = {**plain_fields(RunConfig), **plain_fields(DecodeConfig)}
+    flags = []
+    for key, value in dataclass_to_kv(cfg).items():
+        name = key.removeprefix("decode.")
+        if hints[name] is not bool:
+            flags.append(f"{field_flag(name)}={value}")
+        elif value == "True":
+            flags.append(field_flag(name))
+    return flags
+
+
+def capture_train(monkeypatch):
+    """Swap the CLI's `run_experiment` for one that records its config and
+    writes nothing; returns the records."""
+    seen = []
+
+    def fake_run_experiment(config, checkpoint_dir=None):
+        seen.append(config)
+        return RunReport(method=config.strategy, profile=config.profile, n_way=config.n_way,
+                         k_shot=config.k_shot, seed_results=[])
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
+    monkeypatch.setattr(cli, "emit_report", lambda report, out_dir: [])
+    monkeypatch.delenv("PARAPROTO_DATA_DIR", raising=False)
+    return seen
+
+
+class TestFieldFlags:
+    @pytest.mark.parametrize("command, classes", [
+        ("train", (RunConfig, DecodeConfig)),
+        ("paraphrase", (DecodeConfig,)),
+        ("diversity", (DecodeConfig,)),
+    ])
+    def test_one_flag_per_field(self, command, classes):
+        actions = build_parser()._subparsers._group_actions[0].choices[command]._actions
+        for cls in classes:
+            for name in plain_fields(cls):
+                assert [a.option_strings for a in actions if a.dest == name] == [[field_flag(name)]], name
+
+    def test_renamed_flags_are_fields(self):
+        assert set(cli.FLAG_NAMES) <= set(plain_fields(RunConfig)) | set(plain_fields(DecodeConfig))
+
+    @given(cfg=run_configs())
+    def test_flags_and_config_file_build_the_same_config(self, tmp_path_factory, cfg):
+        config = tmp_path_factory.mktemp("conf") / "run.conf"
+        config.write_text(cfg.to_text(), encoding="utf-8")
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            seen = capture_train(monkeypatch)
+            assert main(["train", "--config", str(config), "--out", str(config.parent)]) == 0
+            assert main(["train", *run_flags(cfg), "--out", str(config.parent)]) == 0
+        assert seen == [replace(cfg, dataset_path=resolve_data_path(cfg.dataset_path))] * 2
+
+    def test_split_ratios_and_sizes_reach_the_config(self, corpus_path, tmp_path, monkeypatch):
+        seen = capture_train(monkeypatch)
+        assert main(["train", "--dataset", corpus_path, "--out", str(tmp_path), "--split-ratios", "0.6,0.2,0.2",
+                     "--low-profile-n", "12", "--embed-dim", "16", "--output-dim", "4"]) == 0
+        assert [(c.split_ratios, c.low_profile_n, c.embed_dim, c.output_dim) for c in seen] == [
+            ((0.6, 0.2, 0.2), 12, 16, 4)
+        ]
+
+    @pytest.mark.parametrize("flags, config_text, message", [
+        (["--n-way", "five"], None, "n_way must be an integer, got 'five'"),
+        (["--seeds", "0,a"], None, "seeds must be comma-separated integers, got '0,a'"),
+        (["--split-ratios", "0.5,0.5"], None, "split_ratios must be 3 comma-separated numbers, got '0.5,0.5'"),
+        (["--p-mask", "high"], None, "p_mask must be a number, got 'high'"),
+        (["--strategy", "bogus"], None, "strategy must be one of ('none', 'dbs', 'dbs_unigram', 'dbs_bigram', "
+                                        "'stub_bt')"),
+        ([], "n_way=five\n", "n_way must be an integer, got 'five'"),
+        ([], "paraphrase_cache=maybe\n", "paraphrase_cache must be a boolean (true or false), got 'maybe'"),
+        ([], "n_way=5\nn_way=7\n", "line 2: 'n_way' is already set on line 1"),
+    ], ids=["n-way-flag", "seeds-flag", "split-ratios-flag", "p-mask-flag", "strategy-flag",
+            "n-way-line", "paraphrase-cache-line", "n-way-twice"])
+    def test_bad_train_value_exits_nonzero_naming_its_key(
+        self, corpus_path, tmp_path, capsys, monkeypatch, flags, config_text, message
+    ):
+        seen = capture_train(monkeypatch)
+        if config_text is not None:
+            (tmp_path / "run.conf").write_text(config_text)
+            flags = [*flags, "--config", str(tmp_path / "run.conf")]
+        code = main(["train", "--dataset", corpus_path, "--out", str(tmp_path / "run"), *flags])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert seen == []
+
+    @pytest.mark.parametrize("command", ["paraphrase", "diversity"])
+    def test_bad_decode_value_exits_nonzero_naming_its_key(self, corpus_path, tmp_path, capsys, command):
+        corpus_flag = "--corpus" if command == "paraphrase" else "--dataset"
+        out = tmp_path / "out"
+        code = main([command, corpus_flag, corpus_path, "--out", str(out), "--num-beams", "many"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: num_beams must be an integer, got 'many'\n"
+        assert not out.exists()
 
 
 # dests of options that configure the command itself rather than a run or decode

@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -232,6 +233,31 @@ class TestRunConfig:
     def test_invalid_config_fails_when_built(self, corpus_path, overrides):
         with pytest.raises(ValueError):
             quick_config(corpus_path, **overrides)
+
+    @pytest.mark.parametrize("text, message", [
+        ("n_way=5\nn_way=7\n", "line 2: 'n_way' is already set on line 1"),
+        # comment and blank lines count
+        ("dataset_path=d\n# decode\n\ndecode.p_mask=0.3\ndecode.p_mask = 0.4\n",
+         "line 5: 'decode.p_mask' is already set on line 4"),
+    ], ids=["plain", "nested-after-a-comment"])
+    def test_key_set_twice_refused(self, text, message):
+        # the last value was once kept without a word
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunConfig.from_text(text)
+
+    @pytest.mark.parametrize("line, message", [
+        ("n_way=five", "n_way must be an integer, got 'five'"),
+        ("anneal_alpha=1,0", "anneal_alpha must be a number, got '1,0'"),
+        ("seeds=0,a", "seeds must be comma-separated integers, got '0,a'"),
+        ("split_ratios=0.5,0.5", "split_ratios must be 3 comma-separated numbers, got '0.5,0.5'"),
+        ("paraphrase_cache=maybe", "paraphrase_cache must be a boolean (true or false), got 'maybe'"),
+        ("decode.max_len=long", "max_len must be an integer, got 'long'"),
+    ], ids=["n_way", "anneal_alpha", "seeds", "split_ratios", "paraphrase_cache", "decode.max_len"])
+    def test_unparsable_value_names_its_key_and_kind(self, line, message):
+        # these once failed with Python's own message, such as "invalid
+        # literal for int() with base 10: 'five'", which named no key
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunConfig.from_text(f"dataset_path=d\n{line}\n")
 
     def test_dataset_path_required(self):
         with pytest.raises(ValueError, match="dataset_path"):
