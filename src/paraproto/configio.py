@@ -62,7 +62,7 @@ def _parse_value(name: str, hint, value: str):
             return _BOOLS[value.strip().lower()]
         if get_origin(hint) is tuple:
             args = get_args(hint)
-            items = [s for s in value.split(",") if s.strip()]
+            items = value.split(",")
             if args[-1] is Ellipsis:
                 args = (args[0],) * len(items)
             return tuple(t(s) for t, s in zip(args, items, strict=True))
@@ -123,10 +123,11 @@ def check_json_values(what: str, cls, obj: dict) -> None:
             raise ValueError(f"{what} field {name!r} must be {_json_kind(hint)}, got {type(obj[name]).__name__}")
 
 
-def dataclass_from_kv(cls, raw: dict[str, str]):
+def dataclass_from_kv(cls, raw: dict[str, str], prefix: str = ""):
     """Build `cls` from string pairs as written by `dataclass_to_kv`, typing
     each value from the field annotations. Unknown keys, values that do not
-    parse and missing required fields raise ValueError."""
+    parse and missing required fields raise ValueError naming the whole key:
+    `prefix` (`decode.` within a RunConfig) followed by the field."""
     hints = get_type_hints(cls)
     kwargs: dict = {}
     nested: dict[str, dict[str, str]] = {}
@@ -134,14 +135,14 @@ def dataclass_from_kv(cls, raw: dict[str, str]):
         name, dot, rest = key.partition(".")
         hint = hints.get(name)
         if name not in hints or bool(dot) != is_dataclass(hint):
-            raise ValueError(f"unknown {cls.__name__} key: {key!r}")
+            raise ValueError(f"unknown {cls.__name__} key: {prefix + key!r}")
         if dot:
             nested.setdefault(name, {})[rest] = value
         else:
-            kwargs[name] = _parse_value(name, hint, value)
+            kwargs[name] = _parse_value(prefix + name, hint, value)
     for name, sub in nested.items():
-        kwargs[name] = dataclass_from_kv(hints[name], sub)
+        kwargs[name] = dataclass_from_kv(hints[name], sub, f"{prefix}{name}.")
     for f in fields(cls):
         if f.default is MISSING and f.default_factory is MISSING and f.name not in kwargs:
-            raise ValueError(f"{f.name} is required")
+            raise ValueError(f"{prefix}{f.name} is required")
     return cls(**kwargs)

@@ -13,6 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .encoder import EncoderParams, TokenRows, Vocabulary, forward, tokenize
+from .numerics import COSINE
+from .protonet import _pairwise_distances
 
 
 @dataclass
@@ -144,13 +146,8 @@ def mean_pairwise_similarity(embeddings: Sequence[np.ndarray]) -> float:
     if len(embeddings) < 2:
         raise ValueError("need at least 2 embeddings")
     vectors = np.asarray(embeddings, dtype=np.float64)
-    norms = np.linalg.norm(vectors, axis=1)
-    if np.any(norms == 0):
-        raise ValueError("zero-norm embedding")
-    unit = vectors / norms[:, None]
-    sims = unit @ unit.T
-    upper = sims[np.triu_indices(len(embeddings), k=1)]
-    return float(upper.mean())
+    sims = 1.0 - _pairwise_distances(vectors, vectors, COSINE)[0]
+    return float(sims[np.triu_indices(len(embeddings), k=1)].mean())
 
 
 def diversity_report(

@@ -48,43 +48,44 @@ def _pairwise_distances(
     queries: np.ndarray, protos: np.ndarray, kind: str
 ) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]:
     """(..., Q, C) distances between (..., Q, d) queries and (..., C, d)
-    prototypes, leading batch dimensions being episodes, and their `backward`:
-    d_dist -> gradients of sum(d_dist * dist) w.r.t. queries and prototypes,
-    batched for squared Euclidean, for 2-D inputs for cosine. Squared
-    Euclidean is |q|^2 + |p|^2 - 2 q.p, one matrix product, clamped at 0."""
+    prototypes, leading batch dimensions being episodes, and their batched
+    `backward`: d_dist -> gradients of sum(d_dist * dist) w.r.t. queries and
+    prototypes. Squared Euclidean is |q|^2 + |p|^2 - 2 q.p, one matrix
+    product, clamped at 0. Cosine is half of it on rows divided by their
+    norms, as 1 - cos(q, p) = |q/|q| - p/|p||^2 / 2."""
     if queries.shape[-1] != protos.shape[-1]:
         raise ValueError(
             f"embedding dimension mismatch: {queries.shape[-1]} vs {protos.shape[-1]}"
         )
-    if kind == numerics.SQUARED_EUCLIDEAN:
-        dists = queries @ protos.swapaxes(-1, -2)
-        dists *= -2.0
-        dists += np.einsum("...qd,...qd->...q", queries, queries)[..., :, None]
-        dists += np.einsum("...cd,...cd->...c", protos, protos)[..., None, :]
-        np.maximum(dists, 0.0, out=dists)  # rounding can leave a coincident pair below 0; nan stays nan
-
-        def backward(d_dist):
-            d_q = np.add.reduce(d_dist, axis=-1)[..., None] * queries - d_dist @ protos
-            d_p = np.add.reduce(d_dist, axis=-2)[..., None] * protos - d_dist.swapaxes(-1, -2) @ queries
-            return 2.0 * d_q, 2.0 * d_p
-
-        return dists, backward
-    if kind == numerics.COSINE:
-        qn = np.linalg.norm(queries, axis=-1)
-        pn = np.linalg.norm(protos, axis=-1)
-        if np.any(qn == 0) or np.any(pn == 0):
+    if kind not in numerics.DISTANCE_KINDS:
+        raise ValueError(f"unknown distance kind: {kind!r}")
+    cosine = kind == numerics.COSINE
+    if cosine:
+        q_norms = np.sqrt(np.einsum("...qd,...qd->...q", queries, queries))[..., None]
+        p_norms = np.sqrt(np.einsum("...cd,...cd->...c", protos, protos))[..., None]
+        if not (q_norms.all() and p_norms.all()):
             raise ValueError("cosine distance undefined for zero-norm embeddings")
+        queries, protos = queries / q_norms, protos / p_norms
+    dists = queries @ protos.swapaxes(-1, -2)
+    dists *= -2.0
+    dists += np.einsum("...qd,...qd->...q", queries, queries)[..., :, None]
+    dists += np.einsum("...cd,...cd->...c", protos, protos)[..., None, :]
+    np.maximum(dists, 0.0, out=dists)  # rounding can leave a coincident pair below 0; nan stays nan
+    if cosine:
+        dists *= 0.5
 
-        def backward(d_dist):
-            inv = 1.0 / np.outer(qn, pn)
-            cos = (queries @ protos.T) * inv
-            # d(1 - cos)/dq = -p/(|q||p|) + cos * q/|q|^2, and symmetrically for p
-            d_q = -(d_dist * inv) @ protos + ((d_dist * cos).sum(axis=1) / qn**2)[:, None] * queries
-            d_p = -(d_dist * inv).T @ queries + ((d_dist * cos).sum(axis=0) / pn**2)[:, None] * protos
-            return d_q, d_p
+    def backward(d_dist):
+        d_q = np.add.reduce(d_dist, axis=-1)[..., None] * queries - d_dist @ protos
+        d_p = np.add.reduce(d_dist, axis=-2)[..., None] * protos - d_dist.swapaxes(-1, -2) @ queries
+        if cosine:
+            # the halving cancels the kernel's factor 2; then through x / |x|:
+            # drop each gradient row's part along its unit row, divide by |x|
+            d_q -= np.einsum("...qd,...qd->...q", d_q, queries)[..., None] * queries
+            d_p -= np.einsum("...cd,...cd->...c", d_p, protos)[..., None] * protos
+            return d_q / q_norms, d_p / p_norms
+        return 2.0 * d_q, 2.0 * d_p
 
-        return 1.0 - (queries @ np.swapaxes(protos, -1, -2)) / (qn[..., :, None] * pn[..., None, :]), backward
-    raise ValueError(f"unknown distance kind: {kind!r}")
+    return dists, backward
 
 
 def softmax_cross_entropy_episode(

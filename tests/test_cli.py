@@ -625,7 +625,7 @@ class TestFieldFlags:
         (["--n-way", "five"], None, "n_way must be an integer, got 'five'"),
         (["--seeds", "0,a"], None, "seeds must be comma-separated integers, got '0,a'"),
         (["--split-ratios", "0.5,0.5"], None, "split_ratios must be 3 comma-separated numbers, got '0.5,0.5'"),
-        (["--p-mask", "high"], None, "p_mask must be a number, got 'high'"),
+        (["--p-mask", "high"], None, "decode.p_mask must be a number, got 'high'"),
         (["--strategy", "bogus"], None, "strategy must be one of ('none', 'dbs', 'dbs_unigram', 'dbs_bigram', "
                                         "'stub_bt')"),
         ([], "n_way=five\n", "n_way must be an integer, got 'five'"),

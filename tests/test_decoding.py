@@ -956,7 +956,7 @@ class TestDecodeConfig:
         for penalty in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="diversity_penalty must be finite"):
                 DecodeConfig(diversity_penalty=penalty)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown DecodeConfig key: 'decode.nonsense_key'$"):
             RunConfig.from_text("decode.nonsense_key=1\n")
         for shape in (dict(num_beams=10, num_groups=3), dict(num_groups=0), dict(num_beams=0),
                       dict(num_beams=-5, num_groups=5)):

@@ -251,8 +251,12 @@ class TestRunConfig:
         ("seeds=0,a", "seeds must be comma-separated integers, got '0,a'"),
         ("split_ratios=0.5,0.5", "split_ratios must be 3 comma-separated numbers, got '0.5,0.5'"),
         ("paraphrase_cache=maybe", "paraphrase_cache must be a boolean (true or false), got 'maybe'"),
-        ("decode.max_len=long", "max_len must be an integer, got 'long'"),
-    ], ids=["n_way", "anneal_alpha", "seeds", "split_ratios", "paraphrase_cache", "decode.max_len"])
+        ("decode.max_len=long", "decode.max_len must be an integer, got 'long'"),
+        # empty items were once dropped, reading these as (0, 1) and as three numbers
+        ("seeds=0,,1", "seeds must be comma-separated integers, got '0,,1'"),
+        ("split_ratios=0.5,,0.25,0.25,", "split_ratios must be 3 comma-separated numbers, got '0.5,,0.25,0.25,'"),
+    ], ids=["n_way", "anneal_alpha", "seeds", "split_ratios", "paraphrase_cache", "decode.max_len",
+            "seeds_empty_item", "split_ratios_empty_items"])
     def test_unparsable_value_names_its_key_and_kind(self, line, message):
         # these once failed with Python's own message, such as "invalid
         # literal for int() with base 10: 'five'", which named no key

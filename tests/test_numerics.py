@@ -60,23 +60,41 @@ def difference_form(queries, protos):
     return ((queries[..., :, None, :] - protos[..., None, :, :]) ** 2).sum(axis=-1)
 
 
-class TestMatrixProductForm:
-    """The squared-Euclidean distance is |q|^2 + |p|^2 - 2 q.p by one matrix
-    product, clamped at 0; it is checked against the difference form."""
+def cosine_form(queries, protos):
+    """The (..., Q, C) cosine distances 1 - q.p / (|q| |p|), one episode at a time."""
+    dists = np.empty(queries.shape[:-1] + protos.shape[-2:-1])
+    for episode in np.ndindex(queries.shape[:-2]):
+        q, p = queries[episode], protos[episode]
+        dists[episode] = 1.0 - (q @ p.T) / np.outer(np.linalg.norm(q, axis=1), np.linalg.norm(p, axis=1))
+    return dists
 
+
+# each distance kind's oracle and the absolute tolerance of its product
+# form: 1 - cos near 0 keeps only the rounding of |q|^2 + |p|^2 - 2 q.p
+ORACLES = {SQUARED_EUCLIDEAN: (difference_form, 0.0), COSINE: (cosine_form, 1e-14)}
+
+
+class TestMatrixProductForm:
+    """Both distances are |q|^2 + |p|^2 - 2 q.p by one matrix product,
+    clamped at 0, cosine's halved on unit rows; they are checked against the
+    difference form and against 1 - q.p / (|q| |p|)."""
+
+    @pytest.mark.parametrize("kind", sorted(ORACLES))
     @pytest.mark.parametrize("shape", [(1, 1, 1, 3), (1, 25, 5, 32), (12, 25, 5, 32), (3, 4, 2, 5)])
-    def test_batched_matches_difference_form(self, shape):
+    def test_batched_matches_difference_form(self, shape, kind):
+        oracle, atol = ORACLES[kind]
         e, q, c, d = shape
         rng = np.random.default_rng(sum(shape))
         queries, protos = rng.normal(size=(e, q, d)), rng.normal(size=(e, c, d))
-        dists = _pairwise_distances(queries, protos, SQUARED_EUCLIDEAN)[0]
+        dists = _pairwise_distances(queries, protos, kind)[0]
         assert dists.shape == (e, q, c)
-        np.testing.assert_allclose(dists, difference_form(queries, protos), rtol=1e-12)
-        np.testing.assert_allclose(_pairwise_distances(queries[0], protos[0], SQUARED_EUCLIDEAN)[0],
-                                   difference_form(queries[0], protos[0]), rtol=1e-12)
+        np.testing.assert_allclose(dists, oracle(queries, protos), rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(_pairwise_distances(queries[0], protos[0], kind)[0],
+                                   oracle(queries[0], protos[0]), rtol=1e-12, atol=atol)
 
+    @pytest.mark.parametrize("kind", sorted(ORACLES))
     @pytest.mark.parametrize("lead, q, c, d", [((), 1, 1, 3), ((), 5, 3, 4), ((3,), 4, 2, 5), ((2, 2), 3, 3, 2)])
-    def test_backward_matches_finite_differences(self, lead, q, c, d):
+    def test_backward_matches_finite_differences(self, lead, q, c, d, kind):
         rng = np.random.default_rng(q * c * d)
         queries, protos = rng.normal(size=(*lead, q, d)), rng.normal(size=(*lead, c, d))
         d_dist = rng.normal(size=(*lead, q, c))
@@ -84,10 +102,10 @@ class TestMatrixProductForm:
 
         def loss(theta):
             dists = _pairwise_distances(theta[:split].reshape(queries.shape), theta[split:].reshape(protos.shape),
-                                        SQUARED_EUCLIDEAN)[0]
+                                        kind)[0]
             return float((d_dist * dists).sum())
 
-        d_q, d_p = _pairwise_distances(queries, protos, SQUARED_EUCLIDEAN)[1](d_dist)
+        d_q, d_p = _pairwise_distances(queries, protos, kind)[1](d_dist)
         assert d_q.shape == queries.shape and d_p.shape == protos.shape
         theta = np.concatenate([queries.ravel(), protos.ravel()])
         numeric = finite_difference_gradient(loss, theta)

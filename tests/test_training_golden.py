@@ -3,11 +3,13 @@
 For each method and distance, one short low-profile `train_single_seed` run
 on the acceptance corpus is reduced to two SHA-256 digests: one of the
 `SeedResult` as sorted JSON (losses, curves, accuracies and counters) and one
-of the raw bytes of the best-validation parameters. The cosine digests below
-were taken when episodes were first drawn from blocks of uniform keys, the
-squared-Euclidean ones when that distance became one matrix product,
-|q|^2 + |p|^2 - 2 q.p, which moved the last bits of its losses; a change to
-any training number fails here. Two more paths, squared Euclidean, are pinned
+of the raw bytes of the best-validation parameters. The squared-Euclidean
+digests below were taken when that distance became one matrix product,
+|q|^2 + |p|^2 - 2 q.p, which moved the last bits of its losses; the cosine
+ones when cosine became half of that product form on unit rows, which moved
+its losses by at most 6e-16 relative and its kept parameters by at most
+6e-16 absolute, with every accuracy, curve and count equal. A change to any
+training number fails here. Two more paths, squared Euclidean, are pinned
 in `PATHS`: `dbs_unigram` with the paraphrase cache off (every drawn row
 decodes by its text) and `none` under the `full` profile; their digests were
 taken before the low profile became the train source's row pool.
@@ -29,16 +31,16 @@ GOLDEN = {
         "9fb03545e830f7899cb8413038c643c886a65ab466f7d361870010019a40cdc9",
     ),
     ("none", "cosine"): (
-        "4f06cfec2ccf788f8e9943dc495f3636dfa64460c153db87205549419a0bb96d",
-        "508ccd804c989a9c9f05813e753025c560f66fbfaa2044a8acea20fbae31abd6",
+        "c900b3322d922caadeb37cab548c351ac5923c778c7811d01b8435ad7b408fee",
+        "f88f683c4a8d1d9c117868e7f05460333ebb04817c08d80cc88e2feecc0744b6",
     ),
     ("dbs_unigram", "sqeuclidean"): (
         "13ceaa214f4d31089d093e54c8247f1af05e603e4700fda9ef17cd9e59f395bd",
         "939b1098a1dd07ac379a53e056f7d0b47ebc529579b1c94b8bfc3bfcaac1bce7",
     ),
     ("dbs_unigram", "cosine"): (
-        "773108f87f6e4dd30cda764f2fa758c26ca1b0337e58fbbf938692ae0e95b79d",
-        "7488f3198c2c7c7406e4d6ec7c5053050b8086d7fe18dc2188579ee262520404",
+        "718b5fbf29e48e74bc80b1ae57b53d17098aed73b46b7e150a9f27c1d532ad13",
+        "a0c7ec6ecba869ab27e05e17609401c3c0c7f61f1e0ad0310802c5fe6d51243a",
     ),
 }
 
