@@ -47,13 +47,24 @@ FLAG_NAMES = {
 
 def _add_field_args(parser: argparse.ArgumentParser, cls) -> None:
     """One flag per plain field of dataclass `cls`, the field as its dest. A bool's flag sets it
-    true; any other value stays a string, parsed and checked as a config line's value is."""
-    for name, hint in get_type_hints(cls).items():
-        flag = FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+    true; any other value stays a string, parsed and checked as a config line's value is. The help
+    names a string field's `one_of` metadata, the tuple its owner checks it against, and adds a
+    field's `help` metadata."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        hint, flag = hints[f.name], FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        if is_dataclass(hint):
+            continue
+        if "one_of" in f.metadata:
+            text = "one of " + ", ".join(f.metadata["one_of"])
+        else:
+            text = f"sets {f.name}=True" if hint is bool else text_kind(hint)
+        if "help" in f.metadata:
+            text += ": " + f.metadata["help"]
         if hint is bool:
-            parser.add_argument(flag, dest=name, action="store_const", const=True, help=f"sets {name}=True")
-        elif not is_dataclass(hint):
-            parser.add_argument(flag, dest=name, help=text_kind(hint))
+            parser.add_argument(flag, dest=f.name, action="store_const", const=True, help=text)
+        else:
+            parser.add_argument(flag, dest=f.name, help=text)
 
 
 def _overrides(args: argparse.Namespace, cls, prefix: str = "") -> dict[str, str]:

@@ -11,7 +11,7 @@ import functools
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
@@ -20,6 +20,9 @@ from .encoder import tokenize
 from .metrics import bleu_by_source
 
 STRATEGIES = ("dbs", "dbs_unigram", "dbs_bigram", "stub_bt")
+# the strategies whose decode draws from its rng (the unigram bans); every
+# other strategy gives a text the same paraphrases at every decode
+RNG_STRATEGIES = ("dbs_unigram",)
 CURVES = ("flat", "down", "up")
 
 # SynonymBigramLM builds one float64 (V+1, V+1) table per source of a search;
@@ -76,7 +79,7 @@ class DecodeConfig:
     num_groups: int = 5
     diversity_penalty: float = 0.5
     p_mask: float = 0.7
-    curve: str = "flat"
+    curve: str = field(default="flat", metadata={"one_of": CURVES})
     max_len: int = 0  # 0 -> 2 * source length + 5
 
     def __post_init__(self):

@@ -21,7 +21,8 @@ from .data import (
     load_dataset, restrict_low_profile, split_classes,
 )
 from .decoding import (
-    STRATEGIES, DecodeConfig, SynonymBigramLM, check_paraphrase_count, check_strategy, generate_paraphrase_batch,
+    RNG_STRATEGIES, STRATEGIES, DecodeConfig, SynonymBigramLM, check_paraphrase_count, check_strategy,
+    generate_paraphrase_batch,
 )
 from .encoder import (
     DEFAULT_EMBED_DIM, DEFAULT_OUTPUT_DIM, AdamState, EncoderParams, TokenRows, Vocabulary, load_checkpoint,
@@ -43,13 +44,13 @@ class RunConfig:
     baseline) trained and tested over several seeds."""
 
     dataset_path: str
-    profile: str = "full"
+    profile: str = field(default="full", metadata={"one_of": PROFILES})
     n_way: int = 5
     k_shot: int = 1
     query_per_class: int = 5
     n_unlabeled: int = 5
     n_paraphrases: int = 5
-    strategy: str = "none"
+    strategy: str = field(default="none", metadata={"one_of": METHODS})
     decode: DecodeConfig = field(default_factory=DecodeConfig)
     anneal_alpha: float = 1.0
     max_episodes: int = 10000
@@ -57,14 +58,16 @@ class RunConfig:
     patience: int = 20
     n_eval_episodes: int = 600
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    distance: str = numerics.SQUARED_EUCLIDEAN
+    distance: str = field(default=numerics.SQUARED_EUCLIDEAN, metadata={"one_of": numerics.DISTANCE_KINDS})
     split_ratios: tuple[float, float, float] = (0.5, 0.25, 0.25)
     group_by_domain: bool = False
     low_profile_n: int = 10
     embed_dim: int = DEFAULT_EMBED_DIM
     output_dim: int = DEFAULT_OUTPUT_DIM
     learning_rate: float = 1e-3
-    paraphrase_cache: bool = False
+    paraphrase_cache: bool = field(default=False, metadata={"help": (
+        "dbs_unigram draws each text's bans once, not at every draw; the other strategies draw "
+        "nothing and decode each text once per run either way")})
 
     def __post_init__(self):
         # a rule shared with the code that uses a value is that code's check
@@ -248,8 +251,11 @@ def train_plan(config: RunConfig, plan: SeedPlan) -> tuple[SeedResult, EncoderPa
     adam = AdamState.for_params(params, config.learning_rate)
     schedule = AnnealSchedule(alpha=config.anneal_alpha, total_steps=config.max_episodes)
     lm = SynonymBigramLM(texts, default_synonym_table()) if config.strategy != "none" else None
-    # paraphrase ids by text, so duplicate sentences share one decode
-    cache: dict[str, TokenRows] | None = {} if config.paraphrase_cache else None
+    # paraphrase ids by text, so duplicate sentences share one decode; only a
+    # strategy whose decode draws from rng_decode, with the cache off, decodes
+    # every drawn row, drawing its bans again
+    per_draw = config.strategy in RNG_STRATEGIES and not config.paraphrase_cache
+    cache: dict[str, TokenRows] | None = None if per_draw else {}
 
     def paraphrase(sources: list[str]) -> list[TokenRows]:
         """The paraphrase ids of these texts, from one batch decode."""
@@ -266,8 +272,8 @@ def train_plan(config: RunConfig, plan: SeedPlan) -> tuple[SeedResult, EncoderPa
     for start in range(0, config.max_episodes, config.eval_every):
         # one draw equals the block's episodes drawn one by one, and one
         # gather gives every step its ids; the cache misses in episode order
-        # (every row, cache off) decode as one batch, and each step's
-        # unlabeled rows are its sentences, then each one's paraphrases
+        # (every drawn row, when decoding per draw) decode as one batch, and
+        # each step's unlabeled rows are its sentences, then each one's paraphrases
         n_steps = min(config.eval_every, config.max_episodes - start)
         rows, unlabeled = plan.train.draw(n_steps, rng_episode)
         episodes = corpus.take(rows.ravel()).split(n_steps)

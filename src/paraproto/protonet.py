@@ -34,14 +34,9 @@ class EvalResult:
 def prototypes(support: np.ndarray, shots: int) -> np.ndarray:
     """(..., G, d) group means of (..., G * shots, d) support rows stored
     group by group, leading dimensions being episodes: each group's rows
-    added in order to zeros, then divided by `shots`."""
+    summed over the shot axis, then divided by `shots`."""
     *lead, rows, d = support.shape
-    grouped = support.reshape(*lead, rows // shots, shots, d)
-    protos = np.zeros(grouped.shape[:-2] + (d,))
-    for shot in range(shots):
-        protos += grouped[..., shot, :]
-    protos /= shots
-    return protos
+    return np.add.reduce(support.reshape(*lead, rows // shots, shots, d), axis=-2) / shots
 
 
 def _pairwise_distances(

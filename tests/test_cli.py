@@ -9,8 +9,9 @@ from hypothesis import given
 from paraproto import cli
 from paraproto.cli import build_parser, main, resolve_data_path
 from paraproto.configio import dataclass_to_kv
-from paraproto.decoding import DecodeConfig
-from paraproto.experiment import RunConfig, RunReport
+from paraproto.decoding import CURVES, DecodeConfig
+from paraproto.experiment import METHODS, PROFILES, RunConfig, RunReport
+from paraproto.numerics import DISTANCE_KINDS
 from paraproto.synth import generate_synthetic_dataset
 from test_experiment import rejects, run_configs
 
@@ -602,6 +603,18 @@ class TestFieldFlags:
 
     def test_renamed_flags_are_fields(self):
         assert set(cli.FLAG_NAMES) <= set(plain_fields(RunConfig)) | set(plain_fields(DecodeConfig))
+
+    def test_help_names_each_choice_fields_values(self, capsys):
+        # the values come from the tuples the owners check, with no argparse
+        # choices, so a wrong value still fails with the owner's message
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps help lines
+        for flag, values in (("--strategy", METHODS), ("--profile", PROFILES),
+                             ("--distance", DISTANCE_KINDS), ("--curve", CURVES)):
+            assert f"{flag} {flag[2:].upper()} one of {', '.join(values)} " in text
+        assert "--cache sets paraphrase_cache=True: dbs_unigram draws each text's bans once" in text
 
     @given(cfg=run_configs())
     def test_flags_and_config_file_build_the_same_config(self, tmp_path_factory, cfg):

@@ -9,6 +9,8 @@ from lmstub import EOS, RandomLM, TableLM, decode_one, enumerate_sequences
 from paraproto import decoding, metrics
 from paraproto.decoding import (
     CURVES,
+    RNG_STRATEGIES,
+    STRATEGIES,
     Beam,
     ConstraintSet,
     DecodeConfig,
@@ -474,6 +476,16 @@ class TestParaphraseBatch:
             monkeypatch.setattr(decoding, "DECODE_BLOCK_BYTES", block * 8 * (len(lm.vocab) + 1) ** 2)
         assert generate_paraphrase_batch(lm, sentences, 3, strategy, config, batch) == singles
         assert batch.bit_generator.state == one_by_one.bit_generator.state
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_only_rng_strategies_draw(self, toy_lm, strategy):
+        # training decodes a text once per run unless its strategy is one of
+        # RNG_STRATEGIES, so every other strategy must leave the generator alone
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        generate_paraphrase_batch(toy_lm, ["can you play the music", "book a flight"], 5, strategy, DecodeConfig(),
+                                  rng)
+        assert (rng.bit_generator.state != state) == (strategy in RNG_STRATEGIES)
 
     def test_no_sentences(self, toy_lm):
         rng = np.random.default_rng(0)

@@ -12,7 +12,7 @@ from paraproto import data, numerics
 from paraproto.consistency import AnnealSchedule
 from paraproto.configio import dataclass_from_kv, dataclass_to_kv
 from paraproto.data import load_dataset
-from paraproto.decoding import STRATEGIES, DecodeConfig, SynonymBigramLM, generate_paraphrase_batch
+from paraproto.decoding import RNG_STRATEGIES, STRATEGIES, DecodeConfig, SynonymBigramLM, generate_paraphrase_batch
 from paraproto.encoder import AdamState, TokenRows
 from paraproto.experiment import (
     METHODS,
@@ -762,10 +762,11 @@ class TestTokenizeOncePerRun:
 
 class TestBlockDecoding:
     """Training decodes a block's paraphrase misses in one batch call: with
-    the cache, each text once per run, keyed by the text itself; without it,
-    every drawn row."""
+    the cache, or under a strategy that draws nothing from the rng, each text
+    once per run, keyed by the text itself; otherwise (dbs_unigram, cache
+    off) every drawn row."""
 
-    def _batches(self, monkeypatch, dataset, cache):
+    def _batches(self, monkeypatch, dataset, cache, strategy="dbs"):
         import paraproto.experiment as experiment
 
         original, batches = experiment.generate_paraphrase_batch, []
@@ -776,31 +777,46 @@ class TestBlockDecoding:
 
         monkeypatch.setattr(experiment, "generate_paraphrase_batch", recording)
         cfg = quick_config(
-            "unused", strategy="dbs", n_paraphrases=3, n_unlabeled=4,
+            "unused", strategy=strategy, n_paraphrases=3, n_unlabeled=4,
             decode=DecodeConfig(num_beams=6, num_groups=3), paraphrase_cache=cache,
         )
-        train_single_seed(cfg, 0, dataset)
-        return batches
+        return batches, train_single_seed(cfg, 0, dataset)[0]
 
     def test_cache_decodes_each_text_once(self, monkeypatch, corpus_path):
         from paraproto.data import Dataset
 
         ds = load_dataset(corpus_path)
         doubled = Dataset(ds.records + ds.records)  # every text on two rows
-        batches = self._batches(monkeypatch, doubled, cache=True)
+        batches, _ = self._batches(monkeypatch, doubled, cache=True)
         assert len(batches) == 3  # one per block of eval_every episodes
         texts = [text for batch in batches for text in batch]
         assert len(texts) == len(set(texts))
 
+    @pytest.mark.parametrize("strategy", [s for s in STRATEGIES if s not in RNG_STRATEGIES])
+    def test_strategy_without_rng_decodes_each_text_once_cache_off(self, monkeypatch, corpus_path, strategy):
+        # its paraphrases are the same at every draw, so cache off decodes
+        # each text once, as cache on does, and trains exactly as it does
+        from paraproto.data import Dataset
+
+        ds = load_dataset(corpus_path)
+        doubled = Dataset(ds.records + ds.records)  # every text on two rows
+        draws = record_train_draws(monkeypatch)
+        batches, result = self._batches(monkeypatch, doubled, False, strategy)
+        drawn = [doubled.records[row][0] for _, u in draws for row in u.ravel().tolist()]
+        assert [text for batch in batches for text in batch] == list(dict.fromkeys(drawn))
+        assert len(drawn) > len(set(drawn))  # some text was drawn twice
+        assert result == self._batches(monkeypatch, doubled, True, strategy)[1]
+
     def test_no_cache_decodes_every_drawn_row(self, monkeypatch, corpus_path):
-        batches = self._batches(monkeypatch, load_dataset(corpus_path), cache=False)
+        batches, _ = self._batches(monkeypatch, load_dataset(corpus_path), False, "dbs_unigram")
         assert [len(batch) for batch in batches] == [10 * 4] * 3
 
     @pytest.mark.parametrize("cache", [True, False])
     def test_duplicate_texts_at_different_rows(self, monkeypatch, corpus_path, cache):
         # with the cache, a text drawn at two rows is decoded once, when it is
         # first drawn, and every row holding it trains on that one decode;
-        # without it, every drawn row is decoded, duplicates included
+        # under dbs_unigram without it, every drawn row is decoded, duplicates
+        # included
         import paraproto.experiment as experiment
         from paraproto.data import Dataset
 
@@ -808,7 +824,7 @@ class TestBlockDecoding:
         doubled = Dataset(ds.records + ds.records)  # every text on two rows
         draws = record_train_draws(monkeypatch)
         steps = record_calls(monkeypatch, experiment, "combined_training_step")
-        batches = self._batches(monkeypatch, doubled, cache)
+        batches, _ = self._batches(monkeypatch, doubled, cache, "dbs" if cache else "dbs_unigram")
 
         rows = np.concatenate([u for _, u in draws]).ravel().tolist()
         drawn = [doubled.records[row][0] for row in rows]
@@ -868,7 +884,8 @@ class TestBlockGather:
             return decodes[-1][1]
 
         monkeypatch.setattr(experiment, "generate_paraphrase_batch", recording)
-        cfg = quick_config(corpus_path, strategy="dbs", max_episodes=25, n_paraphrases=3, n_unlabeled=2,
+        # dbs_unigram, whose decode draws from the rng, so cache off decodes every drawn row
+        cfg = quick_config(corpus_path, strategy="dbs_unigram", max_episodes=25, n_paraphrases=3, n_unlabeled=2,
                            decode=DecodeConfig(num_beams=6, num_groups=3), paraphrase_cache=cache)
         ds = load_dataset(corpus_path)
         train_single_seed(cfg, 0, ds)
@@ -926,8 +943,9 @@ class TestPlanSeed:
         unlabeled = np.concatenate([u for _, u in draws])
         assert rows.shape == (30, 3 * 4) and unlabeled.shape == (30, 4)
         assert np.isin(rows, pool).all() and np.isin(unlabeled, pool).all()
-        # the decoded texts are the drawn rows' texts
-        assert [text for args, _ in batches for text in args[1]] == [ds.records[row][0] for row in unlabeled.ravel()]
+        # the decoded texts are the drawn rows' texts, each once (dbs draws nothing from the rng)
+        drawn = [ds.records[row][0] for row in unlabeled.ravel()]
+        assert [text for args, _ in batches for text in args[1]] == list(dict.fromkeys(drawn))
         assert vocab.tokens == Vocabulary.from_texts([ds.records[row][0] for row in pool]).tokens
 
     @pytest.mark.parametrize("profile", PROFILES)

@@ -13,16 +13,25 @@ training number fails here. Two more paths, squared Euclidean, are pinned
 in `PATHS`: `dbs_unigram` with the paraphrase cache off (every drawn row
 decodes by its text) and `none` under the `full` profile; their digests were
 taken before the low profile became the train source's row pool.
+
+Each pinned run's `SeedResult` is also committed, as the very JSON text its
+digest hashes, in `golden/<name>.json` (`<method>-<distance>` for `GOLDEN`,
+the key for `PATHS`). The assertions stay the digests; on a mismatch the
+message names the first field that differs from the committed result and
+the largest relative difference on each curve. A re-pin writes the run's
+`result_json` to that file with its new digest.
 """
 
 import hashlib
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from paraproto.data import load_dataset
-from paraproto.experiment import RunConfig, train_single_seed
+from paraproto.experiment import RunConfig, SeedResult, train_single_seed
 from paraproto.synth import generate_synthetic_dataset
 
 GOLDEN = {
@@ -58,6 +67,14 @@ PATHS = {
 }
 
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+# each pinned run by its file name: (method, distance, overrides, SeedResult digest, parameters digest)
+RUNS = {
+    **{f"{method}-{distance}": (method, distance, {}, *digests) for (method, distance), digests in GOLDEN.items()},
+    **{name: (method, "sqeuclidean", overrides, *digests) for name, (method, overrides, *digests) in PATHS.items()},
+}
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     path = tmp_path_factory.mktemp("golden") / "synth20.jsonl"
@@ -66,7 +83,12 @@ def corpus(tmp_path_factory):
     return str(path), load_dataset(path)
 
 
-def run_digests(corpus_path, dataset, method, distance, **overrides):
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def result_json(corpus_path, dataset, method, distance, **overrides) -> tuple[str, bytes]:
+    """One seeded run: its SeedResult as sorted JSON, and the raw bytes of its best parameters."""
     config = RunConfig(
         dataset_path=corpus_path,
         profile="low",
@@ -84,22 +106,65 @@ def run_digests(corpus_path, dataset, method, distance, **overrides):
         paraphrase_cache=True,
     )
     result, best_params, _ = train_single_seed(replace(config, **overrides), 0, dataset)
-    report = json.dumps(asdict(result), sort_keys=True).encode()
-    weights = best_params.vector.tobytes()
-    return hashlib.sha256(report).hexdigest(), hashlib.sha256(weights).hexdigest()
+    return json.dumps(asdict(result), sort_keys=True), best_params.vector.tobytes()
+
+
+def drift(golden: dict, found: dict) -> str:
+    """Where `found`, a SeedResult read from JSON, departs from the committed
+    `golden` one: the first field that differs, in field order, and each
+    curve's largest relative difference."""
+    first = next((f.name for f in fields(SeedResult) if found[f.name] != golden[f.name]), None)
+    if first is None:
+        parts = ["every field is equal"]
+    elif first.endswith("_curve"):
+        parts = [f"first differing field {first!r}"]
+    else:
+        parts = [f"first differing field {first!r}: {found[first]!r}, committed {golden[first]!r}"]
+    for name in ("loss_curve", "val_curve"):
+        a, b = np.array(golden[name], dtype=float), np.array(found[name], dtype=float)
+        if a.shape != b.shape:
+            parts.append(f"{name} has {len(b)} rows, committed {len(a)}")
+            continue
+        scale = np.maximum(np.abs(a), np.abs(b))
+        relative = np.divide(np.abs(a - b), scale, out=np.zeros_like(a), where=scale > 0)
+        parts.append(f"{name} largest relative difference {relative.max(initial=0.0):.3g}")
+    return "; ".join(parts)
+
+
+def check_run(corpus, name):
+    method, distance, overrides, expected_result, expected_params = RUNS[name]
+    text, weights = result_json(*corpus, method, distance, **overrides)
+    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    assert sha256(text.encode()) == expected_result, (
+        f"SeedResult of the seeded run changed: {drift(golden, json.loads(text))}")
+    assert sha256(weights) == expected_params, "best parameters of the seeded run changed"
 
 
 @pytest.mark.parametrize("method,distance", sorted(GOLDEN))
 def test_training_run_matches_golden_digests(corpus, method, distance):
-    result_digest, params_digest = run_digests(*corpus, method, distance)
-    expected_result, expected_params = GOLDEN[(method, distance)]
-    assert result_digest == expected_result, "SeedResult of the seeded run changed"
-    assert params_digest == expected_params, "best parameters of the seeded run changed"
+    check_run(corpus, f"{method}-{distance}")
 
 
 @pytest.mark.parametrize("path", sorted(PATHS))
 def test_training_path_matches_golden_digests(corpus, path):
-    method, overrides, expected_result, expected_params = PATHS[path]
-    result_digest, params_digest = run_digests(*corpus, method, "sqeuclidean", **overrides)
-    assert result_digest == expected_result, "SeedResult of the seeded run changed"
-    assert params_digest == expected_params, "best parameters of the seeded run changed"
+    check_run(corpus, path)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_committed_result_hashes_to_its_digest(name):
+    assert sha256((GOLDEN_DIR / f"{name}.json").read_bytes()) == RUNS[name][3]
+
+
+def test_drift_names_the_first_differing_field_and_each_curves_largest_difference():
+    golden = json.loads((GOLDEN_DIR / "none-sqeuclidean.json").read_text(encoding="utf-8"))
+    assert drift(golden, golden) == "every field is equal; loss_curve largest relative difference 0; " \
+                                    "val_curve largest relative difference 0"
+    found = json.loads(json.dumps(golden))
+    found["loss_curve"][3][1] *= 1 + 1e-12
+    found["test_accuracy"] += 0.25
+    message = drift(golden, found)
+    assert message.startswith(f"first differing field 'test_accuracy': {found['test_accuracy']!r}, "
+                              f"committed {golden['test_accuracy']!r}; loss_curve largest relative difference 1e-12")
+    del found["val_curve"][-1]
+    assert drift(golden, found).endswith(f"val_curve has {len(golden['val_curve']) - 1} rows, "
+                                         f"committed {len(golden['val_curve'])}")
